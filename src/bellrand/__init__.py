@@ -19,7 +19,6 @@ from .adversary import (
     chi_states,
     closed_form_joint,
     evaluate_attack,
-    guessing_probability,
     min_entropy,
     qubit_reduction_check,
     randomness_cap,

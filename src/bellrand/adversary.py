@@ -55,13 +55,7 @@ def joint_amplitudes(alice: Povm, bob: Povm, theta: float) -> np.ndarray:
 
 def ideal_joint(alice: Povm, bob: Povm, theta: float) -> np.ndarray:
     """Joint outcome table of the reference qubit POVMs on the theta-state."""
-    theta = check_theta(theta)
-    rho = qo.psi_theta(theta).rho
-    table = np.empty((alice.n_outcomes, bob.n_outcomes))
-    for a, ea in enumerate(alice.elements):
-        for b, eb in enumerate(bob.elements):
-            table[a, b] = mk.expval(mk.kron(ea, eb), rho)
-    return table
+    return mk.joint_table(alice.elements, bob.elements, qo.psi_theta(theta).rho)
 
 
 def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) -> np.ndarray:
@@ -105,11 +99,7 @@ def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarra
         raise ValueError("sign must be +1 or -1")
     chi = attack.chi_plus if sign == +1 else attack.chi_minus
     rho = qo.compose_with_ancilla(qo.psi_theta(theta), chi).rho
-    table = np.empty((attack.r_povm.n_outcomes, attack.s_povm.n_outcomes))
-    for a, ra in enumerate(attack.r_povm.elements):
-        for b, sb in enumerate(attack.s_povm.elements):
-            table[a, b] = mk.expval(mk.kron(ra, sb), rho)
-    return table
+    return mk.joint_table(attack.r_povm.elements, attack.s_povm.elements, rho)
 
 
 def _pick_null_vector(basis) -> np.ndarray:
@@ -183,6 +173,7 @@ class ConditionalJoint:
 
     @property
     def guessing_prob(self) -> float:
+        """Eve knows the prepared branch: average of the per-branch maxima."""
         return 0.5 * (float(self.p_plus.max()) + float(self.p_minus.max()))
 
     @property
@@ -198,11 +189,6 @@ def evaluate_attack(attack: AttackModel, theta: float | None = None) -> Conditio
         p_plus=brute_force_joint(attack, theta, +1),
         p_minus=brute_force_joint(attack, theta, -1),
     )
-
-
-def guessing_probability(cj: ConditionalJoint) -> float:
-    """Eve knows the prepared branch: average of the per-branch maxima."""
-    return cj.guessing_prob
 
 
 def min_entropy(dist, tol: float = 1e-9) -> float:
@@ -346,10 +332,8 @@ def qubit_reduction_check(
         for _, sigma_e in ensemble:
             corr_worst = max(corr_worst, abs(mk.expval(a_corr, sigma_e) - 1.0))
             rho = qo.compose_with_ancilla(psi, QState(sigma_e, (2, 2))).rho
-            for a, ra in enumerate(r_povm.elements):
-                for b, sb in enumerate(s_povm.elements):
-                    joint = mk.expval(mk.kron(ra, sb), rho)
-                    dev = max(dev, abs(joint - ideal[a, b]))
+            joint = mk.joint_table(r_povm.elements, s_povm.elements, rho)
+            dev = max(dev, float(np.max(np.abs(joint - ideal))))
         deviations.append(dev)
     return QubitReductionReport(
         theta=theta,

@@ -96,19 +96,14 @@ def eval_bell(s: BellScenario) -> BellValues:
     """
     theta = s.theta
     beta = beta_of_theta(theta)
-    rho = s.state.rho
-    da = s.alice[0].op.shape[0]
     db = s.bob[0].op.shape[0]
-
-    def corr(a: Dichotomic, b: Dichotomic | None) -> float:
-        bop = np.eye(db) if b is None else b.op
-        return mk.expval(mk.kron(a.op, bop), rho)
-
-    a1, a2, a3 = s.alice[:3]
-    b1, b2, b3, b4, b5, b6 = s.bob[:6]
-    i_value = beta * corr(a1, None) + corr(a1, b1) + corr(a1, b2) + corr(a2, b1) - corr(a2, b2)
-    j_value = beta * corr(a1, None) + corr(a1, b3) + corr(a1, b4) + corr(a3, b3) - corr(a3, b4)
-    s_value = corr(a2, b5) + corr(a2, b6) + corr(a3, b5) - corr(a3, b6)
+    # Rows A1..A3; column 0 is Bob's identity, columns 1..6 are B1..B6.
+    t = mk.joint_table(
+        [a.op for a in s.alice[:3]], [np.eye(db)] + [b.op for b in s.bob[:6]], s.state.rho
+    ).tolist()
+    i_value = beta * t[0][0] + t[0][1] + t[0][2] + t[1][1] - t[1][2]
+    j_value = beta * t[0][0] + t[0][3] + t[0][4] + t[2][3] - t[2][4]
+    s_value = t[1][5] + t[1][6] + t[2][5] - t[2][6]
     ideal_i, ideal_j, ideal_s = ideal_bell_values(theta)
     return BellValues(theta, beta, i_value, j_value, s_value, ideal_i, ideal_j, ideal_s)
 
@@ -130,23 +125,12 @@ def bell_operator_I(beta: float) -> np.ndarray:
     )
 
 
-def theta_of_beta(beta: float, tol: float = 1e-12) -> float:
-    """Invert the tilt relation by bisection; beta is monotone on (0, pi/2]."""
+def theta_of_beta(beta: float) -> float:
+    """Invert the tilt relation: sin(theta)^2 = (4 - beta^2) / (4 + beta^2)."""
     beta = float(beta)
     if not (0.0 <= beta < 2.0):
         raise ValueError(f"beta must lie in [0, 2), got {beta}")
-    lo, hi = 1e-12, math.pi / 2
-    if beta <= beta_of_theta(hi):
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if beta_of_theta(mid) > beta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    return math.asin(math.sqrt((4.0 - beta**2) / (4.0 + beta**2)))
 
 
 @dataclass(frozen=True)
@@ -247,12 +231,9 @@ def projective_joint_distribution(
     a3 = mk.kron(qo.PAULI_Y, ancilla.a_prime)
     b7 = mk.kron(qo.PAULI_X, np.eye(db))
     rho = qo.compose_with_ancilla(qo.psi_theta(theta), ancilla.sigma).rho
-    table = np.zeros((2, 2))
-    for ia, a in enumerate((1, -1)):
-        for ib, b in enumerate((1, -1)):
-            op = 0.25 * mk.kron(np.eye(2 * da) + a * a3, np.eye(2 * db) + b * b7)
-            table[ia, ib] = mk.expval(op, rho)
-    return table
+    proj_a = [0.5 * (np.eye(2 * da) + a * a3) for a in (1, -1)]
+    proj_b = [0.5 * (np.eye(2 * db) + b * b7) for b in (1, -1)]
+    return mk.joint_table(proj_a, proj_b, rho)
 
 
 def bell_report(theta: float, ancilla: AncillaRealization | None = None) -> dict:

@@ -1,9 +1,9 @@
 """Dense complex-matrix kernel.
 
 Tensor products, subsystem permutations, partial traces, Hermitian
-eigendecompositions, trace norms and joint null spaces, over plain numpy
-arrays (complex128, row-major).  Every operation is a pure function and safe
-to call concurrently.
+eigendecompositions, trace norms, joint null spaces and Born-rule outcome
+tables, over plain numpy arrays (complex128, row-major).  Every operation is
+a pure function and safe to call concurrently.
 
 Subsystem ordering convention used throughout the package:
 (A-qubit, A'-ancilla, B-qubit, B'-ancilla), nested as ((A x A') x (B x B')).
@@ -18,7 +18,6 @@ import numpy as np
 
 # Absolute tolerances; every quantity handled by this package is O(1).
 HERM_TOL = 1e-12
-RECONSTRUCTION_TOL = 1e-10
 NULLSPACE_TOL = 1e-9
 
 
@@ -143,3 +142,17 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def expval(op, rho) -> float:
     """Real part of Tr[op @ rho] (all observables here are Hermitian)."""
     return float(np.real(np.trace(as_matrix(op) @ as_matrix(rho))))
+
+
+def joint_table(ops_a, ops_b, rho) -> np.ndarray:
+    """Born-rule table T[i, j] = Re Tr[(ops_a[i] x ops_b[j]) rho].
+
+    One contraction over rho viewed as (da, db, da, db), where da and db are
+    the operator dimensions on each side; no tensor product is formed.
+    """
+    a = np.asarray(ops_a, dtype=complex)
+    b = np.asarray(ops_b, dtype=complex)
+    da, db = a.shape[-1], b.shape[-1]
+    r = as_matrix(rho)
+    check_shape(r, (da, db))
+    return np.einsum("aik,bjl,klij->ab", a, b, r.reshape(da, db, da, db)).real

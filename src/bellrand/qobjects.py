@@ -295,7 +295,8 @@ def povm_extremality(p: Povm, tol: float = RANK_ONE_TOL) -> PovmExtremality:
     """Operational extremality criteria for a qubit POVM.
 
     Checks that every element is rank one (second eigenvalue below `tol`)
-    and that the elements are linearly independent (empty joint null space).
+    and that the elements are linearly independent (no more than d^2 of them
+    and the smallest singular value of their stack above NULLSPACE_TOL).
     """
     if p.dim != 2:
         raise ValueError("extremality criteria implemented for qubit POVMs only")
@@ -306,8 +307,10 @@ def povm_extremality(p: Povm, tol: float = RANK_ONE_TOL) -> PovmExtremality:
     all_rank_one = second <= tol
     stacked = np.stack([np.asarray(e).reshape(-1) for e in p.elements], axis=1)
     svals = np.linalg.svd(stacked, compute_uv=False)
-    margin = float(svals.min()) if len(p.elements) <= stacked.shape[0] else 0.0
-    independent = len(mk.null_space(list(p.elements), NULLSPACE_TOL)) == 0
+    # More elements than d^2 always leave a null space.
+    fits = len(p.elements) <= stacked.shape[0]
+    margin = float(svals.min()) if fits else 0.0
+    independent = fits and margin > NULLSPACE_TOL
     return PovmExtremality(all_rank_one, independent, all_rank_one and independent, second, margin)
 
 

@@ -99,12 +99,7 @@ def correlations_from_povm(p: Povm, theta: float) -> CorrelationTable:
     if p.dim != 2:
         raise ValueError("correlations are defined for qubit POVMs")
     theta = check_theta(theta)
-    rho = qo.psi_theta(theta).rho
-    values = np.empty((p.n_outcomes, 4))
-    for a, e in enumerate(p.elements):
-        for nu, pauli in enumerate(PAULIS):
-            values[a, nu] = mk.expval(mk.kron(e, pauli), rho)
-    return CorrelationTable(theta, values)
+    return CorrelationTable(theta, mk.joint_table(p.elements, PAULIS, qo.psi_theta(theta).rho))
 
 
 def reconstruct_povm(c: CorrelationTable, theta: float | None = None) -> Povm:
@@ -134,10 +129,16 @@ def correlations_to_csv(c: CorrelationTable) -> str:
 
 
 def correlations_from_csv(text: str, theta: float) -> CorrelationTable:
+    """Inverse of :func:`correlations_to_csv`; malformed rows name their line."""
     rows = []
-    for line in text.strip().splitlines()[1:]:
+    for n, line in enumerate(text.strip().splitlines()[1:], start=2):
         parts = line.split(",")
-        rows.append([float(x) for x in parts[1:5]])
+        if len(parts) != 5:
+            raise ValueError(f"CSV line {n}: expected 5 fields a,E_I,E_X,E_Y,E_Z, got {len(parts)}")
+        try:
+            rows.append([float(x) for x in parts][1:])
+        except ValueError as exc:
+            raise ValueError(f"CSV line {n}: non-numeric cell in {line!r}") from exc
     return CorrelationTable(check_theta(theta), np.array(rows))
 
 

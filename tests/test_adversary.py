@@ -153,7 +153,7 @@ class TestBuildAttack:
             attack = adv.build_attack(alice, bob, theta)
             cj = adv.evaluate_attack(attack)
             baseline = adv.ideal_joint(alice, bob, theta).max()
-            assert adv.guessing_probability(cj) >= baseline - 1e-12
+            assert cj.guessing_prob >= baseline - 1e-12
 
     def test_degenerate_pairing_detected(self):
         # mirroring Bob's Bloch vectors sends his unit-coefficient ket to -Z,
@@ -181,7 +181,7 @@ class TestGuessing:
     def test_uniform_tables(self):
         table = np.full((4, 4), 1 / 16)
         cj = adv.ConditionalJoint(table, table)
-        assert abs(adv.guessing_probability(cj) - 1 / 16) <= 1e-15
+        assert abs(cj.guessing_prob - 1 / 16) <= 1e-15
         assert abs(cj.certified_bits - 4.0) <= 1e-12
 
     def test_fifteen_sixteen_split(self):
@@ -189,7 +189,7 @@ class TestGuessing:
         minus[0] = 0.0
         cj = adv.ConditionalJoint(np.full((4, 4), 1 / 16), minus.reshape(4, 4))
         expected = 0.5 * (1 / 15 + 1 / 16)
-        assert abs(adv.guessing_probability(cj) - expected) <= 1e-15
+        assert abs(cj.guessing_prob - expected) <= 1e-15
         assert abs(cj.certified_bits - 3.9527) <= 1e-4
 
     def test_no_attack_guessing_is_ideal_maximum(self):
@@ -199,7 +199,7 @@ class TestGuessing:
         attack = make_attack(alice, bob, np.zeros(4), np.zeros(4), theta)
         cj = adv.evaluate_attack(attack)
         ideal_max = adv.ideal_joint(alice, bob, theta).max()
-        assert abs(adv.guessing_probability(cj) - ideal_max) <= 1e-12
+        assert abs(cj.guessing_prob - ideal_max) <= 1e-12
 
 
 class TestCapAndEntropy:

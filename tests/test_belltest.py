@@ -96,7 +96,7 @@ class TestSpectralSelftest:
 
     def test_theta_of_beta_closed_form(self):
         # cos(theta)^2 = 2 (beta^2/4) / (1 + beta^2/4)
-        for beta in np.linspace(0.05, 1.9, 12):
+        for beta in [0.0, *np.linspace(0.05, 1.9, 12)]:
             theta = bt.theta_of_beta(beta)
             cos2 = 2 * (beta**2 / 4) / (1 + beta**2 / 4)
             assert abs(math.cos(theta) ** 2 - cos2) <= 1e-10

@@ -116,7 +116,7 @@ class TestEigh:
             m = random_hermitian(dim, rng)
             w, v = mk.eigh(m)
             assert np.all(np.diff(w) <= 1e-12)
-            assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m)) <= mk.RECONSTRUCTION_TOL
+            assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m)) <= 1e-10
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -192,3 +192,33 @@ class TestPermuteSubsystems:
     def test_invalid_perm_rejected(self):
         with pytest.raises(ValueError):
             mk.permute_subsystems(np.eye(4), (2, 2), (0, 0))
+
+
+def random_density(dim, rng):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+class TestJointTable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(2, 2), (4, 4), (2, 4)]),
+        st.integers(1, 6),
+        st.integers(1, 6),
+    )
+    def test_matches_per_entry_oracle(self, seed, dims, n_a, n_b):
+        rng = np.random.default_rng(seed)
+        da, db = dims
+        ops_a = [random_hermitian(da, rng) for _ in range(n_a)]
+        ops_b = [random_hermitian(db, rng) for _ in range(n_b)]
+        rho = random_density(da * db, rng)
+        table = mk.joint_table(ops_a, ops_b, rho)
+        oracle = np.array([[mk.expval(mk.kron(a, b), rho) for b in ops_b] for a in ops_a])
+        assert table.shape == (n_a, n_b) and table.dtype == float
+        assert np.max(np.abs(table - oracle)) <= 1e-13
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            mk.joint_table([I2], [I2], np.eye(8) / 8)

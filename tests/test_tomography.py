@@ -130,6 +130,16 @@ class TestCsvInterface:
         back = tg.correlations_from_csv(text, theta)
         assert np.array_equal(back.values, c.values)
 
+    def test_short_row_rejected(self):
+        text = "a,E_I,E_X,E_Y,E_Z\n0,0.25,0.1,-0.3,0.5\n1,0.25\n"
+        with pytest.raises(ValueError, match="line 3: expected 5 fields"):
+            tg.correlations_from_csv(text, 1.0)
+
+    def test_non_numeric_cell_rejected(self):
+        text = "a,E_I,E_X,E_Y,E_Z\n0,0.25,abc,-0.3,0.5\n"
+        with pytest.raises(ValueError, match="line 2: non-numeric"):
+            tg.correlations_from_csv(text, 1.0)
+
     def test_format(self):
         c = tg.CorrelationTable(0.5, np.array([[0.25, 0.1, -0.3, 1 / 3]]))
         lines = tg.correlations_to_csv(c).strip().splitlines()
