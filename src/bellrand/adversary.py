@@ -191,11 +191,11 @@ def evaluate_attack(attack: AttackModel, theta: float | None = None) -> Conditio
     )
 
 
-def min_entropy(dist, tol: float = 1e-9) -> float:
+def min_entropy(dist) -> float:
     """-log2 of the largest entry of a normalized nonnegative table."""
     arr = np.asarray(dist, dtype=float)
     total = float(arr.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {total}, not 1")
     if arr.min() < -1e-12:
         raise ValueError("distribution has negative entries")

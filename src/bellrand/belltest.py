@@ -24,8 +24,6 @@ from .qobjects import (
     check_theta,
 )
 
-SPECTRAL_TOL = 1e-10
-
 
 def ideal_bell_values(theta: float) -> tuple[float, float, float]:
     """Target values (I, J, S) for the ideal realization at a given angle."""
@@ -142,14 +140,6 @@ class SpectralSelftest:
     spectral_form_residual: float
     eigenvalue_residual: float
 
-    @property
-    def passes(self) -> bool:
-        return (
-            self.eigenvalue_residual <= SPECTRAL_TOL
-            and self.top_eigvec_fidelity >= 1.0 - SPECTRAL_TOL
-            and self.spectral_form_residual <= SPECTRAL_TOL
-        )
-
 
 def spectral_selftest(beta: float) -> SpectralSelftest:
     """Spectral witness for the tilted Bell operator.
@@ -193,7 +183,7 @@ class B7Report:
 
 
 def verify_b7_extraction(
-    theta: float, candidate: Dichotomic, sigma_bprime: QState, tol: float = 1e-10
+    theta: float, candidate: Dichotomic, sigma_bprime: QState
 ) -> B7Report:
     """Trace-norm extraction check for the seventh observable.
 
@@ -208,9 +198,9 @@ def verify_b7_extraction(
     metric = 0.5 * mk.kron(qo.PAULI_X, sigma)
     correlation = math.sin(theta) * mk.expval(candidate.op, metric)
     bound = math.sin(theta)
-    saturates = abs(correlation - bound) <= tol
+    saturates = abs(correlation - bound) <= 1e-10
     target = mk.kron(qo.PAULI_X, np.eye(sigma.shape[0]))
-    is_x = bool(np.max(np.abs(candidate.op - target)) <= tol)
+    is_x = bool(np.max(np.abs(candidate.op - target)) <= 1e-10)
     return B7Report(correlation, bound, saturates, is_x, full_rank)
 
 
@@ -251,4 +241,5 @@ def bell_report(theta: float, ancilla: AncillaRealization | None = None) -> dict
         "spectrum": list(spectral.eigenvalues),
         "fidelity": spectral.top_eigvec_fidelity,
         "spectral_form_residual": spectral.spectral_form_residual,
+        "eigenvalue_residual": spectral.eigenvalue_residual,
     }

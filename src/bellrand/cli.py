@@ -8,8 +8,15 @@ certify    Min-entropy certification for one scenario
 attack     Build and evaluate the conjugation attack; report the cap.
 sweep      Per-angle CSV of Bell values, residuals and min-entropies.
 
-Exit codes: 0 all checks pass, 1 numeric tolerance failure, 2 usage or
-config error.  Identical config and seed produce byte-identical output.
+Each command registers only the options it reads (see ``COMMANDS``).  A
+``--config`` file of ``key=value`` lines is read as the flags
+``--key=value`` (``tol.KEY=VAL`` as ``--tol=KEY=VAL``) placed ahead of the
+command line, so both go through one parser and explicit flags win.
+
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error
+(including an unreadable ``--config`` or unwritable ``--out``), 3 library
+contract violated (a ``ValueError`` escaped a command).  Identical config
+and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,133 +38,125 @@ from . import qobjects as qo
 SCHEMA_VERSION = 1
 
 DEFAULT_TOLERANCES = {
-    "herm": 1e-12,
-    "reconstruction": 1e-10,
-    "nullspace": 1e-9,
     "bell_residual": 1e-10,
     "spectral": 1e-10,
     "uniform": 1e-12,
-    "attack": 1e-10,
+    "attack": adv.ATTACK_TOL,
     "min_entropy": 1e-9,
 }
 
 SCENARIOS = ("local_povm", "global_projective", "global_povm")
 
 
+class Command(NamedTuple):
+    help: str
+    formats: tuple[str, ...]  # the first is the default
+    default_grid: int | None  # angles without --theta/--theta-grid; None is pi/2 alone
+    tol_keys: tuple[str, ...]  # the DEFAULT_TOLERANCES keys its gate reads
+
+
+COMMANDS = {
+    "selftest": Command(
+        "Bell values and spectral witnesses over an angle grid",
+        ("json",),
+        50,
+        ("bell_residual", "spectral"),
+    ),
+    "certify": Command(
+        "min-entropy certification for one scenario", ("json",), None, ("uniform", "min_entropy")
+    ),
+    "attack": Command(
+        "build the conjugation attack and report the cap", ("json",), None, ("attack",)
+    ),
+    "sweep": Command("per-angle CSV/JSON sweep", ("csv", "json"), 100, ()),
+}
+
+
 class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    thetas: list[float] = field(default_factory=list)
-    theta_grid: int | None = None
-    epsilon: float = 1e-4
-    scenario: str | None = None
-    seed: int = 0
-    out: str | None = None
-    fmt: str | None = None  # resolved per command (sweep defaults to csv)
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-
-    def resolve_thetas(self, default_grid: int) -> list[float]:
-        if self.thetas:
-            return list(self.thetas)
-        n = self.theta_grid if self.theta_grid else default_grid
-        return [float(t) for t in qo.theta_grid(n)]
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
 
 
-def _parse_theta_list(text: str) -> list[float]:
-    try:
-        values = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise UsageError(f"invalid theta list {text!r}") from exc
-    for t in values:
-        if not (0.0 < t <= math.pi / 2 + 1e-12):
-            raise UsageError(f"theta {t} outside (0, pi/2]")
+def _checked(convert, ok, what: str):
+    """argparse type: `convert(text)` when it succeeds and satisfies `ok`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_angle = _checked(float, lambda t: 0.0 < t <= math.pi / 2 + 1e-12, "an angle in (0, pi/2]")
+_grid_size = _checked(int, lambda n: n >= 1, "an angle count >= 1")
+_epsilon = _checked(float, lambda e: 0.0 < e < 1.0, "a tilt in (0, 1)")
+_tol_value = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite tolerance > 0")
+
+
+def _theta_list(text: str) -> list[float]:
+    values = [_angle(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no angle in {text!r}")
     return values
 
 
-def _parse_tol(entries, tolerances: dict) -> None:
-    for entry in entries or []:
-        if "=" not in entry:
-            raise UsageError(f"--tol expects KEY=VAL, got {entry!r}")
-        key, val = entry.split("=", 1)
-        key = key.strip()
-        if key not in tolerances:
-            raise UsageError(f"unknown tolerance {key!r}; known: {sorted(tolerances)}")
-        try:
-            tolerances[key] = float(val)
-        except ValueError as exc:
-            raise UsageError(f"invalid tolerance value {val!r}") from exc
+def _tol_entry(keys: tuple[str, ...]):
+    def parse(text: str) -> tuple[str, float]:
+        key, sep, val = text.partition("=")
+        if not sep or key.strip() not in keys:
+            raise argparse.ArgumentTypeError(f"{text!r} is not KEY=VAL with KEY in {list(keys)}")
+        return key.strip(), _tol_value(val)
+
+    return parse
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    text = Path(path).read_text(encoding="utf-8")
+def _config_tokens(path: str) -> list[str]:
+    """The lines of a flat config file as command-line tokens."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path} is not UTF-8 text") from exc
+    tokens = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, val = (s.strip() for s in line.partition("="))
+        if not sep or not key:
             raise UsageError(f"config line {raw!r} is not key=value")
-        key, val = (s.strip() for s in line.split("=", 1))
-        values[key] = val
-    return values
-
-
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    file_values = _load_config_file(args.config) if args.config else {}
-
-    if "theta" in file_values:
-        cfg.thetas = _parse_theta_list(file_values["theta"])
-    if "theta_grid" in file_values:
-        cfg.theta_grid = int(file_values["theta_grid"])
-    if "epsilon" in file_values:
-        cfg.epsilon = float(file_values["epsilon"])
-    if "scenario" in file_values:
-        cfg.scenario = file_values["scenario"]
-    if "seed" in file_values:
-        cfg.seed = int(file_values["seed"])
-    if "out" in file_values:
-        cfg.out = file_values["out"]
-    if "format" in file_values:
-        cfg.fmt = file_values["format"]
-    for key, val in file_values.items():
+        if key == "config":
+            raise UsageError("config key 'config' is not allowed")
         if key.startswith("tol."):
-            _parse_tol([f"{key[4:]}={val}"], cfg.tolerances)
-
-    if args.theta is not None:
-        cfg.thetas = _parse_theta_list(args.theta)
-    if args.theta_grid is not None:
-        cfg.theta_grid = args.theta_grid
-    if getattr(args, "epsilon", None) is not None:
-        cfg.epsilon = args.epsilon
-    if getattr(args, "scenario", None) is not None:
-        cfg.scenario = args.scenario
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if args.format is not None:
-        cfg.fmt = args.format
-    _parse_tol(args.tol, cfg.tolerances)
-
-    if not (0.0 < cfg.epsilon < 1.0):
-        raise UsageError(f"epsilon {cfg.epsilon} outside (0, 1)")
-    if cfg.scenario is not None and cfg.scenario not in SCENARIOS:
-        raise UsageError(f"unknown scenario {cfg.scenario!r}; choose from {SCENARIOS}")
-    return cfg
+            tokens.append(f"--tol={key[4:]}={val}")
+        else:
+            tokens.append(f"--{key.replace('_', '-')}={val}")
+    return tokens
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
+def _resolve_thetas(args: argparse.Namespace) -> list[float]:
+    if args.theta:
+        return args.theta
+    n = args.theta_grid or COMMANDS[args.command].default_grid
+    return [float(t) for t in qo.theta_grid(n)] if n else [math.pi / 2]
+
+
+def _emit(text: str, cfg: argparse.Namespace) -> None:
     if cfg.out:
         Path(cfg.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _json_document(cfg: RunConfig, command: str, payload: dict) -> str:
+def _json_document(cfg: argparse.Namespace, command: str, payload: dict) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -173,20 +172,18 @@ def _json_document(cfg: RunConfig, command: str, payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
-    if (cfg.fmt or "json") != "json":
-        raise UsageError("selftest only supports --format json")
-    thetas = cfg.resolve_thetas(default_grid=50)
+def cmd_selftest(cfg: argparse.Namespace) -> int:
     tol_bell = cfg.tolerances["bell_residual"]
     tol_spec = cfg.tolerances["spectral"]
     reports = []
     failing = []
-    for theta in thetas:
+    for theta in cfg.thetas:
         rep = bt.bell_report(theta)
         ok = (
             max(rep["residuals"].values()) <= tol_bell
             and rep["fidelity"] >= 1.0 - tol_spec
             and rep["spectral_form_residual"] <= tol_spec
+            and rep["eigenvalue_residual"] <= tol_spec
         )
         rep["pass"] = ok
         reports.append(rep)
@@ -208,7 +205,7 @@ def _uniform_tables(scenario: str, theta: float) -> list[np.ndarray]:
     ]
 
 
-def _certify_one(cfg: RunConfig, scenario: str, values: bt.BellValues) -> dict:
+def _certify_one(cfg: argparse.Namespace, scenario: str, values: bt.BellValues) -> dict:
     theta = values.theta
     report = {
         "scenario": scenario,
@@ -253,27 +250,23 @@ def _certify_one(cfg: RunConfig, scenario: str, values: bt.BellValues) -> dict:
     return report
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    if (cfg.fmt or "json") != "json":
-        raise UsageError("certify only supports --format json")
+def cmd_certify(cfg: argparse.Namespace) -> int:
     if cfg.scenario is None:
         raise UsageError("certify requires --scenario")
-    thetas = cfg.thetas if cfg.thetas else [math.pi / 2]
-    reports = [_certify_one(cfg, cfg.scenario, bt.eval_bell(bt.ideal_scenario(t))) for t in thetas]
+    reports = [
+        _certify_one(cfg, cfg.scenario, bt.eval_bell(bt.ideal_scenario(t))) for t in cfg.thetas
+    ]
     ok = all(r["pass"] for r in reports)
     payload = {"scenario": cfg.scenario, "reports": reports, "all_pass": ok}
     _emit(_json_document(cfg, "certify", payload), cfg)
     return 0 if ok else 1
 
 
-def cmd_attack(cfg: RunConfig) -> int:
-    if (cfg.fmt or "json") != "json":
-        raise UsageError("attack only supports --format json")
-    thetas = cfg.thetas if cfg.thetas else [math.pi / 2]
+def cmd_attack(cfg: argparse.Namespace) -> int:
     tol = cfg.tolerances["attack"]
     reports = []
     ok = True
-    for theta in thetas:
+    for theta in cfg.thetas:
         alice = qo.adjusted_tetrahedral(theta)
         bob = qo.adjusted_tetrahedral(theta)
         try:
@@ -295,13 +288,9 @@ def cmd_attack(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    fmt = cfg.fmt or "csv"
-    if fmt not in ("csv", "json"):
-        raise UsageError("sweep supports --format csv or json")
-    thetas = cfg.resolve_thetas(default_grid=100)
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     rows = []
-    for theta in thetas:
+    for theta in cfg.thetas:
         row = {"theta": theta}
         try:
             values = bt.eval_bell(bt.ideal_scenario(theta))
@@ -321,7 +310,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 status="ok",
             )
         except Exception as exc:  # partial failures are marked per-row
-            row.update(status=f"error:{exc}")
+            # One CSV cell: no separator or line break from the message.
+            reason = " ".join(str(exc).split()).replace(",", ";")
+            row.update(status=f"error:{type(exc).__name__}:{reason}")
         rows.append(row)
 
     columns = [
@@ -339,7 +330,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         "status",
     ]
     all_ok = all(r.get("status") == "ok" for r in rows)
-    if fmt == "csv":
+    if cfg.format == "csv":
         lines = [
             "# bellrand sweep: Bell values/residuals and per-scenario min-entropies (bits)",
             "# tolerances: " + json.dumps(cfg.tolerances, sort_keys=True),
@@ -363,51 +354,63 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellrand",
         description="Randomness certification numerics for partially entangled Bell tests",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("selftest", "Bell values and spectral witnesses over an angle grid"),
-        ("certify", "min-entropy certification for one scenario"),
-        ("attack", "build the conjugation attack and report the cap"),
-        ("sweep", "per-angle CSV/JSON sweep"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--theta", help="comma-separated angles in (0, pi/2]")
-        p.add_argument("--theta-grid", type=int, help="number of grid angles")
-        p.add_argument("--epsilon", type=float, help="near-Y POVM tilt in (0, 1)")
-        p.add_argument("--seed", type=int, help="deterministic replay seed")
-        p.add_argument("--tol", action="append", metavar="KEY=VAL", help="tolerance override")
-        p.add_argument("--config", help="flat key=value config file")
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
+        p.add_argument("--theta", type=_theta_list, help="comma-separated angles in (0, pi/2]")
+        p.add_argument("--theta-grid", type=_grid_size, help="number of grid angles (>= 1)")
+        p.add_argument("--seed", type=int, default=0, help="deterministic replay seed")
+        p.add_argument("--config", help="flat key=value file; keys are these flag names")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), help="output format")
+        p.add_argument(
+            "--format", choices=spec.formats, default=spec.formats[0], help="output format"
+        )
+        p.set_defaults(tol=[])  # also for a command without --tol
+        if spec.tol_keys:
+            p.add_argument(
+                "--tol",
+                type=_tol_entry(spec.tol_keys),
+                action="append",
+                metavar="KEY=VAL",
+                help="tolerance override; KEY in " + ", ".join(spec.tol_keys),
+            )
+        if name in ("certify", "sweep"):
+            p.add_argument(
+                "--epsilon", type=_epsilon, default=1e-4, help="near-Y POVM tilt in (0, 1)"
+            )
         if name == "certify":
             p.add_argument("--scenario", choices=SCENARIOS, help="certification scenario")
-        else:
-            p.set_defaults(scenario=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _build_config(args)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_tokens(args.config), *argv[at:]])
+        args.thetas = _resolve_thetas(args)
+        args.tolerances = {**DEFAULT_TOLERANCES, **dict(args.tol)}
         handler = {
             "selftest": cmd_selftest,
             "certify": cmd_certify,
             "attack": cmd_attack,
             "sweep": cmd_sweep,
         }[args.command]
-        return handler(cfg)
-    except UsageError as exc:
+        return handler(args)
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        print(f"error: library contract violated: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -88,15 +88,15 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     return np.asarray(t, dtype=complex).reshape(d, d)
 
 
-def eigh(m, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with eigenvalues sorted descending.
 
     Returns (w, v) such that m = v @ diag(w) @ v^dagger with orthonormal
-    eigenvector columns.  Non-Hermitian input (beyond `tol`) is a contract
+    eigenvector columns.  Non-Hermitian input (beyond HERM_TOL) is a contract
     error.
     """
     a = as_matrix(m)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise ValueError("eigh requires a Hermitian matrix")
     w, v = np.linalg.eigh(a)
     return w[::-1].copy(), v[:, ::-1].copy()
@@ -107,11 +107,11 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(as_matrix(m), compute_uv=False).sum())
 
 
-def null_space(mats: Sequence[np.ndarray], tol: float = NULLSPACE_TOL) -> list[np.ndarray]:
+def null_space(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal basis of {c : sum_a c_a mats[a] = 0}.
 
     Each matrix is flattened into one column of a single matrix whose
-    singular values are thresholded at `tol`; the returned coefficient
+    singular values are thresholded at NULLSPACE_TOL; the returned coefficient
     vectors are the right-singular vectors past the numerical rank.  An
     empty list means the matrices are linearly independent.
     """
@@ -127,7 +127,7 @@ def null_space(mats: Sequence[np.ndarray], tol: float = NULLSPACE_TOL) -> list[n
     stacked = np.stack(cols, axis=1)
     _, svals, vh = np.linalg.svd(stacked)
     n = stacked.shape[1]
-    rank = int(np.sum(svals > tol))
+    rank = int(np.sum(svals > NULLSPACE_TOL))
     return [vh[i].conj() for i in range(rank, n)]
 
 

@@ -274,7 +274,7 @@ class PovmExtremality:
     independence_margin: float
 
 
-def povm_validity(p: Povm, tol: float = PSD_TOL) -> PovmValidity:
+def povm_validity(p: Povm) -> PovmValidity:
     """PSD and completeness check.
 
     The completeness residual is trace_norm(sum E_a - I) / dim, so a uniform
@@ -288,13 +288,13 @@ def povm_validity(p: Povm, tol: float = PSD_TOL) -> PovmValidity:
         psd_violation = max(psd_violation, float(max(0.0, -w.min())))
     total = sum(p.elements)
     residual = mk.trace_norm(total - np.eye(d)) / d
-    return PovmValidity(psd_violation <= tol and residual <= tol, psd_violation, residual)
+    return PovmValidity(psd_violation <= PSD_TOL and residual <= PSD_TOL, psd_violation, residual)
 
 
-def povm_extremality(p: Povm, tol: float = RANK_ONE_TOL) -> PovmExtremality:
+def povm_extremality(p: Povm) -> PovmExtremality:
     """Operational extremality criteria for a qubit POVM.
 
-    Checks that every element is rank one (second eigenvalue below `tol`)
+    Checks that every element is rank one (second eigenvalue below RANK_ONE_TOL)
     and that the elements are linearly independent (no more than d^2 of them
     and the smallest singular value of their stack above NULLSPACE_TOL).
     """
@@ -304,7 +304,7 @@ def povm_extremality(p: Povm, tol: float = RANK_ONE_TOL) -> PovmExtremality:
     for e in p.elements:
         w = np.linalg.eigvalsh(np.asarray(e))
         second = max(second, float(abs(w[-2])))
-    all_rank_one = second <= tol
+    all_rank_one = second <= RANK_ONE_TOL
     stacked = np.stack([np.asarray(e).reshape(-1) for e in p.elements], axis=1)
     svals = np.linalg.svd(stacked, compute_uv=False)
     # More elements than d^2 always leave a null space.
@@ -404,12 +404,12 @@ def conjugate_povm(p: Povm) -> Povm:
     return Povm(elements, kets, p.label + "*" if p.label else "")
 
 
-def kets_from_elements(p: Povm, tol: float = RANK_ONE_TOL) -> Povm:
+def kets_from_elements(p: Povm) -> Povm:
     """Attach rank-one kets extracted spectrally, with the fixed phase gauge."""
     kets = []
     for e in p.elements:
         w, v = mk.eigh(np.asarray(e))
-        if abs(w[1]) > tol:
+        if abs(w[1]) > RANK_ONE_TOL:
             raise ValueError(f"element is not rank one (second eigenvalue {w[1]:.3e})")
         k = math.sqrt(max(w[0], 0.0)) * v[:, 0]
         nz = np.flatnonzero(np.abs(k) > 1e-12)

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import matkernel as mk
 from . import qobjects as qo
-from .matkernel import NULLSPACE_TOL
 from .qobjects import PAULIS, Povm, check_theta
 
 COEFF_SUM_TOL = 1e-9
@@ -160,12 +159,12 @@ class OffdiagSet:
         return len(self.null_basis)
 
 
-def offdiag_set(p: Povm, tol: float = NULLSPACE_TOL) -> OffdiagSet:
+def offdiag_set(p: Povm) -> OffdiagSet:
     """Off-diagonal operators of a rank-one POVM plus their null space."""
     if p.kets is None:
         raise ValueError("off-diagonal operators need rank-one kets; attach them first")
     operators = tuple(np.outer(k, k) for k in p.kets)  # |k><k*| has entries k_i k_j
-    basis = tuple(mk.null_space(list(operators), tol))
+    basis = tuple(mk.null_space(list(operators)))
     return OffdiagSet(operators, basis)
 
 

@@ -1,10 +1,15 @@
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bellrand import belltest as bt
+from bellrand import matkernel as mk
+from bellrand import qobjects as qo
 from bellrand.cli import main
 
 PI_2 = "1.5707963267948966"
@@ -170,3 +175,116 @@ class TestConfigFile:
         _, out = run(capsys, ["attack", "--theta", "0.8"])
         doc = json.loads(out)
         assert set(doc["tolerances"]) >= {"bell_residual", "spectral", "attack", "uniform"}
+
+
+REFUSED = [
+    ["selftest", "--theta-grid", "0"],
+    ["selftest", "--theta-grid", "-1"],
+    ["selftest", "--theta", ","],
+    ["selftest", "--theta", "1", "--tol", "spectral=nan"],
+    ["selftest", "--theta", "1", "--tol", "spectral=inf"],
+    ["selftest", "--theta", "1", "--tol", "spectral=-1"],
+    ["selftest", "--theta", "1", "--tol", "herm=1e-12"],
+    ["selftest", "--tol", "attack=1e-9"],
+    ["sweep", "--tol", "attack=1"],
+    ["selftest", "--epsilon", "0.5"],
+    ["attack", "--epsilon", "0.5"],
+    ["selftest", "--config", "thetta=0.4"],
+    ["selftest", "--config", "config=other.cfg"],
+]
+
+
+class TestRefusedInput:
+    @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+    def test_refused_with_one_error_line(self, capsys, tmp_path, argv):
+        if argv[-2] == "--config":  # the case holds the file's one line in place of its path
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(argv[-1] + "\n", encoding="utf-8")
+            argv = argv[:-1] + [str(cfg)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_contract_violation_exits_3(self, capsys, monkeypatch):
+        def broken(theta, ancilla=None):
+            raise ValueError("eigh requires a Hermitian matrix")
+
+        monkeypatch.setattr(bt, "bell_report", broken)
+        assert main(["selftest", "--theta", "0.7"]) == 3
+        assert "contract" in capsys.readouterr().err
+        # A refused flag is still a usage error, found before any library call.
+        assert main(["selftest", "--theta", "0.7", "--epsilon", "0.5"]) == 2
+
+
+class TestAngles:
+    @pytest.mark.parametrize(
+        "argv", [["certify", "--scenario", "local_povm"], ["attack"]], ids=" ".join
+    )
+    def test_theta_grid_is_honoured(self, capsys, argv):
+        code, out = run(capsys, argv + ["--theta-grid", "3"])
+        assert code == 0
+        thetas = [rep["theta"] for rep in json.loads(out)["reports"]]
+        assert thetas == [float(t) for t in qo.theta_grid(3)]
+
+    def test_config_supplies_scenario(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario=global_povm\ntheta=0.4\n", encoding="utf-8")
+        code, out = run(capsys, ["certify", "--config", str(cfg)])
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["scenario"] == "global_povm"
+        assert [rep["theta"] for rep in doc["reports"]] == [0.4]
+
+
+class TestGates:
+    def test_selftest_gates_the_spectrum(self, capsys, monkeypatch):
+        exact = mk.eigh
+
+        def shifted(m):
+            w, v = exact(m)
+            w[1] += 1e-3
+            return w, v
+
+        monkeypatch.setattr(mk, "eigh", shifted)
+        code, out = run(capsys, ["selftest", "--theta", "0.7"])
+        rep = json.loads(out)["reports"][0]
+        assert code == 1
+        assert abs(rep["eigenvalue_residual"] - 1e-3) <= 1e-12
+        assert not rep["pass"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_error_row_keeps_its_columns(self, capsys, monkeypatch, fmt):
+        def broken(scenario):
+            raise ValueError("dims (2, 2) and (4,\n4) differ")
+
+        monkeypatch.setattr(bt, "eval_bell", broken)
+        code, out = run(capsys, ["sweep", "--theta", "0.5,0.9", "--format", fmt])
+        assert code == 1
+        status = "error:ValueError:dims (2; 2) and (4; 4) differ"
+        if fmt == "json":
+            assert [row["status"] for row in json.loads(out)["rows"]] == [status, status]
+            return
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        assert len(header) == 12
+        assert [len(r) for r in rows] == [12, 12]
+        assert [r[-1] for r in rows] == [status, status]
+
+
+def readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [line for line in lines if line.startswith("bellrand ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_line_runs(capsys, tmp_path, line):
+    argv = shlex.split(line)[1:]
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    assert main(argv) == 0
