@@ -21,9 +21,6 @@ from . import qobjects as qo
 from . import tomography as tg
 from .qobjects import Povm, QState, check_theta
 
-ATTACK_TOL = 1e-10
-UNIT_MAG_TOL = 1e-9
-
 
 class DegenerateAttackError(RuntimeError):
     """No unit-magnitude coefficient pair has a nonzero target amplitude."""
@@ -107,7 +104,7 @@ def _pick_null_vector(basis) -> np.ndarray:
     best, best_count = None, -1
     for v in basis:
         w = v / np.abs(v).max()
-        count = int(np.sum(np.abs(w) >= 1.0 - UNIT_MAG_TOL))
+        count = int(np.sum(np.abs(w) >= 1.0 - mk.RANK_TOL))
         if count > best_count:
             best, best_count = w, count
     return best
@@ -134,11 +131,11 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
     mu = _pick_null_vector(ob.null_basis)
 
     amp = joint_amplitudes(alice, bob, theta)
-    unit_a = np.abs(lam) >= 1.0 - UNIT_MAG_TOL
-    unit_b = np.abs(mu) >= 1.0 - UNIT_MAG_TOL
+    unit_a = np.abs(lam) >= 1.0 - mk.RANK_TOL
+    unit_b = np.abs(mu) >= 1.0 - mk.RANK_TOL
     weight = np.where(unit_a[:, None] & unit_b[None, :], np.abs(amp) ** 2, -1.0)
     a_star, b_star = np.unravel_index(int(np.argmax(weight)), weight.shape)
-    if weight[a_star, b_star] <= 1e-12:
+    if weight[a_star, b_star] <= mk.ZERO_TOL:
         raise DegenerateAttackError("no unit-magnitude pair with nonzero amplitude")
 
     # Align arg(conj(lam_a* mu_b*) amp^2) = 0 with one global phase on lam.
@@ -195,9 +192,9 @@ def min_entropy(dist) -> float:
     """-log2 of the largest entry of a normalized nonnegative table."""
     arr = np.asarray(dist, dtype=float)
     total = float(arr.sum())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > mk.RANK_TOL:
         raise ValueError(f"distribution sums to {total}, not 1")
-    if arr.min() < -1e-12:
+    if arr.min() < -mk.ZERO_TOL:
         raise ValueError("distribution has negative entries")
     return -math.log2(float(arr.max()))
 
@@ -228,7 +225,7 @@ class QubitReductionReport:
 
     @property
     def reduces(self) -> bool:
-        return self.max_deviation <= ATTACK_TOL
+        return self.max_deviation <= mk.IDENTITY_TOL
 
 
 def _eve_decompositions(n_samples: int, rng: np.random.Generator):
@@ -256,7 +253,7 @@ def _eve_decompositions(n_samples: int, rng: np.random.Generator):
             sub = mk.partial_trace(op @ full, (4, 2), keep=(0,))
             sub = (sub + sub.conj().T) / 2  # exact value is Hermitian; drop rounding skew
             p = float(np.real(np.trace(sub)))
-            if p < 1e-9:  # conditioning guard: near-zero outcomes carry no state
+            if p < mk.RANK_TOL:  # conditioning guard: near-zero outcomes carry no state
                 continue
             out.append((p, sub / p))
         return out

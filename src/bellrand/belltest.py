@@ -194,13 +194,13 @@ def verify_b7_extraction(
     """
     theta = check_theta(theta)
     sigma = sigma_bprime.rho
-    full_rank = bool(np.linalg.eigvalsh(sigma).min() > 1e-12)
+    full_rank = bool(np.linalg.eigvalsh(sigma).min() > mk.ZERO_TOL)
     metric = 0.5 * mk.kron(qo.PAULI_X, sigma)
     correlation = math.sin(theta) * mk.expval(candidate.op, metric)
     bound = math.sin(theta)
-    saturates = abs(correlation - bound) <= 1e-10
+    saturates = abs(correlation - bound) <= mk.IDENTITY_TOL
     target = mk.kron(qo.PAULI_X, np.eye(sigma.shape[0]))
-    is_x = bool(np.max(np.abs(candidate.op - target)) <= 1e-10)
+    is_x = bool(np.max(np.abs(candidate.op - target)) <= mk.IDENTITY_TOL)
     return B7Report(correlation, bound, saturates, is_x, full_rank)
 
 

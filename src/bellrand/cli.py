@@ -15,8 +15,8 @@ command line, so both go through one parser and explicit flags win.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error
 (including an unreadable ``--config`` or unwritable ``--out``), 3 library
-contract violated (a ``ValueError`` escaped a command).  Identical config
-and seed produce byte-identical output.
+contract violated (a ``ValueError`` escaped a command).  Identical input
+produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -35,15 +35,7 @@ from . import belltest as bt
 from . import matkernel as mk
 from . import qobjects as qo
 
-SCHEMA_VERSION = 1
-
-DEFAULT_TOLERANCES = {
-    "bell_residual": 1e-10,
-    "spectral": 1e-10,
-    "uniform": 1e-12,
-    "attack": adv.ATTACK_TOL,
-    "min_entropy": 1e-9,
-}
+SCHEMA_VERSION = 2
 
 SCENARIOS = ("local_povm", "global_projective", "global_povm")
 
@@ -52,7 +44,7 @@ class Command(NamedTuple):
     help: str
     formats: tuple[str, ...]  # the first is the default
     default_grid: int | None  # angles without --theta/--theta-grid; None is pi/2 alone
-    tol_keys: tuple[str, ...]  # the DEFAULT_TOLERANCES keys its gate reads
+    tolerances: dict[str, float]  # each --tol key its gate reads, with its tier default
 
 
 COMMANDS = {
@@ -60,15 +52,21 @@ COMMANDS = {
         "Bell values and spectral witnesses over an angle grid",
         ("json",),
         50,
-        ("bell_residual", "spectral"),
+        {"bell_residual": mk.IDENTITY_TOL, "spectral": mk.IDENTITY_TOL},
     ),
     "certify": Command(
-        "min-entropy certification for one scenario", ("json",), None, ("uniform", "min_entropy")
+        "min-entropy certification for one scenario",
+        ("json",),
+        None,
+        {"uniform": mk.ZERO_TOL, "min_entropy": mk.RANK_TOL},
     ),
     "attack": Command(
-        "build the conjugation attack and report the cap", ("json",), None, ("attack",)
+        "build the conjugation attack and report the cap",
+        ("json",),
+        None,
+        {"attack": mk.IDENTITY_TOL},
     ),
-    "sweep": Command("per-angle CSV/JSON sweep", ("csv", "json"), 100, ()),
+    "sweep": Command("per-angle CSV/JSON sweep", ("csv", "json"), 100, {}),
 }
 
 
@@ -96,7 +94,7 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-_angle = _checked(float, lambda t: 0.0 < t <= math.pi / 2 + 1e-12, "an angle in (0, pi/2]")
+_angle = _checked(qo.check_theta, lambda t: True, "an angle in (0, pi/2]")
 _grid_size = _checked(int, lambda n: n >= 1, "an angle count >= 1")
 _epsilon = _checked(float, lambda e: 0.0 < e < 1.0, "a tilt in (0, 1)")
 _tol_value = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite tolerance > 0")
@@ -160,7 +158,6 @@ def _json_document(cfg: argparse.Namespace, command: str, payload: dict) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
         "command": command,
-        "seed": cfg.seed,
         "tolerances": cfg.tolerances,
     }
     doc.update(payload)
@@ -230,7 +227,6 @@ def _certify_one(cfg: argparse.Namespace, scenario: str, values: bt.BellValues) 
             max_entry=float(table.max()),
             deviation_from_limit=deviation,
         )
-        report["pass"] = bool(deviation <= 10.0 * eps)
         return report
 
     tables = _uniform_tables(scenario, theta)
@@ -243,11 +239,16 @@ def _certify_one(cfg: argparse.Namespace, scenario: str, values: bt.BellValues) 
         max_entry=float(dist.max()),
         uniform_deviation=max(float(np.max(np.abs(t - 0.25))) for t in tables),
     )
-    report["pass"] = bool(
-        report["uniform_deviation"] <= cfg.tolerances["uniform"]
-        and abs(report["min_entropy_bits"] - 2.0) <= cfg.tolerances["min_entropy"]
-    )
     return report
+
+
+def _certify_passes(report: dict, tol: dict[str, float]) -> bool:
+    if report["bound_type"] == "lower_witness":
+        return report["deviation_from_limit"] <= 10.0 * report["epsilon"]
+    return (
+        report["uniform_deviation"] <= tol["uniform"]
+        and abs(report["min_entropy_bits"] - 2.0) <= tol["min_entropy"]
+    )
 
 
 def cmd_certify(cfg: argparse.Namespace) -> int:
@@ -256,6 +257,8 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
     reports = [
         _certify_one(cfg, cfg.scenario, bt.eval_bell(bt.ideal_scenario(t))) for t in cfg.thetas
     ]
+    for report in reports:
+        report["pass"] = _certify_passes(report, cfg.tolerances)
     ok = all(r["pass"] for r in reports)
     payload = {"scenario": cfg.scenario, "reports": reports, "all_pass": ok}
     _emit(_json_document(cfg, "certify", payload), cfg)
@@ -333,7 +336,6 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     if cfg.format == "csv":
         lines = [
             "# bellrand sweep: Bell values/residuals and per-scenario min-entropies (bits)",
-            "# tolerances: " + json.dumps(cfg.tolerances, sort_keys=True),
             ",".join(columns),
         ]
         for row in rows:
@@ -364,20 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
         p.add_argument("--theta", type=_theta_list, help="comma-separated angles in (0, pi/2]")
         p.add_argument("--theta-grid", type=_grid_size, help="number of grid angles (>= 1)")
-        p.add_argument("--seed", type=int, default=0, help="deterministic replay seed")
         p.add_argument("--config", help="flat key=value file; keys are these flag names")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument(
             "--format", choices=spec.formats, default=spec.formats[0], help="output format"
         )
         p.set_defaults(tol=[])  # also for a command without --tol
-        if spec.tol_keys:
+        if spec.tolerances:
             p.add_argument(
                 "--tol",
-                type=_tol_entry(spec.tol_keys),
+                type=_tol_entry(tuple(spec.tolerances)),
                 action="append",
                 metavar="KEY=VAL",
-                help="tolerance override; KEY in " + ", ".join(spec.tol_keys),
+                help="tolerance override; KEY in " + ", ".join(spec.tolerances),
             )
         if name in ("certify", "sweep"):
             p.add_argument(
@@ -397,7 +398,7 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args([*argv[:at], *_config_tokens(args.config), *argv[at:]])
         args.thetas = _resolve_thetas(args)
-        args.tolerances = {**DEFAULT_TOLERANCES, **dict(args.tol)}
+        args.tolerances = {**COMMANDS[args.command].tolerances, **dict(args.tol)}
         handler = {
             "selftest": cmd_selftest,
             "certify": cmd_certify,

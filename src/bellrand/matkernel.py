@@ -16,9 +16,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Absolute tolerances; every quantity handled by this package is O(1).
-HERM_TOL = 1e-12
-NULLSPACE_TOL = 1e-9
+# The package's tolerances: three absolute tiers, one per meaning (every
+# quantity handled here is O(1)).  Every tolerance in the package reads one.
+ZERO_TOL = 1e-12  # a quantity exactly zero in closed form
+IDENTITY_TOL = 1e-10  # an exact identity evaluated through a few matrix products
+RANK_TOL = 1e-9  # a numerical-rank or normalization decision
 
 
 def as_matrix(m) -> np.ndarray:
@@ -33,7 +35,7 @@ def dagger(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def is_hermitian(m, tol: float = HERM_TOL) -> bool:
+def is_hermitian(m, tol: float = ZERO_TOL) -> bool:
     a = as_matrix(m)
     return a.shape[0] == a.shape[1] and float(np.max(np.abs(a - a.conj().T))) <= tol
 
@@ -92,7 +94,7 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with eigenvalues sorted descending.
 
     Returns (w, v) such that m = v @ diag(w) @ v^dagger with orthonormal
-    eigenvector columns.  Non-Hermitian input (beyond HERM_TOL) is a contract
+    eigenvector columns.  Non-Hermitian input (beyond ZERO_TOL) is a contract
     error.
     """
     a = as_matrix(m)
@@ -111,7 +113,7 @@ def null_space(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal basis of {c : sum_a c_a mats[a] = 0}.
 
     Each matrix is flattened into one column of a single matrix whose
-    singular values are thresholded at NULLSPACE_TOL; the returned coefficient
+    singular values are thresholded at RANK_TOL; the returned coefficient
     vectors are the right-singular vectors past the numerical rank.  An
     empty list means the matrices are linearly independent.
     """
@@ -127,7 +129,7 @@ def null_space(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     stacked = np.stack(cols, axis=1)
     _, svals, vh = np.linalg.svd(stacked)
     n = stacked.shape[1]
-    rank = int(np.sum(svals > NULLSPACE_TOL))
+    rank = int(np.sum(svals > RANK_TOL))
     return [vh[i].conj() for i in range(rank, n)]
 
 

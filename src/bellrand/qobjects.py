@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel as mk
-from .matkernel import HERM_TOL, NULLSPACE_TOL
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -26,16 +25,11 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (ID2, PAULI_X, PAULI_Y, PAULI_Z)  # index order (I, X, Y, Z)
 
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
-DICHOTOMIC_TOL = 1e-10
-RANK_ONE_TOL = 1e-9
-
 
 def check_theta(theta: float) -> float:
     """Validate the Schmidt angle range 0 < theta <= pi/2."""
     theta = float(theta)
-    if not (0.0 < theta <= math.pi / 2 + 1e-12):
+    if not (0.0 < theta <= math.pi / 2 + mk.ZERO_TOL):
         raise ValueError(f"theta must lie in (0, pi/2], got {theta}")
     return theta
 
@@ -69,13 +63,13 @@ class QState:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         mk.check_shape(rho, self.dims)
-        if not mk.is_hermitian(rho, HERM_TOL):
+        if not mk.is_hermitian(rho):
             raise ValueError("density operator must be Hermitian")
         w = np.linalg.eigvalsh(rho)
-        if w.min() < -PSD_TOL:
+        if w.min() < -mk.IDENTITY_TOL:
             raise ValueError(f"density operator not PSD (min eigenvalue {w.min():.3e})")
         tr = float(np.real(np.trace(rho)))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > mk.IDENTITY_TOL:
             raise ValueError(f"density operator trace {tr} != 1")
 
     @property
@@ -93,10 +87,10 @@ class Dichotomic:
     def __post_init__(self):
         op = _readonly(self.op)
         object.__setattr__(self, "op", op)
-        if not mk.is_hermitian(op, DICHOTOMIC_TOL):
+        if not mk.is_hermitian(op, mk.IDENTITY_TOL):
             raise ValueError(f"observable {self.label!r} must be Hermitian")
         resid = float(np.max(np.abs(op @ op - np.eye(op.shape[0]))))
-        if resid > DICHOTOMIC_TOL:
+        if resid > mk.IDENTITY_TOL:
             raise ValueError(f"observable {self.label!r} fails O^2 = I (residual {resid:.3e})")
 
 
@@ -288,15 +282,16 @@ def povm_validity(p: Povm) -> PovmValidity:
         psd_violation = max(psd_violation, float(max(0.0, -w.min())))
     total = sum(p.elements)
     residual = mk.trace_norm(total - np.eye(d)) / d
-    return PovmValidity(psd_violation <= PSD_TOL and residual <= PSD_TOL, psd_violation, residual)
+    valid = psd_violation <= mk.IDENTITY_TOL and residual <= mk.IDENTITY_TOL
+    return PovmValidity(valid, psd_violation, residual)
 
 
 def povm_extremality(p: Povm) -> PovmExtremality:
     """Operational extremality criteria for a qubit POVM.
 
-    Checks that every element is rank one (second eigenvalue below RANK_ONE_TOL)
+    Checks that every element is rank one (second eigenvalue at most RANK_TOL)
     and that the elements are linearly independent (no more than d^2 of them
-    and the smallest singular value of their stack above NULLSPACE_TOL).
+    and the smallest singular value of their stack above RANK_TOL).
     """
     if p.dim != 2:
         raise ValueError("extremality criteria implemented for qubit POVMs only")
@@ -304,13 +299,13 @@ def povm_extremality(p: Povm) -> PovmExtremality:
     for e in p.elements:
         w = np.linalg.eigvalsh(np.asarray(e))
         second = max(second, float(abs(w[-2])))
-    all_rank_one = second <= RANK_ONE_TOL
+    all_rank_one = second <= mk.RANK_TOL
     stacked = np.stack([np.asarray(e).reshape(-1) for e in p.elements], axis=1)
     svals = np.linalg.svd(stacked, compute_uv=False)
     # More elements than d^2 always leave a null space.
     fits = len(p.elements) <= stacked.shape[0]
     margin = float(svals.min()) if fits else 0.0
-    independent = fits and margin > NULLSPACE_TOL
+    independent = fits and margin > mk.RANK_TOL
     return PovmExtremality(all_rank_one, independent, all_rank_one and independent, second, margin)
 
 
@@ -409,10 +404,10 @@ def kets_from_elements(p: Povm) -> Povm:
     kets = []
     for e in p.elements:
         w, v = mk.eigh(np.asarray(e))
-        if abs(w[1]) > RANK_ONE_TOL:
+        if abs(w[1]) > mk.RANK_TOL:
             raise ValueError(f"element is not rank one (second eigenvalue {w[1]:.3e})")
         k = math.sqrt(max(w[0], 0.0)) * v[:, 0]
-        nz = np.flatnonzero(np.abs(k) > 1e-12)
+        nz = np.flatnonzero(np.abs(k) > mk.ZERO_TOL)
         if len(nz):
             k = k * (np.abs(k[nz[0]]) / k[nz[0]])
         kets.append(k)

@@ -18,8 +18,6 @@ from . import matkernel as mk
 from . import qobjects as qo
 from .qobjects import PAULIS, Povm, check_theta
 
-COEFF_SUM_TOL = 1e-9
-
 # Ancilla qubit used for all dilations: the +1/-1 blocks live on
 # |+> = (|0>+|1>)/sqrt(2) and |-> = (|0>-|1>)/sqrt(2).
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -184,12 +182,12 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
     if coeffs.shape[0] != p.n_outcomes:
         raise ValueError("one coefficient per outcome required")
     mags = np.abs(coeffs)
-    if mags.max(initial=0.0) > 1.0 + 1e-9:
+    if mags.max(initial=0.0) > 1.0 + mk.RANK_TOL:
         raise ValueError(f"coefficient magnitude {mags.max():.6f} exceeds 1")
     offdiags = [np.outer(k, k) for k in p.kets]
     closure = sum(c * t for c, t in zip(coeffs, offdiags))
     residual = float(np.linalg.norm(closure))
-    if residual > COEFF_SUM_TOL:
+    if residual > mk.RANK_TOL:
         raise ValueError(f"coefficients do not close the completeness sum, residual {residual:.3e}")
     elements = []
     for e, t, c in zip(p.elements, offdiags, coeffs):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bellrand import adversary as adv
 from bellrand import matkernel as mk
@@ -265,6 +267,34 @@ class TestQubitReduction:
         )
         assert not rep.reduces
         assert rep.max_deviation >= 1e-3
+
+
+class TestRandomPairs:
+    """The attack and the 4 x 3 reduction over random extremal POVM pairs and angles."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, math.pi / 2))
+    def test_attack_undetectable_and_capped(self, seed, theta):
+        rng = np.random.default_rng(seed)
+        alice = tg.random_extremal_povm(4, rng)
+        bob = tg.random_extremal_povm(4, rng)
+        try:
+            attack = adv.build_attack(alice, bob, theta)
+        except adv.DegenerateAttackError:
+            assume(False)
+        cj = adv.evaluate_attack(attack)
+        ideal = adv.ideal_joint(alice, bob, theta)
+        assert np.max(np.abs(cj.average - ideal)) <= mk.IDENTITY_TOL
+        assert cj.p_minus[attack.target_pair] <= mk.IDENTITY_TOL
+        assert cj.certified_bits <= adv.randomness_cap()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, math.pi / 2))
+    def test_four_by_three_reduces(self, seed, theta):
+        rng = np.random.default_rng(seed)
+        alice = tg.random_extremal_povm(4, rng)
+        bob = tg.random_extremal_povm(3, rng)
+        assert adv.qubit_reduction_check(alice, bob, theta, seed=seed).reduces
 
 
 class TestReportInterface:

@@ -10,7 +10,7 @@ import pytest
 from bellrand import belltest as bt
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
-from bellrand.cli import main
+from bellrand.cli import COMMANDS, main
 
 PI_2 = "1.5707963267948966"
 
@@ -25,7 +25,7 @@ class TestSelftest:
         code, out = run(capsys, ["selftest", "--theta", PI_2])
         doc = json.loads(out)
         assert code == 0
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["all_pass"]
         rep = doc["reports"][0]
         for key in ("I", "J", "S"):
@@ -105,8 +105,8 @@ class TestAttack:
     def test_seed_replay_byte_identical(self, tmp_path):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
-        assert main(["attack", "--theta", "0.9", "--seed", "7", "--out", str(out_a)]) == 0
-        assert main(["attack", "--theta", "0.9", "--seed", "7", "--out", str(out_b)]) == 0
+        assert main(["attack", "--theta", "0.9", "--out", str(out_a)]) == 0
+        assert main(["attack", "--theta", "0.9", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
@@ -149,21 +149,19 @@ class TestSweep:
 class TestConfigFile:
     def test_config_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("theta=0.4\nseed=3\ntol.bell_residual=1e-8\n", encoding="utf-8")
+        cfg.write_text("theta=0.4\ntol.bell_residual=1e-8\n", encoding="utf-8")
         code, out = run(capsys, ["selftest", "--config", str(cfg)])
         doc = json.loads(out)
         assert code == 0
-        assert doc["seed"] == 3
         assert doc["tolerances"]["bell_residual"] == 1e-8
         assert abs(doc["reports"][0]["theta"] - 0.4) <= 1e-15
 
     def test_cli_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("theta=0.4\nseed=3\n", encoding="utf-8")
-        code, out = run(capsys, ["selftest", "--config", str(cfg), "--theta", "0.9", "--seed", "5"])
+        cfg.write_text("theta=0.4\n", encoding="utf-8")
+        code, out = run(capsys, ["selftest", "--config", str(cfg), "--theta", "0.9"])
         doc = json.loads(out)
         assert code == 0
-        assert doc["seed"] == 5
         assert abs(doc["reports"][0]["theta"] - 0.9) <= 1e-15
 
     def test_malformed_config_is_usage_error(self, tmp_path):
@@ -172,9 +170,23 @@ class TestConfigFile:
         assert main(["selftest", "--config", str(cfg)]) == 2
 
     def test_reports_embed_tolerances(self, capsys):
-        _, out = run(capsys, ["attack", "--theta", "0.8"])
-        doc = json.loads(out)
-        assert set(doc["tolerances"]) >= {"bell_residual", "spectral", "attack", "uniform"}
+        argv = {
+            "selftest": ["selftest"],
+            "certify": ["certify", "--scenario", "local_povm"],
+            "attack": ["attack"],
+            "sweep": ["sweep", "--format", "json"],
+        }
+        for name, spec in COMMANDS.items():
+            _, out = run(capsys, argv[name] + ["--theta", "0.8"])
+            block = json.loads(out)["tolerances"]
+            assert block == spec.tolerances, name
+        # The tier defaults keep the values each bound had before the tiers.
+        assert {name: spec.tolerances for name, spec in COMMANDS.items()} == {
+            "selftest": {"bell_residual": 1e-10, "spectral": 1e-10},
+            "certify": {"uniform": 1e-12, "min_entropy": 1e-9},
+            "attack": {"attack": 1e-10},
+            "sweep": {},
+        }
 
 
 REFUSED = [
@@ -191,6 +203,8 @@ REFUSED = [
     ["attack", "--epsilon", "0.5"],
     ["selftest", "--config", "thetta=0.4"],
     ["selftest", "--config", "config=other.cfg"],
+    ["attack", "--seed", "7"],
+    ["selftest", "--config", "seed=3"],
 ]
 
 

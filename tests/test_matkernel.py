@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,7 +165,7 @@ class TestNullSpace:
         mats.append(0.3 * mats[0] - 1.2 * mats[1] + 0.7j * mats[2])
         for c in mk.null_space(mats):
             combo = sum(ci * m for ci, m in zip(c, mats))
-            assert np.linalg.norm(combo) <= 10 * mk.NULLSPACE_TOL * np.linalg.norm(c)
+            assert np.linalg.norm(combo) <= 10 * mk.RANK_TOL * np.linalg.norm(c)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -222,3 +225,19 @@ class TestJointTable:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
             mk.joint_table([I2], [I2], np.eye(8) / 8)
+
+
+def test_tiers_are_the_only_thresholds():
+    """No `*_TOL` constant or 1e-9..1e-13 literal outside matkernel's three tier lines."""
+    threshold = re.compile(r"\b\w*_TOL\s*=(?!=)|\b\d+(\.\d*)?[eE]-0*(9|1[0-3])\b")
+    hits = [
+        f"{path.name}: {line.split('#')[0].strip()}"
+        for path in sorted(Path(mk.__file__).parent.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if threshold.search(line)
+    ]
+    assert hits == [
+        "matkernel.py: ZERO_TOL = 1e-12",
+        "matkernel.py: IDENTITY_TOL = 1e-10",
+        "matkernel.py: RANK_TOL = 1e-9",
+    ]
