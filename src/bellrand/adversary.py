@@ -26,28 +26,24 @@ class DegenerateAttackError(RuntimeError):
     """No unit-magnitude coefficient pair has a nonzero target amplitude."""
 
 
+# Columns |++> and |-->: an orthonormal basis of the +1 eigenspace of A' x B',
+# where every state of Eve's lives.
+_PP_MM = np.stack(
+    [np.kron(tg.KET_PLUS, tg.KET_PLUS), np.kron(tg.KET_MINUS, tg.KET_MINUS)], axis=1
+)
+
+
 def chi_states() -> tuple[QState, QState]:
     """Eve's ancilla pair (|++> +- |-->)/sqrt(2) on the two ancilla qubits."""
-    plus = tg.KET_PLUS
-    minus = tg.KET_MINUS
-    pp = np.kron(plus, plus)
-    mm = np.kron(minus, minus)
-    chi_p = qo.qstate_from_ket((pp + mm) / math.sqrt(2.0), (2, 2))
-    chi_m = qo.qstate_from_ket((pp - mm) / math.sqrt(2.0), (2, 2))
-    return chi_p, chi_m
+    return tuple(qo.qstate_from_ket(_PP_MM @ [1, s] / math.sqrt(2.0), (2, 2)) for s in (1, -1))
 
 
 def joint_amplitudes(alice: Povm, bob: Povm, theta: float) -> np.ndarray:
     """Amplitude table <k_a l_b | psi_theta> from the subnormalized kets."""
     if alice.kets is None or bob.kets is None:
         raise ValueError("joint amplitudes need rank-one kets on both sides")
-    theta = check_theta(theta)
-    psi = qo.psi_theta_ket(theta)
-    amp = np.empty((alice.n_outcomes, bob.n_outcomes), dtype=complex)
-    for a, ka in enumerate(alice.kets):
-        for b, kb in enumerate(bob.kets):
-            amp[a, b] = np.vdot(np.kron(ka, kb), psi)
-    return amp
+    psi = qo.psi_theta_ket(theta).reshape(2, 2)
+    return np.conj(alice.kets) @ psi @ np.conj(bob.kets).T
 
 
 def ideal_joint(alice: Povm, bob: Povm, theta: float) -> np.ndarray:
@@ -83,7 +79,6 @@ class AttackModel:
     chi_plus: QState
     chi_minus: QState
     target_pair: tuple[int, int]
-    eve_prior: tuple[float, float] = (0.5, 0.5)
 
 
 def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarray:
@@ -99,22 +94,24 @@ def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarra
     return mk.joint_table(attack.r_povm.elements, attack.s_povm.elements, rho)
 
 
-def _pick_null_vector(basis) -> np.ndarray:
-    """Deterministic choice: most unit-magnitude entries after unit scaling."""
-    best, best_count = None, -1
-    for v in basis:
-        w = v / np.abs(v).max()
-        count = int(np.sum(np.abs(w) >= 1.0 - mk.RANK_TOL))
-        if count > best_count:
-            best, best_count = w, count
-    return best
+def _admissible_coeffs(p: Povm) -> np.ndarray:
+    """Dilation coefficients: the off-diagonal null vector scaled to max magnitude one.
+
+    Any three operators |k_a><k_a*| of pairwise non-parallel kets are
+    linearly independent in the span of {I, X, Z}, so an extremal POVM has a
+    one-dimensional null space with four outcomes and none with at most
+    three; then the coefficients are zero (the block form).
+    """
+    basis = tg.offdiag_set(p).null_basis
+    if not basis:
+        return np.zeros(p.n_outcomes, dtype=complex)
+    return basis[0] / np.abs(basis[0]).max()
 
 
 def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
     """Assemble the conjugation attack on a pair of four-outcome POVMs.
 
-    The coefficient vectors come from the null spaces of the off-diagonal
-    operators, scaled so the largest magnitude on each side is one.  The
+    The coefficient vectors are each side's :func:`_admissible_coeffs`.  The
     target pair maximizes |lam_a| |mu_b| |<k_a l_b|psi>|^2 over pairs with
     both magnitudes at one, and a single global phase on the Alice vector
     aligns the interference term so the minus-branch probability of the
@@ -123,12 +120,10 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
     theta = check_theta(theta)
     if alice.n_outcomes != 4 or bob.n_outcomes != 4:
         raise ValueError("the attack needs four outcomes on both sides")
-    oa = tg.offdiag_set(alice)
-    ob = tg.offdiag_set(bob)
-    if oa.null_dimension == 0 or ob.null_dimension == 0:
+    lam = _admissible_coeffs(alice)
+    mu = _admissible_coeffs(bob)
+    if not (lam.any() and mu.any()):
         raise DegenerateAttackError("off-diagonal operators are linearly independent")
-    lam = _pick_null_vector(oa.null_basis)
-    mu = _pick_null_vector(ob.null_basis)
 
     amp = joint_amplitudes(alice, bob, theta)
     unit_a = np.abs(lam) >= 1.0 - mk.RANK_TOL
@@ -178,13 +173,11 @@ class ConditionalJoint:
         return -math.log2(self.guessing_prob)
 
 
-def evaluate_attack(attack: AttackModel, theta: float | None = None) -> ConditionalJoint:
+def evaluate_attack(attack: AttackModel) -> ConditionalJoint:
     """Both conditional tables, evaluated on the full dilated space."""
-    if theta is None:
-        theta = attack.theta
     return ConditionalJoint(
-        p_plus=brute_force_joint(attack, theta, +1),
-        p_minus=brute_force_joint(attack, theta, -1),
+        p_plus=brute_force_joint(attack, attack.theta, +1),
+        p_minus=brute_force_joint(attack, attack.theta, -1),
     )
 
 
@@ -229,54 +222,31 @@ class QubitReductionReport:
 
 
 def _eve_decompositions(n_samples: int, rng: np.random.Generator):
-    """Ensembles {(p_e, sigma_e)} decomposing the mixed ancilla pair.
+    """Ensembles {(p_k, sigma_k)} decomposing the mixed ancilla pair.
 
-    The base state is the even mixture of |++><++| and |--><--|, purified
-    with one extra qubit; each of Eve's measurements on the purifier yields
-    one decomposition.  The first decomposition is the canonical conjugation
+    The base state is the even mixture of |++><++| and |--><--|, the
+    ancilla marginal of (|++>|0> + |-->|1>)/sqrt(2) whose last qubit Eve
+    holds.  Her measurement {E_k} on that qubit leaves the subnormalized
+    state V E_k^T V^dagger / 2, with V the columns |++> and |-->, so
+    p_k = Tr E_k / 2.  The first decomposition is the canonical conjugation
     pair (the chi states); the rest alternate Haar-random rank-1 projective
-    measurements and random two-element full-rank POVMs.  Every conditional
-    state stays supported on the +1 eigenspace of A' x B', so the perfect
-    correlation is preserved.
+    measurements and random two-element full-rank POVMs.  Every state lies in
+    the range of V, the +1 eigenspace of A' x B', so the perfect correlation
+    is preserved.
     """
-    pp = np.kron(tg.KET_PLUS, tg.KET_PLUS)
-    mm = np.kron(tg.KET_MINUS, tg.KET_MINUS)
-    # Purification: (|++>|e0> + |-->|e1>)/sqrt(2) on (A'B') x E.
-    purification = (np.kron(pp, np.array([1.0, 0.0])) + np.kron(mm, np.array([0.0, 1.0])))
-    purification = purification / np.linalg.norm(purification)
-    full = np.outer(purification, purification.conj())
-
-    def conditionals(povm_elements):
-        out = []
-        for e in povm_elements:
-            op = mk.kron(np.eye(4), e)
-            sub = mk.partial_trace(op @ full, (4, 2), keep=(0,))
-            sub = (sub + sub.conj().T) / 2  # exact value is Hermitian; drop rounding skew
-            p = float(np.real(np.trace(sub)))
-            if p < mk.RANK_TOL:  # conditioning guard: near-zero outcomes carry no state
-                continue
-            out.append((p, sub / p))
-        return out
-
-    h = math.sqrt(0.5)
-    canonical = [np.outer(v, v.conj()) for v in (np.array([h, h]), np.array([h, -h]))]
-    yield conditionals(canonical)
-    produced = 1
-    while produced < n_samples:
-        if produced % 2 == 1:
+    yield [(0.5, chi.rho) for chi in chi_states()]
+    for k in range(1, n_samples):
+        if k % 2 == 1:
             u = mk.haar_unitary(2, rng)
             elements = [np.outer(u[:, i], u[:, i].conj()) for i in range(2)]
         else:
-            g = [None, None]
-            for i in range(2):
-                a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                g[i] = a @ a.conj().T
-            total = g[0] + g[1]
-            w, v = np.linalg.eigh(total)
+            a = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
+            g = [ai @ ai.conj().T for ai in a]
+            w, v = np.linalg.eigh(g[0] + g[1])
             root_inv = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
             elements = [root_inv @ gi @ root_inv for gi in g]
-        yield conditionals(elements)
-        produced += 1
+        traces = [float(np.trace(e).real) for e in elements]
+        yield [(t / 2, _PP_MM @ e.T @ _PP_MM.conj().T / t) for t, e in zip(traces, elements)]
 
 
 def qubit_reduction_check(
@@ -290,31 +260,16 @@ def qubit_reduction_check(
 ) -> QubitReductionReport:
     """Check that Eve-conditioned joints equal the ideal qubit joints.
 
-    Alice's POVM is dilated with admissible off-diagonal coefficients (by
-    default the unit-scaled null vector when four outcomes, zero otherwise);
-    Bob's POVM gets the plain block dilation forced when it has at most
-    three outcomes, unless explicit coefficients are supplied to probe the
-    double-four-outcome failure mode.  For each sampled Eve decomposition
-    every conditional joint is compared entrywise to the ideal table.
+    Each side is dilated with its :func:`_admissible_coeffs`, which are zero
+    (the plain block form) when it has at most three outcomes, unless
+    explicit coefficients are supplied to probe the double-four-outcome
+    failure mode.  For each sampled Eve decomposition every conditional
+    joint is compared entrywise to the ideal table.
     """
     theta = check_theta(theta)
     rng = np.random.default_rng(seed)
-
-    def default_coeffs(p: Povm):
-        if p.n_outcomes >= 4:
-            basis = tg.offdiag_set(p).null_basis
-            if basis:
-                return _pick_null_vector(basis)
-        return np.zeros(p.n_outcomes, dtype=complex)
-
-    lam = default_coeffs(alice) if alice_coeffs is None else np.asarray(alice_coeffs, complex)
-    if bob_coeffs is None:
-        if bob.n_outcomes <= 3:
-            mu = np.zeros(bob.n_outcomes, dtype=complex)  # forced block form
-        else:
-            mu = default_coeffs(bob)
-    else:
-        mu = np.asarray(bob_coeffs, dtype=complex)
+    lam = _admissible_coeffs(alice) if alice_coeffs is None else np.asarray(alice_coeffs, complex)
+    mu = _admissible_coeffs(bob) if bob_coeffs is None else np.asarray(bob_coeffs, complex)
 
     r_povm = tg.build_dilated_povm(alice, lam)
     s_povm = tg.build_dilated_povm(bob, mu)

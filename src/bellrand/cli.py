@@ -15,8 +15,8 @@ command line, so both go through one parser and explicit flags win.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error
 (including an unreadable ``--config`` or unwritable ``--out``), 3 library
-contract violated (a ``ValueError`` escaped a command).  Identical input
-produces byte-identical output.
+contract violated (a ``ValueError`` escaped a command, or a ``sweep`` row
+holds an error).  Identical input produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         "minent_global_povm",
         "status",
     ]
-    all_ok = all(r.get("status") == "ok" for r in rows)
+    errors = [r for r in rows if r["status"] != "ok"]
     if cfg.format == "csv":
         lines = [
             "# bellrand sweep: Bell values/residuals and per-scenario min-entropies (bits)",
@@ -346,8 +346,16 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
             lines.append(",".join(cells))
         _emit("\n".join(lines) + "\n", cfg)
     else:
-        _emit(_json_document(cfg, "sweep", {"rows": rows, "all_pass": all_ok}), cfg)
-    return 0 if all_ok else 1
+        _emit(_json_document(cfg, "sweep", {"rows": rows, "all_pass": not errors}), cfg)
+    if errors:
+        first = errors[0]
+        print(
+            f"error: library contract violated: {len(errors)} of {len(rows)} sweep rows failed,"
+            f" first at theta={first['theta']!r} ({first['status']})",
+            file=sys.stderr,
+        )
+        return 3
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def dagger(m) -> np.ndarray:
-    return as_matrix(m).conj().T
-
-
 def is_hermitian(m, tol: float = ZERO_TOL) -> bool:
     a = as_matrix(m)
     return a.shape[0] == a.shape[1] and float(np.max(np.abs(a - a.conj().T))) <= tol

@@ -27,11 +27,15 @@ PAULIS = (ID2, PAULI_X, PAULI_Y, PAULI_Z)  # index order (I, X, Y, Z)
 
 
 def check_theta(theta: float) -> float:
-    """Validate the Schmidt angle range 0 < theta <= pi/2."""
+    """Validate the Schmidt angle range 0 < theta <= pi/2.
+
+    An angle at most ZERO_TOL above pi/2 is rounding of pi/2 and comes back as
+    pi/2, where cos(theta) and beta are still nonnegative.
+    """
     theta = float(theta)
     if not (0.0 < theta <= math.pi / 2 + mk.ZERO_TOL):
         raise ValueError(f"theta must lie in (0, pi/2], got {theta}")
-    return theta
+    return min(theta, math.pi / 2)
 
 
 def theta_grid(n: int, start: float = 0.01) -> np.ndarray:

@@ -251,6 +251,20 @@ class TestQubitReduction:
         )
         assert rep.reduces
 
+    def test_eve_ensembles_decompose_the_ancilla_mixture(self):
+        pp = np.kron(tg.KET_PLUS, tg.KET_PLUS)
+        mm = np.kron(tg.KET_MINUS, tg.KET_MINUS)
+        mixture = (np.outer(pp, pp.conj()) + np.outer(mm, mm.conj())) / 2
+        corr = mk.kron(qo.PAULI_X, qo.PAULI_X)
+        ensembles = list(adv._eve_decompositions(50, np.random.default_rng(3)))
+        assert len(ensembles) == 50
+        for ensemble in ensembles:
+            assert abs(sum(p for p, _ in ensemble) - 1.0) <= mk.IDENTITY_TOL
+            average = sum(p * sigma for p, sigma in ensemble)
+            assert np.max(np.abs(average - mixture)) <= mk.IDENTITY_TOL
+            for _, sigma in ensemble:
+                assert abs(mk.expval(corr, sigma) - 1.0) <= mk.IDENTITY_TOL
+
     def test_four_by_four_with_nonzero_coefficients_fails(self):
         theta = np.pi / 2
         alice = qo.adjusted_tetrahedral(theta)
@@ -295,6 +309,20 @@ class TestRandomPairs:
         alice = tg.random_extremal_povm(4, rng)
         bob = tg.random_extremal_povm(3, rng)
         assert adv.qubit_reduction_check(alice, bob, theta, seed=seed).reduces
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, math.pi / 2))
+    def test_closed_form_matches_brute_force(self, seed, theta):
+        rng = np.random.default_rng(seed)
+        alice = tg.random_extremal_povm(4, rng)
+        bob = tg.random_extremal_povm(4, rng)
+        lam = random_admissible_coeffs(alice, rng)
+        mu = random_admissible_coeffs(bob, rng)
+        attack = make_attack(alice, bob, lam, mu, theta)
+        for sign in (+1, -1):
+            closed = adv.closed_form_joint(alice, bob, lam, mu, theta, sign)
+            brute = adv.brute_force_joint(attack, theta, sign)
+            assert np.max(np.abs(closed - brute)) <= mk.IDENTITY_TOL
 
 
 class TestReportInterface:

@@ -252,6 +252,17 @@ class TestAngles:
         assert doc["scenario"] == "global_povm"
         assert [rep["theta"] for rep in doc["reports"]] == [0.4]
 
+    def test_rounded_right_angle_is_right_angle(self, capsys):
+        # 3.6e-15 above pi/2: rounding of pi/2, where beta must not go negative.
+        code, out = run(capsys, ["selftest", "--theta", "1.5707963267949"])
+        rep = json.loads(out)["reports"][0]
+        assert code == 0
+        assert rep["theta"] == math.pi / 2 and rep["beta"] >= 0.0
+        code, out = run(capsys, ["sweep", "--theta", "1.5707963267949", "--format", "json"])
+        row = json.loads(out)["rows"][0]
+        assert code == 0
+        assert row["status"] == "ok" and row["beta"] >= 0.0
+
 
 class TestGates:
     def test_selftest_gates_the_spectrum(self, capsys, monkeypatch):
@@ -276,7 +287,7 @@ class TestGates:
 
         monkeypatch.setattr(bt, "eval_bell", broken)
         code, out = run(capsys, ["sweep", "--theta", "0.5,0.9", "--format", fmt])
-        assert code == 1
+        assert code == 3
         status = "error:ValueError:dims (2; 2) and (4; 4) differ"
         if fmt == "json":
             assert [row["status"] for row in json.loads(out)["rows"]] == [status, status]
@@ -286,6 +297,17 @@ class TestGates:
         assert len(header) == 12
         assert [len(r) for r in rows] == [12, 12]
         assert [r[-1] for r in rows] == [status, status]
+
+    def test_sweep_error_row_is_a_contract_violation(self, capsys, monkeypatch):
+        def broken(scenario):
+            raise ValueError("eigh requires a Hermitian matrix")
+
+        monkeypatch.setattr(bt, "eval_bell", broken)
+        assert main(["sweep", "--theta", "0.5,0.9"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: library contract violated: 2 of 2 sweep rows failed")
+        assert "theta=0.5" in lines[0]
 
 
 def readme_cli_lines():

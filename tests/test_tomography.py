@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
@@ -98,6 +100,19 @@ class TestReconstruction:
             r = tg.reconstruct_povm(tg.correlations_from_povm(p, theta), theta)
             for a, b in zip(p.elements, r.elements):
                 assert np.max(np.abs(a - b)) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((2, 3, 4)),
+        st.floats(math.log(1e-3), math.log(math.pi / 2)),
+    )
+    def test_round_trip_error_scales_with_condition_number(self, seed, n, log_theta):
+        theta = min(math.exp(log_theta), math.pi / 2)
+        p = tg.random_extremal_povm(n, np.random.default_rng(seed))
+        r = tg.reconstruct_povm(tg.correlations_from_povm(p, theta))
+        err = max(float(np.max(np.abs(a - b))) for a, b in zip(p.elements, r.elements))
+        assert err <= 1e-14 * tg.eta_matrix(theta).condition_number()
 
     def test_corrupted_correlations_detected(self):
         theta = 0.8
