@@ -4,7 +4,7 @@ Submodules
 ----------
 matkernel   dense complex-matrix primitives (kron, partial trace, eigh, ...)
 qobjects    states, observables, POVM families and their reports
-belltest    Bell expressions, spectral self-test, two-bit projective scheme
+belltest    angle-batched Bell values, spectral self-tests and outcome tables
 tomography  POVM reconstruction, off-diagonal operators, ancilla dilations
 adversary   conjugation attack, qubit reduction, min-entropy cap
 cli         command-line reports (selftest / certify / attack / sweep)

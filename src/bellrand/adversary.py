@@ -264,9 +264,12 @@ def qubit_reduction_check(
     (the plain block form) when it has at most three outcomes, unless
     explicit coefficients are supplied to probe the double-four-outcome
     failure mode.  For each sampled Eve decomposition every conditional
-    joint is compared entrywise to the ideal table.
+    joint is compared entrywise to the ideal table.  At least one
+    decomposition is checked; a smaller count is refused.
     """
     theta = check_theta(theta)
+    if n_decompositions < 1:
+        raise ValueError(f"n_decompositions must be >= 1, got {n_decompositions}")
     rng = np.random.default_rng(seed)
     lam = _admissible_coeffs(alice) if alice_coeffs is None else np.asarray(alice_coeffs, complex)
     mu = _admissible_coeffs(bob) if bob_coeffs is None else np.asarray(bob_coeffs, complex)

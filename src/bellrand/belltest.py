@@ -1,9 +1,14 @@
 """Bell expression evaluation and self-test witnesses.
 
-Evaluates the two tilted CHSH expressions and the plain CHSH expression
-against their ideal values, verifies the 4x4 Bell operator spectrally, checks
-the trace-norm extraction of the seventh observable, and computes the
-two-bit joint distribution of the Y-type and X-type measurements.
+:func:`bell_batch` evaluates everything the commands report for a list of
+angles at once: the two tilted CHSH expressions and the plain CHSH
+expression against their ideal values, the spectral self-test of the 4x4
+Bell operator, and the outcome tables of the three randomness schemes.  The
+per-angle functions (:func:`eval_bell` on :func:`ideal_scenario`,
+:func:`spectral_selftest`, :func:`projective_joint_distribution`) build the
+same quantities from validated objects one angle at a time and serve as its
+oracle.  :func:`verify_b7_extraction` checks the trace-norm extraction of the
+seventh observable.
 """
 
 from __future__ import annotations
@@ -106,21 +111,32 @@ def eval_bell(s: BellScenario) -> BellValues:
     return BellValues(theta, beta, i_value, j_value, s_value, ideal_i, ideal_j, ideal_s)
 
 
-def bell_operator_I(beta: float) -> np.ndarray:
+def bell_operator_I(beta) -> np.ndarray:
     """The 4x4 tilted Bell operator at the optimal qubit measurements.
 
     beta Z x I + sqrt(2) sqrt(1 + beta^2/4) Z x Z
                + sqrt(2) sqrt(1 - beta^2/4) X x X.
-    Only 0 <= beta < 2 admits a quantum violation; anything else is rejected.
+    An array of tilts gives the stack (..., 4, 4).  Only 0 <= beta < 2 admits
+    a quantum violation; anything else is rejected.
     """
-    beta = float(beta)
-    if not (0.0 <= beta < 2.0):
-        raise ValueError(f"beta must lie in [0, 2), got {beta}")
-    return (
-        beta * mk.kron(qo.PAULI_Z, qo.ID2)
-        + math.sqrt(2.0) * math.sqrt(1.0 + beta**2 / 4.0) * mk.kron(qo.PAULI_Z, qo.PAULI_Z)
-        + math.sqrt(2.0) * math.sqrt(1.0 - beta**2 / 4.0) * mk.kron(qo.PAULI_X, qo.PAULI_X)
+    beta = np.asarray(beta, dtype=float)
+    bad = beta[~((0.0 <= beta) & (beta < 2.0))]
+    if bad.size:
+        raise ValueError(f"beta must lie in [0, 2), got {bad.flat[0]}")
+    coeffs = np.stack(
+        [
+            beta,
+            math.sqrt(2.0) * np.sqrt(1.0 + beta**2 / 4.0),
+            math.sqrt(2.0) * np.sqrt(1.0 - beta**2 / 4.0),
+        ],
+        axis=-1,
     )
+    terms = [
+        mk.kron(qo.PAULI_Z, qo.ID2),
+        mk.kron(qo.PAULI_Z, qo.PAULI_Z),
+        mk.kron(qo.PAULI_X, qo.PAULI_X),
+    ]
+    return np.einsum("...m,mij->...ij", coeffs, terms)
 
 
 def theta_of_beta(beta: float) -> float:
@@ -226,20 +242,240 @@ def projective_joint_distribution(
     return mk.joint_table(proj_a, proj_b, rho)
 
 
+# ---------------------------------------------------------------------------
+# Angle-batched kernel
+# ---------------------------------------------------------------------------
+
+DEFAULT_EPSILON = 1e-4  # tilt of the near-Y POVM in the 4x3 table
+_BOB_LABELS = ("B1", "B2", "B3", "B4", "B5", "B6")
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """The angle-independent operators of one ancilla realization, validated once.
+
+    Alice measures (Z x I, X x I, Y x A').  Every ideal Bob observable is a
+    theta-weighted sum over the basis (I, Z x I, X x I, Y x B').  The
+    projectors are the +-1 outcomes of Y x A' and X x I, and `ancilla_kets`
+    (K, da, db) decompose the ancilla state as sum_k |k><k|.
+    """
+
+    alice: np.ndarray
+    bob_basis: np.ndarray
+    projectors_a: np.ndarray
+    projectors_b: np.ndarray
+    ancilla_kets: np.ndarray
+
+
+def _frame(ancilla: AncillaRealization) -> _Frame:
+    da = ancilla.a_prime.shape[0]
+    db = ancilla.b_prime.shape[0]
+    alice = [
+        Dichotomic(mk.kron(p, m), label).op
+        for p, m, label in (
+            (qo.PAULI_Z, np.eye(da), "A1"),
+            (qo.PAULI_X, np.eye(da), "A2"),
+            (qo.PAULI_Y, ancilla.a_prime, "A3"),
+        )
+    ]
+    bob = [
+        Dichotomic(mk.kron(p, m), label).op
+        for p, m, label in (
+            (qo.PAULI_Z, np.eye(db), "Z x I"),
+            (qo.PAULI_X, np.eye(db), "X x I"),
+            (qo.PAULI_Y, ancilla.b_prime, "Y x B'"),
+        )
+    ]
+    w, v = mk.eigh(ancilla.sigma.rho)
+    keep = w > mk.RANK_TOL
+    kets = (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, da, db)
+
+    def projectors(op):
+        return np.stack([0.5 * (np.eye(len(op)) + sign * op) for sign in (1, -1)])
+
+    return _Frame(
+        alice=np.stack(alice),
+        bob_basis=np.stack([np.eye(2 * db), *bob]),
+        projectors_a=projectors(alice[2]),
+        projectors_b=projectors(bob[1]),
+        ancilla_kets=kets,
+    )
+
+
+_PURE = _frame(ancilla_pure())
+_MIXED = _frame(qo.ancilla_mixed())
+
+
+def _with_ancilla(qubit_kets: np.ndarray, frame: _Frame) -> np.ndarray:
+    """Kets psi x a_k on ((A, A'), (B, B')) from qubit kets (N, 1, 2, 2)."""
+    k, da, db = frame.ancilla_kets.shape
+    full = np.einsum("nij,kab->nkiajb", qubit_kets[:, 0], frame.ancilla_kets)
+    return full.reshape(len(qubit_kets), k, 2 * da, 2 * db)
+
+
+def _bob_weights(beta: np.ndarray) -> np.ndarray:
+    """(N, 7, 4) coefficients of Bob's identity and B1..B6 over the frame's basis."""
+    wp = np.sqrt((1.0 + beta**2 / 4.0) / 2.0)
+    wm = np.sqrt((1.0 - beta**2 / 4.0) / 2.0)
+    r = 1.0 / math.sqrt(2.0)
+    w = np.zeros((len(beta), 7, 4))
+    w[:, 0, 0] = 1.0
+    w[:, 1:5, 1] = wp[:, None]
+    w[:, 1, 2], w[:, 2, 2] = wm, -wm
+    w[:, 3, 3], w[:, 4, 3] = -wm, wm
+    w[:, 5, 2:] = (r, -r)
+    w[:, 6, 2:] = (r, r)
+    return w
+
+
+def _spectral_selftests(beta: np.ndarray, energy: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`spectral_selftest` over a stack of tilts whose top eigenvalues are `energy`.
+
+    Returns the descending spectra (N, 4), the top-eigenvector fidelities with
+    the theta-state at the recovered angle, the spectral-form residuals and
+    the eigenvalue residuals (each (N,)).
+    """
+    op = bell_operator_I(beta)
+    w, v = mk.eigh(op)
+    eigenvalue_residual = np.max(np.abs(w - energy[:, None] * [1.0, 0.0, 0.0, -1.0]), axis=1)
+    recovered = np.array([theta_of_beta(b) for b in beta])
+    c, s = np.cos(recovered / 2), np.sin(recovered / 2)
+    zero = np.zeros_like(c)
+    psi = np.stack([c, zero, zero, s], axis=1)
+    phi = np.stack([zero, s, -c, zero], axis=1)
+    fidelity = np.abs(np.einsum("ni,ni->n", psi, v[:, :, 0])) ** 2
+    form = energy[:, None, None] * (
+        psi[:, :, None] * psi[:, None, :] - phi[:, :, None] * phi[:, None, :]
+    )
+    return w, fidelity, np.max(np.abs(op - form), axis=(1, 2)), eigenvalue_residual
+
+
+@dataclass(frozen=True)
+class BellBatch:
+    """Per-angle results of the ideal realization; row n belongs to theta[n].
+
+    `values`, `ideals` and `residuals` hold (I, J, S); `spectrum` is descending.  The
+    tables are the adjusted-tetrahedral marginal (N, 4), the Y x A' by X x I
+    projective tables (N, 2, 2, 2) for the pure then the mixed ancilla, and
+    the near-Y by modified-Mercedes table (N, 4, 3).
+    """
+
+    theta: np.ndarray
+    beta: np.ndarray
+    values: np.ndarray
+    ideals: np.ndarray
+    residuals: np.ndarray
+    spectrum: np.ndarray
+    fidelity: np.ndarray
+    spectral_form_residual: np.ndarray
+    eigenvalue_residual: np.ndarray
+    local_povm: np.ndarray
+    projective: np.ndarray
+    global_povm: np.ndarray
+
+    def reports(self) -> list[dict]:
+        """JSON-ready self-test report per angle."""
+        keys = ("I", "J", "S")
+        rows = zip(
+            self.theta.tolist(),
+            self.beta.tolist(),
+            self.values.tolist(),
+            self.ideals.tolist(),
+            self.residuals.tolist(),
+            self.spectrum.tolist(),
+            self.fidelity.tolist(),
+            self.spectral_form_residual.tolist(),
+            self.eigenvalue_residual.tolist(),
+        )
+        return [
+            {
+                "theta": theta,
+                "beta": beta,
+                **dict(zip(keys, values)),
+                "ideals": dict(zip(keys, ideals)),
+                "residuals": dict(zip(keys, res)),
+                "spectrum": spectrum,
+                "fidelity": fidelity,
+                "spectral_form_residual": form,
+                "eigenvalue_residual": eig,
+            }
+            for theta, beta, values, ideals, res, spectrum, fidelity, form, eig in rows
+        ]
+
+
+def bell_batch(
+    thetas, ancilla: AncillaRealization | None = None, epsilon: float = DEFAULT_EPSILON
+) -> BellBatch:
+    """Every per-angle quantity the commands report, for all angles at once.
+
+    The Bell values contract Alice's three observables and Bob's four basis
+    operators over the stacked kets cos(t/2)|0000> + sin(t/2)|1010> (for the
+    pure ancilla) into an (N, 3, 4) table, weighted by Bob's (N, 7, 4)
+    coefficients.  The Bell operators go through one stacked eigh.  Bob's
+    observables and every state stack are validated as one vectorized check
+    each; a failure raises ValueError naming the check and the first failing
+    angle.  `ancilla` (default `ancilla_pure`) realizes A', B' for the Bell
+    values; the projective tables always use the pure and the mixed ancilla.
+    """
+    theta = np.array([check_theta(t) for t in thetas], dtype=float)
+    beta = np.array([beta_of_theta(t) for t in theta])
+    over = np.flatnonzero(beta >= 2.0)
+    if len(over):
+        n = over[0]
+        raise ValueError(f"beta must lie in [0, 2), got {beta[n]} at theta={float(theta[n])!r}")
+    ideals = np.array([ideal_bell_values(t) for t in theta]).reshape(-1, 3)
+    frame = _PURE if ancilla is None else _frame(ancilla)
+
+    qubit = np.zeros((len(theta), 1, 2, 2), dtype=complex)
+    qubit[:, 0, 0, 0] = np.cos(theta / 2)
+    qubit[:, 0, 1, 1] = np.sin(theta / 2)
+    pure, mixed = (_with_ancilla(qubit, f) for f in (_PURE, _MIXED))
+    kets = pure if ancilla is None else _with_ancilla(qubit, frame)
+    for stack in (qubit, pure, mixed, kets):
+        qo.check_ket_stack(stack, theta)
+
+    weights = _bob_weights(beta)
+    bob = np.einsum("nbm,mij->nbij", weights[:, 1:], frame.bob_basis)
+    qo.check_dichotomic_stack(bob, _BOB_LABELS, theta)
+    # Rows A1..A3; column 0 is Bob's identity, columns 1..6 are B1..B6.
+    basis_table = mk.joint_table_kets(frame.alice, frame.bob_basis, kets)
+    t = np.einsum("nam,nbm->nab", basis_table, weights)
+    values = np.stack(
+        [
+            beta * t[:, 0, 0] + t[:, 0, 1] + t[:, 0, 2] + t[:, 1, 1] - t[:, 1, 2],
+            beta * t[:, 0, 0] + t[:, 0, 3] + t[:, 0, 4] + t[:, 2, 3] - t[:, 2, 4],
+            t[:, 1, 5] + t[:, 1, 6] + t[:, 2, 5] - t[:, 2, 6],
+        ],
+        axis=1,
+    )
+
+    spectrum, fidelity, form_residual, eigenvalue_residual = _spectral_selftests(beta, ideals[:, 0])
+
+    elements_a = qo.bloch_elements(*qo.adjusted_tetrahedral_bloch(theta))
+    mercedes = qo.bloch_elements(*qo.modified_mercedes_bloch(theta))
+    near_y = qo.bloch_elements(*qo.near_y_tetrahedral_bloch(epsilon))
+    return BellBatch(
+        theta=theta,
+        beta=beta,
+        values=values,
+        ideals=ideals,
+        residuals=np.abs(values - ideals),
+        spectrum=spectrum,
+        fidelity=fidelity,
+        spectral_form_residual=form_residual,
+        eigenvalue_residual=eigenvalue_residual,
+        local_povm=mk.joint_table_kets(elements_a, [qo.ID2], qubit)[..., 0],
+        projective=np.stack(
+            [
+                mk.joint_table_kets(f.projectors_a, f.projectors_b, k)
+                for f, k in ((_PURE, pure), (_MIXED, mixed))
+            ],
+            axis=1,
+        ),
+        global_povm=mk.joint_table_kets(near_y, mercedes, qubit),
+    )
+
+
 def bell_report(theta: float, ancilla: AncillaRealization | None = None) -> dict:
-    """JSON-ready self-test report for one angle."""
-    values = eval_bell(ideal_scenario(theta, ancilla))
-    spectral = spectral_selftest(values.beta)
-    return {
-        "theta": float(theta),
-        "beta": values.beta,
-        "I": values.i_value,
-        "J": values.j_value,
-        "S": values.s_value,
-        "ideals": {"I": values.ideal_i, "J": values.ideal_j, "S": values.ideal_s},
-        "residuals": dict(zip(("I", "J", "S"), values.residuals)),
-        "spectrum": list(spectral.eigenvalues),
-        "fidelity": spectral.top_eigvec_fidelity,
-        "spectral_form_residual": spectral.spectral_form_residual,
-        "eigenvalue_residual": spectral.eigenvalue_residual,
-    }
+    """JSON-ready self-test report for one angle: row 0 of :func:`bell_batch`."""
+    return bell_batch([theta], ancilla).reports()[0]

@@ -172,10 +172,9 @@ def _json_document(cfg: argparse.Namespace, command: str, payload: dict) -> str:
 def cmd_selftest(cfg: argparse.Namespace) -> int:
     tol_bell = cfg.tolerances["bell_residual"]
     tol_spec = cfg.tolerances["spectral"]
-    reports = []
+    reports = bt.bell_batch(cfg.thetas).reports()
     failing = []
-    for theta in cfg.thetas:
-        rep = bt.bell_report(theta)
+    for rep in reports:
         ok = (
             max(rep["residuals"].values()) <= tol_bell
             and rep["fidelity"] >= 1.0 - tol_spec
@@ -183,53 +182,48 @@ def cmd_selftest(cfg: argparse.Namespace) -> int:
             and rep["eigenvalue_residual"] <= tol_spec
         )
         rep["pass"] = ok
-        reports.append(rep)
         if not ok:
-            failing.append(theta)
+            failing.append(rep["theta"])
     payload = {"reports": reports, "all_pass": not failing, "failing_thetas": failing}
     _emit(_json_document(cfg, "selftest", payload), cfg)
     return 0 if not failing else 1
 
 
-def _uniform_tables(scenario: str, theta: float) -> list[np.ndarray]:
-    """Outcome tables of a two-bit scheme that must all be uniform; the first is reported."""
+def _scheme_tables(batch: bt.BellBatch, n: int, scenario: str) -> list[np.ndarray]:
+    """A scheme's outcome tables at the batch's angle n; the first is the reported one."""
+    if scenario == "global_povm":
+        return [batch.global_povm[n]]
     if scenario == "local_povm":
-        povm = qo.adjusted_tetrahedral(theta)
-        return [mk.joint_table(povm.elements, [qo.ID2], qo.psi_theta(theta).rho)[:, 0]]
-    return [
-        bt.projective_joint_distribution(theta, ancilla)
-        for ancilla in (qo.ancilla_pure(), qo.ancilla_mixed())
-    ]
+        return [batch.local_povm[n]]
+    return list(batch.projective[n])
 
 
-def _certify_one(cfg: argparse.Namespace, scenario: str, values: bt.BellValues) -> dict:
-    theta = values.theta
+def _certify_one(batch: bt.BellBatch, n: int, scenario: str, epsilon: float) -> dict:
+    """The certify report of one scenario at the batch's angle n."""
     report = {
         "scenario": scenario,
-        "theta": theta,
+        "theta": float(batch.theta[n]),
         "epsilon": None,
-        "bell_residuals": dict(zip(("I", "J", "S"), values.residuals)),
+        "bell_residuals": dict(zip(("I", "J", "S"), batch.residuals[n].tolist())),
     }
 
+    tables = _scheme_tables(batch, n, scenario)
     if scenario == "global_povm":
-        eps = cfg.epsilon
-        alice = qo.near_y_tetrahedral(eps)
-        bob = qo.modified_mercedes(theta)
-        table = adv.ideal_joint(alice, bob, theta)
+        table = tables[0]
         dist = table.reshape(-1)
         deviation = float(table.max() - 1.0 / 12.0)
         report.update(
             distribution=dist.tolist(),
             min_entropy_bits=adv.min_entropy(dist),
             bound_type="lower_witness",
-            epsilon=eps,
+            epsilon=epsilon,
             target_bits=math.log2(12.0),
             max_entry=float(table.max()),
             deviation_from_limit=deviation,
         )
         return report
 
-    tables = _uniform_tables(scenario, theta)
+    # Every table of a two-bit scheme must be uniform.
     dist = tables[0].reshape(-1)
     report.update(
         distribution=dist.tolist(),
@@ -254,8 +248,9 @@ def _certify_passes(report: dict, tol: dict[str, float]) -> bool:
 def cmd_certify(cfg: argparse.Namespace) -> int:
     if cfg.scenario is None:
         raise UsageError("certify requires --scenario")
+    batch = bt.bell_batch(cfg.thetas, epsilon=cfg.epsilon)
     reports = [
-        _certify_one(cfg, cfg.scenario, bt.eval_bell(bt.ideal_scenario(t))) for t in cfg.thetas
+        _certify_one(batch, n, cfg.scenario, cfg.epsilon) for n in range(len(cfg.thetas))
     ]
     for report in reports:
         report["pass"] = _certify_passes(report, cfg.tolerances)
@@ -291,32 +286,42 @@ def cmd_attack(cfg: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_sweep(cfg: argparse.Namespace) -> int:
+def _sweep_rows(thetas: list[float], epsilon: float) -> list[dict]:
+    batch = bt.bell_batch(thetas, epsilon=epsilon)
     rows = []
-    for theta in cfg.thetas:
-        row = {"theta": theta}
-        try:
-            values = bt.eval_bell(bt.ideal_scenario(theta))
-            res = values.residuals
-            local, glob_proj, glob_povm = (_certify_one(cfg, sc, values) for sc in SCENARIOS)
-            row.update(
-                beta=values.beta,
-                I=values.i_value,
-                J=values.j_value,
-                S=values.s_value,
-                res_I=res[0],
-                res_J=res[1],
-                res_S=res[2],
-                minent_local_povm=local["min_entropy_bits"],
-                minent_global_projective=glob_proj["min_entropy_bits"],
-                minent_global_povm=glob_povm["min_entropy_bits"],
-                status="ok",
-            )
-        except Exception as exc:  # partial failures are marked per-row
-            # One CSV cell: no separator or line break from the message.
-            reason = " ".join(str(exc).split()).replace(",", ";")
-            row.update(status=f"error:{type(exc).__name__}:{reason}")
-        rows.append(row)
+    for n, (theta, beta, values, res) in enumerate(
+        zip(thetas, batch.beta.tolist(), batch.values.tolist(), batch.residuals.tolist())
+    ):
+        rows.append(
+            {
+                "theta": theta,
+                "beta": beta,
+                **dict(zip(("I", "J", "S"), values)),
+                **dict(zip(("res_I", "res_J", "res_S"), res)),
+                **{
+                    f"minent_{sc}": adv.min_entropy(_scheme_tables(batch, n, sc)[0].reshape(-1))
+                    for sc in SCENARIOS
+                },
+                "status": "ok",
+            }
+        )
+    return rows
+
+
+def cmd_sweep(cfg: argparse.Namespace) -> int:
+    try:
+        rows = _sweep_rows(cfg.thetas, cfg.epsilon)
+    except ValueError:
+        # Evaluate each angle alone: a passing angle keeps its values, a failing
+        # one becomes an error row.
+        rows = []
+        for theta in cfg.thetas:
+            try:
+                rows += _sweep_rows([theta], cfg.epsilon)
+            except ValueError as exc:
+                # One CSV cell: no separator or line break from the message.
+                reason = " ".join(str(exc).split()).replace(",", ";")
+                rows.append({"theta": theta, "status": f"error:{type(exc).__name__}:{reason}"})
 
     columns = [
         "theta",
@@ -390,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name in ("certify", "sweep"):
             p.add_argument(
-                "--epsilon", type=_epsilon, default=1e-4, help="near-Y POVM tilt in (0, 1)"
+                "--epsilon",
+                type=_epsilon,
+                default=bt.DEFAULT_EPSILON,
+                help="near-Y POVM tilt in (0, 1)",
             )
         if name == "certify":
             p.add_argument("--scenario", choices=SCENARIOS, help="certification scenario")

@@ -90,14 +90,17 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with eigenvalues sorted descending.
 
     Returns (w, v) such that m = v @ diag(w) @ v^dagger with orthonormal
-    eigenvector columns.  Non-Hermitian input (beyond ZERO_TOL) is a contract
-    error.
+    eigenvector columns.  A stack of matrices (..., d, d) gives w of shape
+    (..., d) and v of shape (..., d, d).  Non-Hermitian input (beyond
+    ZERO_TOL) is a contract error.
     """
-    a = as_matrix(m)
-    if not is_hermitian(a):
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.size and float(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))))) > ZERO_TOL:
         raise ValueError("eigh requires a Hermitian matrix")
     w, v = np.linalg.eigh(a)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def trace_norm(m) -> float:
@@ -154,3 +157,24 @@ def joint_table(ops_a, ops_b, rho) -> np.ndarray:
     r = as_matrix(rho)
     check_shape(r, (da, db))
     return np.einsum("aik,bjl,klij->ab", a, b, r.reshape(da, db, da, db)).real
+
+
+def joint_table_kets(ops_a, ops_b, kets) -> np.ndarray:
+    """Stacked Born-rule tables T[n, i, j] = Re sum_k <k_nk| ops_a[i] x ops_b[j] |k_nk>.
+
+    `kets` has shape (N, K, da, db): state n is the mixture sum_k |k_nk><k_nk|
+    of K subnormalized kets, each viewed as a da x db matrix (row: the `ops_a`
+    side).  `ops_a` is (na, da, da) or per state (N, na, da, da), likewise
+    `ops_b`.  With M = k^dagger A k, <k| A x B |k> = sum_jl M[j, l] B[j, l], so
+    no tensor product or density matrix is formed.
+    """
+    k = np.asarray(kets, dtype=complex)
+    a = np.asarray(ops_a, dtype=complex)
+    b = np.asarray(ops_b, dtype=complex)
+    if k.ndim != 4 or a.shape[-2:] != (k.shape[2],) * 2 or b.shape[-2:] != (k.shape[3],) * 2:
+        raise ValueError(
+            f"operator shapes {a.shape} and {b.shape} do not fit kets of shape {k.shape}"
+        )
+    kh = np.conj(np.swapaxes(k, -1, -2))[:, :, None]
+    m = (kh @ a[..., None, :, :, :] @ k[:, :, None]).sum(axis=1)
+    return np.einsum("...ajl,...bjl->...ab", m, b).real

@@ -98,6 +98,38 @@ class Dichotomic:
             raise ValueError(f"observable {self.label!r} fails O^2 = I (residual {resid:.3e})")
 
 
+def check_dichotomic_stack(ops, labels, thetas) -> None:
+    """The `Dichotomic` contract on a stack: ops[n, m] is observable labels[m] at thetas[n].
+
+    One vectorized check per condition; a failure names the condition, the
+    observable and the first failing angle.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    herm = np.max(np.abs(ops - np.conj(np.swapaxes(ops, -1, -2))), axis=(-2, -1))
+    square = np.max(np.abs(ops @ ops - np.eye(ops.shape[-1])), axis=(-2, -1))
+    for resid, what in ((herm, "must be Hermitian"), (square, "fails O^2 = I")):
+        if resid.max(initial=0.0) > mk.IDENTITY_TOL:
+            n, m = np.argwhere(resid > mk.IDENTITY_TOL)[0]
+            raise ValueError(
+                f"observable {labels[m]!r} {what} at theta={float(thetas[n])!r}"
+                f" (residual {resid[n, m]:.3e})"
+            )
+
+
+def check_ket_stack(kets, thetas) -> None:
+    """The `QState` contract on states given as kets: state n is sum_k |kets[n, k]><kets[n, k]|.
+
+    Such a state is Hermitian and PSD by construction, so unit trace is the
+    condition left; a failure names the first failing angle.
+    """
+    kets = np.asarray(kets, dtype=complex)
+    tr = np.sum(np.abs(kets) ** 2, axis=tuple(range(1, kets.ndim)))
+    bad = np.abs(tr - 1.0) > mk.IDENTITY_TOL
+    if bad.any():
+        n = np.argmax(bad)
+        raise ValueError(f"density operator trace {tr[n]} != 1 at theta={float(thetas[n])!r}")
+
+
 @dataclass(frozen=True)
 class Povm:
     """Ordered POVM elements, optionally with rank-one ket representatives.
@@ -326,52 +358,87 @@ def bloch_ket(weight: float, n: np.ndarray) -> np.ndarray:
     )
 
 
-def _bloch_element(weight: float, n: np.ndarray) -> np.ndarray:
-    nx, ny, nz = (float(v) for v in n)
-    return (weight / 2.0) * (ID2 + nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z)
+def bloch_elements(weights, normals) -> np.ndarray:
+    """Elements (w/2)(I + n.sigma) for weights (..., m) and Bloch normals (..., m, 3)."""
+    w = np.asarray(weights, dtype=float)[..., None, None]
+    n = np.asarray(normals, dtype=float)
+    return (w / 2.0) * (ID2 + np.einsum("...k,kij->...ij", n, PAULIS[1:]))
 
 
 def povm_from_bloch(weights, normals, label: str) -> Povm:
-    elements = tuple(_bloch_element(w, n) for w, n in zip(weights, normals))
+    elements = tuple(bloch_elements(weights, normals))
     kets = tuple(bloch_ket(w, n) for w, n in zip(weights, normals))
     return Povm(elements, kets, label)
 
 
-def adjusted_tetrahedral(theta: float, deltas=(0.0, 2 * math.pi / 3, 4 * math.pi / 3)) -> Povm:
+TETRAHEDRAL_DELTAS = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
+
+
+def adjusted_tetrahedral_bloch(thetas, deltas=TETRAHEDRAL_DELTAS) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (..., 4) and Bloch normals (..., 4, 3) of `adjusted_tetrahedral`.
+
+    `thetas` is one checked angle or an array of them.
+    """
+    c = np.cos(thetas)
+    lam1 = 1.0 / (2.0 + 2.0 * c)
+    lam = (3.0 + 4.0 * c) / (6.0 + 6.0 * c)
+    cos_g = -1.0 / (3.0 + 4.0 * c)
+    sin_g = np.sqrt(1.0 - cos_g**2)
+    weights = np.stack([lam1, lam, lam, lam], axis=-1)
+    normals = np.zeros(np.shape(c) + (4, 3))
+    normals[..., 0, 2] = 1.0
+    for i, d in enumerate(deltas, start=1):
+        normals[..., i, 0] = sin_g * math.cos(d)
+        normals[..., i, 1] = sin_g * math.sin(d)
+        normals[..., i, 2] = cos_g
+    return weights, normals
+
+
+def adjusted_tetrahedral(theta: float, deltas=TETRAHEDRAL_DELTAS) -> Povm:
     """Four-outcome POVM yielding uniform outcomes on the theta-state marginal.
 
     A tetrahedral POVM adjusted so that the first element points along +Z
     with weight 1/(2 + 2cos t) and the remaining three sit on a cone at
     cos(gamma) = -1/(3 + 4cos t) with azimuths `deltas`.
     """
-    theta = check_theta(theta)
-    c = math.cos(theta)
-    lam1 = 1.0 / (2.0 + 2.0 * c)
-    lam = (3.0 + 4.0 * c) / (6.0 + 6.0 * c)
-    cos_g = -1.0 / (3.0 + 4.0 * c)
-    sin_g = math.sqrt(1.0 - cos_g**2)
-    weights = [lam1, lam, lam, lam]
-    normals = [np.array([0.0, 0.0, 1.0])]
-    for d in deltas:
-        normals.append(np.array([sin_g * math.cos(d), sin_g * math.sin(d), cos_g]))
+    weights, normals = adjusted_tetrahedral_bloch(check_theta(theta), deltas)
     return povm_from_bloch(weights, normals, "adjusted-tetrahedral")
+
+
+def modified_mercedes_bloch(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (..., 3) and Bloch normals (..., 3, 3) of `modified_mercedes`.
+
+    `thetas` is one checked angle or an array of them.
+    """
+    c = np.cos(thetas)
+    lam1 = 2.0 / (3.0 + 3.0 * c)
+    lam23 = (2.0 + 3.0 * c) / (3.0 + 3.0 * c)
+    mu = 1.0 / (2.0 + 3.0 * c)
+    x = np.sqrt(1.0 - mu**2)
+    weights = np.stack([lam1, lam23, lam23], axis=-1)
+    normals = np.zeros(np.shape(c) + (3, 3))
+    normals[..., 0, 2] = 1.0
+    normals[..., 1, 0] = x
+    normals[..., 2, 0] = -x
+    normals[..., 1, 2] = -mu
+    normals[..., 2, 2] = -mu
+    return weights, normals
 
 
 def modified_mercedes(theta: float) -> Povm:
     """Three-outcome POVM in the X-Z plane with uniform outcome statistics."""
-    theta = check_theta(theta)
-    c = math.cos(theta)
-    lam1 = 2.0 / (3.0 + 3.0 * c)
-    lam23 = (2.0 + 3.0 * c) / (3.0 + 3.0 * c)
-    mu = 1.0 / (2.0 + 3.0 * c)
-    x = math.sqrt(1.0 - mu**2)
-    weights = [lam1, lam23, lam23]
-    normals = [
-        np.array([0.0, 0.0, 1.0]),
-        np.array([x, 0.0, -mu]),
-        np.array([-x, 0.0, -mu]),
-    ]
+    weights, normals = modified_mercedes_bloch(check_theta(theta))
     return povm_from_bloch(weights, normals, "modified-mercedes")
+
+
+def near_y_tetrahedral_bloch(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (4,) and Bloch normals (4, 3) of `near_y_tetrahedral`."""
+    epsilon = float(epsilon)
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    r = math.sqrt(1.0 - epsilon**2)
+    normals = [[0.0, r, epsilon], [0.0, r, -epsilon], [epsilon, -r, 0.0], [-epsilon, -r, 0.0]]
+    return np.full(4, 0.5), np.array(normals)
 
 
 def near_y_tetrahedral(epsilon: float) -> Povm:
@@ -382,17 +449,7 @@ def near_y_tetrahedral(epsilon: float) -> Povm:
     elements sum to the identity exactly.  epsilon = 0 is rejected: the
     elements then coincide pairwise and the POVM is not extremal.
     """
-    epsilon = float(epsilon)
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    r = math.sqrt(1.0 - epsilon**2)
-    weights = [0.5, 0.5, 0.5, 0.5]
-    normals = [
-        np.array([0.0, r, epsilon]),
-        np.array([0.0, r, -epsilon]),
-        np.array([epsilon, -r, 0.0]),
-        np.array([-epsilon, -r, 0.0]),
-    ]
+    weights, normals = near_y_tetrahedral_bloch(epsilon)
     return povm_from_bloch(weights, normals, "near-y-tetrahedral")
 
 

@@ -240,6 +240,13 @@ class TestQubitReduction:
         assert rep.correlation_check <= 1e-10
         assert rep.n_decompositions == 10
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_refused(self, count):
+        with pytest.raises(ValueError, match="n_decompositions"):
+            adv.qubit_reduction_check(
+                qo.adjusted_tetrahedral(0.9), qo.modified_mercedes(0.9), 0.9, n_decompositions=count
+            )
+
     def test_three_by_two_trivially_reduces(self):
         rng = np.random.default_rng(13)
         rep = adv.qubit_reduction_check(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellrand import belltest as bt
 from bellrand import matkernel as mk
@@ -171,3 +173,65 @@ class TestReportInterface:
         for key in ("theta", "beta", "I", "J", "S", "ideals", "residuals", "spectrum", "fidelity"):
             assert key in report
         assert len(report["spectrum"]) == 4
+
+
+log_uniform_angle = st.floats(math.log(1e-3), math.log(math.pi / 2)).map(math.exp)
+
+
+class TestBellBatch:
+    """The batched kernel against the per-angle oracles, field by field."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(log_uniform_angle, min_size=1, max_size=12),
+        st.sampled_from([None, qo.ancilla_pure(), qo.ancilla_mixed()]),
+        st.floats(1e-4, 0.5),
+    )
+    def test_matches_per_angle_oracle(self, thetas, ancilla, epsilon):
+        batch = bt.bell_batch(thetas, ancilla, epsilon)
+        near_y = qo.near_y_tetrahedral(epsilon).elements
+        for n, theta in enumerate(thetas):
+            values = bt.eval_bell(bt.ideal_scenario(theta, ancilla))
+            spectral = bt.spectral_selftest(values.beta)
+            psi = qo.psi_theta(theta).rho
+            local = mk.joint_table(qo.adjusted_tetrahedral(theta).elements, [qo.ID2], psi)[:, 0]
+            projective = [
+                bt.projective_joint_distribution(theta, a)
+                for a in (qo.ancilla_pure(), qo.ancilla_mixed())
+            ]
+            four_by_three = mk.joint_table(near_y, qo.modified_mercedes(theta).elements, psi)
+            pairs = [
+                (batch.beta[n], values.beta),
+                (batch.values[n], [values.i_value, values.j_value, values.s_value]),
+                (batch.ideals[n], [values.ideal_i, values.ideal_j, values.ideal_s]),
+                (batch.residuals[n], values.residuals),
+                (batch.spectrum[n], spectral.eigenvalues),
+                (batch.fidelity[n], spectral.top_eigvec_fidelity),
+                (batch.spectral_form_residual[n], spectral.spectral_form_residual),
+                (batch.eigenvalue_residual[n], spectral.eigenvalue_residual),
+                (batch.local_povm[n], local),
+                (batch.projective[n], projective),
+                (batch.global_povm[n], four_by_three),
+            ]
+            for got, want in pairs:
+                assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= mk.ZERO_TOL
+
+    def test_report_is_row_zero(self):
+        batch = bt.bell_batch([0.4, 0.9])
+        assert bt.bell_report(0.9) == batch.reports()[1]
+
+    def test_corrupted_observable_names_its_angle(self, monkeypatch):
+        exact = bt._bob_weights
+
+        def corrupted(beta):
+            w = exact(beta)
+            w[1] *= 1.001  # every weight of the second angle: B1^2 = 1.002 I
+            return w
+
+        monkeypatch.setattr(bt, "_bob_weights", corrupted)
+        with pytest.raises(ValueError, match=r"'B1' fails O\^2 = I at theta=0.9"):
+            bt.bell_batch([0.4, 0.9, 1.2])
+
+    def test_product_end_names_its_angle(self):
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, 2\), got 2.0 at theta=1e-09"):
+            bt.bell_batch([0.5, 1e-9])

@@ -223,10 +223,10 @@ class TestRefusedInput:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_contract_violation_exits_3(self, capsys, monkeypatch):
-        def broken(theta, ancilla=None):
+        def broken(thetas, ancilla=None, epsilon=None):
             raise ValueError("eigh requires a Hermitian matrix")
 
-        monkeypatch.setattr(bt, "bell_report", broken)
+        monkeypatch.setattr(bt, "bell_batch", broken)
         assert main(["selftest", "--theta", "0.7"]) == 3
         assert "contract" in capsys.readouterr().err
         # A refused flag is still a usage error, found before any library call.
@@ -270,7 +270,7 @@ class TestGates:
 
         def shifted(m):
             w, v = exact(m)
-            w[1] += 1e-3
+            w[..., 1] += 1e-3
             return w, v
 
         monkeypatch.setattr(mk, "eigh", shifted)
@@ -282,10 +282,10 @@ class TestGates:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_error_row_keeps_its_columns(self, capsys, monkeypatch, fmt):
-        def broken(scenario):
+        def broken(thetas, ancilla=None, epsilon=None):
             raise ValueError("dims (2, 2) and (4,\n4) differ")
 
-        monkeypatch.setattr(bt, "eval_bell", broken)
+        monkeypatch.setattr(bt, "bell_batch", broken)
         code, out = run(capsys, ["sweep", "--theta", "0.5,0.9", "--format", fmt])
         assert code == 3
         status = "error:ValueError:dims (2; 2) and (4; 4) differ"
@@ -299,15 +299,40 @@ class TestGates:
         assert [r[-1] for r in rows] == [status, status]
 
     def test_sweep_error_row_is_a_contract_violation(self, capsys, monkeypatch):
-        def broken(scenario):
+        def broken(thetas, ancilla=None, epsilon=None):
             raise ValueError("eigh requires a Hermitian matrix")
 
-        monkeypatch.setattr(bt, "eval_bell", broken)
+        monkeypatch.setattr(bt, "bell_batch", broken)
         assert main(["sweep", "--theta", "0.5,0.9"]) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: library contract violated: 2 of 2 sweep rows failed")
         assert "theta=0.5" in lines[0]
+
+
+def test_sweep_keeps_the_rows_that_pass(capsys, monkeypatch):
+    argv = ["sweep", "--theta", "0.5,0.9,1.2", "--format", "json"]
+    _, out = run(capsys, argv)
+    clean = json.loads(out)["rows"]
+    exact = bt._bob_weights
+    failing_beta = qo.beta_of_theta(0.9)
+
+    def corrupted(beta):
+        w = exact(beta)
+        w[beta == failing_beta] *= 1.001
+        return w
+
+    monkeypatch.setattr(bt, "_bob_weights", corrupted)
+    code = main(argv)
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["rows"]
+    assert code == 3
+    assert [rows[0], rows[2]] == [clean[0], clean[2]]
+    assert rows[1]["status"].startswith("error:ValueError:observable 'B1' fails O^2 = I at theta=0.9")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: library contract violated: 1 of 3 sweep rows failed")
+    assert "theta=0.9" in lines[0]
 
 
 def readme_cli_lines():

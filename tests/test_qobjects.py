@@ -52,6 +52,43 @@ class TestState:
             qo.QState(np.diag([0.7, 0.7]).astype(complex), (2,))
 
 
+class TestStackedContracts:
+    """One corrupted member of a stack is refused, and the error names its angle."""
+
+    THETAS = [0.3, 0.5, 0.9]
+
+    def observables(self):
+        ops = np.empty((3, 2, 4, 4), dtype=complex)
+        ops[:, 0] = mk.kron(qo.PAULI_Z, qo.ID2)
+        ops[:, 1] = mk.kron(qo.PAULI_X, qo.PAULI_Z)
+        return ops
+
+    def test_valid_stacks_pass(self):
+        qo.check_dichotomic_stack(self.observables(), ["A", "B"], self.THETAS)
+        kets = np.zeros((3, 2, 2, 2), dtype=complex)
+        kets[:, 0, 0, 0] = kets[:, 1, 1, 1] = math.sqrt(0.5)
+        qo.check_ket_stack(kets, self.THETAS)
+
+    def test_observable_squaring_off_identity_names_its_angle(self):
+        ops = self.observables()
+        ops[1, 1] *= 1.001
+        with pytest.raises(ValueError, match=r"'B' fails O\^2 = I at theta=0.5"):
+            qo.check_dichotomic_stack(ops, ["A", "B"], self.THETAS)
+
+    def test_non_hermitian_observable_names_its_angle(self):
+        ops = self.observables()
+        ops[2, 0, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="'A' must be Hermitian at theta=0.9"):
+            qo.check_dichotomic_stack(ops, ["A", "B"], self.THETAS)
+
+    def test_unnormalized_ket_names_its_angle(self):
+        kets = np.zeros((3, 1, 4, 4), dtype=complex)
+        kets[:, 0, 0, 0] = 1.0
+        kets[2, 0, 0, 0] = 1.001
+        with pytest.raises(ValueError, match="trace .* != 1 at theta=0.9"):
+            qo.check_ket_stack(kets, self.THETAS)
+
+
 class TestBeta:
     def test_maximal_entanglement_gives_zero(self):
         assert abs(qo.beta_of_theta(np.pi / 2)) < 1e-12
