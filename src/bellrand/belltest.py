@@ -403,19 +403,16 @@ class BellBatch:
         ]
 
 
-def bell_batch(
-    thetas, ancilla: AncillaRealization | None = None, epsilon: float = DEFAULT_EPSILON
-) -> BellBatch:
+def bell_batch(thetas, epsilon: float = DEFAULT_EPSILON) -> BellBatch:
     """Every per-angle quantity the commands report, for all angles at once.
 
     The Bell values contract Alice's three observables and Bob's four basis
-    operators over the stacked kets cos(t/2)|0000> + sin(t/2)|1010> (for the
-    pure ancilla) into an (N, 3, 4) table, weighted by Bob's (N, 7, 4)
+    operators over the stacked kets cos(t/2)|0000> + sin(t/2)|1010> of the
+    pure ancilla into an (N, 3, 4) table, weighted by Bob's (N, 7, 4)
     coefficients.  The Bell operators go through one stacked eigh.  Bob's
     observables and every state stack are validated as one vectorized check
     each; a failure raises ValueError naming the check and the first failing
-    angle.  `ancilla` (default `ancilla_pure`) realizes A', B' for the Bell
-    values; the projective tables always use the pure and the mixed ancilla.
+    angle.  The projective tables use the pure and the mixed ancilla.
     """
     theta = np.array([check_theta(t) for t in thetas], dtype=float)
     beta = np.array([beta_of_theta(t) for t in theta])
@@ -424,21 +421,19 @@ def bell_batch(
         n = over[0]
         raise ValueError(f"beta must lie in [0, 2), got {beta[n]} at theta={float(theta[n])!r}")
     ideals = np.array([ideal_bell_values(t) for t in theta]).reshape(-1, 3)
-    frame = _PURE if ancilla is None else _frame(ancilla)
 
     qubit = np.zeros((len(theta), 1, 2, 2), dtype=complex)
     qubit[:, 0, 0, 0] = np.cos(theta / 2)
     qubit[:, 0, 1, 1] = np.sin(theta / 2)
     pure, mixed = (_with_ancilla(qubit, f) for f in (_PURE, _MIXED))
-    kets = pure if ancilla is None else _with_ancilla(qubit, frame)
-    for stack in (qubit, pure, mixed, kets):
+    for stack in (qubit, pure, mixed):
         qo.check_ket_stack(stack, theta)
 
     weights = _bob_weights(beta)
-    bob = np.einsum("nbm,mij->nbij", weights[:, 1:], frame.bob_basis)
+    bob = np.einsum("nbm,mij->nbij", weights[:, 1:], _PURE.bob_basis)
     qo.check_dichotomic_stack(bob, _BOB_LABELS, theta)
     # Rows A1..A3; column 0 is Bob's identity, columns 1..6 are B1..B6.
-    basis_table = mk.joint_table_kets(frame.alice, frame.bob_basis, kets)
+    basis_table = mk.joint_table_kets(_PURE.alice, _PURE.bob_basis, pure)
     t = np.einsum("nam,nbm->nab", basis_table, weights)
     values = np.stack(
         [
@@ -476,6 +471,6 @@ def bell_batch(
     )
 
 
-def bell_report(theta: float, ancilla: AncillaRealization | None = None) -> dict:
+def bell_report(theta: float) -> dict:
     """JSON-ready self-test report for one angle: row 0 of :func:`bell_batch`."""
-    return bell_batch([theta], ancilla).reports()[0]
+    return bell_batch([theta]).reports()[0]

@@ -22,6 +22,7 @@ holds an error).  Identical input produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -368,7 +369,9 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; every parse gets a fresh namespace."""
     parser = _Parser(
         prog="bellrand",
         description="Randomness certification numerics for partially entangled Bell tests",

@@ -2,8 +2,8 @@
 
 The partially entangled two-qubit state in both its ket and Pauli forms, the
 ideal Bell-test observables with their ancilla realizations, POVMs with
-validity/extremality reports, the explicit POVM families used for randomness
-generation, and JSON serialization for states and POVMs.
+validity/extremality reports, and the explicit POVM families used for
+randomness generation.
 
 Pauli convention: Z = diag(1, -1), X = offdiag(1, 1), Y = offdiag(-i, i),
 so Y|0> = i|1>.  This fixes all signs in the state expansion and in the
@@ -38,9 +38,9 @@ def check_theta(theta: float) -> float:
     return min(theta, math.pi / 2)
 
 
-def theta_grid(n: int, start: float = 0.01) -> np.ndarray:
-    """n angles in the half-open interval (start, pi/2]."""
-    return np.linspace(start, math.pi / 2, n + 1)[1:]
+def theta_grid(n: int) -> np.ndarray:
+    """n angles in the half-open interval (0.01, pi/2]."""
+    return np.linspace(0.01, math.pi / 2, n + 1)[1:]
 
 
 def beta_of_theta(theta: float) -> float:
@@ -174,18 +174,6 @@ def psi_theta_ket(theta: float) -> np.ndarray:
 def psi_theta(theta: float) -> QState:
     """Rank-one projector onto the partially entangled two-qubit state."""
     return qstate_from_ket(psi_theta_ket(theta), (2, 2))
-
-
-def psi_theta_pauli(theta: float) -> np.ndarray:
-    """Same projector assembled from its Pauli-correlator expansion."""
-    theta = check_theta(theta)
-    c, s = math.cos(theta), math.sin(theta)
-    return 0.25 * (
-        mk.kron(ID2, ID2)
-        + c * (mk.kron(ID2, PAULI_Z) + mk.kron(PAULI_Z, ID2))
-        + s * (mk.kron(PAULI_X, PAULI_X) - mk.kron(PAULI_Y, PAULI_Y))
-        + mk.kron(PAULI_Z, PAULI_Z)
-    )
 
 
 def phi_theta(theta: float) -> QState:
@@ -374,7 +362,7 @@ def povm_from_bloch(weights, normals, label: str) -> Povm:
 TETRAHEDRAL_DELTAS = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
 
 
-def adjusted_tetrahedral_bloch(thetas, deltas=TETRAHEDRAL_DELTAS) -> tuple[np.ndarray, np.ndarray]:
+def adjusted_tetrahedral_bloch(thetas) -> tuple[np.ndarray, np.ndarray]:
     """Weights (..., 4) and Bloch normals (..., 4, 3) of `adjusted_tetrahedral`.
 
     `thetas` is one checked angle or an array of them.
@@ -387,21 +375,21 @@ def adjusted_tetrahedral_bloch(thetas, deltas=TETRAHEDRAL_DELTAS) -> tuple[np.nd
     weights = np.stack([lam1, lam, lam, lam], axis=-1)
     normals = np.zeros(np.shape(c) + (4, 3))
     normals[..., 0, 2] = 1.0
-    for i, d in enumerate(deltas, start=1):
+    for i, d in enumerate(TETRAHEDRAL_DELTAS, start=1):
         normals[..., i, 0] = sin_g * math.cos(d)
         normals[..., i, 1] = sin_g * math.sin(d)
         normals[..., i, 2] = cos_g
     return weights, normals
 
 
-def adjusted_tetrahedral(theta: float, deltas=TETRAHEDRAL_DELTAS) -> Povm:
+def adjusted_tetrahedral(theta: float) -> Povm:
     """Four-outcome POVM yielding uniform outcomes on the theta-state marginal.
 
     A tetrahedral POVM adjusted so that the first element points along +Z
     with weight 1/(2 + 2cos t) and the remaining three sit on a cone at
-    cos(gamma) = -1/(3 + 4cos t) with azimuths `deltas`.
+    cos(gamma) = -1/(3 + 4cos t) with azimuths `TETRAHEDRAL_DELTAS`.
     """
-    weights, normals = adjusted_tetrahedral_bloch(check_theta(theta), deltas)
+    weights, normals = adjusted_tetrahedral_bloch(check_theta(theta))
     return povm_from_bloch(weights, normals, "adjusted-tetrahedral")
 
 
@@ -473,53 +461,3 @@ def kets_from_elements(p: Povm) -> Povm:
             k = k * (np.abs(k[nz[0]]) / k[nz[0]])
         kets.append(k)
     return Povm(p.elements, tuple(kets), p.label)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization (exact round trip)
-# ---------------------------------------------------------------------------
-
-
-def _matrix_to_entries(m: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).reshape(-1)]
-
-
-def _entries_to_matrix(entries, rows: int, cols: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    return flat.reshape(rows, cols)
-
-
-def state_to_json(s: QState) -> dict:
-    return {
-        "kind": "state",
-        "dims": list(s.dims),
-        "entries": _matrix_to_entries(s.rho),
-    }
-
-
-def state_from_json(d: dict) -> QState:
-    dims = tuple(int(x) for x in d["dims"])
-    n = int(np.prod(dims))
-    return QState(_entries_to_matrix(d["entries"], n, n), dims)
-
-
-def povm_to_json(p: Povm) -> dict:
-    out = {
-        "kind": "povm",
-        "dims": [p.dim],
-        "label": p.label,
-        "elements": [_matrix_to_entries(e) for e in p.elements],
-        "kets": None,
-    }
-    if p.kets is not None:
-        out["kets"] = [[[float(z.real), float(z.imag)] for z in k] for k in p.kets]
-    return out
-
-
-def povm_from_json(d: dict) -> Povm:
-    n = int(d["dims"][0])
-    elements = tuple(_entries_to_matrix(e, n, n) for e in d["elements"])
-    kets = None
-    if d.get("kets") is not None:
-        kets = tuple(np.array([complex(re, im) for re, im in k]) for k in d["kets"])
-    return Povm(elements, kets, d.get("label", ""))

@@ -27,27 +27,13 @@ PROJ_MINUS = np.outer(KET_MINUS, KET_MINUS.conj())
 FLIP_PM = np.outer(KET_PLUS, KET_MINUS.conj())  # |+><-|
 
 
-@dataclass(frozen=True)
-class EtaMatrix:
+def eta_matrix(theta: float) -> np.ndarray:
     """Pauli correlation matrix <sigma_mu x sigma_nu> of the theta-state.
 
     Index order (I, X, Y, Z).  Nonzero pattern: eta_II = eta_ZZ = 1,
     eta_IZ = eta_ZI = cos t, eta_XX = sin t, eta_YY = -sin t; the
     determinant is -sin(t)^4.
     """
-
-    theta: float
-    entries: np.ndarray
-
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.entries))
-
-    def condition_number(self) -> float:
-        s = np.linalg.svd(self.entries, compute_uv=False)
-        return float(s.max() / s.min())
-
-
-def eta_matrix(theta: float) -> EtaMatrix:
     theta = check_theta(theta)
     c, s = math.cos(theta), math.sin(theta)
     m = np.zeros((4, 4))
@@ -56,7 +42,7 @@ def eta_matrix(theta: float) -> EtaMatrix:
     m[0, 3] = m[3, 0] = c
     m[1, 1] = s
     m[2, 2] = -s
-    return EtaMatrix(theta, m)
+    return m
 
 
 def eta_inverse(theta: float) -> np.ndarray:
@@ -69,7 +55,8 @@ def eta_inverse(theta: float) -> np.ndarray:
     theta = check_theta(theta)
     c, s = math.cos(theta), math.sin(theta)
     if s**2 < 1e-14:
-        kappa = (1.0 + c) / max(1.0 - c, 1e-300)
+        # (1 + cos t)/(1 - cos t) without the cancellation in 1 - cos t
+        kappa = 1.0 / math.tan(theta / 2) ** 2
         raise ValueError(f"correlation matrix numerically singular, cond = {kappa:.3e}")
     inv = np.zeros((4, 4))
     inv[0, 0] = inv[3, 3] = 1.0 / s**2
@@ -99,7 +86,7 @@ def correlations_from_povm(p: Povm, theta: float) -> CorrelationTable:
     return CorrelationTable(theta, mk.joint_table(p.elements, PAULIS, qo.psi_theta(theta).rho))
 
 
-def reconstruct_povm(c: CorrelationTable, theta: float | None = None) -> Povm:
+def reconstruct_povm(c: CorrelationTable) -> Povm:
     """Linear inversion: elements from correlations through the dual operators.
 
     Writing E_a = r_a^mu sigma_mu, the correlations are eta^T r_a, so
@@ -107,36 +94,12 @@ def reconstruct_povm(c: CorrelationTable, theta: float | None = None) -> Povm:
     :func:`correlations_from_povm`; corrupted rows simply produce element
     sets that fail `povm_validity`.
     """
-    if theta is None:
-        theta = c.theta
-    inv = eta_inverse(theta)
+    inv = eta_inverse(c.theta)
     elements = []
     for row in c.values:
         r = inv @ row
         elements.append(sum(coef * pauli for coef, pauli in zip(r, PAULIS)))
     return Povm(tuple(elements), None, "reconstructed")
-
-
-def correlations_to_csv(c: CorrelationTable) -> str:
-    """One line per outcome: a, E_I, E_X, E_Y, E_Z with 17 significant digits."""
-    lines = ["a,E_I,E_X,E_Y,E_Z"]
-    for a, row in enumerate(c.values):
-        lines.append(",".join([str(a)] + [f"{v:.17g}" for v in row]))
-    return "\n".join(lines) + "\n"
-
-
-def correlations_from_csv(text: str, theta: float) -> CorrelationTable:
-    """Inverse of :func:`correlations_to_csv`; malformed rows name their line."""
-    rows = []
-    for n, line in enumerate(text.strip().splitlines()[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"CSV line {n}: expected 5 fields a,E_I,E_X,E_Y,E_Z, got {len(parts)}")
-        try:
-            rows.append([float(x) for x in parts][1:])
-        except ValueError as exc:
-            raise ValueError(f"CSV line {n}: non-numeric cell in {line!r}") from exc
-    return CorrelationTable(check_theta(theta), np.array(rows))
 
 
 @dataclass(frozen=True)
@@ -201,7 +164,10 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
     return Povm(tuple(elements), None, (p.label + "-dilated") if p.label else "dilated")
 
 
-def random_extremal_povm(n_outcomes: int, rng: np.random.Generator, max_tries: int = 2000) -> Povm:
+_MAX_TRIES = 2000  # rejection-sampling attempts before a draw is refused
+
+
+def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
     """Seeded random extremal qubit POVM with 2, 3 or 4 rank-one outcomes.
 
     Sampling scheme (rejection with a 0.05 weight margin so the POVMs stay
@@ -220,7 +186,7 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator, max_tries: i
         return qo.povm_from_bloch(weights, normals, "random-projective")
 
     if n_outcomes == 3:
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             frame = np.linalg.qr(rng.normal(size=(3, 3)))[0]
             f1, f2 = frame[:, 0], frame[:, 1]
             phis = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=3))
@@ -238,16 +204,13 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator, max_tries: i
         raise RuntimeError("failed to sample a feasible 3-outcome POVM")
 
     if n_outcomes == 4:
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             kets = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
             kets /= np.linalg.norm(kets, axis=1)[:, None]
-            normals = []
-            for k in kets:
-                rho = np.outer(k, k.conj())
-                normals.append(
-                    np.array([mk.expval(p, rho) for p in (qo.PAULI_X, qo.PAULI_Y, qo.PAULI_Z)])
-                )
-            a = np.vstack([np.ones(4), np.array(normals).T])
+            cross = 2.0 * np.conj(kets[:, 0]) * kets[:, 1]
+            pops = np.abs(kets) ** 2
+            normals = np.stack([cross.real, cross.imag, pops[:, 0] - pops[:, 1]], axis=1)
+            a = np.vstack([np.ones(4), normals.T])
             try:
                 w = np.linalg.solve(a, np.array([2.0, 0.0, 0.0, 0.0]))
             except np.linalg.LinAlgError:

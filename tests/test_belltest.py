@@ -184,14 +184,13 @@ class TestBellBatch:
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(log_uniform_angle, min_size=1, max_size=12),
-        st.sampled_from([None, qo.ancilla_pure(), qo.ancilla_mixed()]),
         st.floats(1e-4, 0.5),
     )
-    def test_matches_per_angle_oracle(self, thetas, ancilla, epsilon):
-        batch = bt.bell_batch(thetas, ancilla, epsilon)
+    def test_matches_per_angle_oracle(self, thetas, epsilon):
+        batch = bt.bell_batch(thetas, epsilon)
         near_y = qo.near_y_tetrahedral(epsilon).elements
         for n, theta in enumerate(thetas):
-            values = bt.eval_bell(bt.ideal_scenario(theta, ancilla))
+            values = bt.eval_bell(bt.ideal_scenario(theta))
             spectral = bt.spectral_selftest(values.beta)
             psi = qo.psi_theta(theta).rho
             local = mk.joint_table(qo.adjusted_tetrahedral(theta).elements, [qo.ID2], psi)[:, 0]

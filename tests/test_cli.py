@@ -169,6 +169,21 @@ class TestConfigFile:
         cfg.write_text("theta 0.4\n", encoding="utf-8")
         assert main(["selftest", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_tolerance_does_not_reach_the_next_call(self, capsys, tmp_path, via_config):
+        # One parser serves every call in a process; a parse leaves nothing in it.
+        argv = ["selftest", "--theta", "0.8"]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("tol.spectral=1e-8\n", encoding="utf-8")
+            first = argv + ["--config", str(cfg)]
+        else:
+            first = argv + ["--tol", "spectral=1e-8"]
+        _, out = run(capsys, first)
+        assert json.loads(out)["tolerances"]["spectral"] == 1e-8
+        _, out = run(capsys, argv)
+        assert json.loads(out)["tolerances"]["spectral"] == mk.IDENTITY_TOL
+
     def test_reports_embed_tolerances(self, capsys):
         argv = {
             "selftest": ["selftest"],
@@ -223,7 +238,7 @@ class TestRefusedInput:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_contract_violation_exits_3(self, capsys, monkeypatch):
-        def broken(thetas, ancilla=None, epsilon=None):
+        def broken(thetas, epsilon=None):
             raise ValueError("eigh requires a Hermitian matrix")
 
         monkeypatch.setattr(bt, "bell_batch", broken)
@@ -282,7 +297,7 @@ class TestGates:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_error_row_keeps_its_columns(self, capsys, monkeypatch, fmt):
-        def broken(thetas, ancilla=None, epsilon=None):
+        def broken(thetas, epsilon=None):
             raise ValueError("dims (2, 2) and (4,\n4) differ")
 
         monkeypatch.setattr(bt, "bell_batch", broken)
@@ -299,7 +314,7 @@ class TestGates:
         assert [r[-1] for r in rows] == [status, status]
 
     def test_sweep_error_row_is_a_contract_violation(self, capsys, monkeypatch):
-        def broken(thetas, ancilla=None, epsilon=None):
+        def broken(thetas, epsilon=None):
             raise ValueError("eigh requires a Hermitian matrix")
 
         monkeypatch.setattr(bt, "bell_batch", broken)

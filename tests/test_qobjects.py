@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -23,7 +22,15 @@ class TestState:
 
     @pytest.mark.parametrize("theta", [0.1, 0.7, np.pi / 2])
     def test_ket_and_pauli_forms_agree(self, theta):
-        assert np.max(np.abs(qo.psi_theta(theta).rho - qo.psi_theta_pauli(theta))) <= 1e-12
+        # Oracle: the projector from its Pauli-correlator expansion.
+        c, s = math.cos(theta), math.sin(theta)
+        pauli_form = 0.25 * (
+            mk.kron(qo.ID2, qo.ID2)
+            + c * (mk.kron(qo.ID2, qo.PAULI_Z) + mk.kron(qo.PAULI_Z, qo.ID2))
+            + s * (mk.kron(qo.PAULI_X, qo.PAULI_X) - mk.kron(qo.PAULI_Y, qo.PAULI_Y))
+            + mk.kron(qo.PAULI_Z, qo.PAULI_Z)
+        )
+        assert np.max(np.abs(qo.psi_theta(theta).rho - pauli_form)) <= 1e-12
 
     def test_marginals(self):
         for theta in THETA_GRID:
@@ -273,26 +280,3 @@ class TestConjugatePovm:
         for a, b in zip(p.elements, q.elements):
             assert np.max(np.abs(a - b)) == 0.0
 
-
-class TestSerialization:
-    def test_state_round_trip_exact(self):
-        s = qo.psi_theta(0.777)
-        doc = json.loads(json.dumps(qo.state_to_json(s)))
-        back = qo.state_from_json(doc)
-        assert back.dims == s.dims
-        assert np.array_equal(back.rho, s.rho)
-
-    def test_povm_round_trip_exact(self):
-        p = qo.adjusted_tetrahedral(1.1)
-        doc = json.loads(json.dumps(qo.povm_to_json(p)))
-        back = qo.povm_from_json(doc)
-        assert back.label == p.label
-        for a, b in zip(p.elements, back.elements):
-            assert np.array_equal(a, b)
-        for a, b in zip(p.kets, back.kets):
-            assert np.array_equal(a, b)
-
-    def test_povm_without_kets(self):
-        p = qo.Povm((qo.ID2 / 2, qo.ID2 / 2))
-        back = qo.povm_from_json(json.loads(json.dumps(qo.povm_to_json(p))))
-        assert back.kets is None

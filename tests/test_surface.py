@@ -1,0 +1,56 @@
+"""The library's public surface is what something reaches."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import bellrand
+
+SRC = Path(bellrand.__file__).resolve().parent
+BENCH = SRC.parents[1] / "bench"
+
+# The public names with no reference in src/ or bench/, kept for the claim
+# tests that call them.
+CLAIM_ENTRY_POINTS = [
+    "belltest.verify_b7_extraction",  # TestB7Extraction: only B7 = X x I saturates sin(t)
+    "qobjects.conjugate_povm",  # TestConjugatePovm: the conjugation ambiguity of the attack
+    "qobjects.kets_from_elements",  # test_reconstructed_povm_feeds_offdiag_analysis
+    "qobjects.povm_extremality",  # TestPovmExtremality, TestRandomExtremal
+    "qobjects.povm_validity",  # test_corrupted_correlations_detected, dilated POVMs valid
+    "tomography.eta_matrix",  # test_06_tomography_round_trip: det eta = -sin(t)^4
+]
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names a syntax tree refers to: loads, attributes, imports and exact-name strings."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)  # bench/tracer.py names traced functions as strings
+    return refs
+
+
+def test_every_public_definition_is_reached():
+    # One unit per top-level statement; a name is reached when a unit other
+    # than its own definition refers to it.
+    units = {
+        path: [(node, _references(node)) for node in ast.parse(path.read_text("utf-8")).body]
+        for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    }
+    uses = Counter(name for unit in units.values() for _, refs in unit for name in refs)
+    unreached = [
+        f"{path.stem}.{node.name}"
+        for path, unit in units.items()
+        if path.parent == SRC
+        for node, refs in unit
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and uses[node.name] - (node.name in refs) == 0
+    ]
+    assert sorted(unreached) == CLAIM_ENTRY_POINTS
