@@ -33,9 +33,14 @@ _PP_MM = np.stack(
 )
 
 
+_CHI = tuple(qo.qstate_from_ket(_PP_MM @ [1, s] / math.sqrt(2.0), (2, 2)) for s in (1, -1))
+# A' x B' = X x X in the |+->-block gauge; Eve's states must keep <A' x B'> = 1.
+_XX = np.kron(qo.PAULI_X, qo.PAULI_X)
+
+
 def chi_states() -> tuple[QState, QState]:
     """Eve's ancilla pair (|++> +- |-->)/sqrt(2) on the two ancilla qubits."""
-    return tuple(qo.qstate_from_ket(_PP_MM @ [1, s] / math.sqrt(2.0), (2, 2)) for s in (1, -1))
+    return _CHI
 
 
 def joint_amplitudes(alice: Povm, bob: Povm, theta: float) -> np.ndarray:
@@ -222,7 +227,7 @@ class QubitReductionReport:
 
 
 def _eve_decompositions(n_samples: int, rng: np.random.Generator):
-    """Ensembles {(p_k, sigma_k)} decomposing the mixed ancilla pair.
+    """Ensembles {(p_k, sigma_k)} decomposing the mixed ancilla pair, stacked.
 
     The base state is the even mixture of |++><++| and |--><--|, the
     ancilla marginal of (|++>|0> + |-->|1>)/sqrt(2) whose last qubit Eve
@@ -233,20 +238,47 @@ def _eve_decompositions(n_samples: int, rng: np.random.Generator):
     measurements and random two-element full-rank POVMs.  Every state lies in
     the range of V, the +1 eigenspace of A' x B', so the perfect correlation
     is preserved.
+
+    Returns (weights, index, states) of shapes (K,), (K,) and (K, 4, 4) with
+    K = 2 n_samples: state n belongs to decomposition index[n].  All normals
+    come from one draw, in the order of a loop over the decompositions
+    (8 for a Haar unitary, then 16 for a POVM's two Ginibre matrices).
     """
-    yield [(0.5, chi.rho) for chi in chi_states()]
-    for k in range(1, n_samples):
-        if k % 2 == 1:
-            u = mk.haar_unitary(2, rng)
-            elements = [np.outer(u[:, i], u[:, i].conj()) for i in range(2)]
-        else:
-            a = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
-            g = [ai @ ai.conj().T for ai in a]
-            w, v = np.linalg.eigh(g[0] + g[1])
-            root_inv = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-            elements = [root_inv @ gi @ root_inv for gi in g]
-        traces = [float(np.trace(e).real) for e in elements]
-        yield [(t / 2, _PP_MM @ e.T @ _PP_MM.conj().T / t) for t, e in zip(traces, elements)]
+    n_proj, n_povm = n_samples // 2, (n_samples - 1) // 2
+    z = np.zeros(24 * n_proj)
+    z[: 8 * n_proj + 16 * n_povm] = rng.normal(size=8 * n_proj + 16 * n_povm)
+    z = z.reshape(n_proj, 3, 2, 2, 2)  # per odd k: (Haar, a_0, a_1) x (re, im), a_i for k + 1
+    cols = np.swapaxes(mk.haar_from_ginibre(z[:, 0, 0] + 1j * z[:, 0, 1]), -1, -2)
+    a = z[:n_povm, 1:, 0] + 1j * z[:n_povm, 1:, 1]
+    g = a @ np.conj(np.swapaxes(a, -1, -2))
+    w, v = np.linalg.eigh(g[:, 0] + g[:, 1])
+    root_inv = ((v / np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2)))[:, None]
+
+    elements = np.empty((n_samples - 1, 2, 2, 2), dtype=complex)
+    elements[0::2] = cols[..., :, None] * np.conj(cols[..., None, :])
+    elements[1::2] = root_inv @ g @ root_inv
+    traces = np.trace(elements, axis1=-2, axis2=-1).real
+    states = _PP_MM @ np.swapaxes(elements, -1, -2) @ _PP_MM.conj().T / traces[..., None, None]
+    weights = np.concatenate([[0.5, 0.5], traces.reshape(-1) / 2])
+    states = np.concatenate([[chi.rho for chi in _CHI], states.reshape(-1, 4, 4)])
+    return weights, np.repeat(np.arange(n_samples), 2), states
+
+
+def _ancilla_operators(r_povm: Povm, s_povm: Povm, psi: np.ndarray) -> np.ndarray:
+    """W_ab = <psi| R_a x S_b |psi> on (A', B'), flattened to shape (na * nb, 16).
+
+    With the ancilla state sigma, P(a, b) = Re Tr[W_ab sigma], so one matrix
+    product against a stack of flattened sigma^T gives every joint at once.
+    R_a's 2x2 block (p, q) on A' is R_a[(i p), (k q)] over A; the ket psi on
+    (A, B) enters as its 2x2 amplitude matrix Psi, giving Psi^dagger R_a^(pq) Psi.
+    """
+    psi = psi.reshape(2, 2)
+    r = np.asarray(r_povm.elements).reshape(-1, 2, 2, 2, 2)
+    s = np.asarray(s_povm.elements).reshape(-1, 2, 2, 2, 2)
+    na, nb = len(r), len(s)
+    u = np.conj(psi.T) @ r.transpose(0, 2, 4, 1, 3) @ psi  # [a, p, q, j, l]
+    w = u.reshape(na * 4, 4) @ s.transpose(1, 3, 0, 2, 4).reshape(4, nb * 4)  # [(a p q), (b r s)]
+    return w.reshape(na, 2, 2, nb, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(na * nb, 16)
 
 
 def qubit_reduction_check(
@@ -266,6 +298,12 @@ def qubit_reduction_check(
     failure mode.  For each sampled Eve decomposition every conditional
     joint is compared entrywise to the ideal table.  At least one
     decomposition is checked; a smaller count is refused.
+
+    Every Eve state and every composite state on (A, A', B, B') meets the
+    `QState` contract, and every Eve state has <A' x B'> = 1 within
+    IDENTITY_TOL; a violation is refused naming the condition, the state's
+    index within its decomposition and the decomposition.  The composites
+    and all joints are evaluated as stacks, with no per-state loop.
     """
     theta = check_theta(theta)
     if n_decompositions < 1:
@@ -277,25 +315,34 @@ def qubit_reduction_check(
     r_povm = tg.build_dilated_povm(alice, lam)
     s_povm = tg.build_dilated_povm(bob, mu)
     ideal = ideal_joint(alice, bob, theta)
-    psi = qo.psi_theta(theta)
-    a_corr = mk.kron(qo.PAULI_X, qo.PAULI_X)  # A' x B' in the |+->-block gauge
+    _, index, sigmas = _eve_decompositions(n_decompositions, rng)
 
-    deviations = []
-    corr_worst = 0.0
-    for ensemble in _eve_decompositions(n_decompositions, rng):
-        dev = 0.0
-        for _, sigma_e in ensemble:
-            corr_worst = max(corr_worst, abs(mk.expval(a_corr, sigma_e) - 1.0))
-            rho = qo.compose_with_ancilla(psi, QState(sigma_e, (2, 2))).rho
-            joint = mk.joint_table(r_povm.elements, s_povm.elements, rho)
-            dev = max(dev, float(np.max(np.abs(joint - ideal))))
-        deviations.append(dev)
+    def eve(n: int) -> str:
+        d = int(index[n])
+        return f"Eve state {int(np.count_nonzero(index[:n] == d))} of decomposition {d}"
+
+    qo.check_state_stack(sigmas, eve)
+    corr = np.abs(np.einsum("ij,nji->n", _XX, sigmas).real - 1.0)
+    if corr.max() > mk.IDENTITY_TOL:
+        n = int(np.argmax(corr > mk.IDENTITY_TOL))
+        raise ValueError(f"<A' x B'> misses 1 by {corr[n]:.3e} at {eve(n)}")
+    # |psi><psi| x sigma_n reordered to (A, A', B, B'), as compose_with_ancilla builds it.
+    psi = qo.psi_theta_ket(theta)
+    rho_psi = np.outer(psi, psi.conj()).reshape(2, 2, 2, 2)
+    rhos = np.einsum("abcd,npqrs->napbqcrds", rho_psi, sigmas.reshape(-1, 2, 2, 2, 2))
+    rhos = rhos.reshape(-1, 16, 16)
+    qo.check_state_stack(rhos, lambda n: f"the (A, A', B, B') state of {eve(n)}")
+
+    w = _ancilla_operators(r_povm, s_povm, psi)
+    joints = (np.swapaxes(sigmas, -1, -2).reshape(-1, 16) @ w.T).real.reshape(-1, *ideal.shape)
+    deviations = np.zeros(n_decompositions)
+    np.maximum.at(deviations, index, np.max(np.abs(joints - ideal), axis=(1, 2)))
     return QubitReductionReport(
         theta=theta,
-        n_decompositions=len(deviations),
-        max_deviation=max(deviations),
-        deviations=tuple(deviations),
-        correlation_check=corr_worst,
+        n_decompositions=n_decompositions,
+        max_deviation=float(deviations.max()),
+        deviations=tuple(float(x) for x in deviations),
+        correlation_check=float(corr.max()),
     )
 
 

@@ -134,10 +134,17 @@ def null_space(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary from the QR of a complex Ginibre matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return haar_from_ginibre(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+def haar_from_ginibre(g) -> np.ndarray:
+    """Unitary Q of g = QR with the phases of diag(R) moved into Q (stacks too).
+
+    For complex Ginibre input the result is Haar-distributed.
+    """
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def expval(op, rho) -> float:

@@ -23,7 +23,7 @@ ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (ID2, PAULI_X, PAULI_Y, PAULI_Z)  # index order (I, X, Y, Z)
+PAULIS = np.stack([ID2, PAULI_X, PAULI_Y, PAULI_Z])  # index order (I, X, Y, Z)
 
 
 def check_theta(theta: float) -> float:
@@ -67,14 +67,7 @@ class QState:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         mk.check_shape(rho, self.dims)
-        if not mk.is_hermitian(rho):
-            raise ValueError("density operator must be Hermitian")
-        w = np.linalg.eigvalsh(rho)
-        if w.min() < -mk.IDENTITY_TOL:
-            raise ValueError(f"density operator not PSD (min eigenvalue {w.min():.3e})")
-        tr = float(np.real(np.trace(rho)))
-        if abs(tr - 1.0) > mk.IDENTITY_TOL:
-            raise ValueError(f"density operator trace {tr} != 1")
+        check_state_stack(rho[None])
 
     @property
     def dim(self) -> int:
@@ -114,6 +107,35 @@ def check_dichotomic_stack(ops, labels, thetas) -> None:
                 f"observable {labels[m]!r} {what} at theta={float(thetas[n])!r}"
                 f" (residual {resid[n, m]:.3e})"
             )
+
+
+def check_state_stack(rhos, where=None) -> None:
+    """The `QState` contract on a stack of density operators rhos[n].
+
+    Hermitian within ZERO_TOL, then PSD (one stacked `eigvalsh`) and unit
+    trace within IDENTITY_TOL, one vectorized check per condition.  A failure
+    names the condition, the offending value and, when `where` is given, the
+    first failing member as `where(n)`.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+
+    def refuse(what: str, n) -> None:
+        at = f" at {where(int(n))}" if where is not None else ""
+        raise ValueError(f"density operator {what}{at}")
+
+    herm = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, -1, -2))), axis=(-2, -1))
+    if herm.max(initial=0.0) > mk.ZERO_TOL:
+        n = np.argmax(herm > mk.ZERO_TOL)
+        refuse(f"must be Hermitian (residual {herm[n]:.3e})", n)
+    low = np.linalg.eigvalsh(rhos)[..., 0]
+    if low.min(initial=0.0) < -mk.IDENTITY_TOL:
+        n = np.argmax(low < -mk.IDENTITY_TOL)
+        refuse(f"not PSD (min eigenvalue {low[n]:.3e})", n)
+    tr = np.trace(rhos, axis1=-2, axis2=-1).real
+    bad = np.abs(tr - 1.0) > mk.IDENTITY_TOL
+    if bad.any():
+        n = np.argmax(bad)
+        refuse(f"trace {tr[n]} != 1", n)
 
 
 def check_ket_stack(kets, thetas) -> None:

@@ -25,6 +25,8 @@ KET_MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 PROJ_PLUS = np.outer(KET_PLUS, KET_PLUS.conj())
 PROJ_MINUS = np.outer(KET_MINUS, KET_MINUS.conj())
 FLIP_PM = np.outer(KET_PLUS, KET_MINUS.conj())  # |+><-|
+# Ancilla factors of the four dilation blocks (E, E*, c T, c* T^dagger).
+_DILATION_ANCILLA = np.stack([PROJ_PLUS, PROJ_MINUS, FLIP_PM, FLIP_PM.conj().T])
 
 
 def eta_matrix(theta: float) -> np.ndarray:
@@ -94,12 +96,8 @@ def reconstruct_povm(c: CorrelationTable) -> Povm:
     :func:`correlations_from_povm`; corrupted rows simply produce element
     sets that fail `povm_validity`.
     """
-    inv = eta_inverse(c.theta)
-    elements = []
-    for row in c.values:
-        r = inv @ row
-        elements.append(sum(coef * pauli for coef, pauli in zip(r, PAULIS)))
-    return Povm(tuple(elements), None, "reconstructed")
+    r = c.values @ eta_inverse(c.theta).T
+    return Povm(tuple(np.einsum("am,mij->aij", r, PAULIS)), None, "reconstructed")
 
 
 @dataclass(frozen=True)
@@ -147,20 +145,16 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
     mags = np.abs(coeffs)
     if mags.max(initial=0.0) > 1.0 + mk.RANK_TOL:
         raise ValueError(f"coefficient magnitude {mags.max():.6f} exceeds 1")
-    offdiags = [np.outer(k, k) for k in p.kets]
-    closure = sum(c * t for c, t in zip(coeffs, offdiags))
-    residual = float(np.linalg.norm(closure))
+    kets = np.asarray(p.kets)
+    offdiags = kets[:, :, None] * kets[:, None, :]
+    residual = float(np.linalg.norm(np.einsum("a,aij->ij", coeffs, offdiags)))
     if residual > mk.RANK_TOL:
         raise ValueError(f"coefficients do not close the completeness sum, residual {residual:.3e}")
-    elements = []
-    for e, t, c in zip(p.elements, offdiags, coeffs):
-        r = (
-            mk.kron(e, PROJ_PLUS)
-            + mk.kron(np.conj(e), PROJ_MINUS)
-            + mk.kron(c * t, FLIP_PM)
-            + mk.kron(np.conj(c) * t.conj().T, FLIP_PM.conj().T)
-        )
-        elements.append(r)
+    e = np.asarray(p.elements)
+    ct = coeffs[:, None, None] * offdiags
+    blocks = np.stack([e, np.conj(e), ct, np.conj(np.swapaxes(ct, -1, -2))], axis=1)
+    d = e.shape[-1] * 2
+    elements = np.einsum("amij,mkl->aikjl", blocks, _DILATION_ANCILLA).reshape(-1, d, d)
     return Povm(tuple(elements), None, (p.label + "-dilated") if p.label else "dilated")
 
 

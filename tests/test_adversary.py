@@ -35,6 +35,58 @@ def make_attack(alice, bob, lam, mu, theta):
     )
 
 
+def old_eve_decompositions(n_samples, rng):
+    """Oracle: the per-decomposition generator that `_eve_decompositions` stacks.
+
+    Yields one list of (weight, state) pairs per decomposition, drawing the
+    Haar unitaries and Ginibre matrices one matrix at a time.
+    """
+    pp_mm = np.stack(
+        [np.kron(tg.KET_PLUS, tg.KET_PLUS), np.kron(tg.KET_MINUS, tg.KET_MINUS)], axis=1
+    )
+    yield [(0.5, chi.rho) for chi in adv.chi_states()]
+    for k in range(1, n_samples):
+        if k % 2 == 1:
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            elements = [np.outer(u[:, i], u[:, i].conj()) for i in range(2)]
+        else:
+            a = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
+            g = [ai @ ai.conj().T for ai in a]
+            w, v = np.linalg.eigh(g[0] + g[1])
+            root_inv = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+            elements = [root_inv @ gi @ root_inv for gi in g]
+        traces = [float(np.trace(e).real) for e in elements]
+        yield [(t / 2, pp_mm @ e.T @ pp_mm.conj().T / t) for t, e in zip(traces, elements)]
+
+
+def reduction_oracle(alice, bob, theta, n_decompositions, seed, alice_coeffs=None, bob_coeffs=None):
+    """Oracle: (deviations, correlation check) of the 4 x 3 reduction, one state at a time.
+
+    Every Eve state becomes a validated `QState` on (A, A', B, B') through
+    `compose_with_ancilla`, and its joint table comes from `mk.joint_table`.
+    """
+    rng = np.random.default_rng(seed)
+    lam = adv._admissible_coeffs(alice) if alice_coeffs is None else alice_coeffs
+    mu = adv._admissible_coeffs(bob) if bob_coeffs is None else bob_coeffs
+    r_povm = tg.build_dilated_povm(alice, lam)
+    s_povm = tg.build_dilated_povm(bob, mu)
+    ideal = adv.ideal_joint(alice, bob, theta)
+    psi = qo.psi_theta(theta)
+    a_corr = mk.kron(qo.PAULI_X, qo.PAULI_X)
+    deviations = []
+    corr_worst = 0.0
+    for ensemble in old_eve_decompositions(n_decompositions, rng):
+        dev = 0.0
+        for _, sigma_e in ensemble:
+            corr_worst = max(corr_worst, abs(mk.expval(a_corr, sigma_e) - 1.0))
+            rho = qo.compose_with_ancilla(psi, qo.QState(sigma_e, (2, 2))).rho
+            joint = mk.joint_table(r_povm.elements, s_povm.elements, rho)
+            dev = max(dev, float(np.max(np.abs(joint - ideal))))
+        deviations.append(dev)
+    return deviations, corr_worst
+
+
 class TestChiStates:
     def test_orthogonal(self):
         chi_p, chi_m = adv.chi_states()
@@ -263,14 +315,25 @@ class TestQubitReduction:
         mm = np.kron(tg.KET_MINUS, tg.KET_MINUS)
         mixture = (np.outer(pp, pp.conj()) + np.outer(mm, mm.conj())) / 2
         corr = mk.kron(qo.PAULI_X, qo.PAULI_X)
-        ensembles = list(adv._eve_decompositions(50, np.random.default_rng(3)))
-        assert len(ensembles) == 50
-        for ensemble in ensembles:
-            assert abs(sum(p for p, _ in ensemble) - 1.0) <= mk.IDENTITY_TOL
-            average = sum(p * sigma for p, sigma in ensemble)
+        weights, index, states = adv._eve_decompositions(50, np.random.default_rng(3))
+        assert np.array_equal(np.unique(index), np.arange(50))
+        assert np.max(np.abs(np.bincount(index, weights) - 1.0)) <= mk.IDENTITY_TOL
+        for d in range(50):
+            average = np.einsum("n,nij->ij", weights[index == d], states[index == d])
             assert np.max(np.abs(average - mixture)) <= mk.IDENTITY_TOL
-            for _, sigma in ensemble:
-                assert abs(mk.expval(corr, sigma) - 1.0) <= mk.IDENTITY_TOL
+        for sigma in states:
+            assert abs(mk.expval(corr, sigma) - 1.0) <= mk.IDENTITY_TOL
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**31 - 1])
+    def test_eve_stream_matches_the_per_decomposition_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        weights, index, states = adv._eve_decompositions(10, rng)
+        old_rng = np.random.default_rng(seed)
+        old = [m for ensemble in old_eve_decompositions(10, old_rng) for m in ensemble]
+        np.testing.assert_array_equal(weights, [p for p, _ in old])
+        np.testing.assert_array_equal(index, np.repeat(np.arange(10), 2))
+        np.testing.assert_array_equal(states, [sigma for _, sigma in old])
+        assert rng.bit_generator.state == old_rng.bit_generator.state
 
     def test_four_by_four_with_nonzero_coefficients_fails(self):
         theta = np.pi / 2
@@ -288,6 +351,69 @@ class TestQubitReduction:
         )
         assert not rep.reduces
         assert rep.max_deviation >= 1e-3
+
+
+class TestReductionGates:
+    """A corrupted Eve state is refused, naming the condition, the state and its decomposition."""
+
+    PLUS_MINUS = np.outer(
+        np.kron(tg.KET_PLUS, tg.KET_MINUS), np.kron(tg.KET_PLUS, tg.KET_MINUS).conj()
+    )
+
+    @pytest.mark.parametrize(
+        "decomposition, member, sigma, message",
+        [
+            (4, 1, np.diag([1.5, 0, 0, -0.5]), r"not PSD \(min eigenvalue -5\.000e-01\)"),
+            (2, 0, np.diag([0.55, 0, 0, 0.55]), r"trace 1\.1 != 1"),
+            (
+                5,
+                0,
+                adv.chi_states()[0].rho + np.eye(4, k=1) * 1e-6,
+                r"must be Hermitian \(residual 1\.000e-06\)",
+            ),
+            (3, 1, PLUS_MINUS, r"<A' x B'> misses 1 by 2\.000e\+00"),
+        ],
+    )
+    def test_corrupted_state_refused(self, monkeypatch, decomposition, member, sigma, message):
+        stacked = adv._eve_decompositions
+
+        def corrupted(n_samples, rng):
+            weights, index, states = stacked(n_samples, rng)
+            states = states.copy()
+            states[np.flatnonzero(index == decomposition)[member]] = sigma
+            return weights, index, states
+
+        monkeypatch.setattr(adv, "_eve_decompositions", corrupted)
+        where = f" at Eve state {member} of decomposition {decomposition}$"
+        with pytest.raises(ValueError, match=message + where):
+            adv.qubit_reduction_check(
+                qo.adjusted_tetrahedral(0.9), qo.modified_mercedes(0.9), 0.9, n_decompositions=6
+            )
+
+
+class TestStackedReduction:
+    """The stacked reduction check against the per-state loop it replaced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, math.pi / 2), st.booleans())
+    def test_matches_per_state_loop(self, seed, theta, four_by_four):
+        rng = np.random.default_rng(seed)
+        alice = tg.random_extremal_povm(4, rng)
+        bob = tg.random_extremal_povm(4 if four_by_four else 3, rng)
+        coeffs = {}
+        if four_by_four:
+            coeffs = {
+                "alice_coeffs": adv._admissible_coeffs(alice),
+                "bob_coeffs": adv._admissible_coeffs(bob),
+            }
+        n = int(rng.integers(1, 12))
+        rep = adv.qubit_reduction_check(alice, bob, theta, n_decompositions=n, seed=seed, **coeffs)
+        deviations, corr = reduction_oracle(alice, bob, theta, n, seed, **coeffs)
+        if four_by_four:
+            assert max(deviations) > mk.IDENTITY_TOL
+        assert rep.n_decompositions == n
+        assert np.max(np.abs(np.subtract(rep.deviations, deviations))) <= mk.ZERO_TOL
+        assert abs(rep.correlation_check - corr) <= mk.ZERO_TOL
 
 
 class TestRandomPairs:

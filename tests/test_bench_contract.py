@@ -5,10 +5,9 @@ lookup, so a renamed or deleted library function would otherwise only fail
 a traced benchmark run.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
-
-import bellrand
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -20,7 +19,7 @@ def test_traced_names_resolve():
     missing, no_post_init = [], []
     for layer, names in tracer.TRACED.items():
         for name in names:
-            obj = getattr(getattr(bellrand, layer), name, None)
+            obj = getattr(importlib.import_module(f"bellrand.{layer}"), name, None)
             if obj is None:
                 missing.append(f"{layer}.{name}")
             elif isinstance(obj, type) and "__post_init__" not in vars(obj):

@@ -214,6 +214,39 @@ class TestDilation:
             assert np.max(np.abs(marg - e)) <= 1e-12
 
 
+def dilate_by_kron(p, coeffs):
+    """Oracle: R_a as the sum of four tensor products, one element at a time."""
+    elements = []
+    for e, k, c in zip(p.elements, p.kets, coeffs):
+        t = np.outer(k, k)
+        elements.append(
+            mk.kron(e, tg.PROJ_PLUS)
+            + mk.kron(np.conj(e), tg.PROJ_MINUS)
+            + mk.kron(c * t, tg.FLIP_PM)
+            + mk.kron(np.conj(c) * t.conj().T, tg.FLIP_PM.conj().T)
+        )
+    return elements
+
+
+class TestDilationProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 4]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2 * math.pi),
+    )
+    def test_matches_four_kron_formula(self, seed, n, scale, phase):
+        p = tg.random_extremal_povm(n, np.random.default_rng(seed))
+        basis = tg.offdiag_set(p).null_basis
+        coeffs = np.zeros(n, dtype=complex)
+        if basis:
+            coeffs = scale * np.exp(1j * phase) * basis[0] / np.abs(basis[0]).max()
+        got = tg.build_dilated_povm(p, coeffs).elements
+        want = dilate_by_kron(p, coeffs)
+        assert max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) <= mk.ZERO_TOL
+
+
 class TestRandomExtremal:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_valid_and_extremal(self, n):
