@@ -53,7 +53,8 @@ def joint_amplitudes(alice: Povm, bob: Povm, theta: float) -> np.ndarray:
 
 def ideal_joint(alice: Povm, bob: Povm, theta: float) -> np.ndarray:
     """Joint outcome table of the reference qubit POVMs on the theta-state."""
-    return mk.joint_table(alice.elements, bob.elements, qo.psi_theta(theta).rho)
+    psi = qo.psi_theta_ket(theta).reshape(1, 1, 2, 2)
+    return mk.joint_table_kets(alice.elements, bob.elements, psi)[0]
 
 
 def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) -> np.ndarray:

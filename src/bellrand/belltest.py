@@ -30,12 +30,11 @@ from .qobjects import (
 )
 
 
-def ideal_bell_values(theta: float) -> tuple[float, float, float]:
-    """Target values (I, J, S) for the ideal realization at a given angle."""
+def ideal_bell_values(theta) -> np.ndarray:
+    """Targets (I, J, S), shape (..., 3): Bell energy 4 w_plus twice, then 2 sqrt(2) sin(theta)."""
     theta = check_theta(theta)
-    beta = beta_of_theta(theta)
-    tilted = 2.0 * math.sqrt(2.0) * math.sqrt(1.0 + beta**2 / 4.0)
-    return tilted, tilted, 2.0 * math.sqrt(2.0) * math.sin(theta)
+    tilted = 4.0 * qo.tilt(theta)[1]
+    return np.stack([tilted, tilted, 2.0 * math.sqrt(2.0) * np.sin(theta)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,22 @@ def eval_bell(s: BellScenario) -> BellValues:
     i_value = beta * t[0][0] + t[0][1] + t[0][2] + t[1][1] - t[1][2]
     j_value = beta * t[0][0] + t[0][3] + t[0][4] + t[2][3] - t[2][4]
     s_value = t[1][5] + t[1][6] + t[2][5] - t[2][6]
-    ideal_i, ideal_j, ideal_s = ideal_bell_values(theta)
+    ideal_i, ideal_j, ideal_s = ideal_bell_values(theta).tolist()
     return BellValues(theta, beta, i_value, j_value, s_value, ideal_i, ideal_j, ideal_s)
+
+
+def _check_beta(beta, thetas=None) -> np.ndarray:
+    """The tilts as an array; only 0 <= beta < 2 admits a quantum violation.
+
+    A refusal names the first refused tilt and, when given, its angle thetas[n].
+    """
+    beta = np.asarray(beta, dtype=float)
+    ok = (0.0 <= beta) & (beta < 2.0)
+    if not ok.all():
+        n = np.flatnonzero(~ok)[0]
+        at = f" at theta={float(thetas[n])!r}" if thetas is not None else ""
+        raise ValueError(f"beta must lie in [0, 2), got {beta.flat[n]}{at}")
+    return beta
 
 
 def bell_operator_I(beta) -> np.ndarray:
@@ -119,10 +132,7 @@ def bell_operator_I(beta) -> np.ndarray:
     An array of tilts gives the stack (..., 4, 4).  Only 0 <= beta < 2 admits
     a quantum violation; anything else is rejected.
     """
-    beta = np.asarray(beta, dtype=float)
-    bad = beta[~((0.0 <= beta) & (beta < 2.0))]
-    if bad.size:
-        raise ValueError(f"beta must lie in [0, 2), got {bad.flat[0]}")
+    beta = _check_beta(beta)
     coeffs = np.stack(
         [
             beta,
@@ -139,12 +149,11 @@ def bell_operator_I(beta) -> np.ndarray:
     return np.einsum("...m,mij->...ij", coeffs, terms)
 
 
-def theta_of_beta(beta: float) -> float:
-    """Invert the tilt relation: sin(theta)^2 = (4 - beta^2) / (4 + beta^2)."""
-    beta = float(beta)
-    if not (0.0 <= beta < 2.0):
-        raise ValueError(f"beta must lie in [0, 2), got {beta}")
-    return math.asin(math.sqrt((4.0 - beta**2) / (4.0 + beta**2)))
+def theta_of_beta(beta):
+    """Invert the tilt relation sin(theta)^2 = (4 - beta^2) / (4 + beta^2), elementwise."""
+    beta = _check_beta(beta)
+    theta = np.arcsin(np.sqrt((4.0 - beta**2) / (4.0 + beta**2)))
+    return float(theta) if theta.ndim == 0 else theta
 
 
 @dataclass(frozen=True)
@@ -249,76 +258,45 @@ def projective_joint_distribution(
 DEFAULT_EPSILON = 1e-4  # tilt of the near-Y POVM in the 4x3 table
 _BOB_LABELS = ("B1", "B2", "B3", "B4", "B5", "B6")
 
-
-@dataclass(frozen=True)
-class _Frame:
-    """The angle-independent operators of one ancilla realization, validated once.
-
-    Alice measures (Z x I, X x I, Y x A').  Every ideal Bob observable is a
-    theta-weighted sum over the basis (I, Z x I, X x I, Y x B').  The
-    projectors are the +-1 outcomes of Y x A' and X x I, and `ancilla_kets`
-    (K, da, db) decompose the ancilla state as sum_k |k><k|.
-    """
-
-    alice: np.ndarray
-    bob_basis: np.ndarray
-    projectors_a: np.ndarray
-    projectors_b: np.ndarray
-    ancilla_kets: np.ndarray
-
-
-def _frame(ancilla: AncillaRealization) -> _Frame:
-    da = ancilla.a_prime.shape[0]
-    db = ancilla.b_prime.shape[0]
-    alice = [
-        Dichotomic(mk.kron(p, m), label).op
-        for p, m, label in (
-            (qo.PAULI_Z, np.eye(da), "A1"),
-            (qo.PAULI_X, np.eye(da), "A2"),
-            (qo.PAULI_Y, ancilla.a_prime, "A3"),
-        )
+# The batch's operators on qubit x ancilla qubit.  Both ancilla realizations it
+# uses measure A' = B' = Z, so they share the basis (I, Z x I, X x I, Y x Z) of
+# Bob's ideal observables, whose last three are Alice's (A1, A2, A3), and the
+# +-1 projectors of Y x A' (Alice) and X x I (Bob); only their kets differ.
+_BASIS = np.stack(
+    [
+        np.eye(4),
+        mk.kron(qo.PAULI_Z, qo.ID2),
+        mk.kron(qo.PAULI_X, qo.ID2),
+        mk.kron(qo.PAULI_Y, qo.PAULI_Z),
     ]
-    bob = [
-        Dichotomic(mk.kron(p, m), label).op
-        for p, m, label in (
-            (qo.PAULI_Z, np.eye(db), "Z x I"),
-            (qo.PAULI_X, np.eye(db), "X x I"),
-            (qo.PAULI_Y, ancilla.b_prime, "Y x B'"),
-        )
-    ]
+)
+qo.check_dichotomic_stack(_BASIS[None], ("I", "Z x I", "X x I", "Y x Z"))
+_PROJECTORS_A, _PROJECTORS_B = (
+    np.stack([0.5 * (_BASIS[0] + sign * _BASIS[k]) for sign in (1, -1)]) for k in (3, 2)
+)
+
+
+def _ancilla_kets(ancilla: AncillaRealization) -> np.ndarray:
+    """(K, da, db) kets whose projectors sum to the ancilla state."""
     w, v = mk.eigh(ancilla.sigma.rho)
     keep = w > mk.RANK_TOL
-    kets = (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, da, db)
-
-    def projectors(op):
-        return np.stack([0.5 * (np.eye(len(op)) + sign * op) for sign in (1, -1)])
-
-    return _Frame(
-        alice=np.stack(alice),
-        bob_basis=np.stack([np.eye(2 * db), *bob]),
-        projectors_a=projectors(alice[2]),
-        projectors_b=projectors(bob[1]),
-        ancilla_kets=kets,
-    )
+    return (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, *ancilla.sigma.dims)
 
 
-_PURE = _frame(ancilla_pure())
-_MIXED = _frame(qo.ancilla_mixed())
+_PURE_KETS = _ancilla_kets(ancilla_pure())
+_MIXED_KETS = _ancilla_kets(qo.ancilla_mixed())
 
 
-def _with_ancilla(qubit_kets: np.ndarray, frame: _Frame) -> np.ndarray:
-    """Kets psi x a_k on ((A, A'), (B, B')) from qubit kets (N, 1, 2, 2)."""
-    k, da, db = frame.ancilla_kets.shape
-    full = np.einsum("nij,kab->nkiajb", qubit_kets[:, 0], frame.ancilla_kets)
-    return full.reshape(len(qubit_kets), k, 2 * da, 2 * db)
+def _with_ancilla(qubit_kets: np.ndarray, ancilla_kets: np.ndarray) -> np.ndarray:
+    """Kets psi x a_k on ((A, A'), (B, B')) from qubit kets (N, 1, 2, 2) and ancilla kets a_k."""
+    full = np.einsum("nij,kab->nkiajb", qubit_kets[:, 0], ancilla_kets)
+    return full.reshape(len(qubit_kets), len(ancilla_kets), 4, 4)
 
 
-def _bob_weights(beta: np.ndarray) -> np.ndarray:
-    """(N, 7, 4) coefficients of Bob's identity and B1..B6 over the frame's basis."""
-    wp = np.sqrt((1.0 + beta**2 / 4.0) / 2.0)
-    wm = np.sqrt((1.0 - beta**2 / 4.0) / 2.0)
+def _bob_weights(wp: np.ndarray, wm: np.ndarray) -> np.ndarray:
+    """(N, 7, 4) coefficients of Bob's identity and B1..B6 over `_BASIS`, from the tilt weights."""
     r = 1.0 / math.sqrt(2.0)
-    w = np.zeros((len(beta), 7, 4))
+    w = np.zeros((len(wp), 7, 4))
     w[:, 0, 0] = 1.0
     w[:, 1:5, 1] = wp[:, None]
     w[:, 1, 2], w[:, 2, 2] = wm, -wm
@@ -338,11 +316,8 @@ def _spectral_selftests(beta: np.ndarray, energy: np.ndarray) -> tuple[np.ndarra
     op = bell_operator_I(beta)
     w, v = mk.eigh(op)
     eigenvalue_residual = np.max(np.abs(w - energy[:, None] * [1.0, 0.0, 0.0, -1.0]), axis=1)
-    recovered = np.array([theta_of_beta(b) for b in beta])
-    c, s = np.cos(recovered / 2), np.sin(recovered / 2)
-    zero = np.zeros_like(c)
-    psi = np.stack([c, zero, zero, s], axis=1)
-    phi = np.stack([zero, s, -c, zero], axis=1)
+    recovered = theta_of_beta(beta)
+    psi, phi = qo.psi_theta_ket(recovered), qo.phi_theta_ket(recovered)
     fidelity = np.abs(np.einsum("ni,ni->n", psi, v[:, :, 0])) ** 2
     form = energy[:, None, None] * (
         psi[:, :, None] * psi[:, None, :] - phi[:, :, None] * phi[:, None, :]
@@ -414,26 +389,21 @@ def bell_batch(thetas, epsilon: float = DEFAULT_EPSILON) -> BellBatch:
     each; a failure raises ValueError naming the check and the first failing
     angle.  The projective tables use the pure and the mixed ancilla.
     """
-    theta = np.array([check_theta(t) for t in thetas], dtype=float)
-    beta = np.array([beta_of_theta(t) for t in theta])
-    over = np.flatnonzero(beta >= 2.0)
-    if len(over):
-        n = over[0]
-        raise ValueError(f"beta must lie in [0, 2), got {beta[n]} at theta={float(theta[n])!r}")
-    ideals = np.array([ideal_bell_values(t) for t in theta]).reshape(-1, 3)
+    theta = check_theta(np.asarray(thetas, dtype=float).reshape(-1))
+    beta, wp, wm = qo.tilt(theta)
+    beta = _check_beta(beta, theta)
+    ideals = ideal_bell_values(theta)
 
-    qubit = np.zeros((len(theta), 1, 2, 2), dtype=complex)
-    qubit[:, 0, 0, 0] = np.cos(theta / 2)
-    qubit[:, 0, 1, 1] = np.sin(theta / 2)
-    pure, mixed = (_with_ancilla(qubit, f) for f in (_PURE, _MIXED))
+    qubit = qo.psi_theta_ket(theta).reshape(-1, 1, 2, 2)
+    pure, mixed = (_with_ancilla(qubit, kets) for kets in (_PURE_KETS, _MIXED_KETS))
     for stack in (qubit, pure, mixed):
         qo.check_ket_stack(stack, theta)
 
-    weights = _bob_weights(beta)
-    bob = np.einsum("nbm,mij->nbij", weights[:, 1:], _PURE.bob_basis)
+    weights = _bob_weights(wp, wm)
+    bob = np.einsum("nbm,mij->nbij", weights[:, 1:], _BASIS)
     qo.check_dichotomic_stack(bob, _BOB_LABELS, theta)
     # Rows A1..A3; column 0 is Bob's identity, columns 1..6 are B1..B6.
-    basis_table = mk.joint_table_kets(_PURE.alice, _PURE.bob_basis, pure)
+    basis_table = mk.joint_table_kets(_BASIS[1:], _BASIS, pure)
     t = np.einsum("nam,nbm->nab", basis_table, weights)
     values = np.stack(
         [
@@ -461,11 +431,7 @@ def bell_batch(thetas, epsilon: float = DEFAULT_EPSILON) -> BellBatch:
         eigenvalue_residual=eigenvalue_residual,
         local_povm=mk.joint_table_kets(elements_a, [qo.ID2], qubit)[..., 0],
         projective=np.stack(
-            [
-                mk.joint_table_kets(f.projectors_a, f.projectors_b, k)
-                for f, k in ((_PURE, pure), (_MIXED, mixed))
-            ],
-            axis=1,
+            [mk.joint_table_kets(_PROJECTORS_A, _PROJECTORS_B, k) for k in (pure, mixed)], axis=1
         ),
         global_povm=mk.joint_table_kets(near_y, mercedes, qubit),
     )

@@ -95,7 +95,19 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-_angle = _checked(qo.check_theta, lambda t: True, "an angle in (0, pi/2]")
+def _smallest_angle() -> float:
+    """The smallest double angle whose tilt beta rounds below 2, by bisection (beta decreases).
+
+    Below it (about 1.05e-8) beta rounds to 2, which `belltest.bell_batch` refuses.
+    """
+    lo, hi = 0.0, math.pi / 2
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (lo, mid) if qo.tilt(mid)[0] < 2.0 else (mid, hi)
+    return hi
+
+
+MIN_THETA = _smallest_angle()  # every command's smallest accepted angle
+_angle = _checked(qo.check_theta, lambda t: t >= MIN_THETA, f"an angle in [{MIN_THETA!r}, pi/2]")
 _grid_size = _checked(int, lambda n: n >= 1, "an angle count >= 1")
 _epsilon = _checked(float, lambda e: 0.0 < e < 1.0, "a tilt in (0, 1)")
 _tol_value = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite tolerance > 0")
@@ -380,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
         p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
-        p.add_argument("--theta", type=_theta_list, help="comma-separated angles in (0, pi/2]")
+        p.add_argument(
+            "--theta", type=_theta_list, help=f"comma-separated angles in [{MIN_THETA:.5g}, pi/2]"
+        )
         p.add_argument("--theta-grid", type=_grid_size, help="number of grid angles (>= 1)")
         p.add_argument("--config", help="flat key=value file; keys are these flag names")
         p.add_argument("--out", help="output path (default stdout)")

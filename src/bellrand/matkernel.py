@@ -31,11 +31,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = ZERO_TOL) -> bool:
-    a = as_matrix(m)
-    return a.shape[0] == a.shape[1] and float(np.max(np.abs(a - a.conj().T))) <= tol
-
-
 def kron(a, b) -> np.ndarray:
     """Tensor product: (a x b)[i*rb+k, j*cb+l] = a[i,j] * b[k,l]."""
     return np.kron(as_matrix(a), as_matrix(b))

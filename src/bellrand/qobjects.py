@@ -1,9 +1,9 @@
 """Quantum domain objects.
 
-The partially entangled two-qubit state in both its ket and Pauli forms, the
-ideal Bell-test observables with their ancilla realizations, POVMs with
-validity/extremality reports, and the explicit POVM families used for
-randomness generation.
+The one angle model of the tilted-CHSH test (:func:`tilt`), the entangled
+two-qubit state as a ket and a projector, the ideal Bell-test observables with
+their ancilla realizations, POVMs with validity/extremality reports, and the
+explicit POVM families used for randomness generation.
 
 Pauli convention: Z = diag(1, -1), X = offdiag(1, 1), Y = offdiag(-i, i),
 so Y|0> = i|1>.  This fixes all signs in the state expansion and in the
@@ -26,16 +26,24 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = np.stack([ID2, PAULI_X, PAULI_Y, PAULI_Z])  # index order (I, X, Y, Z)
 
 
-def check_theta(theta: float) -> float:
-    """Validate the Schmidt angle range 0 < theta <= pi/2.
+_THETA_MAX = math.pi / 2 + mk.ZERO_TOL
+
+
+def check_theta(theta):
+    """Validate Schmidt angles 0 < theta <= pi/2: one float, or an array of them.
 
     An angle at most ZERO_TOL above pi/2 is rounding of pi/2 and comes back as
-    pi/2, where cos(theta) and beta are still nonnegative.
+    pi/2, where cos(theta) and beta are still nonnegative.  A float comes back
+    as a float; an array comes back as an array, and a refusal names the
+    first refused angle.
     """
-    theta = float(theta)
-    if not (0.0 < theta <= math.pi / 2 + mk.ZERO_TOL):
-        raise ValueError(f"theta must lie in (0, pi/2], got {theta}")
-    return min(theta, math.pi / 2)
+    if np.ndim(theta) == 0 and 0.0 < float(theta) <= _THETA_MAX:
+        return min(float(theta), math.pi / 2)  # one valid angle, without array overhead
+    t = np.asarray(theta, dtype=float)
+    ok = (0.0 < t) & (t <= _THETA_MAX)
+    if not ok.all():
+        raise ValueError(f"theta must lie in (0, pi/2], got {t[~ok].flat[0]}")
+    return np.minimum(t, math.pi / 2)
 
 
 def theta_grid(n: int) -> np.ndarray:
@@ -43,10 +51,26 @@ def theta_grid(n: int) -> np.ndarray:
     return np.linspace(0.01, math.pi / 2, n + 1)[1:]
 
 
-def beta_of_theta(theta: float) -> float:
+def tilt(theta):
+    """(beta, w_plus, w_minus) of the tilted-CHSH family at Schmidt angle theta.
+
+    The Bell expressions carry the tilt beta = 2cos(t)/sqrt(1 + sin(t)^2), and
+    Bob's ideal observables weigh Z by w_plus = 1/sqrt(1 + sin(t)^2) and the
+    orthogonal axis by w_minus = sin(t)/sqrt(1 + sin(t)^2) (Acin, Massar and
+    Pironio, PRL 108, 100402 (2012)); the tilted Bell energy is 4 w_plus.
+    These equal sqrt(lambda_pm / 2), lambda_pm = 1 +- beta^2/4, without its
+    cancellation as theta -> 0.  A float gives floats, an array arrays.
+    """
+    t = check_theta(theta)
+    s = np.sin(t)
+    q = np.sqrt(1.0 + s**2)
+    out = (2.0 * np.cos(t) / q, 1.0 / q, s / q)
+    return tuple(float(x) for x in out) if np.ndim(t) == 0 else out
+
+
+def beta_of_theta(theta):
     """Tilt parameter of the modified CHSH expressions: 2cos(t)/sqrt(1+sin(t)^2)."""
-    theta = check_theta(theta)
-    return 2.0 * math.cos(theta) / math.sqrt(1.0 + math.sin(theta) ** 2)
+    return tilt(theta)[0]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -84,18 +108,15 @@ class Dichotomic:
     def __post_init__(self):
         op = _readonly(self.op)
         object.__setattr__(self, "op", op)
-        if not mk.is_hermitian(op, mk.IDENTITY_TOL):
-            raise ValueError(f"observable {self.label!r} must be Hermitian")
-        resid = float(np.max(np.abs(op @ op - np.eye(op.shape[0]))))
-        if resid > mk.IDENTITY_TOL:
-            raise ValueError(f"observable {self.label!r} fails O^2 = I (residual {resid:.3e})")
+        check_dichotomic_stack(op[None, None], (self.label,))
 
 
-def check_dichotomic_stack(ops, labels, thetas) -> None:
+def check_dichotomic_stack(ops, labels, thetas=None) -> None:
     """The `Dichotomic` contract on a stack: ops[n, m] is observable labels[m] at thetas[n].
 
-    One vectorized check per condition; a failure names the condition, the
-    observable and the first failing angle.
+    Hermitian and O^2 = I within IDENTITY_TOL, one vectorized check per
+    condition; a failure names the condition, the observable and, when
+    `thetas` is given, the first failing angle.
     """
     ops = np.asarray(ops, dtype=complex)
     herm = np.max(np.abs(ops - np.conj(np.swapaxes(ops, -1, -2))), axis=(-2, -1))
@@ -103,10 +124,8 @@ def check_dichotomic_stack(ops, labels, thetas) -> None:
     for resid, what in ((herm, "must be Hermitian"), (square, "fails O^2 = I")):
         if resid.max(initial=0.0) > mk.IDENTITY_TOL:
             n, m = np.argwhere(resid > mk.IDENTITY_TOL)[0]
-            raise ValueError(
-                f"observable {labels[m]!r} {what} at theta={float(thetas[n])!r}"
-                f" (residual {resid[n, m]:.3e})"
-            )
+            at = f" at theta={float(thetas[n])!r}" if thetas is not None else ""
+            raise ValueError(f"observable {labels[m]!r} {what}{at} (residual {resid[n, m]:.3e})")
 
 
 def check_state_stack(rhos, where=None) -> None:
@@ -187,10 +206,20 @@ def qstate_from_ket(ket, dims) -> QState:
     return QState(np.outer(k, k.conj()), tuple(dims))
 
 
-def psi_theta_ket(theta: float) -> np.ndarray:
-    """Schmidt-form state vector cos(t/2)|00> + sin(t/2)|11>."""
-    theta = check_theta(theta)
-    return np.array([math.cos(theta / 2), 0.0, 0.0, math.sin(theta / 2)], dtype=complex)
+def psi_theta_ket(theta) -> np.ndarray:
+    """Schmidt-form state vector cos(t/2)|00> + sin(t/2)|11>; (..., 4) for an array of angles."""
+    t = check_theta(theta)
+    ket = np.zeros(np.shape(t) + (4,), dtype=complex)
+    ket[..., 0], ket[..., 3] = np.cos(t / 2), np.sin(t / 2)
+    return ket
+
+
+def phi_theta_ket(theta) -> np.ndarray:
+    """Spectral partner sin(t/2)|01> - cos(t/2)|10>; (..., 4) for an array of angles."""
+    t = check_theta(theta)
+    ket = np.zeros(np.shape(t) + (4,), dtype=complex)
+    ket[..., 1], ket[..., 2] = np.sin(t / 2), -np.cos(t / 2)
+    return ket
 
 
 def psi_theta(theta: float) -> QState:
@@ -204,9 +233,7 @@ def phi_theta(theta: float) -> QState:
     Together with psi_theta it spans the +-eigenspaces of the tilted Bell
     operator.
     """
-    theta = check_theta(theta)
-    k = np.array([0.0, math.sin(theta / 2), -math.cos(theta / 2), 0.0], dtype=complex)
-    return qstate_from_ket(k, (2, 2))
+    return qstate_from_ket(phi_theta_ket(theta), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -242,18 +269,13 @@ def ideal_measurements(
     """Ideal Bell-test observables on qubit x ancilla for a given angle.
 
     Alice measures (Z, X, Y x A') and Bob the six tilted-CHSH combinations
-    built from Z, X and Y x B' with weights sqrt(lambda_pm / 2),
-    lambda_pm = 1 +- beta^2/4.  Returns (alice, bob, sigma) where sigma is
-    the ancilla state of the supplied realization (default: `ancilla_pure`).
+    built from Z, X and Y x B' with the weights of :func:`tilt`.  Returns
+    (alice, bob, sigma) where sigma is the ancilla state of the supplied
+    realization (default: `ancilla_pure`).
     """
-    theta = check_theta(theta)
+    _, wp, wm = tilt(theta)
     if ancilla is None:
         ancilla = ancilla_pure()
-    beta = beta_of_theta(theta)
-    lam_p = 1.0 + beta**2 / 4.0
-    lam_m = 1.0 - beta**2 / 4.0
-    wp, wm = math.sqrt(lam_p / 2.0), math.sqrt(lam_m / 2.0)
-
     da = ancilla.a_prime.shape[0]
     db = ancilla.b_prime.shape[0]
     z_a = mk.kron(PAULI_Z, np.eye(da))

@@ -85,7 +85,8 @@ def correlations_from_povm(p: Povm, theta: float) -> CorrelationTable:
     if p.dim != 2:
         raise ValueError("correlations are defined for qubit POVMs")
     theta = check_theta(theta)
-    return CorrelationTable(theta, mk.joint_table(p.elements, PAULIS, qo.psi_theta(theta).rho))
+    psi = qo.psi_theta_ket(theta).reshape(1, 1, 2, 2)
+    return CorrelationTable(theta, mk.joint_table_kets(p.elements, PAULIS, psi)[0])
 
 
 def reconstruct_povm(c: CorrelationTable) -> Povm:

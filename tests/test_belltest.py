@@ -104,6 +104,16 @@ class TestSpectralSelftest:
             assert abs(math.cos(theta) ** 2 - cos2) <= 1e-10
             assert abs(qo.beta_of_theta(theta) - beta) <= 1e-10
 
+    def test_arrays_are_the_stack_of_floats(self):
+        betas = np.array([0.0, 0.7, 1.9999999999999998])
+        assert type(bt.theta_of_beta(0.7)) is float
+        np.testing.assert_array_equal(bt.theta_of_beta(betas), [bt.theta_of_beta(b) for b in betas])
+        with pytest.raises(ValueError, match=r"got 2\.0"):
+            bt.theta_of_beta([0.5, 2.0])
+        thetas = np.array([1e-7, 0.3, np.pi / 2])
+        each = [bt.ideal_bell_values(t) for t in thetas]
+        np.testing.assert_array_equal(bt.ideal_bell_values(thetas), each)
+
 
 class TestB7Extraction:
     def test_target_observable_saturates(self):
@@ -215,6 +225,17 @@ class TestBellBatch:
             for got, want in pairs:
                 assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= mk.ZERO_TOL
 
+    @pytest.mark.parametrize(
+        "ancilla", [qo.ancilla_pure(), qo.ancilla_mixed()], ids=lambda a: a.label
+    )
+    def test_shared_operators_are_each_realizations_observables(self, ancilla):
+        # the batch measures both ancillas with one operator set (A' = B' = Z for both)
+        alice, bob, _ = qo.ideal_measurements(0.7, ancilla)
+        np.testing.assert_array_equal(np.stack([a.op for a in alice]), bt._BASIS[1:])
+        _, wp, wm = qo.tilt(np.array([0.7]))
+        ops = np.einsum("bm,mij->bij", bt._bob_weights(wp, wm)[0, 1:], bt._BASIS)
+        assert np.max(np.abs(ops - np.stack([b.op for b in bob]))) <= mk.ZERO_TOL
+
     def test_report_is_row_zero(self):
         batch = bt.bell_batch([0.4, 0.9])
         assert bt.bell_report(0.9) == batch.reports()[1]
@@ -222,14 +243,26 @@ class TestBellBatch:
     def test_corrupted_observable_names_its_angle(self, monkeypatch):
         exact = bt._bob_weights
 
-        def corrupted(beta):
-            w = exact(beta)
+        def corrupted(wp, wm):
+            w = exact(wp, wm)
             w[1] *= 1.001  # every weight of the second angle: B1^2 = 1.002 I
             return w
 
         monkeypatch.setattr(bt, "_bob_weights", corrupted)
         with pytest.raises(ValueError, match=r"'B1' fails O\^2 = I at theta=0.9"):
             bt.bell_batch([0.4, 0.9, 1.2])
+
+    def test_near_product_weights_do_not_cancel(self, monkeypatch):
+        # Through lambda_- = 1 - beta^2/4 this weight was 0.6% low at theta = 1e-7.
+        theta = 1e-7
+        want = math.sin(theta) / math.sqrt(1 + math.sin(theta) ** 2)
+        _, bob, _ = qo.ideal_measurements(theta)
+        exact, seen = bt._bob_weights, []
+        monkeypatch.setattr(bt, "_bob_weights", lambda *a: seen.append(exact(*a)) or seen[-1])
+        bt.bell_batch([theta])
+        # B1's X x I weight in the operator, then in the batch's coefficients
+        for got in (bob[0].op[0, 2].real, seen[0][0, 1, 2]):
+            assert abs(got / want - 1) <= 1e-15
 
     def test_product_end_names_its_angle(self):
         with pytest.raises(ValueError, match=r"beta must lie in \[0, 2\), got 2.0 at theta=1e-09"):

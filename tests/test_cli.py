@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import shlex
@@ -6,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellrand import belltest as bt
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
-from bellrand.cli import COMMANDS, main
+from bellrand.cli import COMMANDS, MIN_THETA, SCENARIOS, main
 
 PI_2 = "1.5707963267948966"
 
@@ -279,6 +283,42 @@ class TestAngles:
         assert row["status"] == "ok" and row["beta"] >= 0.0
 
 
+class TestAngleDomain:
+    FORMS = (
+        ["selftest"],
+        ["sweep", "--format", "json"],
+        *(["certify", "--scenario", sc] for sc in SCENARIOS),
+        ["attack"],
+    )
+
+    def call(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    @example(0.0)
+    @example(1.0)
+    def test_every_command_runs_on_every_accepted_angle(self, u):
+        # log-uniform over [MIN_THETA, pi/2]
+        theta = min(max(MIN_THETA * (math.pi / 2 / MIN_THETA) ** u, MIN_THETA), math.pi / 2)
+        docs = []
+        for command in self.FORMS:
+            code, out, err = self.call([*command, "--theta", repr(theta)])
+            assert code == 0, (command, theta, err)
+            docs.append(json.loads(out))
+        assert docs[0]["reports"][0]["beta"] == docs[1]["rows"][0]["beta"]
+
+    @pytest.mark.parametrize("theta", ["1e-9", "5e-324", repr(float(np.nextafter(MIN_THETA, 0)))])
+    def test_every_command_refuses_angles_below_the_floor(self, theta):
+        for command in self.FORMS:
+            code, out, err = self.call([*command, "--theta", theta])
+            assert code == 2, (command, theta)
+            assert out == "" and f"{theta!r} is not an angle in [{MIN_THETA!r}" in err
+
+
 class TestGates:
     def test_selftest_gates_the_spectrum(self, capsys, monkeypatch):
         exact = mk.eigh
@@ -330,11 +370,11 @@ def test_sweep_keeps_the_rows_that_pass(capsys, monkeypatch):
     _, out = run(capsys, argv)
     clean = json.loads(out)["rows"]
     exact = bt._bob_weights
-    failing_beta = qo.beta_of_theta(0.9)
+    failing_wp = qo.tilt(0.9)[1]
 
-    def corrupted(beta):
-        w = exact(beta)
-        w[beta == failing_beta] *= 1.001
+    def corrupted(wp, wm):
+        w = exact(wp, wm)
+        w[wp == failing_wp] *= 1.001
         return w
 
     monkeypatch.setattr(bt, "_bob_weights", corrupted)

@@ -58,6 +58,15 @@ class TestState:
         with pytest.raises(ValueError, match="trace"):
             qo.QState(np.diag([0.7, 0.7]).astype(complex), (2,))
 
+    def test_dichotomic_validation(self):
+        # one observable: the stack check's messages without an angle
+        hermitian = r"^observable 'H' must be Hermitian \(residual 1\.000e\+00\)$"
+        with pytest.raises(ValueError, match=hermitian):
+            qo.Dichotomic(np.array([[1, 1], [0, -1]], dtype=complex), "H")
+        square = r"^observable 'S' fails O\^2 = I \(residual 4\.004e-03\)$"
+        with pytest.raises(ValueError, match=square):
+            qo.Dichotomic(1.002 * qo.PAULI_Z, "S")
+
 
 class TestStackedContracts:
     """One corrupted member of a stack is refused, and the error names its angle."""
@@ -106,6 +115,32 @@ class TestBeta:
     def test_strictly_below_two_near_zero(self):
         b = qo.beta_of_theta(0.001)
         assert 1.9 < b < 2.0
+
+    def test_tilt_weights_are_the_lambda_form(self):
+        # w_pm = sqrt(lambda_pm / 2) with lambda_pm = 1 +- beta^2/4, away from the product end
+        for theta in (0.4, 1.0, np.pi / 2):
+            beta, wp, wm = qo.tilt(theta)
+            assert abs(wp - math.sqrt((1 + beta**2 / 4) / 2)) <= 1e-15
+            assert abs(wm - math.sqrt((1 - beta**2 / 4) / 2)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "fn",
+        [qo.check_theta, qo.tilt, qo.psi_theta_ket, qo.phi_theta_ket],
+        ids=lambda f: f.__name__,
+    )
+    def test_array_of_angles_is_the_stack_of_floats(self, fn):
+        thetas = np.array([1e-7, 0.3, 1.2, np.pi / 2 + 1e-13])
+        each = [fn(float(t)) for t in thetas]
+        batch = fn(thetas)
+        if fn is qo.tilt:
+            assert all(type(x) is float for x in each[0])
+            each, batch = np.array(each).T, np.array(batch)
+        np.testing.assert_array_equal(batch, np.array(each))
+
+    def test_array_names_its_first_refused_angle(self):
+        with pytest.raises(ValueError, match=r"got 0\.0"):
+            qo.check_theta([0.5, 0.0, 2.0])
+        assert type(qo.check_theta(np.float64(0.5))) is float
 
 
 class TestIdealMeasurements:
