@@ -101,17 +101,24 @@ def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarra
 
 
 def _admissible_coeffs(p: Povm) -> np.ndarray:
-    """Dilation coefficients: the off-diagonal null vector scaled to max magnitude one.
+    """Dilation coefficients: the off-diagonal null vector divided by its largest entry.
 
-    Any three operators |k_a><k_a*| of pairwise non-parallel kets are
-    linearly independent in the span of {I, X, Z}, so an extremal POVM has a
-    one-dimensional null space with four outcomes and none with at most
+    The first entry whose magnitude is within RANK_TOL of the largest becomes
+    exactly 1.  This fixes the phase that the SVD leaves free, and entries of
+    equal magnitude (all four at theta = pi/2) cannot trade places through
+    rounding.  Any three operators |k_a><k_a*| of pairwise non-parallel kets
+    are linearly independent in the span of {I, X, Z}, so an extremal POVM
+    has a one-dimensional null space with four outcomes and none with at most
     three; then the coefficients are zero (the block form).
     """
     basis = tg.offdiag_set(p).null_basis
     if not basis:
         return np.zeros(p.n_outcomes, dtype=complex)
-    return basis[0] / np.abs(basis[0]).max()
+    mags = np.abs(basis[0])
+    i = np.argmax(mags >= (1.0 - mk.RANK_TOL) * mags.max())
+    c = basis[0] / basis[0][i]
+    c[i] = 1.0  # numpy's complex division can leave x / x an ulp below 1
+    return c
 
 
 def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
@@ -274,8 +281,8 @@ def _ancilla_operators(r_povm: Povm, s_povm: Povm, psi: np.ndarray) -> np.ndarra
     (A, B) enters as its 2x2 amplitude matrix Psi, giving Psi^dagger R_a^(pq) Psi.
     """
     psi = psi.reshape(2, 2)
-    r = np.asarray(r_povm.elements).reshape(-1, 2, 2, 2, 2)
-    s = np.asarray(s_povm.elements).reshape(-1, 2, 2, 2, 2)
+    r = r_povm.elements.reshape(-1, 2, 2, 2, 2)
+    s = s_povm.elements.reshape(-1, 2, 2, 2, 2)
     na, nb = len(r), len(s)
     u = np.conj(psi.T) @ r.transpose(0, 2, 4, 1, 3) @ psi  # [a, p, q, j, l]
     w = u.reshape(na * 4, 4) @ s.transpose(1, 3, 0, 2, 4).reshape(4, nb * 4)  # [(a p q), (b r s)]

@@ -103,28 +103,21 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(as_matrix(m), compute_uv=False).sum())
 
 
-def null_space(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal basis of {c : sum_a c_a mats[a] = 0}.
+def null_space(mats) -> list[np.ndarray]:
+    """Orthonormal basis of {c : sum_a c_a mats[a] = 0} for a stack mats (m, ...).
 
     Each matrix is flattened into one column of a single matrix whose
     singular values are thresholded at RANK_TOL; the returned coefficient
     vectors are the right-singular vectors past the numerical rank.  An
     empty list means the matrices are linearly independent.
     """
-    if len(mats) == 0:
+    a = np.asarray(mats, dtype=complex)
+    if len(a) == 0:
         return []
-    shape = as_matrix(mats[0]).shape
-    cols = []
-    for m in mats:
-        a = as_matrix(m)
-        if a.shape != shape:
-            raise ValueError("null_space requires matrices of equal shape")
-        cols.append(a.reshape(-1))
-    stacked = np.stack(cols, axis=1)
+    stacked = a.reshape(len(a), -1).T
     _, svals, vh = np.linalg.svd(stacked)
-    n = stacked.shape[1]
     rank = int(np.sum(svals > RANK_TOL))
-    return [vh[i].conj() for i in range(rank, n)]
+    return list(vh[rank:].conj())
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -173,22 +173,28 @@ def check_ket_stack(kets, thetas) -> None:
 
 @dataclass(frozen=True)
 class Povm:
-    """Ordered POVM elements, optionally with rank-one ket representatives.
+    """Ordered POVM elements as one read-only (m, d, d) stack.
 
-    Construction does not enforce validity; use :func:`povm_validity` so that
-    deliberately corrupted element sets can be examined.
+    The optional rank-one kets are a read-only (m, d) stack with element a
+    equal to |kets[a]><kets[a]|.  Construction refuses any other shape but
+    does not enforce validity; use :func:`povm_validity` so that deliberately
+    corrupted element sets can be examined.
     """
 
-    elements: tuple[np.ndarray, ...]
-    kets: tuple[np.ndarray, ...] | None = None
-    label: str = ""
+    elements: np.ndarray
+    kets: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(_readonly(e) for e in self.elements))
+        elements = _readonly(self.elements)
+        if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
+            raise ValueError(f"POVM elements must be an (m, d, d) stack, not {elements.shape}")
+        object.__setattr__(self, "elements", elements)
         if self.kets is not None:
-            kets = tuple(np.array(k, dtype=complex) for k in self.kets)
-            for k in kets:
-                k.setflags(write=False)
+            kets = _readonly(self.kets)
+            if kets.shape != elements.shape[:2]:
+                raise ValueError(
+                    f"POVM kets of shape {kets.shape} do not fit elements of shape {elements.shape}"
+                )
             object.__setattr__(self, "kets", kets)
 
     @property
@@ -197,7 +203,7 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
 
 def qstate_from_ket(ket, dims) -> QState:
@@ -344,12 +350,8 @@ def povm_validity(p: Povm) -> PovmValidity:
     roughly x/dim.
     """
     d = p.dim
-    psd_violation = 0.0
-    for e in p.elements:
-        w = np.linalg.eigvalsh(np.asarray(e))
-        psd_violation = max(psd_violation, float(max(0.0, -w.min())))
-    total = sum(p.elements)
-    residual = mk.trace_norm(total - np.eye(d)) / d
+    psd_violation = max(0.0, -float(np.linalg.eigvalsh(p.elements).min()))
+    residual = mk.trace_norm(p.elements.sum(axis=0) - np.eye(d)) / d
     valid = psd_violation <= mk.IDENTITY_TOL and residual <= mk.IDENTITY_TOL
     return PovmValidity(valid, psd_violation, residual)
 
@@ -363,31 +365,27 @@ def povm_extremality(p: Povm) -> PovmExtremality:
     """
     if p.dim != 2:
         raise ValueError("extremality criteria implemented for qubit POVMs only")
-    second = 0.0
-    for e in p.elements:
-        w = np.linalg.eigvalsh(np.asarray(e))
-        second = max(second, float(abs(w[-2])))
+    second = float(np.abs(np.linalg.eigvalsh(p.elements)[:, -2]).max())
     all_rank_one = second <= mk.RANK_TOL
-    stacked = np.stack([np.asarray(e).reshape(-1) for e in p.elements], axis=1)
-    svals = np.linalg.svd(stacked, compute_uv=False)
+    svals = np.linalg.svd(p.elements.reshape(p.n_outcomes, -1).T, compute_uv=False)
     # More elements than d^2 always leave a null space.
-    fits = len(p.elements) <= stacked.shape[0]
+    fits = p.n_outcomes <= p.dim**2
     margin = float(svals.min()) if fits else 0.0
     independent = fits and margin > mk.RANK_TOL
     return PovmExtremality(all_rank_one, independent, all_rank_one and independent, second, margin)
 
 
-def bloch_ket(weight: float, n: np.ndarray) -> np.ndarray:
-    """Subnormalized ket of the rank-one element (weight/2)(I + n.sigma).
+def bloch_ket(weights, normals) -> np.ndarray:
+    """Subnormalized kets (..., m, 2) of the elements (w/2)(I + n.sigma).
 
-    Global phase fixed by making the first nonzero amplitude real positive.
+    Weights are (..., m) and Bloch normals (..., m, 3).  Global phase fixed
+    by making the first amplitude real nonnegative.
     """
-    nx, ny, nz = (float(v) for v in n)
-    t = math.acos(max(-1.0, min(1.0, nz)))
-    phi = math.atan2(ny, nx)
-    return math.sqrt(weight) * np.array(
-        [math.cos(t / 2), math.sin(t / 2) * np.exp(1j * phi)], dtype=complex
-    )
+    n = np.asarray(normals, dtype=float)
+    t = np.arccos(np.clip(n[..., 2], -1.0, 1.0))
+    phi = np.arctan2(n[..., 1], n[..., 0])
+    amplitudes = np.stack([np.cos(t / 2), np.sin(t / 2) * np.exp(1j * phi)], axis=-1)
+    return np.sqrt(np.asarray(weights, dtype=float))[..., None] * amplitudes
 
 
 def bloch_elements(weights, normals) -> np.ndarray:
@@ -397,10 +395,8 @@ def bloch_elements(weights, normals) -> np.ndarray:
     return (w / 2.0) * (ID2 + np.einsum("...k,kij->...ij", n, PAULIS[1:]))
 
 
-def povm_from_bloch(weights, normals, label: str) -> Povm:
-    elements = tuple(bloch_elements(weights, normals))
-    kets = tuple(bloch_ket(w, n) for w, n in zip(weights, normals))
-    return Povm(elements, kets, label)
+def povm_from_bloch(weights, normals) -> Povm:
+    return Povm(bloch_elements(weights, normals), bloch_ket(weights, normals))
 
 
 TETRAHEDRAL_DELTAS = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
@@ -434,7 +430,7 @@ def adjusted_tetrahedral(theta: float) -> Povm:
     cos(gamma) = -1/(3 + 4cos t) with azimuths `TETRAHEDRAL_DELTAS`.
     """
     weights, normals = adjusted_tetrahedral_bloch(check_theta(theta))
-    return povm_from_bloch(weights, normals, "adjusted-tetrahedral")
+    return povm_from_bloch(weights, normals)
 
 
 def modified_mercedes_bloch(thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -460,7 +456,7 @@ def modified_mercedes_bloch(thetas) -> tuple[np.ndarray, np.ndarray]:
 def modified_mercedes(theta: float) -> Povm:
     """Three-outcome POVM in the X-Z plane with uniform outcome statistics."""
     weights, normals = modified_mercedes_bloch(check_theta(theta))
-    return povm_from_bloch(weights, normals, "modified-mercedes")
+    return povm_from_bloch(weights, normals)
 
 
 def near_y_tetrahedral_bloch(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -482,26 +478,26 @@ def near_y_tetrahedral(epsilon: float) -> Povm:
     elements then coincide pairwise and the POVM is not extremal.
     """
     weights, normals = near_y_tetrahedral_bloch(epsilon)
-    return povm_from_bloch(weights, normals, "near-y-tetrahedral")
+    return povm_from_bloch(weights, normals)
 
 
 def conjugate_povm(p: Povm) -> Povm:
     """Entrywise complex conjugate of every element (and ket, if present)."""
-    elements = tuple(np.conj(e) for e in p.elements)
-    kets = tuple(np.conj(k) for k in p.kets) if p.kets is not None else None
-    return Povm(elements, kets, p.label + "*" if p.label else "")
+    return Povm(np.conj(p.elements), None if p.kets is None else np.conj(p.kets))
 
 
 def kets_from_elements(p: Povm) -> Povm:
-    """Attach rank-one kets extracted spectrally, with the fixed phase gauge."""
-    kets = []
-    for e in p.elements:
-        w, v = mk.eigh(np.asarray(e))
-        if abs(w[1]) > mk.RANK_TOL:
-            raise ValueError(f"element is not rank one (second eigenvalue {w[1]:.3e})")
-        k = math.sqrt(max(w[0], 0.0)) * v[:, 0]
-        nz = np.flatnonzero(np.abs(k) > mk.ZERO_TOL)
-        if len(nz):
-            k = k * (np.abs(k[nz[0]]) / k[nz[0]])
-        kets.append(k)
-    return Povm(p.elements, tuple(kets), p.label)
+    """Attach rank-one kets extracted spectrally, with the fixed phase gauge.
+
+    Ket a is sqrt(w_a) v_a for the top eigenpair of element a, rotated so its
+    first amplitude above ZERO_TOL is real positive; one stacked `eigh`.
+    """
+    w, v = mk.eigh(p.elements)
+    second = np.abs(w[:, 1])
+    if second.max(initial=0.0) > mk.RANK_TOL:
+        raise ValueError(f"element is not rank one (second eigenvalue {second.max():.3e})")
+    kets = np.sqrt(np.maximum(w[:, 0], 0.0))[:, None] * v[:, :, 0]
+    lead = kets[np.arange(len(kets)), np.argmax(np.abs(kets) > mk.ZERO_TOL, axis=1)]
+    big = np.abs(lead) > mk.ZERO_TOL  # a ket with no amplitude above ZERO_TOL keeps its phase
+    phase = np.divide(np.abs(lead), lead, out=np.ones_like(lead), where=big)
+    return Povm(p.elements, kets * phase[:, None])

@@ -75,10 +75,6 @@ class CorrelationTable:
     theta: float
     values: np.ndarray  # shape (n_outcomes, 4)
 
-    @property
-    def n_outcomes(self) -> int:
-        return self.values.shape[0]
-
 
 def correlations_from_povm(p: Povm, theta: float) -> CorrelationTable:
     """Forward map: trace each element against the Pauli settings on the state."""
@@ -98,7 +94,7 @@ def reconstruct_povm(c: CorrelationTable) -> Povm:
     sets that fail `povm_validity`.
     """
     r = c.values @ eta_inverse(c.theta).T
-    return Povm(tuple(np.einsum("am,mij->aij", r, PAULIS)), None, "reconstructed")
+    return Povm(np.einsum("am,mij->aij", r, PAULIS))
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ class OffdiagSet:
     sum_a c_a T_a = 0.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray  # (m, d, d)
     null_basis: tuple[np.ndarray, ...]
 
     @property
@@ -123,9 +119,8 @@ def offdiag_set(p: Povm) -> OffdiagSet:
     """Off-diagonal operators of a rank-one POVM plus their null space."""
     if p.kets is None:
         raise ValueError("off-diagonal operators need rank-one kets; attach them first")
-    operators = tuple(np.outer(k, k) for k in p.kets)  # |k><k*| has entries k_i k_j
-    basis = tuple(mk.null_space(list(operators)))
-    return OffdiagSet(operators, basis)
+    operators = p.kets[:, :, None] * p.kets[:, None, :]  # |k><k*| has entries k_i k_j
+    return OffdiagSet(operators, tuple(mk.null_space(operators)))
 
 
 def build_dilated_povm(p: Povm, coeffs) -> Povm:
@@ -146,17 +141,16 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
     mags = np.abs(coeffs)
     if mags.max(initial=0.0) > 1.0 + mk.RANK_TOL:
         raise ValueError(f"coefficient magnitude {mags.max():.6f} exceeds 1")
-    kets = np.asarray(p.kets)
-    offdiags = kets[:, :, None] * kets[:, None, :]
+    offdiags = p.kets[:, :, None] * p.kets[:, None, :]
     residual = float(np.linalg.norm(np.einsum("a,aij->ij", coeffs, offdiags)))
     if residual > mk.RANK_TOL:
         raise ValueError(f"coefficients do not close the completeness sum, residual {residual:.3e}")
-    e = np.asarray(p.elements)
+    e = p.elements
     ct = coeffs[:, None, None] * offdiags
     blocks = np.stack([e, np.conj(e), ct, np.conj(np.swapaxes(ct, -1, -2))], axis=1)
     d = e.shape[-1] * 2
     elements = np.einsum("amij,mkl->aikjl", blocks, _DILATION_ANCILLA).reshape(-1, d, d)
-    return Povm(tuple(elements), None, (p.label + "-dilated") if p.label else "dilated")
+    return Povm(elements)
 
 
 _MAX_TRIES = 2000  # rejection-sampling attempts before a draw is refused
@@ -178,7 +172,7 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
         n = v / np.linalg.norm(v)
         weights = [1.0, 1.0]
         normals = [n, -n]
-        return qo.povm_from_bloch(weights, normals, "random-projective")
+        return qo.povm_from_bloch(weights, normals)
 
     if n_outcomes == 3:
         for _ in range(_MAX_TRIES):
@@ -195,7 +189,7 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
             except np.linalg.LinAlgError:
                 continue
             if w.min() > 0.05:
-                return qo.povm_from_bloch(w, normals, "random-trine")
+                return qo.povm_from_bloch(w, normals)
         raise RuntimeError("failed to sample a feasible 3-outcome POVM")
 
     if n_outcomes == 4:
@@ -211,7 +205,7 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
             except np.linalg.LinAlgError:
                 continue
             if w.min() > 0.05:
-                return qo.povm_from_bloch(w, normals, "random-tetra")
+                return qo.povm_from_bloch(w, normals)
         raise RuntimeError("failed to sample a feasible 4-outcome POVM")
 
     raise ValueError(f"extremal qubit POVMs have at most 4 outcomes, got {n_outcomes}")

@@ -130,7 +130,7 @@ class TestClosedForm:
             np.array([math.sin(a), 0.0, math.cos(a)])
             for a in (0, math.pi / 2, math.pi, 3 * math.pi / 2)
         ]
-        p = qo.povm_from_bloch([0.5] * 4, normals, "xz-cross")
+        p = qo.povm_from_bloch([0.5] * 4, normals)
         theta = 0.7
         v = tg.offdiag_set(p).null_basis[0]
         assert np.max(np.abs(v.imag)) <= 1e-12
@@ -200,6 +200,20 @@ class TestBuildAttack:
             closure = sum(c * t for c, t in zip(coeffs, offdiags))
             assert np.linalg.norm(closure) <= 1e-9
 
+    @pytest.mark.parametrize("theta", [0.9, np.pi / 2])
+    def test_coefficient_gauge_ignores_the_null_vector_phase(self, monkeypatch, theta):
+        # the SVD fixes a null vector only up to a phase, and at pi/2 all four
+        # magnitudes tie; the reported coefficients must depend on neither
+        p = qo.adjusted_tetrahedral(theta)
+        attack = adv.build_attack(p, p, theta)
+        assert attack.mu_coeffs[0] == 1.0  # entry 0 has the largest magnitude
+        plain = mk.null_space
+        for factor in (-1.0, np.exp(1.3j), np.exp(1.3j) * (1.0 + 1e-14 * np.arange(4))):
+            monkeypatch.setattr(mk, "null_space", lambda m, f=factor: [f * c for c in plain(m)])
+            again = adv.build_attack(p, p, theta)
+            assert np.max(np.abs(again.lambda_coeffs - attack.lambda_coeffs)) <= mk.ZERO_TOL
+            assert np.max(np.abs(again.mu_coeffs - attack.mu_coeffs)) <= mk.ZERO_TOL
+
     def test_monotone_damage(self):
         for theta in (0.3, 0.7, 1.0, 1.3, np.pi / 2):
             alice = qo.adjusted_tetrahedral(theta)
@@ -222,7 +236,7 @@ class TestBuildAttack:
         normals = [np.array([0.0, 0.0, -1.0])]
         for d in (0, 2 * math.pi / 3, 4 * math.pi / 3):
             normals.append(-np.array([sin_g * math.cos(d), sin_g * math.sin(d), cos_g]))
-        bob = qo.povm_from_bloch([lam1, lam, lam, lam], normals, "mirrored")
+        bob = qo.povm_from_bloch([lam1, lam, lam, lam], normals)
         with pytest.raises(adv.DegenerateAttackError):
             adv.build_attack(alice, bob, theta)
 

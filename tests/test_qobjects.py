@@ -192,6 +192,29 @@ class TestPovmValidity:
         assert abs(report.completeness_residual - 0.05) <= 1e-12
 
 
+class TestPovmFormat:
+    def test_stacks_are_read_only(self):
+        p = qo.adjusted_tetrahedral(0.7)
+        assert p.elements.shape == (4, 2, 2) and p.kets.shape == (4, 2)
+        for stack in (p.elements, p.kets):
+            with pytest.raises(ValueError):
+                stack[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "elements, kets, shapes",
+        [
+            ((qo.ID2 / 2, qo.ID2 / 2), (np.array([1.0, 0.0]),), ("(1, 2)", "(2, 2, 2)")),
+            (np.zeros((2, 2, 2)), np.zeros((2, 3)), ("(2, 3)", "(2, 2, 2)")),
+            (qo.ID2, None, ("(2, 2)",)),
+            (np.zeros((2, 2, 3)), None, ("(2, 2, 3)",)),
+        ],
+    )
+    def test_malformed_stacks_refused(self, elements, kets, shapes):
+        with pytest.raises(ValueError) as err:
+            qo.Povm(elements, kets)
+        assert all(shape in str(err.value) for shape in shapes)
+
+
 class TestPovmExtremality:
     def test_trivial_split_not_rank_one(self):
         report = qo.povm_extremality(qo.Povm((qo.ID2 / 2, qo.ID2 / 2)))

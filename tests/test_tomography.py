@@ -261,6 +261,18 @@ class TestRandomExtremal:
             for k, e in zip(p.kets, p.elements):
                 assert np.max(np.abs(np.outer(k, k.conj()) - e)) <= 1e-12
 
+    def test_spectral_kets_reproduce_the_bloch_gauge(self):
+        # kets_from_elements and bloch_ket fix the same phase, so either
+        # source of kets gives the same attack coefficients
+        families = (qo.adjusted_tetrahedral, qo.modified_mercedes)
+        povms = [f(t) for t in qo.theta_grid(50) for f in families]
+        povms += [qo.near_y_tetrahedral(eps) for eps in (1e-4, 0.1, 0.5, 0.9)]
+        rng = np.random.default_rng(17)
+        povms += [tg.random_extremal_povm(n, rng) for n in (2, 3, 4) for _ in range(200)]
+        for p in povms:
+            kets = qo.kets_from_elements(qo.Povm(p.elements)).kets
+            assert np.max(np.abs(kets - p.kets)) <= 1e-12
+
     def test_too_many_outcomes_rejected(self):
         with pytest.raises(ValueError):
             tg.random_extremal_povm(5, np.random.default_rng(0))
