@@ -14,7 +14,7 @@ seventh observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,18 +110,40 @@ def eval_bell(s: BellScenario) -> BellValues:
     return BellValues(theta, beta, i_value, j_value, s_value, ideal_i, ideal_j, ideal_s)
 
 
-def _check_beta(beta, thetas=None) -> np.ndarray:
-    """The tilts as an array; only 0 <= beta < 2 admits a quantum violation.
+def _beta_and_defect(beta) -> tuple[np.ndarray, np.ndarray]:
+    """Tilts given from outside as arrays (beta, delta = 2 - beta).
 
-    A refusal names the first refused tilt and, when given, its angle thetas[n].
+    Only 0 <= beta < 2 admits a quantum violation; a refusal names the first
+    refused tilt.  2 - beta is exact for beta in [1, 2] (Sterbenz's lemma).
     """
     beta = np.asarray(beta, dtype=float)
     ok = (0.0 <= beta) & (beta < 2.0)
     if not ok.all():
-        n = np.flatnonzero(~ok)[0]
-        at = f" at theta={float(thetas[n])!r}" if thetas is not None else ""
-        raise ValueError(f"beta must lie in [0, 2), got {beta.flat[n]}{at}")
-    return beta
+        raise ValueError(f"beta must lie in [0, 2), got {beta[~ok].flat[0]}")
+    return beta, 2.0 - beta
+
+
+def _xx_weight(delta):
+    """The Bell operator's X x X weight sqrt(2 - beta^2/2) as sqrt(delta (4 - delta) / 2)."""
+    return np.sqrt(delta * (4.0 - delta) / 2.0)
+
+
+def _recovered_angle(beta, delta):
+    """theta from tan(theta) = sqrt(delta (4 - delta)) / (sqrt(2) beta), without cancellation."""
+    return np.arctan2(_xx_weight(delta), beta)
+
+
+def _bell_operators(beta, delta) -> np.ndarray:
+    """(..., 4, 4) stack of `bell_operator_I` from tilts and their defects."""
+    coeffs = np.stack(
+        [beta, math.sqrt(2.0) * np.sqrt(1.0 + beta**2 / 4.0), _xx_weight(delta)], axis=-1
+    )
+    terms = [
+        mk.kron(qo.PAULI_Z, qo.ID2),
+        mk.kron(qo.PAULI_Z, qo.PAULI_Z),
+        mk.kron(qo.PAULI_X, qo.PAULI_X),
+    ]
+    return np.einsum("...m,mij->...ij", coeffs, terms)
 
 
 def bell_operator_I(beta) -> np.ndarray:
@@ -132,27 +154,12 @@ def bell_operator_I(beta) -> np.ndarray:
     An array of tilts gives the stack (..., 4, 4).  Only 0 <= beta < 2 admits
     a quantum violation; anything else is rejected.
     """
-    beta = _check_beta(beta)
-    coeffs = np.stack(
-        [
-            beta,
-            math.sqrt(2.0) * np.sqrt(1.0 + beta**2 / 4.0),
-            math.sqrt(2.0) * np.sqrt(1.0 - beta**2 / 4.0),
-        ],
-        axis=-1,
-    )
-    terms = [
-        mk.kron(qo.PAULI_Z, qo.ID2),
-        mk.kron(qo.PAULI_Z, qo.PAULI_Z),
-        mk.kron(qo.PAULI_X, qo.PAULI_X),
-    ]
-    return np.einsum("...m,mij->...ij", coeffs, terms)
+    return _bell_operators(*_beta_and_defect(beta))
 
 
 def theta_of_beta(beta):
     """Invert the tilt relation sin(theta)^2 = (4 - beta^2) / (4 + beta^2), elementwise."""
-    beta = _check_beta(beta)
-    theta = np.arcsin(np.sqrt((4.0 - beta**2) / (4.0 + beta**2)))
+    theta = _recovered_angle(*_beta_and_defect(beta))
     return float(theta) if theta.ndim == 0 else theta
 
 
@@ -306,41 +313,45 @@ def _bob_weights(wp: np.ndarray, wm: np.ndarray) -> np.ndarray:
     return w
 
 
-def _spectral_selftests(beta: np.ndarray, energy: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`spectral_selftest` over a stack of tilts whose top eigenvalues are `energy`.
+def _spectral_selftests(beta, delta, energy) -> tuple[np.ndarray, ...]:
+    """`spectral_selftest` over a stack of tilts and defects whose top eigenvalues are `energy`.
 
-    Returns the descending spectra (N, 4), the top-eigenvector fidelities with
-    the theta-state at the recovered angle, the spectral-form residuals and
-    the eigenvalue residuals (each (N,)).
+    Returns the descending spectra (N, 4), the recovered angles, the
+    top-eigenvector fidelities with the theta-state at the recovered angle,
+    the spectral-form residuals and the eigenvalue residuals (each (N,)).
     """
-    op = bell_operator_I(beta)
+    op = _bell_operators(beta, delta)
     w, v = mk.eigh(op)
     eigenvalue_residual = np.max(np.abs(w - energy[:, None] * [1.0, 0.0, 0.0, -1.0]), axis=1)
-    recovered = theta_of_beta(beta)
+    recovered = _recovered_angle(beta, delta)
     psi, phi = qo.psi_theta_ket(recovered), qo.phi_theta_ket(recovered)
     fidelity = np.abs(np.einsum("ni,ni->n", psi, v[:, :, 0])) ** 2
     form = energy[:, None, None] * (
         psi[:, :, None] * psi[:, None, :] - phi[:, :, None] * phi[:, None, :]
     )
-    return w, fidelity, np.max(np.abs(op - form), axis=(1, 2)), eigenvalue_residual
+    return w, recovered, fidelity, np.max(np.abs(op - form), axis=(1, 2)), eigenvalue_residual
 
 
 @dataclass(frozen=True)
 class BellBatch:
     """Per-angle results of the ideal realization; row n belongs to theta[n].
 
-    `values`, `ideals` and `residuals` hold (I, J, S); `spectrum` is descending.  The
-    tables are the adjusted-tetrahedral marginal (N, 4), the Y x A' by X x I
-    projective tables (N, 2, 2, 2) for the pure then the mixed ancilla, and
+    `delta` is the tilt defect 2 - beta and `theta_recovered` the angle the
+    spectral self-test recovers from (beta, delta).  `values`, `ideals` and
+    `residuals` hold (I, J, S); `spectrum` is descending.  The tables are the
+    adjusted-tetrahedral marginal (N, 4), the Y x A' by X x I projective
+    tables (N, 2, 2, 2) for the pure then the mixed ancilla, and
     the near-Y by modified-Mercedes table (N, 4, 3).
     """
 
     theta: np.ndarray
     beta: np.ndarray
+    delta: np.ndarray
     values: np.ndarray
     ideals: np.ndarray
     residuals: np.ndarray
     spectrum: np.ndarray
+    theta_recovered: np.ndarray
     fidelity: np.ndarray
     spectral_form_residual: np.ndarray
     eigenvalue_residual: np.ndarray
@@ -349,33 +360,16 @@ class BellBatch:
     global_povm: np.ndarray
 
     def reports(self) -> list[dict]:
-        """JSON-ready self-test report per angle."""
+        """JSON-ready self-test report per angle: every field but the three scheme tables."""
         keys = ("I", "J", "S")
-        rows = zip(
-            self.theta.tolist(),
-            self.beta.tolist(),
-            self.values.tolist(),
-            self.ideals.tolist(),
-            self.residuals.tolist(),
-            self.spectrum.tolist(),
-            self.fidelity.tolist(),
-            self.spectral_form_residual.tolist(),
-            self.eigenvalue_residual.tolist(),
-        )
-        return [
-            {
-                "theta": theta,
-                "beta": beta,
-                **dict(zip(keys, values)),
-                "ideals": dict(zip(keys, ideals)),
-                "residuals": dict(zip(keys, res)),
-                "spectrum": spectrum,
-                "fidelity": fidelity,
-                "spectral_form_residual": form,
-                "eigenvalue_residual": eig,
-            }
-            for theta, beta, values, ideals, res, spectrum, fidelity, form, eig in rows
-        ]
+        names = [f.name for f in fields(self)[:-3]]
+        reports = []
+        for row in zip(*(getattr(self, name).tolist() for name in names)):
+            rep = dict(zip(names, row))
+            rep.update(zip(keys, rep.pop("values")))
+            rep.update((k, dict(zip(keys, rep[k]))) for k in ("ideals", "residuals"))
+            reports.append(rep)
+        return reports
 
 
 def bell_batch(thetas, epsilon: float = DEFAULT_EPSILON) -> BellBatch:
@@ -390,8 +384,7 @@ def bell_batch(thetas, epsilon: float = DEFAULT_EPSILON) -> BellBatch:
     angle.  The projective tables use the pure and the mixed ancilla.
     """
     theta = check_theta(np.asarray(thetas, dtype=float).reshape(-1))
-    beta, wp, wm = qo.tilt(theta)
-    beta = _check_beta(beta, theta)
+    beta, wp, wm, delta = qo.tilt(theta)
     ideals = ideal_bell_values(theta)
 
     qubit = qo.psi_theta_ket(theta).reshape(-1, 1, 2, 2)
@@ -414,7 +407,9 @@ def bell_batch(thetas, epsilon: float = DEFAULT_EPSILON) -> BellBatch:
         axis=1,
     )
 
-    spectrum, fidelity, form_residual, eigenvalue_residual = _spectral_selftests(beta, ideals[:, 0])
+    spectrum, recovered, fidelity, form_residual, eigenvalue_residual = _spectral_selftests(
+        beta, delta, ideals[:, 0]
+    )
 
     elements_a = qo.bloch_elements(*qo.adjusted_tetrahedral_bloch(theta))
     mercedes = qo.bloch_elements(*qo.modified_mercedes_bloch(theta))
@@ -422,10 +417,12 @@ def bell_batch(thetas, epsilon: float = DEFAULT_EPSILON) -> BellBatch:
     return BellBatch(
         theta=theta,
         beta=beta,
+        delta=delta,
         values=values,
         ideals=ideals,
         residuals=np.abs(values - ideals),
         spectrum=spectrum,
+        theta_recovered=recovered,
         fidelity=fidelity,
         spectral_form_residual=form_residual,
         eigenvalue_residual=eigenvalue_residual,

@@ -8,6 +8,13 @@ certify    Min-entropy certification for one scenario
 attack     Build and evaluate the conjugation attack; report the cap.
 sweep      Per-angle CSV of Bell values, residuals and min-entropies.
 
+Every command takes Schmidt angles in [THETA_MIN, pi/2], checked by the one
+angle gate ``qobjects.check_theta``; THETA_MIN = sqrt(float_info.min / 2),
+about 1.05e-154, is the smallest angle whose tilt defect 2 - beta is a normal
+double.  ``selftest`` passes an angle when the Bell residuals, the fidelity,
+the spectral-form and eigenvalue residuals and the relative error of the
+recovered angle are all within their tolerances.
+
 Each command registers only the options it reads (see ``COMMANDS``).  A
 ``--config`` file of ``key=value`` lines is read as the flags
 ``--key=value`` (``tol.KEY=VAL`` as ``--tol=KEY=VAL``) placed ahead of the
@@ -80,7 +87,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _checked(convert, ok, what: str):
+def _checked(convert, what: str, ok=lambda value: True):
     """argparse type: `convert(text)` when it succeeds and satisfies `ok`."""
 
     def parse(text: str):
@@ -95,22 +102,10 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-def _smallest_angle() -> float:
-    """The smallest double angle whose tilt beta rounds below 2, by bisection (beta decreases).
-
-    Below it (about 1.05e-8) beta rounds to 2, which `belltest.bell_batch` refuses.
-    """
-    lo, hi = 0.0, math.pi / 2
-    while (mid := (lo + hi) / 2) not in (lo, hi):
-        lo, hi = (lo, mid) if qo.tilt(mid)[0] < 2.0 else (mid, hi)
-    return hi
-
-
-MIN_THETA = _smallest_angle()  # every command's smallest accepted angle
-_angle = _checked(qo.check_theta, lambda t: t >= MIN_THETA, f"an angle in [{MIN_THETA!r}, pi/2]")
-_grid_size = _checked(int, lambda n: n >= 1, "an angle count >= 1")
-_epsilon = _checked(float, lambda e: 0.0 < e < 1.0, "a tilt in (0, 1)")
-_tol_value = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite tolerance > 0")
+_angle = _checked(qo.check_theta, f"an angle in [{qo.THETA_MIN!r}, pi/2]")
+_grid_size = _checked(int, "an angle count >= 1", lambda n: n >= 1)
+_epsilon = _checked(float, "a tilt in (0, 1)", lambda e: 0.0 < e < 1.0)
+_tol_value = _checked(float, "a finite tolerance > 0", lambda v: math.isfinite(v) and v > 0.0)
 
 
 def _theta_list(text: str) -> list[float]:
@@ -193,6 +188,7 @@ def cmd_selftest(cfg: argparse.Namespace) -> int:
             and rep["fidelity"] >= 1.0 - tol_spec
             and rep["spectral_form_residual"] <= tol_spec
             and rep["eigenvalue_residual"] <= tol_spec
+            and abs(rep["theta_recovered"] / rep["theta"] - 1.0) <= tol_spec
         )
         rep["pass"] = ok
         if not ok:
@@ -393,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, spec in COMMANDS.items():
         p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
         p.add_argument(
-            "--theta", type=_theta_list, help=f"comma-separated angles in [{MIN_THETA:.5g}, pi/2]"
+            "--theta",
+            type=_theta_list,
+            help=f"comma-separated Schmidt angles in [THETA_MIN = {qo.THETA_MIN:.5g}, pi/2]",
         )
         p.add_argument("--theta-grid", type=_grid_size, help="number of grid angles (>= 1)")
         p.add_argument("--config", help="flat key=value file; keys are these flag names")

@@ -13,6 +13,7 @@ ideal measurements.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,23 +27,25 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = np.stack([ID2, PAULI_X, PAULI_Y, PAULI_Z])  # index order (I, X, Y, Z)
 
 
+# The smallest angle whose tilt defect delta ~ 2 theta^2 is a normal double.
+THETA_MIN = math.sqrt(sys.float_info.min / 2)
 _THETA_MAX = math.pi / 2 + mk.ZERO_TOL
 
 
 def check_theta(theta):
-    """Validate Schmidt angles 0 < theta <= pi/2: one float, or an array of them.
+    """The one angle gate, THETA_MIN <= theta <= pi/2: one float, or an array of them.
 
     An angle at most ZERO_TOL above pi/2 is rounding of pi/2 and comes back as
     pi/2, where cos(theta) and beta are still nonnegative.  A float comes back
     as a float; an array comes back as an array, and a refusal names the
     first refused angle.
     """
-    if np.ndim(theta) == 0 and 0.0 < float(theta) <= _THETA_MAX:
+    if np.ndim(theta) == 0 and THETA_MIN <= float(theta) <= _THETA_MAX:
         return min(float(theta), math.pi / 2)  # one valid angle, without array overhead
     t = np.asarray(theta, dtype=float)
-    ok = (0.0 < t) & (t <= _THETA_MAX)
+    ok = (THETA_MIN <= t) & (t <= _THETA_MAX)
     if not ok.all():
-        raise ValueError(f"theta must lie in (0, pi/2], got {t[~ok].flat[0]}")
+        raise ValueError(f"theta must lie in [{THETA_MIN!r}, pi/2], got {t[~ok].flat[0]}")
     return np.minimum(t, math.pi / 2)
 
 
@@ -52,19 +55,20 @@ def theta_grid(n: int) -> np.ndarray:
 
 
 def tilt(theta):
-    """(beta, w_plus, w_minus) of the tilted-CHSH family at Schmidt angle theta.
+    """(beta, w_plus, w_minus, delta) of the tilted-CHSH family at Schmidt angle theta.
 
-    The Bell expressions carry the tilt beta = 2cos(t)/sqrt(1 + sin(t)^2), and
-    Bob's ideal observables weigh Z by w_plus = 1/sqrt(1 + sin(t)^2) and the
-    orthogonal axis by w_minus = sin(t)/sqrt(1 + sin(t)^2) (Acin, Massar and
-    Pironio, PRL 108, 100402 (2012)); the tilted Bell energy is 4 w_plus.
-    These equal sqrt(lambda_pm / 2), lambda_pm = 1 +- beta^2/4, without its
-    cancellation as theta -> 0.  A float gives floats, an array arrays.
+    With q = sqrt(1 + sin(t)^2), the Bell expressions carry the tilt beta = 2cos(t)/q
+    and its defect delta = 2 - beta = 4sin(t)^2 / (q (q + cos(t))), and Bob's ideal
+    observables weigh Z by w_plus = 1/q and the orthogonal axis by w_minus = sin(t)/q
+    (Acin, Massar and Pironio, PRL 108, 100402 (2012)); the Bell energy is 4 w_plus.
+    delta and the weights keep full relative accuracy as theta -> 0, where beta
+    rounds to 2 and lambda_pm = 1 +- beta^2/4 cancels.  A float gives floats, an array arrays.
     """
     t = check_theta(theta)
-    s = np.sin(t)
+    s, c = np.sin(t), np.cos(t)
     q = np.sqrt(1.0 + s**2)
-    out = (2.0 * np.cos(t) / q, 1.0 / q, s / q)
+    # (2 s)^2 rather than 4 s^2: s^2 is subnormal near THETA_MIN
+    out = (2.0 * c / q, 1.0 / q, s / q, (2.0 * s) ** 2 / (q * (q + c)))
     return tuple(float(x) for x in out) if np.ndim(t) == 0 else out
 
 
@@ -279,7 +283,7 @@ def ideal_measurements(
     (alice, bob, sigma) where sigma is the ancilla state of the supplied
     realization (default: `ancilla_pure`).
     """
-    _, wp, wm = tilt(theta)
+    _, wp, wm, _ = tilt(theta)
     if ancilla is None:
         ancilla = ancilla_pure()
     da = ancilla.a_prime.shape[0]

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellrand import belltest as bt
@@ -115,6 +116,28 @@ class TestSpectralSelftest:
         np.testing.assert_array_equal(bt.ideal_bell_values(thetas), each)
 
 
+class TestTiltOracle:
+    """The tilt defect, the recovered angle and the X x X weight against mpmath."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(math.log(qo.THETA_MIN), math.log(math.pi / 2)).map(math.exp))
+    @example(qo.THETA_MIN)
+    @example(math.pi / 2)
+    def test_full_relative_accuracy_over_the_angle_domain(self, theta):
+        theta = min(max(theta, qo.THETA_MIN), math.pi / 2)  # exp may round past either end
+        batch = bt.bell_batch([theta])
+        xx = bt._bell_operators(batch.beta, batch.delta)[0, 0, 3].real
+        got = (batch.delta[0], batch.theta_recovered[0], xx)
+        # 2 - beta and 1 - beta^2/4 cancel about 2 log10(1/theta) digits: add them
+        # to the working precision so that 80 digits are left.
+        with mpmath.workdps(80 - 2 * int(mpmath.log10(theta))):
+            t = mpmath.mpf(theta)
+            beta = 2 * mpmath.cos(t) / mpmath.sqrt(1 + mpmath.sin(t) ** 2)
+            want = (2 - beta, t, mpmath.sqrt(2) * mpmath.sqrt(1 - beta**2 / 4))
+            errors = [float(abs(mpmath.mpf(g) / w - 1)) for g, w in zip(got, want)]
+        assert max(errors) <= 1e-15, (theta, errors)
+
+
 class TestB7Extraction:
     def test_target_observable_saturates(self):
         sigma = qo.QState(np.eye(2, dtype=complex) / 2, (2,))
@@ -214,7 +237,9 @@ class TestBellBatch:
                 (batch.values[n], [values.i_value, values.j_value, values.s_value]),
                 (batch.ideals[n], [values.ideal_i, values.ideal_j, values.ideal_s]),
                 (batch.residuals[n], values.residuals),
+                (batch.delta[n], 2.0 - values.beta),
                 (batch.spectrum[n], spectral.eigenvalues),
+                (batch.theta_recovered[n], spectral.theta),
                 (batch.fidelity[n], spectral.top_eigvec_fidelity),
                 (batch.spectral_form_residual[n], spectral.spectral_form_residual),
                 (batch.eigenvalue_residual[n], spectral.eigenvalue_residual),
@@ -232,7 +257,7 @@ class TestBellBatch:
         # the batch measures both ancillas with one operator set (A' = B' = Z for both)
         alice, bob, _ = qo.ideal_measurements(0.7, ancilla)
         np.testing.assert_array_equal(np.stack([a.op for a in alice]), bt._BASIS[1:])
-        _, wp, wm = qo.tilt(np.array([0.7]))
+        _, wp, wm, _ = qo.tilt(np.array([0.7]))
         ops = np.einsum("bm,mij->bij", bt._bob_weights(wp, wm)[0, 1:], bt._BASIS)
         assert np.max(np.abs(ops - np.stack([b.op for b in bob]))) <= mk.ZERO_TOL
 
@@ -265,5 +290,6 @@ class TestBellBatch:
             assert abs(got / want - 1) <= 1e-15
 
     def test_product_end_names_its_angle(self):
-        with pytest.raises(ValueError, match=r"beta must lie in \[0, 2\), got 2.0 at theta=1e-09"):
-            bt.bell_batch([0.5, 1e-9])
+        refusal = r"theta must lie in \[1\.05\d*e-154, pi/2\], got 1e-200"
+        with pytest.raises(ValueError, match=refusal):
+            bt.bell_batch([0.5, 1e-200])

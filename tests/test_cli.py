@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bellrand import belltest as bt
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
-from bellrand.cli import COMMANDS, MIN_THETA, SCENARIOS, main
+from bellrand.cli import COMMANDS, SCENARIOS, main
 
 PI_2 = "1.5707963267948966"
 
@@ -298,12 +298,19 @@ class TestAngleDomain:
         return code, out.getvalue(), err.getvalue()
 
     @settings(max_examples=25, deadline=None)
-    @given(st.floats(0.0, 1.0))
-    @example(0.0)
-    @example(1.0)
-    def test_every_command_runs_on_every_accepted_angle(self, u):
-        # log-uniform over [MIN_THETA, pi/2]
-        theta = min(max(MIN_THETA * (math.pi / 2 / MIN_THETA) ** u, MIN_THETA), math.pi / 2)
+    @given(st.floats(math.log(qo.THETA_MIN), math.log(math.pi / 2)).map(math.exp))
+    @example(qo.THETA_MIN)
+    @example(math.pi / 2)
+    def test_every_command_runs_on_every_accepted_angle(self, theta):
+        # exp may round past either end
+        self.assert_accepted(min(max(theta, qo.THETA_MIN), math.pi / 2))
+
+    # both lie below the angle where beta rounds to 2, the floor of the beta-carried model
+    @pytest.mark.parametrize("theta", [1e-9, 1.05e-8], ids=repr)
+    def test_every_command_accepts_angles_below_the_old_floor(self, theta):
+        self.assert_accepted(theta)
+
+    def assert_accepted(self, theta):
         docs = []
         for command in self.FORMS:
             code, out, err = self.call([*command, "--theta", repr(theta)])
@@ -311,12 +318,18 @@ class TestAngleDomain:
             docs.append(json.loads(out))
         assert docs[0]["reports"][0]["beta"] == docs[1]["rows"][0]["beta"]
 
-    @pytest.mark.parametrize("theta", ["1e-9", "5e-324", repr(float(np.nextafter(MIN_THETA, 0)))])
-    def test_every_command_refuses_angles_below_the_floor(self, theta):
+    def assert_refused(self, theta):
         for command in self.FORMS:
             code, out, err = self.call([*command, "--theta", theta])
             assert code == 2, (command, theta)
-            assert out == "" and f"{theta!r} is not an angle in [{MIN_THETA!r}" in err
+            assert out == "" and f"{theta!r} is not an angle in [{qo.THETA_MIN!r}, pi/2]" in err
+
+    @pytest.mark.parametrize("theta", ["0", "5e-324", repr(float(np.nextafter(qo.THETA_MIN, 0)))])
+    def test_every_command_refuses_angles_below_the_floor(self, theta):
+        self.assert_refused(theta)
+
+    def test_every_command_refuses_angles_above_pi_2(self):
+        self.assert_refused(repr(math.pi / 2 + 1e-9))
 
 
 class TestGates:
@@ -334,6 +347,26 @@ class TestGates:
         assert code == 1
         assert abs(rep["eigenvalue_residual"] - 1e-3) <= 1e-12
         assert not rep["pass"]
+
+    def test_selftest_gates_the_recovered_angle(self, capsys, monkeypatch):
+        code, out = run(capsys, ["selftest", "--theta", "1e-7,0.5"])
+        rep = json.loads(out)["reports"][0]
+        assert code == 0
+        assert abs(rep["theta_recovered"] / rep["theta"] - 1) <= 1e-15
+        assert abs(rep["delta"] / (2 * 1e-7**2) - 1) <= 1e-13
+
+        def arcsin_recovery(beta, delta):
+            # the recovery through beta alone, which cancels in 4 - beta^2
+            return np.arcsin(np.sqrt((4.0 - beta**2) / (4.0 + beta**2)))
+
+        monkeypatch.setattr(bt, "_recovered_angle", arcsin_recovery)
+        code, out = run(capsys, ["selftest", "--theta", "1e-7,0.5"])
+        doc = json.loads(out)
+        rep = doc["reports"][0]
+        assert code == 1
+        assert doc["failing_thetas"] == [1e-7]
+        assert not rep["pass"] and doc["reports"][1]["pass"]
+        assert abs(rep["theta_recovered"] / rep["theta"] - 1) > 1e-3
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_error_row_keeps_its_columns(self, capsys, monkeypatch, fmt):

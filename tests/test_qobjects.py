@@ -119,7 +119,7 @@ class TestBeta:
     def test_tilt_weights_are_the_lambda_form(self):
         # w_pm = sqrt(lambda_pm / 2) with lambda_pm = 1 +- beta^2/4, away from the product end
         for theta in (0.4, 1.0, np.pi / 2):
-            beta, wp, wm = qo.tilt(theta)
+            beta, wp, wm, _ = qo.tilt(theta)
             assert abs(wp - math.sqrt((1 + beta**2 / 4) / 2)) <= 1e-15
             assert abs(wm - math.sqrt((1 - beta**2 / 4) / 2)) <= 1e-15
 
