@@ -1,20 +1,23 @@
 """Bell expression evaluation and self-test witnesses.
 
-:func:`bell_batch` evaluates everything the commands report for a list of
-angles at once: the two tilted CHSH expressions and the plain CHSH
-expression against their ideal values, the spectral self-test of the 4x4
-Bell operator, and the outcome tables of the three randomness schemes.  The
-per-angle functions (:func:`eval_bell` on :func:`ideal_scenario`,
+Three angle-batched kernels each evaluate one of the paper's claims for a
+list of angles, and each validates the angles once at entry:
+:func:`bell_values` gives the two tilted CHSH expressions and the plain CHSH
+expression against their ideal values, :func:`selftest_reports` adds the
+spectral self-test of the 4x4 Bell operator, and ``SCHEMES`` maps each
+randomness scheme to the function giving its outcome tables.  The per-angle
+functions (:func:`eval_bell` on :func:`ideal_scenario`,
 :func:`spectral_selftest`, :func:`projective_joint_distribution`) build the
-same quantities from validated objects one angle at a time and serve as its
-oracle.  :func:`verify_b7_extraction` checks the trace-norm extraction of the
-seventh observable.
+same quantities from validated objects one angle at a time and serve as
+their oracle.  :func:`verify_b7_extraction` checks the trace-norm extraction
+of the seventh observable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +33,15 @@ from .qobjects import (
 )
 
 
+def _ideal_values(theta, w_plus) -> np.ndarray:
+    tilted = 4.0 * w_plus
+    return np.stack([tilted, tilted, 2.0 * math.sqrt(2.0) * np.sin(theta)], axis=-1)
+
+
 def ideal_bell_values(theta) -> np.ndarray:
     """Targets (I, J, S), shape (..., 3): Bell energy 4 w_plus twice, then 2 sqrt(2) sin(theta)."""
     theta = check_theta(theta)
-    tilted = 4.0 * qo.tilt(theta)[1]
-    return np.stack([tilted, tilted, 2.0 * math.sqrt(2.0) * np.sin(theta)], axis=-1)
+    return _ideal_values(theta, qo.tilt(theta)[1])
 
 
 @dataclass(frozen=True)
@@ -259,14 +266,15 @@ def projective_joint_distribution(
 
 
 # ---------------------------------------------------------------------------
-# Angle-batched kernel
+# Angle-batched kernels
 # ---------------------------------------------------------------------------
 
 DEFAULT_EPSILON = 1e-4  # tilt of the near-Y POVM in the 4x3 table
+BELL_KEYS = ("I", "J", "S")  # the report keys of the three Bell expressions
 _BOB_LABELS = ("B1", "B2", "B3", "B4", "B5", "B6")
 
-# The batch's operators on qubit x ancilla qubit.  Both ancilla realizations it
-# uses measure A' = B' = Z, so they share the basis (I, Z x I, X x I, Y x Z) of
+# The kernels' operators on qubit x ancilla qubit.  Both ancilla realizations
+# they use measure A' = B' = Z, so they share the basis (I, Z x I, X x I, Y x Z) of
 # Bob's ideal observables, whose last three are Alice's (A1, A2, A3), and the
 # +-1 projectors of Y x A' (Alice) and X x I (Bob); only their kets differ.
 _BASIS = np.stack(
@@ -292,12 +300,6 @@ def _ancilla_kets(ancilla: AncillaRealization) -> np.ndarray:
 
 _PURE_KETS = _ancilla_kets(ancilla_pure())
 _MIXED_KETS = _ancilla_kets(qo.ancilla_mixed())
-
-
-def _with_ancilla(qubit_kets: np.ndarray, ancilla_kets: np.ndarray) -> np.ndarray:
-    """Kets psi x a_k on ((A, A'), (B, B')) from qubit kets (N, 1, 2, 2) and ancilla kets a_k."""
-    full = np.einsum("nij,kab->nkiajb", qubit_kets[:, 0], ancilla_kets)
-    return full.reshape(len(qubit_kets), len(ancilla_kets), 4, 4)
 
 
 def _bob_weights(wp: np.ndarray, wm: np.ndarray) -> np.ndarray:
@@ -332,16 +334,29 @@ def _spectral_selftests(beta, delta, energy) -> tuple[np.ndarray, ...]:
     return w, recovered, fidelity, np.max(np.abs(op - form), axis=(1, 2)), eigenvalue_residual
 
 
-@dataclass(frozen=True)
-class BellBatch:
-    """Per-angle results of the ideal realization; row n belongs to theta[n].
+def _kets(thetas, *ancillas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The checked angle stack (N,), then its checked ket stacks.
 
-    `delta` is the tilt defect 2 - beta and `theta_recovered` the angle the
-    spectral self-test recovers from (beta, delta).  `values`, `ideals` and
-    `residuals` hold (I, J, S); `spectrum` is descending.  The tables are the
-    adjusted-tetrahedral marginal (N, 4), the Y x A' by X x I projective
-    tables (N, 2, 2, 2) for the pure then the mixed ancilla, and
-    the near-Y by modified-Mercedes table (N, 4, 3).
+    First the theta-state kets (N, 1, 2, 2), then for each ancilla's kets a_k
+    the kets psi x a_k (N, K, 4, 4) on ((A, A'), (B, B')).  This is the one
+    angle check of every kernel.
+    """
+    theta = check_theta(np.asarray(thetas, dtype=float).reshape(-1))
+    psi = qo.psi_theta_ket(theta).reshape(-1, 2, 2)
+    stacks = [psi[:, None]]
+    for kets in ancillas:
+        full = np.einsum("nij,kab->nkiajb", psi, kets)
+        stacks.append(full.reshape(len(psi), len(kets), 4, 4))
+    for stack in stacks:
+        qo.check_ket_stack(stack, theta)
+    return theta, *stacks
+
+
+class BellRows(NamedTuple):
+    """Bell values of the ideal realization; row n belongs to theta[n].
+
+    `delta` is the tilt defect 2 - beta; `values`, `ideals` and `residuals`
+    hold (I, J, S).
     """
 
     theta: np.ndarray
@@ -350,47 +365,20 @@ class BellBatch:
     values: np.ndarray
     ideals: np.ndarray
     residuals: np.ndarray
-    spectrum: np.ndarray
-    theta_recovered: np.ndarray
-    fidelity: np.ndarray
-    spectral_form_residual: np.ndarray
-    eigenvalue_residual: np.ndarray
-    local_povm: np.ndarray
-    projective: np.ndarray
-    global_povm: np.ndarray
-
-    def reports(self) -> list[dict]:
-        """JSON-ready self-test report per angle: every field but the three scheme tables."""
-        keys = ("I", "J", "S")
-        names = [f.name for f in fields(self)[:-3]]
-        reports = []
-        for row in zip(*(getattr(self, name).tolist() for name in names)):
-            rep = dict(zip(names, row))
-            rep.update(zip(keys, rep.pop("values")))
-            rep.update((k, dict(zip(keys, rep[k]))) for k in ("ideals", "residuals"))
-            reports.append(rep)
-        return reports
 
 
-def bell_batch(thetas, epsilon: float = DEFAULT_EPSILON) -> BellBatch:
-    """Every per-angle quantity the commands report, for all angles at once.
+def bell_values(thetas) -> BellRows:
+    """The two tilted CHSH expressions and plain CHSH at every angle at once.
 
-    The Bell values contract Alice's three observables and Bob's four basis
-    operators over the stacked kets cos(t/2)|0000> + sin(t/2)|1010> of the
-    pure ancilla into an (N, 3, 4) table, weighted by Bob's (N, 7, 4)
-    coefficients.  The Bell operators go through one stacked eigh.  Bob's
-    observables and every state stack are validated as one vectorized check
-    each; a failure raises ValueError naming the check and the first failing
-    angle.  The projective tables use the pure and the mixed ancilla.
+    Alice's three observables and Bob's four basis operators are contracted
+    over the stacked kets cos(t/2)|0000> + sin(t/2)|1010> of the pure
+    ancilla into an (N, 3, 4) table, weighted by Bob's (N, 7, 4)
+    coefficients.  Bob's observables and every state stack are validated as
+    one vectorized check each; a failure raises ValueError naming the check
+    and the first failing angle.
     """
-    theta = check_theta(np.asarray(thetas, dtype=float).reshape(-1))
+    theta, _, pure = _kets(thetas, _PURE_KETS)
     beta, wp, wm, delta = qo.tilt(theta)
-    ideals = ideal_bell_values(theta)
-
-    qubit = qo.psi_theta_ket(theta).reshape(-1, 1, 2, 2)
-    pure, mixed = (_with_ancilla(qubit, kets) for kets in (_PURE_KETS, _MIXED_KETS))
-    for stack in (qubit, pure, mixed):
-        qo.check_ket_stack(stack, theta)
 
     weights = _bob_weights(wp, wm)
     bob = np.einsum("nbm,mij->nbij", weights[:, 1:], _BASIS)
@@ -406,34 +394,66 @@ def bell_batch(thetas, epsilon: float = DEFAULT_EPSILON) -> BellBatch:
         ],
         axis=1,
     )
+    ideals = _ideal_values(theta, wp)
+    return BellRows(theta, beta, delta, values, ideals, np.abs(values - ideals))
 
-    spectrum, recovered, fidelity, form_residual, eigenvalue_residual = _spectral_selftests(
-        beta, delta, ideals[:, 0]
-    )
 
-    elements_a = qo.bloch_elements(*qo.adjusted_tetrahedral_bloch(theta))
-    mercedes = qo.bloch_elements(*qo.modified_mercedes_bloch(theta))
-    near_y = qo.bloch_elements(*qo.near_y_tetrahedral_bloch(epsilon))
-    return BellBatch(
-        theta=theta,
-        beta=beta,
-        delta=delta,
-        values=values,
-        ideals=ideals,
-        residuals=np.abs(values - ideals),
-        spectrum=spectrum,
-        theta_recovered=recovered,
-        fidelity=fidelity,
-        spectral_form_residual=form_residual,
-        eigenvalue_residual=eigenvalue_residual,
-        local_povm=mk.joint_table_kets(elements_a, [qo.ID2], qubit)[..., 0],
-        projective=np.stack(
-            [mk.joint_table_kets(_PROJECTORS_A, _PROJECTORS_B, k) for k in (pure, mixed)], axis=1
-        ),
-        global_povm=mk.joint_table_kets(near_y, mercedes, qubit),
+def selftest_reports(thetas) -> list[dict]:
+    """JSON-ready self-test report per angle: the Bell values and the spectral self-test."""
+    rows = bell_values(thetas)
+    spectrum, recovered, fidelity, form, eigen = _spectral_selftests(
+        rows.beta, rows.delta, rows.ideals[:, 0]
     )
+    columns = {
+        "theta": rows.theta,
+        "beta": rows.beta,
+        "delta": rows.delta,
+        **dict(zip(BELL_KEYS, rows.values.T)),
+        "spectrum": spectrum,
+        "theta_recovered": recovered,
+        "fidelity": fidelity,
+        "spectral_form_residual": form,
+        "eigenvalue_residual": eigen,
+    }
+    reports = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    for rep, ideals, residuals in zip(reports, rows.ideals.tolist(), rows.residuals.tolist()):
+        rep.update(ideals=dict(zip(BELL_KEYS, ideals)), residuals=dict(zip(BELL_KEYS, residuals)))
+    return reports
 
 
 def bell_report(theta: float) -> dict:
-    """JSON-ready self-test report for one angle: row 0 of :func:`bell_batch`."""
-    return bell_batch([theta]).reports()[0]
+    """JSON-ready self-test report for one angle: row 0 of :func:`selftest_reports`."""
+    return selftest_reports([theta])[0]
+
+
+# Scheme tables: (N, T, ...) per angle, the reported table first.  `epsilon`
+# is the tilt of the near-Y POVM, which only the 4x3 scheme measures.
+
+
+def local_povm_tables(thetas, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """The adjusted-tetrahedral marginal on Alice's qubit, (N, 1, 4)."""
+    theta, qubit = _kets(thetas)
+    elements = qo.bloch_elements(*qo.adjusted_tetrahedral_bloch(theta))
+    return mk.joint_table_kets(elements, [qo.ID2], qubit)[:, None, :, 0]
+
+
+def global_projective_tables(thetas, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """The Y x A' by X x I tables for the pure then the mixed ancilla, (N, 2, 2, 2)."""
+    _, _, pure, mixed = _kets(thetas, _PURE_KETS, _MIXED_KETS)
+    tables = [mk.joint_table_kets(_PROJECTORS_A, _PROJECTORS_B, k) for k in (pure, mixed)]
+    return np.stack(tables, axis=1)
+
+
+def global_povm_tables(thetas, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """The near-Y by modified-Mercedes table, (N, 1, 4, 3)."""
+    theta, qubit = _kets(thetas)
+    near_y = qo.bloch_elements(*qo.near_y_tetrahedral_bloch(epsilon))
+    mercedes = qo.bloch_elements(*qo.modified_mercedes_bloch(theta))
+    return mk.joint_table_kets(near_y, mercedes, qubit)[:, None]
+
+
+SCHEMES = {
+    "local_povm": local_povm_tables,
+    "global_projective": global_projective_tables,
+    "global_povm": global_povm_tables,
+}

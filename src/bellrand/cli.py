@@ -8,6 +8,12 @@ certify    Min-entropy certification for one scenario
 attack     Build and evaluate the conjugation attack; report the cap.
 sweep      Per-angle CSV of Bell values, residuals and min-entropies.
 
+Each command calls only the ``belltest`` kernels whose output it reports or
+gates: ``selftest`` Bell values and spectral self-tests, ``certify`` Bell
+values and its scenario's tables (``belltest.SCHEMES``), ``sweep`` Bell
+values and every scheme's tables.  Only the ``global_povm`` tables read
+``--epsilon``, so ``certify`` refuses it for another scenario.
+
 Every command takes Schmidt angles in [THETA_MIN, pi/2], checked by the one
 angle gate ``qobjects.check_theta``; THETA_MIN = sqrt(float_info.min / 2),
 about 1.05e-154, is the smallest angle whose tilt defect 2 - beta is a normal
@@ -23,7 +29,8 @@ command line, so both go through one parser and explicit flags win.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error
 (including an unreadable ``--config`` or unwritable ``--out``), 3 library
 contract violated (a ``ValueError`` escaped a command, or a ``sweep`` row
-holds an error).  Identical input produces byte-identical output.
+holds an error).  A degenerate ``attack`` pair is a failed check.  Identical
+input produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -45,7 +52,15 @@ from . import qobjects as qo
 
 SCHEMA_VERSION = 2
 
-SCENARIOS = ("local_povm", "global_projective", "global_povm")
+SCENARIOS = tuple(bt.SCHEMES)
+SWEEP_COLUMNS = (
+    "theta",
+    "beta",
+    *bt.BELL_KEYS,
+    *(f"res_{key}" for key in bt.BELL_KEYS),
+    *(f"minent_{sc}" for sc in SCENARIOS),
+    "status",
+)
 
 
 class Command(NamedTuple):
@@ -180,89 +195,67 @@ def _json_document(cfg: argparse.Namespace, command: str, payload: dict) -> str:
 def cmd_selftest(cfg: argparse.Namespace) -> int:
     tol_bell = cfg.tolerances["bell_residual"]
     tol_spec = cfg.tolerances["spectral"]
-    reports = bt.bell_batch(cfg.thetas).reports()
-    failing = []
+    reports = bt.selftest_reports(cfg.thetas)
     for rep in reports:
-        ok = (
+        rep["pass"] = (
             max(rep["residuals"].values()) <= tol_bell
             and rep["fidelity"] >= 1.0 - tol_spec
             and rep["spectral_form_residual"] <= tol_spec
             and rep["eigenvalue_residual"] <= tol_spec
             and abs(rep["theta_recovered"] / rep["theta"] - 1.0) <= tol_spec
         )
-        rep["pass"] = ok
-        if not ok:
-            failing.append(rep["theta"])
+    failing = [rep["theta"] for rep in reports if not rep["pass"]]
     payload = {"reports": reports, "all_pass": not failing, "failing_thetas": failing}
     _emit(_json_document(cfg, "selftest", payload), cfg)
     return 0 if not failing else 1
 
 
-def _scheme_tables(batch: bt.BellBatch, n: int, scenario: str) -> list[np.ndarray]:
-    """A scheme's outcome tables at the batch's angle n; the first is the reported one."""
-    if scenario == "global_povm":
-        return [batch.global_povm[n]]
-    if scenario == "local_povm":
-        return [batch.local_povm[n]]
-    return list(batch.projective[n])
-
-
-def _certify_one(batch: bt.BellBatch, n: int, scenario: str, epsilon: float) -> dict:
-    """The certify report of one scenario at the batch's angle n."""
+def _certify_one(cfg: argparse.Namespace, theta: float, residuals, tables: np.ndarray) -> dict:
+    """The gated certify report of `cfg.scenario` at one angle from its tables (reported first)."""
+    dist = tables[0].reshape(-1)
     report = {
-        "scenario": scenario,
-        "theta": float(batch.theta[n]),
+        "scenario": cfg.scenario,
+        "theta": theta,
         "epsilon": None,
-        "bell_residuals": dict(zip(("I", "J", "S"), batch.residuals[n].tolist())),
+        "bell_residuals": dict(zip(bt.BELL_KEYS, residuals)),
+        "distribution": dist.tolist(),
+        "min_entropy_bits": adv.min_entropy(dist),
+        "max_entry": float(dist.max()),
     }
-
-    tables = _scheme_tables(batch, n, scenario)
-    if scenario == "global_povm":
-        table = tables[0]
-        dist = table.reshape(-1)
-        deviation = float(table.max() - 1.0 / 12.0)
+    if cfg.scenario == "global_povm":
+        deviation = float(dist.max() - 1.0 / 12.0)
         report.update(
-            distribution=dist.tolist(),
-            min_entropy_bits=adv.min_entropy(dist),
             bound_type="lower_witness",
-            epsilon=epsilon,
+            epsilon=cfg.epsilon,
             target_bits=math.log2(12.0),
-            max_entry=float(table.max()),
             deviation_from_limit=deviation,
         )
+        report["pass"] = deviation <= 10.0 * cfg.epsilon
         return report
 
     # Every table of a two-bit scheme must be uniform.
-    dist = tables[0].reshape(-1)
-    report.update(
-        distribution=dist.tolist(),
-        min_entropy_bits=adv.min_entropy(dist),
-        bound_type="attained",
-        target_bits=2.0,
-        max_entry=float(dist.max()),
-        uniform_deviation=max(float(np.max(np.abs(t - 0.25))) for t in tables),
+    deviation = float(np.max(np.abs(tables - 0.25)))
+    report.update(bound_type="attained", target_bits=2.0, uniform_deviation=deviation)
+    report["pass"] = (
+        deviation <= cfg.tolerances["uniform"]
+        and abs(report["min_entropy_bits"] - 2.0) <= cfg.tolerances["min_entropy"]
     )
     return report
-
-
-def _certify_passes(report: dict, tol: dict[str, float]) -> bool:
-    if report["bound_type"] == "lower_witness":
-        return report["deviation_from_limit"] <= 10.0 * report["epsilon"]
-    return (
-        report["uniform_deviation"] <= tol["uniform"]
-        and abs(report["min_entropy_bits"] - 2.0) <= tol["min_entropy"]
-    )
 
 
 def cmd_certify(cfg: argparse.Namespace) -> int:
     if cfg.scenario is None:
         raise UsageError("certify requires --scenario")
-    batch = bt.bell_batch(cfg.thetas, epsilon=cfg.epsilon)
+    if cfg.epsilon is None:
+        cfg.epsilon = bt.DEFAULT_EPSILON
+    elif cfg.scenario != "global_povm":
+        raise UsageError(f"--epsilon applies to --scenario global_povm only, not {cfg.scenario}")
+    rows = bt.bell_values(cfg.thetas)
+    tables = bt.SCHEMES[cfg.scenario](cfg.thetas, cfg.epsilon)
     reports = [
-        _certify_one(batch, n, cfg.scenario, cfg.epsilon) for n in range(len(cfg.thetas))
+        _certify_one(cfg, theta, residuals, t)
+        for theta, residuals, t in zip(rows.theta.tolist(), rows.residuals.tolist(), tables)
     ]
-    for report in reports:
-        report["pass"] = _certify_passes(report, cfg.tolerances)
     ok = all(r["pass"] for r in reports)
     payload = {"scenario": cfg.scenario, "reports": reports, "all_pass": ok}
     _emit(_json_document(cfg, "certify", payload), cfg)
@@ -272,14 +265,12 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
 def cmd_attack(cfg: argparse.Namespace) -> int:
     tol = cfg.tolerances["attack"]
     reports = []
-    ok = True
     for theta in cfg.thetas:
-        alice = qo.adjusted_tetrahedral(theta)
-        bob = qo.adjusted_tetrahedral(theta)
+        pair = qo.adjusted_tetrahedral(theta)  # Alice and Bob measure the same POVM
         try:
-            attack = adv.build_attack(alice, bob, theta)
+            attack = adv.build_attack(pair, pair, theta)
         except adv.DegenerateAttackError as exc:
-            reports.append({"theta": theta, "degenerate": True, "reason": str(exc)})
+            reports.append({"theta": theta, "degenerate": True, "reason": str(exc), "pass": False})
             continue
         rep = adv.attack_report(attack)
         rep["degenerate"] = False
@@ -288,33 +279,32 @@ def cmd_attack(cfg: argparse.Namespace) -> int:
             and rep["zero_entry_value"] <= tol
             and rep["certified_bits"] <= rep["cap_bits"]
         )
-        ok = ok and rep["pass"]
         reports.append(rep)
+    ok = all(rep["pass"] for rep in reports)
     payload = {"reports": reports, "all_pass": ok}
     _emit(_json_document(cfg, "attack", payload), cfg)
     return 0 if ok else 1
 
 
 def _sweep_rows(thetas: list[float], epsilon: float) -> list[dict]:
-    batch = bt.bell_batch(thetas, epsilon=epsilon)
-    rows = []
-    for n, (theta, beta, values, res) in enumerate(
-        zip(thetas, batch.beta.tolist(), batch.values.tolist(), batch.residuals.tolist())
-    ):
-        rows.append(
-            {
-                "theta": theta,
-                "beta": beta,
-                **dict(zip(("I", "J", "S"), values)),
-                **dict(zip(("res_I", "res_J", "res_S"), res)),
-                **{
-                    f"minent_{sc}": adv.min_entropy(_scheme_tables(batch, n, sc)[0].reshape(-1))
-                    for sc in SCENARIOS
-                },
-                "status": "ok",
-            }
+    rows = bt.bell_values(thetas)
+    minent = {
+        f"minent_{sc}": [adv.min_entropy(t[0].reshape(-1)) for t in scheme(thetas, epsilon)]
+        for sc, scheme in bt.SCHEMES.items()
+    }
+    return [
+        {
+            "theta": theta,
+            "beta": beta,
+            **dict(zip(bt.BELL_KEYS, values)),
+            **{f"res_{key}": r for key, r in zip(bt.BELL_KEYS, res)},
+            **{col: entropies[n] for col, entropies in minent.items()},
+            "status": "ok",
+        }
+        for n, (theta, beta, values, res) in enumerate(
+            zip(thetas, rows.beta.tolist(), rows.values.tolist(), rows.residuals.tolist())
         )
-    return rows
+    ]
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
@@ -332,29 +322,15 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
                 reason = " ".join(str(exc).split()).replace(",", ";")
                 rows.append({"theta": theta, "status": f"error:{type(exc).__name__}:{reason}"})
 
-    columns = [
-        "theta",
-        "beta",
-        "I",
-        "J",
-        "S",
-        "res_I",
-        "res_J",
-        "res_S",
-        "minent_local_povm",
-        "minent_global_projective",
-        "minent_global_povm",
-        "status",
-    ]
     errors = [r for r in rows if r["status"] != "ok"]
     if cfg.format == "csv":
         lines = [
             "# bellrand sweep: Bell values/residuals and per-scenario min-entropies (bits)",
-            ",".join(columns),
+            ",".join(SWEEP_COLUMNS),
         ]
         for row in rows:
             cells = []
-            for col in columns:
+            for col in SWEEP_COLUMNS:
                 val = row.get(col, "")
                 cells.append(f"{val:.17g}" if isinstance(val, float) else str(val))
             lines.append(",".join(cells))
@@ -409,11 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
                 help="tolerance override; KEY in " + ", ".join(spec.tolerances),
             )
         if name in ("certify", "sweep"):
+            # certify refuses an explicit --epsilon outside global_povm, so it must see one given
             p.add_argument(
                 "--epsilon",
                 type=_epsilon,
-                default=bt.DEFAULT_EPSILON,
-                help="near-Y POVM tilt in (0, 1)",
+                default=None if name == "certify" else bt.DEFAULT_EPSILON,
+                help=f"near-Y POVM tilt in (0, 1), default {bt.DEFAULT_EPSILON:g}",
             )
         if name == "certify":
             p.add_argument("--scenario", choices=SCENARIOS, help="certification scenario")

@@ -125,9 +125,9 @@ class TestTiltOracle:
     @example(math.pi / 2)
     def test_full_relative_accuracy_over_the_angle_domain(self, theta):
         theta = min(max(theta, qo.THETA_MIN), math.pi / 2)  # exp may round past either end
-        batch = bt.bell_batch([theta])
-        xx = bt._bell_operators(batch.beta, batch.delta)[0, 0, 3].real
-        got = (batch.delta[0], batch.theta_recovered[0], xx)
+        rows = bt.bell_values([theta])
+        xx = bt._bell_operators(rows.beta, rows.delta)[0, 0, 3].real
+        got = (rows.delta[0], bt.selftest_reports([theta])[0]["theta_recovered"], xx)
         # 2 - beta and 1 - beta^2/4 cancel about 2 log10(1/theta) digits: add them
         # to the working precision so that 80 digits are left.
         with mpmath.workdps(80 - 2 * int(mpmath.log10(theta))):
@@ -212,7 +212,7 @@ log_uniform_angle = st.floats(math.log(1e-3), math.log(math.pi / 2)).map(math.ex
 
 
 class TestBellBatch:
-    """The batched kernel against the per-angle oracles, field by field."""
+    """The batched kernels against the per-angle oracles, field by field."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -220,7 +220,13 @@ class TestBellBatch:
         st.floats(1e-4, 0.5),
     )
     def test_matches_per_angle_oracle(self, thetas, epsilon):
-        batch = bt.bell_batch(thetas, epsilon)
+        rows = bt.bell_values(thetas)
+        reports = bt.selftest_reports(thetas)
+        tables = {sc: scheme(thetas, epsilon) for sc, scheme in bt.SCHEMES.items()}
+        n_angles = len(thetas)
+        assert tables["local_povm"].shape == (n_angles, 1, 4)
+        assert tables["global_projective"].shape == (n_angles, 2, 2, 2)
+        assert tables["global_povm"].shape == (n_angles, 1, 4, 3)
         near_y = qo.near_y_tetrahedral(epsilon).elements
         for n, theta in enumerate(thetas):
             values = bt.eval_bell(bt.ideal_scenario(theta))
@@ -232,20 +238,29 @@ class TestBellBatch:
                 for a in (qo.ancilla_pure(), qo.ancilla_mixed())
             ]
             four_by_three = mk.joint_table(near_y, qo.modified_mercedes(theta).elements, psi)
+            rep = reports[n]
+            bell = [values.i_value, values.j_value, values.s_value]
+            ideal = [values.ideal_i, values.ideal_j, values.ideal_s]
             pairs = [
-                (batch.beta[n], values.beta),
-                (batch.values[n], [values.i_value, values.j_value, values.s_value]),
-                (batch.ideals[n], [values.ideal_i, values.ideal_j, values.ideal_s]),
-                (batch.residuals[n], values.residuals),
-                (batch.delta[n], 2.0 - values.beta),
-                (batch.spectrum[n], spectral.eigenvalues),
-                (batch.theta_recovered[n], spectral.theta),
-                (batch.fidelity[n], spectral.top_eigvec_fidelity),
-                (batch.spectral_form_residual[n], spectral.spectral_form_residual),
-                (batch.eigenvalue_residual[n], spectral.eigenvalue_residual),
-                (batch.local_povm[n], local),
-                (batch.projective[n], projective),
-                (batch.global_povm[n], four_by_three),
+                (rows.theta[n], theta),
+                (rows.beta[n], values.beta),
+                (rows.values[n], bell),
+                (rows.ideals[n], ideal),
+                (rows.residuals[n], values.residuals),
+                (rows.delta[n], 2.0 - values.beta),
+                ([rep["theta"], rep["beta"]], [theta, values.beta]),
+                (rep["delta"], 2.0 - values.beta),
+                ([rep["I"], rep["J"], rep["S"]], bell),
+                (list(rep["ideals"].values()), ideal),
+                (list(rep["residuals"].values()), values.residuals),
+                (rep["spectrum"], spectral.eigenvalues),
+                (rep["theta_recovered"], spectral.theta),
+                (rep["fidelity"], spectral.top_eigvec_fidelity),
+                (rep["spectral_form_residual"], spectral.spectral_form_residual),
+                (rep["eigenvalue_residual"], spectral.eigenvalue_residual),
+                (tables["local_povm"][n, 0], local),
+                (tables["global_projective"][n], projective),
+                (tables["global_povm"][n, 0], four_by_three),
             ]
             for got, want in pairs:
                 assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= mk.ZERO_TOL
@@ -262,8 +277,7 @@ class TestBellBatch:
         assert np.max(np.abs(ops - np.stack([b.op for b in bob]))) <= mk.ZERO_TOL
 
     def test_report_is_row_zero(self):
-        batch = bt.bell_batch([0.4, 0.9])
-        assert bt.bell_report(0.9) == batch.reports()[1]
+        assert bt.bell_report(0.9) == bt.selftest_reports([0.4, 0.9])[1]
 
     def test_corrupted_observable_names_its_angle(self, monkeypatch):
         exact = bt._bob_weights
@@ -274,8 +288,9 @@ class TestBellBatch:
             return w
 
         monkeypatch.setattr(bt, "_bob_weights", corrupted)
-        with pytest.raises(ValueError, match=r"'B1' fails O\^2 = I at theta=0.9"):
-            bt.bell_batch([0.4, 0.9, 1.2])
+        for kernel in (bt.bell_values, bt.selftest_reports):
+            with pytest.raises(ValueError, match=r"'B1' fails O\^2 = I at theta=0.9"):
+                kernel([0.4, 0.9, 1.2])
 
     def test_near_product_weights_do_not_cancel(self, monkeypatch):
         # Through lambda_- = 1 - beta^2/4 this weight was 0.6% low at theta = 1e-7.
@@ -284,12 +299,13 @@ class TestBellBatch:
         _, bob, _ = qo.ideal_measurements(theta)
         exact, seen = bt._bob_weights, []
         monkeypatch.setattr(bt, "_bob_weights", lambda *a: seen.append(exact(*a)) or seen[-1])
-        bt.bell_batch([theta])
+        bt.bell_values([theta])
         # B1's X x I weight in the operator, then in the batch's coefficients
         for got in (bob[0].op[0, 2].real, seen[0][0, 1, 2]):
             assert abs(got / want - 1) <= 1e-15
 
     def test_product_end_names_its_angle(self):
         refusal = r"theta must lie in \[1\.05\d*e-154, pi/2\], got 1e-200"
-        with pytest.raises(ValueError, match=refusal):
-            bt.bell_batch([0.5, 1e-200])
+        for kernel in (bt.bell_values, bt.selftest_reports, *bt.SCHEMES.values()):
+            with pytest.raises(ValueError, match=refusal):
+                kernel([0.5, 1e-200])

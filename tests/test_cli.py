@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellrand import adversary as adv
 from bellrand import belltest as bt
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
@@ -88,6 +89,11 @@ class TestCertify:
         assert rep["target_bits"] >= 3.5849
         assert rep["min_entropy_bits"] >= -math.log2(1 / 12 + 10 * 1e-4)
 
+    def test_default_epsilon_is_reported(self, capsys):
+        code, out = run(capsys, ["certify", "--scenario", "global_povm", "--theta", "0.9"])
+        assert code == 0
+        assert json.loads(out)["reports"][0]["epsilon"] == bt.DEFAULT_EPSILON
+
     def test_missing_scenario_is_usage_error(self):
         assert main(["certify", "--theta", "0.5"]) == 2
 
@@ -105,6 +111,28 @@ class TestAttack:
         assert rep["zero_entry_value"] <= 1e-10
         assert abs(rep["cap_bits"] - 3.9527) <= 1e-4
         assert rep["cap_bits"] < 4.0
+
+    def test_degenerate_pair_fails_the_run(self, capsys, monkeypatch):
+        exact = adv.build_attack
+
+        def degenerate_at_0_9(alice, bob, theta):
+            if theta == 0.9:
+                raise adv.DegenerateAttackError("no zero entry to force")
+            return exact(alice, bob, theta)
+
+        monkeypatch.setattr(adv, "build_attack", degenerate_at_0_9)
+        code, out = run(capsys, ["attack", "--theta", "0.5,0.9"])
+        doc = json.loads(out)
+        assert code == 1
+        assert not doc["all_pass"]
+        good, bad = doc["reports"]
+        assert good["pass"] and not good["degenerate"]
+        assert bad == {
+            "theta": 0.9,
+            "degenerate": True,
+            "reason": "no zero entry to force",
+            "pass": False,
+        }
 
     def test_seed_replay_byte_identical(self, tmp_path):
         out_a = tmp_path / "a.json"
@@ -220,6 +248,10 @@ REFUSED = [
     ["sweep", "--tol", "attack=1"],
     ["selftest", "--epsilon", "0.5"],
     ["attack", "--epsilon", "0.5"],
+    ["certify", "--scenario", "local_povm", "--epsilon", "0.5"],
+    ["certify", "--scenario", "global_projective", "--epsilon", "1e-4"],
+    ["certify", "--scenario", "local_povm", "--config", "epsilon=0.5"],
+    ["certify", "--scenario", "global_projective", "--config", "epsilon=1e-4"],
     ["selftest", "--config", "thetta=0.4"],
     ["selftest", "--config", "config=other.cfg"],
     ["attack", "--seed", "7"],
@@ -242,10 +274,10 @@ class TestRefusedInput:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_contract_violation_exits_3(self, capsys, monkeypatch):
-        def broken(thetas, epsilon=None):
+        def broken(thetas):
             raise ValueError("eigh requires a Hermitian matrix")
 
-        monkeypatch.setattr(bt, "bell_batch", broken)
+        monkeypatch.setattr(bt, "selftest_reports", broken)
         assert main(["selftest", "--theta", "0.7"]) == 3
         assert "contract" in capsys.readouterr().err
         # A refused flag is still a usage error, found before any library call.
@@ -370,10 +402,10 @@ class TestGates:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_error_row_keeps_its_columns(self, capsys, monkeypatch, fmt):
-        def broken(thetas, epsilon=None):
+        def broken(thetas):
             raise ValueError("dims (2, 2) and (4,\n4) differ")
 
-        monkeypatch.setattr(bt, "bell_batch", broken)
+        monkeypatch.setattr(bt, "bell_values", broken)
         code, out = run(capsys, ["sweep", "--theta", "0.5,0.9", "--format", fmt])
         assert code == 3
         status = "error:ValueError:dims (2; 2) and (4; 4) differ"
@@ -387,10 +419,10 @@ class TestGates:
         assert [r[-1] for r in rows] == [status, status]
 
     def test_sweep_error_row_is_a_contract_violation(self, capsys, monkeypatch):
-        def broken(thetas, epsilon=None):
+        def broken(thetas):
             raise ValueError("eigh requires a Hermitian matrix")
 
-        monkeypatch.setattr(bt, "bell_batch", broken)
+        monkeypatch.setattr(bt, "bell_values", broken)
         assert main(["sweep", "--theta", "0.5,0.9"]) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
@@ -437,3 +469,83 @@ def test_readme_cli_line_runs(capsys, tmp_path, line):
         at = argv.index("--out") + 1
         argv[at] = str(tmp_path / argv[at])
     assert main(argv) == 0
+
+
+class TestEachCommandComputesWhatItReports:
+    FORMS = {
+        "selftest": ["selftest"],
+        "sweep": ["sweep"],
+        **{f"certify {sc}": ["certify", "--scenario", sc] for sc in SCENARIOS},
+    }
+    BLOCH = ("adjusted_tetrahedral_bloch", "modified_mercedes_bloch", "near_y_tetrahedral_bloch")
+
+    def calls(self, monkeypatch, capsys, argv):
+        """How often `argv` calls `mk.eigh` and each `qobjects.*_bloch` family."""
+        counts = dict.fromkeys(("eigh", *self.BLOCH), 0)
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mk, "eigh", counted("eigh", mk.eigh))
+            for name in self.BLOCH:
+                patch.setattr(qo, name, counted(name, getattr(qo, name)))
+            code = main([*argv, "--theta", "0.4,1.1"])
+        capsys.readouterr()
+        assert code == 0
+        return {name: n for name, n in counts.items() if n}
+
+    def test_kernel_calls_per_command(self, monkeypatch, capsys):
+        called = {
+            form: set(self.calls(monkeypatch, capsys, argv)) for form, argv in self.FORMS.items()
+        }
+        assert called == {
+            "selftest": {"eigh"},
+            "sweep": set(self.BLOCH),
+            "certify local_povm": {"adjusted_tetrahedral_bloch"},
+            "certify global_projective": set(),
+            "certify global_povm": {"modified_mercedes_bloch", "near_y_tetrahedral_bloch"},
+        }
+
+
+class TestCommandsAgree:
+    """Every command reports the same figures for the quantities they share."""
+
+    def call(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0, argv
+        return json.loads(out.getvalue())
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.floats(math.log(qo.THETA_MIN), math.log(math.pi / 2)).map(math.exp),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example([qo.THETA_MIN, 1e-9, math.pi / 2])
+    def test_shared_quantities_are_equal(self, thetas):
+        thetas = [min(max(t, qo.THETA_MIN), math.pi / 2) for t in thetas]  # exp may round past
+        angles = ["--theta", ",".join(map(repr, thetas))]
+        selftest = self.call(["selftest", *angles])["reports"]
+        sweep = self.call(["sweep", "--format", "json", *angles])["rows"]
+        certify = {
+            sc: self.call(["certify", "--scenario", sc, *angles])["reports"] for sc in SCENARIOS
+        }
+        keys = ("I", "J", "S")
+        for n, (rep, row) in enumerate(zip(selftest, sweep)):
+            assert row["beta"] == rep["beta"]
+            assert [row[k] for k in keys] == [rep[k] for k in keys]
+            residuals = [row[f"res_{k}"] for k in keys]
+            assert residuals == [rep["residuals"][k] for k in keys]
+            for sc in SCENARIOS:
+                cert = certify[sc][n]
+                assert row[f"minent_{sc}"] == cert["min_entropy_bits"]
+                assert [cert["bell_residuals"][k] for k in keys] == residuals
