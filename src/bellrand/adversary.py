@@ -88,10 +88,11 @@ class AttackModel:
 
 
 def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarray:
-    """Oracle for the closed form: full 16-dimensional Born-rule evaluation.
+    """Oracle of :func:`closed_form_joint` and :func:`evaluate_attack`.
 
-    Traces R_a x S_b against the permuted product of the theta-state and the
-    chosen ancilla state, in the fixed (A, A', B, B') ordering.
+    Full 16-dimensional Born-rule evaluation: traces R_a x S_b against the
+    permuted product of the theta-state and the chosen ancilla state, in the
+    fixed (A, A', B, B') ordering.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -186,12 +187,39 @@ class ConditionalJoint:
         return -math.log2(self.guessing_prob)
 
 
+def _ancilla_joints(
+    r_povm: Povm, s_povm: Povm, psi: np.ndarray, sigmas: np.ndarray
+) -> np.ndarray:
+    """Joint tables P_n(a, b) = Re Tr[W_ab sigma_n] of a stack of ancilla states, (N, na, nb).
+
+    W_ab = <psi| R_a x S_b |psi> acts on (A', B'), so one matrix product of
+    the flattened W against the flattened sigma_n^T gives every joint at once.
+    R_a's 2x2 block (p, q) on A' is R_a[(i p), (k q)] over A; the ket psi on
+    (A, B) enters as its 2x2 amplitude matrix Psi, giving Psi^dagger R_a^(pq) Psi.
+    """
+    psi = psi.reshape(2, 2)
+    r = r_povm.elements.reshape(-1, 2, 2, 2, 2)
+    s = s_povm.elements.reshape(-1, 2, 2, 2, 2)
+    na, nb = len(r), len(s)
+    u = np.conj(psi.T) @ r.transpose(0, 2, 4, 1, 3) @ psi  # [a, p, q, j, l]
+    w = u.reshape(na * 4, 4) @ s.transpose(1, 3, 0, 2, 4).reshape(4, nb * 4)  # [(a p q), (b r s)]
+    w = w.reshape(na, 2, 2, nb, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(na * nb, 16)
+    return (np.swapaxes(sigmas, -1, -2).reshape(-1, 16) @ w.T).real.reshape(-1, na, nb)
+
+
 def evaluate_attack(attack: AttackModel) -> ConditionalJoint:
-    """Both conditional tables, evaluated on the full dilated space."""
-    return ConditionalJoint(
-        p_plus=brute_force_joint(attack, attack.theta, +1),
-        p_minus=brute_force_joint(attack, attack.theta, -1),
+    """Both conditional tables, P_sign(a, b) = Re Tr[W_ab chi_sign].
+
+    W_ab = <psi| R_a x S_b |psi> is the operator :func:`qubit_reduction_check`
+    reads too, so both chi branches are one (2, 16) @ (16, na * nb) product
+    in :func:`_ancilla_joints` and no 16-dimensional state is formed.
+    :func:`brute_force_joint` is its oracle.
+    """
+    chis = np.stack([attack.chi_plus.rho, attack.chi_minus.rho])
+    p_plus, p_minus = _ancilla_joints(
+        attack.r_povm, attack.s_povm, qo.psi_theta_ket(attack.theta), chis
     )
+    return ConditionalJoint(p_plus=p_plus, p_minus=p_minus)
 
 
 def min_entropy(dist) -> float:
@@ -272,23 +300,6 @@ def _eve_decompositions(n_samples: int, rng: np.random.Generator):
     return weights, np.repeat(np.arange(n_samples), 2), states
 
 
-def _ancilla_operators(r_povm: Povm, s_povm: Povm, psi: np.ndarray) -> np.ndarray:
-    """W_ab = <psi| R_a x S_b |psi> on (A', B'), flattened to shape (na * nb, 16).
-
-    With the ancilla state sigma, P(a, b) = Re Tr[W_ab sigma], so one matrix
-    product against a stack of flattened sigma^T gives every joint at once.
-    R_a's 2x2 block (p, q) on A' is R_a[(i p), (k q)] over A; the ket psi on
-    (A, B) enters as its 2x2 amplitude matrix Psi, giving Psi^dagger R_a^(pq) Psi.
-    """
-    psi = psi.reshape(2, 2)
-    r = r_povm.elements.reshape(-1, 2, 2, 2, 2)
-    s = s_povm.elements.reshape(-1, 2, 2, 2, 2)
-    na, nb = len(r), len(s)
-    u = np.conj(psi.T) @ r.transpose(0, 2, 4, 1, 3) @ psi  # [a, p, q, j, l]
-    w = u.reshape(na * 4, 4) @ s.transpose(1, 3, 0, 2, 4).reshape(4, nb * 4)  # [(a p q), (b r s)]
-    return w.reshape(na, 2, 2, nb, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(na * nb, 16)
-
-
 def qubit_reduction_check(
     alice: Povm,
     bob: Povm,
@@ -341,8 +352,7 @@ def qubit_reduction_check(
     rhos = rhos.reshape(-1, 16, 16)
     qo.check_state_stack(rhos, lambda n: f"the (A, A', B, B') state of {eve(n)}")
 
-    w = _ancilla_operators(r_povm, s_povm, psi)
-    joints = (np.swapaxes(sigmas, -1, -2).reshape(-1, 16) @ w.T).real.reshape(-1, *ideal.shape)
+    joints = _ancilla_joints(r_povm, s_povm, psi, sigmas)
     deviations = np.zeros(n_decompositions)
     np.maximum.at(deviations, index, np.max(np.abs(joints - ideal), axis=(1, 2)))
     return QubitReductionReport(

@@ -32,8 +32,13 @@ def as_matrix(m) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Tensor product: (a x b)[i*rb+k, j*cb+l] = a[i,j] * b[k,l]."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Tensor product: (a x b)[i*rb+k, j*cb+l] = a[i,j] * b[k,l].
+
+    One broadcast multiply, entry for entry the product `np.kron` forms.
+    """
+    a, b = as_matrix(a), as_matrix(b)
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
 def check_shape(m, dims: Sequence[int]) -> None:

@@ -154,6 +154,26 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
 
 
 _MAX_TRIES = 2000  # rejection-sampling attempts before a draw is refused
+_BLOCK = 32  # 4-outcome tries drawn and solved as one stack
+_COMPLETENESS4 = np.array([2.0, 0.0, 0.0, 0.0])  # sum_a w_a (1, n_a) = (2, 0, 0, 0)
+
+
+def _solve_or_nan(a: np.ndarray) -> np.ndarray:
+    """Stacked 4-outcome completeness solve; a singular member gets NaN weights.
+
+    A stacked `solve` raises on any singular member.  Only then is the stack
+    solved one member at a time, so a singular member is masked, not fatal.
+    """
+    try:
+        return np.linalg.solve(a, _COMPLETENESS4)
+    except np.linalg.LinAlgError:
+        w = np.full(a.shape[:-1], np.nan)
+        for n, m in enumerate(a):
+            try:
+                w[n] = np.linalg.solve(m, _COMPLETENESS4)
+            except np.linalg.LinAlgError:
+                pass
+        return w
 
 
 def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
@@ -166,6 +186,15 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
         gaps are all below pi, weights solved from completeness.
       4 outcomes: four Haar-random kets, weights solved from the 4x4
         completeness system.
+
+    Stream contract for 4 outcomes: each try reads 16 standard normals, the
+    real and then the imaginary parts of the four kets as (4, 2) blocks.  A
+    try whose completeness system is singular is rejected, and the generator
+    is left just past the first accepted try.  Tries are drawn and solved
+    `_BLOCK` at a time, then the generator is rewound past the surplus, so
+    the POVM and the generator's final state are those of drawing one try at
+    a time.  After `_MAX_TRIES` rejected tries, which consume exactly
+    16 * `_MAX_TRIES` normals, the draw raises RuntimeError.
     """
     if n_outcomes == 2:
         v = rng.normal(size=3)
@@ -193,19 +222,23 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
         raise RuntimeError("failed to sample a feasible 3-outcome POVM")
 
     if n_outcomes == 4:
-        for _ in range(_MAX_TRIES):
-            kets = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-            kets /= np.linalg.norm(kets, axis=1)[:, None]
-            cross = 2.0 * np.conj(kets[:, 0]) * kets[:, 1]
+        for start in range(0, _MAX_TRIES, _BLOCK):
+            n = min(_BLOCK, _MAX_TRIES - start)
+            state = rng.bit_generator.state
+            z = rng.normal(size=(n, 2, 4, 2))
+            kets = z[:, 0] + 1j * z[:, 1]
+            kets /= np.linalg.norm(kets, axis=-1)[..., None]
+            cross = 2.0 * np.conj(kets[..., 0]) * kets[..., 1]
             pops = np.abs(kets) ** 2
-            normals = np.stack([cross.real, cross.imag, pops[:, 0] - pops[:, 1]], axis=1)
-            a = np.vstack([np.ones(4), normals.T])
-            try:
-                w = np.linalg.solve(a, np.array([2.0, 0.0, 0.0, 0.0]))
-            except np.linalg.LinAlgError:
-                continue
-            if w.min() > 0.05:
-                return qo.povm_from_bloch(w, normals)
+            normals = np.stack([cross.real, cross.imag, pops[..., 0] - pops[..., 1]], axis=-1)
+            a = np.concatenate([np.ones((n, 1, 4)), np.swapaxes(normals, -1, -2)], axis=1)
+            w = _solve_or_nan(a)
+            accepted = np.flatnonzero(w.min(axis=-1) > 0.05)
+            if accepted.size:
+                k = int(accepted[0])
+                rng.bit_generator.state = state
+                rng.normal(size=16 * (k + 1))  # leave the stream just past try k
+                return qo.povm_from_bloch(w[k], normals[k])
         raise RuntimeError("failed to sample a feasible 4-outcome POVM")
 
-    raise ValueError(f"extremal qubit POVMs have at most 4 outcomes, got {n_outcomes}")
+    raise ValueError(f"extremal qubit POVMs have 2, 3 or 4 outcomes, got {n_outcomes}")

@@ -173,6 +173,33 @@ class TestOracleEquivalence:
         assert np.max(np.abs(brute - adv.ideal_joint(alice, bob, theta))) <= 1e-12
 
 
+class TestAttackTablesFromAncillaOperators:
+    """`evaluate_attack` reads W_ab; the 16-dimensional `brute_force_joint` is its oracle."""
+
+    @staticmethod
+    def assert_matches_brute_force(attack):
+        cj = adv.evaluate_attack(attack)
+        for sign, table in ((+1, cj.p_plus), (-1, cj.p_minus)):
+            brute = adv.brute_force_joint(attack, attack.theta, sign)
+            assert table.shape == brute.shape
+            assert np.max(np.abs(table - brute)) <= mk.ZERO_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, math.pi / 2))
+    def test_random_pairs(self, seed, theta):
+        rng = np.random.default_rng(seed)
+        alice = tg.random_extremal_povm(4, rng)
+        bob = tg.random_extremal_povm(4, rng)
+        lam = random_admissible_coeffs(alice, rng)
+        mu = random_admissible_coeffs(bob, rng)
+        self.assert_matches_brute_force(make_attack(alice, bob, lam, mu, theta))
+
+    @pytest.mark.parametrize("theta", [qo.THETA_MIN, 1e-9, math.pi / 2])
+    def test_cli_pair(self, theta):
+        p = qo.adjusted_tetrahedral(theta)
+        self.assert_matches_brute_force(adv.build_attack(p, p, theta))
+
+
 class TestBuildAttack:
     @pytest.mark.parametrize("theta", [0.3, 0.7, 1.0, 1.3, np.pi / 2])
     def test_zeroing_and_undetectability(self, theta):

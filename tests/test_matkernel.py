@@ -53,6 +53,16 @@ class TestKron:
         )
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 5), min_size=4, max_size=4))
+    def test_bit_identical_to_numpy_kron(self, seed, dims):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=dims[:2]) + 1j * rng.normal(size=dims[:2])
+        b = rng.normal(size=dims[2:]) + 1j * rng.normal(size=dims[2:])
+        got, want = mk.kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestPartialTrace:
     def test_maximally_entangled_marginal(self):
         ket = psi_ket(np.pi / 2)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellrand import matkernel as mk
@@ -247,6 +247,113 @@ class TestDilationProperty:
         assert max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) <= mk.ZERO_TOL
 
 
+def loop_extremal_povm4(rng):
+    """Oracle: the 4-outcome sampler drawing and solving one try at a time."""
+    for _ in range(tg._MAX_TRIES):
+        kets = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        kets /= np.linalg.norm(kets, axis=1)[:, None]
+        cross = 2.0 * np.conj(kets[:, 0]) * kets[:, 1]
+        pops = np.abs(kets) ** 2
+        normals = np.stack([cross.real, cross.imag, pops[:, 0] - pops[:, 1]], axis=1)
+        a = np.vstack([np.ones(4), normals.T])
+        try:
+            w = np.linalg.solve(a, np.array([2.0, 0.0, 0.0, 0.0]))
+        except np.linalg.LinAlgError:
+            continue
+        if w.min() > 0.05:
+            return qo.povm_from_bloch(w, normals)
+    raise RuntimeError("failed to sample a feasible 4-outcome POVM")
+
+
+# Tries the one-at-a-time loop needs for a first accepted 4-outcome POVM.
+SEED_TRIES = {3: 4, 25: 54, 738: 70}
+
+
+class SingularTry:
+    """A generator whose 4-outcome try `index` is four copies of the ket |0>.
+
+    That try's completeness system has two zero rows, so solving it raises.
+    Every other normal is the wrapped generator's, in its order.
+    """
+
+    PATTERN = np.array([1.0, 0.0] * 4 + [0.0] * 8)  # real parts, then imaginary parts
+
+    def __init__(self, seed, index):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.first = 16 * index
+        self.drawn = 0
+
+    def normal(self, size):
+        z = self.rng.normal(size=size)
+        flat = z.reshape(-1)
+        pos = np.arange(self.drawn, self.drawn + flat.size) - self.first
+        hit = (pos >= 0) & (pos < 16)
+        flat[hit] = self.PATTERN[pos[hit]]
+        self.drawn += flat.size
+        return z
+
+
+class TestStackedSampler:
+    """The block-drawn 4-outcome sampler against the one-try-at-a-time loop."""
+
+    @staticmethod
+    def assert_same_draw(got, want):
+        np.testing.assert_array_equal(got.elements, want.elements)
+        np.testing.assert_array_equal(got.kets, want.kets)
+
+    def test_seeds_reach_past_the_first_block(self):
+        for seed, tries in SEED_TRIES.items():
+            rng = np.random.default_rng(seed)
+            loop_extremal_povm4(rng)
+            expected = np.random.default_rng(seed)
+            expected.normal(size=16 * tries)
+            assert rng.bit_generator.state == expected.bit_generator.state
+        assert max(SEED_TRIES.values()) > 2 * tg._BLOCK
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(25)
+    @example(738)
+    def test_same_stream_as_the_loop(self, seed):
+        stacked, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        self.assert_same_draw(tg.random_extremal_povm(4, stacked), loop_extremal_povm4(looped))
+        assert stacked.bit_generator.state == looped.bit_generator.state
+        # the 3-outcome draw that follows reads the same stream
+        got, want = (tg.random_extremal_povm(3, g) for g in (stacked, looped))
+        self.assert_same_draw(got, want)
+        assert stacked.bit_generator.state == looped.bit_generator.state
+
+    @pytest.mark.parametrize("seed, max_tries", [(3, 3), (25, 37), (738, 69)])
+    def test_refusal_consumes_exactly_max_tries(self, monkeypatch, seed, max_tries):
+        assert max_tries % tg._BLOCK and max_tries < SEED_TRIES[seed]
+        monkeypatch.setattr(tg, "_MAX_TRIES", max_tries)
+        stacked, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.raises(RuntimeError, match="4-outcome"):
+            tg.random_extremal_povm(4, stacked)
+        with pytest.raises(RuntimeError, match="4-outcome"):
+            loop_extremal_povm4(looped)
+        expected = np.random.default_rng(seed)
+        expected.normal(size=16 * max_tries)
+        assert stacked.bit_generator.state == looped.bit_generator.state
+        assert stacked.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("index", [0, 5, 40])
+    def test_singular_try_is_skipped(self, index):
+        singular = np.array([[1.0] * 4, [0.0] * 4, [0.0] * 4, [1.0] * 4])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.stack([np.eye(4), singular]), np.ones(4))
+        seed = 25  # rejects its first 53 tries, so the forced try is a rejected one
+        stacked, looped = SingularTry(seed, index), SingularTry(seed, index)
+        got = tg.random_extremal_povm(4, stacked)
+        self.assert_same_draw(got, loop_extremal_povm4(looped))
+        self.assert_same_draw(got, tg.random_extremal_povm(4, np.random.default_rng(seed)))
+        assert stacked.bit_generator.state == looped.bit_generator.state
+        w = tg._solve_or_nan(np.stack([np.eye(4), singular]))
+        np.testing.assert_array_equal(w[0], [2.0, 0.0, 0.0, 0.0])
+        assert np.isnan(w[1]).all()
+
+
 class TestRandomExtremal:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_valid_and_extremal(self, n):
@@ -274,5 +381,10 @@ class TestRandomExtremal:
             assert np.max(np.abs(kets - p.kets)) <= 1e-12
 
     def test_too_many_outcomes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="have 2, 3 or 4 outcomes, got 5"):
             tg.random_extremal_povm(5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_outcomes_rejected(self, n):
+        with pytest.raises(ValueError, match=f"have 2, 3 or 4 outcomes, got {n}"):
+            tg.random_extremal_povm(n, np.random.default_rng(0))
