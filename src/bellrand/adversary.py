@@ -12,6 +12,7 @@ min-entropy cap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +33,14 @@ _PP_MM = np.stack(
     [np.kron(tg.KET_PLUS, tg.KET_PLUS), np.kron(tg.KET_MINUS, tg.KET_MINUS)], axis=1
 )
 
-
-_CHI = tuple(qo.qstate_from_ket(_PP_MM @ [1, s] / math.sqrt(2.0), (2, 2)) for s in (1, -1))
+# Eve's ancilla pair chi_+- = (|++> +- |-->)/sqrt(2) on the two ancilla qubits,
+# validated once; _CHI_RHOS stacks it for the stacked joint tables.
+CHI: tuple[QState, QState] = tuple(
+    qo.qstate_from_ket(_PP_MM @ [1, s] / math.sqrt(2.0), (2, 2)) for s in (1, -1)
+)
+_CHI_RHOS = np.stack([chi.rho for chi in CHI])
 # A' x B' = X x X in the |+->-block gauge; Eve's states must keep <A' x B'> = 1.
 _XX = np.kron(qo.PAULI_X, qo.PAULI_X)
-
-
-def chi_states() -> tuple[QState, QState]:
-    """Eve's ancilla pair (|++> +- |-->)/sqrt(2) on the two ancilla qubits."""
-    return _CHI
 
 
 def joint_amplitudes(alice: Povm, bob: Povm, theta: float) -> np.ndarray:
@@ -73,7 +73,7 @@ def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) 
 
 @dataclass(frozen=True)
 class AttackModel:
-    """Everything Eve needs: coefficients, dilated POVMs and her state pair."""
+    """Everything Eve needs besides her state pair `CHI`: coefficients and dilated POVMs."""
 
     theta: float
     alice: Povm
@@ -82,8 +82,6 @@ class AttackModel:
     mu_coeffs: np.ndarray
     r_povm: Povm  # dilated Alice POVM on qubit x ancilla
     s_povm: Povm  # dilated Bob POVM on qubit x ancilla
-    chi_plus: QState
-    chi_minus: QState
     target_pair: tuple[int, int]
 
 
@@ -91,12 +89,12 @@ def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarra
     """Oracle of :func:`closed_form_joint` and :func:`evaluate_attack`.
 
     Full 16-dimensional Born-rule evaluation: traces R_a x S_b against the
-    permuted product of the theta-state and the chosen ancilla state, in the
-    fixed (A, A', B, B') ordering.
+    permuted product of the theta-state and the ancilla state chi_sign of
+    `CHI`, in the fixed (A, A', B, B') ordering.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    chi = attack.chi_plus if sign == +1 else attack.chi_minus
+    chi = CHI[0] if sign == +1 else CHI[1]
     rho = qo.compose_with_ancilla(qo.psi_theta(theta), chi).rho
     return mk.joint_table(attack.r_povm.elements, attack.s_povm.elements, rho)
 
@@ -151,7 +149,6 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
     phase = np.angle(amp[a_star, b_star] ** 2) - np.angle(lam[a_star] * mu[b_star])
     lam = lam * np.exp(1j * phase)
 
-    chi_p, chi_m = chi_states()
     return AttackModel(
         theta=theta,
         alice=alice,
@@ -160,8 +157,6 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
         mu_coeffs=mu,
         r_povm=tg.build_dilated_povm(alice, lam),
         s_povm=tg.build_dilated_povm(bob, mu),
-        chi_plus=chi_p,
-        chi_minus=chi_m,
         target_pair=(int(a_star), int(b_star)),
     )
 
@@ -212,12 +207,11 @@ def evaluate_attack(attack: AttackModel) -> ConditionalJoint:
 
     W_ab = <psi| R_a x S_b |psi> is the operator :func:`qubit_reduction_check`
     reads too, so both chi branches are one (2, 16) @ (16, na * nb) product
-    in :func:`_ancilla_joints` and no 16-dimensional state is formed.
-    :func:`brute_force_joint` is its oracle.
+    of the `_CHI_RHOS` stack in :func:`_ancilla_joints` and no
+    16-dimensional state is formed.  :func:`brute_force_joint` is its oracle.
     """
-    chis = np.stack([attack.chi_plus.rho, attack.chi_minus.rho])
     p_plus, p_minus = _ancilla_joints(
-        attack.r_povm, attack.s_povm, qo.psi_theta_ket(attack.theta), chis
+        attack.r_povm, attack.s_povm, qo.psi_theta_ket(attack.theta), _CHI_RHOS
     )
     return ConditionalJoint(p_plus=p_plus, p_minus=p_minus)
 
@@ -270,7 +264,7 @@ def _eve_decompositions(n_samples: int, rng: np.random.Generator):
     holds.  Her measurement {E_k} on that qubit leaves the subnormalized
     state V E_k^T V^dagger / 2, with V the columns |++> and |-->, so
     p_k = Tr E_k / 2.  The first decomposition is the canonical conjugation
-    pair (the chi states); the rest alternate Haar-random rank-1 projective
+    pair `CHI`; the rest alternate Haar-random rank-1 projective
     measurements and random two-element full-rank POVMs.  Every state lies in
     the range of V, the +1 eigenspace of A' x B', so the perfect correlation
     is preserved.
@@ -296,7 +290,7 @@ def _eve_decompositions(n_samples: int, rng: np.random.Generator):
     traces = np.trace(elements, axis1=-2, axis2=-1).real
     states = _PP_MM @ np.swapaxes(elements, -1, -2) @ _PP_MM.conj().T / traces[..., None, None]
     weights = np.concatenate([[0.5, 0.5], traces.reshape(-1) / 2])
-    states = np.concatenate([[chi.rho for chi in _CHI], states.reshape(-1, 4, 4)])
+    states = np.concatenate([_CHI_RHOS, states.reshape(-1, 4, 4)])
     return weights, np.repeat(np.arange(n_samples), 2), states
 
 
@@ -306,33 +300,33 @@ def qubit_reduction_check(
     theta: float,
     n_decompositions: int = 10,
     seed: int = 0,
-    alice_coeffs=None,
-    bob_coeffs=None,
 ) -> QubitReductionReport:
     """Check that Eve-conditioned joints equal the ideal qubit joints.
 
     Each side is dilated with its :func:`_admissible_coeffs`, which are zero
-    (the plain block form) when it has at most three outcomes, unless
-    explicit coefficients are supplied to probe the double-four-outcome
-    failure mode.  For each sampled Eve decomposition every conditional
-    joint is compared entrywise to the ideal table.  At least one
-    decomposition is checked; a smaller count is refused.
+    (the plain block form) when it has at most three outcomes; with four
+    outcomes on both sides they are not, and the check fails.  For each
+    sampled Eve decomposition every conditional joint is compared entrywise
+    to the ideal table.  The count of decompositions is an integer of at
+    least 1; anything else is refused.
 
-    Every Eve state and every composite state on (A, A', B, B') meets the
-    `QState` contract, and every Eve state has <A' x B'> = 1 within
-    IDENTITY_TOL; a violation is refused naming the condition, the state's
-    index within its decomposition and the decomposition.  The composites
-    and all joints are evaluated as stacks, with no per-state loop.
+    Every Eve state sigma_n meets the `QState` contract and has
+    <A' x B'> = 1 within IDENTITY_TOL; a violation is refused naming the
+    condition, the state's index within its decomposition and the
+    decomposition.  As psi is a unit ket, |psi><psi| x sigma_n then meets
+    the contract too, so no 16-dimensional state is formed: the checks and
+    all joints are evaluated on the (2 n, 4, 4) stack, with no per-state loop.
     """
     theta = check_theta(theta)
-    if n_decompositions < 1:
-        raise ValueError(f"n_decompositions must be >= 1, got {n_decompositions}")
+    count_ok = isinstance(n_decompositions, numbers.Integral) and not isinstance(
+        n_decompositions, bool
+    )
+    if not count_ok or n_decompositions < 1:
+        raise ValueError(f"n_decompositions must be an integer >= 1, got {n_decompositions}")
     rng = np.random.default_rng(seed)
-    lam = _admissible_coeffs(alice) if alice_coeffs is None else np.asarray(alice_coeffs, complex)
-    mu = _admissible_coeffs(bob) if bob_coeffs is None else np.asarray(bob_coeffs, complex)
 
-    r_povm = tg.build_dilated_povm(alice, lam)
-    s_povm = tg.build_dilated_povm(bob, mu)
+    r_povm = tg.build_dilated_povm(alice, _admissible_coeffs(alice))
+    s_povm = tg.build_dilated_povm(bob, _admissible_coeffs(bob))
     ideal = ideal_joint(alice, bob, theta)
     _, index, sigmas = _eve_decompositions(n_decompositions, rng)
 
@@ -345,14 +339,8 @@ def qubit_reduction_check(
     if corr.max() > mk.IDENTITY_TOL:
         n = int(np.argmax(corr > mk.IDENTITY_TOL))
         raise ValueError(f"<A' x B'> misses 1 by {corr[n]:.3e} at {eve(n)}")
-    # |psi><psi| x sigma_n reordered to (A, A', B, B'), as compose_with_ancilla builds it.
-    psi = qo.psi_theta_ket(theta)
-    rho_psi = np.outer(psi, psi.conj()).reshape(2, 2, 2, 2)
-    rhos = np.einsum("abcd,npqrs->napbqcrds", rho_psi, sigmas.reshape(-1, 2, 2, 2, 2))
-    rhos = rhos.reshape(-1, 16, 16)
-    qo.check_state_stack(rhos, lambda n: f"the (A, A', B, B') state of {eve(n)}")
 
-    joints = _ancilla_joints(r_povm, s_povm, psi, sigmas)
+    joints = _ancilla_joints(r_povm, s_povm, qo.psi_theta_ket(theta), sigmas)
     deviations = np.zeros(n_decompositions)
     np.maximum.at(deviations, index, np.max(np.abs(joints - ideal), axis=(1, 2)))
     return QubitReductionReport(

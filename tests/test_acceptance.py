@@ -169,7 +169,6 @@ def test_08_attack_suite():
 
     rng = np.random.default_rng(31)
     oracle_worst = 0.0
-    chi_p, chi_m = adv.chi_states()
     for _ in range(50):
         theta = rng.uniform(0.25, math.pi / 2)
         alice = tg.random_extremal_povm(4, rng)
@@ -189,8 +188,6 @@ def test_08_attack_suite():
             mu_coeffs=mu,
             r_povm=tg.build_dilated_povm(alice, lam),
             s_povm=tg.build_dilated_povm(bob, mu),
-            chi_plus=chi_p,
-            chi_minus=chi_m,
             target_pair=(0, 0),
         )
         for sign in (+1, -1):
@@ -228,16 +225,7 @@ def test_09_qubit_reduction():
     theta = math.pi / 2
     alice = qo.adjusted_tetrahedral(theta)
     bob = qo.adjusted_tetrahedral(theta)
-    attack = adv.build_attack(alice, bob, theta)
-    rep44 = adv.qubit_reduction_check(
-        alice,
-        bob,
-        theta,
-        n_decompositions=3,
-        seed=23,
-        alice_coeffs=attack.lambda_coeffs,
-        bob_coeffs=attack.mu_coeffs,
-    )
+    rep44 = adv.qubit_reduction_check(alice, bob, theta, n_decompositions=3, seed=23)
     fail_ok = rep44.max_deviation >= 1e-3
     ok = reduce_ok and fail_ok
     report(

@@ -20,7 +20,6 @@ def random_admissible_coeffs(p, rng):
 
 
 def make_attack(alice, bob, lam, mu, theta):
-    chi_p, chi_m = adv.chi_states()
     return adv.AttackModel(
         theta=theta,
         alice=alice,
@@ -29,8 +28,6 @@ def make_attack(alice, bob, lam, mu, theta):
         mu_coeffs=mu,
         r_povm=tg.build_dilated_povm(alice, lam),
         s_povm=tg.build_dilated_povm(bob, mu),
-        chi_plus=chi_p,
-        chi_minus=chi_m,
         target_pair=(0, 0),
     )
 
@@ -44,7 +41,7 @@ def old_eve_decompositions(n_samples, rng):
     pp_mm = np.stack(
         [np.kron(tg.KET_PLUS, tg.KET_PLUS), np.kron(tg.KET_MINUS, tg.KET_MINUS)], axis=1
     )
-    yield [(0.5, chi.rho) for chi in adv.chi_states()]
+    yield [(0.5, chi.rho) for chi in adv.CHI]
     for k in range(1, n_samples):
         if k % 2 == 1:
             q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
@@ -60,17 +57,15 @@ def old_eve_decompositions(n_samples, rng):
         yield [(t / 2, pp_mm @ e.T @ pp_mm.conj().T / t) for t, e in zip(traces, elements)]
 
 
-def reduction_oracle(alice, bob, theta, n_decompositions, seed, alice_coeffs=None, bob_coeffs=None):
+def reduction_oracle(alice, bob, theta, n_decompositions, seed):
     """Oracle: (deviations, correlation check) of the 4 x 3 reduction, one state at a time.
 
     Every Eve state becomes a validated `QState` on (A, A', B, B') through
     `compose_with_ancilla`, and its joint table comes from `mk.joint_table`.
     """
     rng = np.random.default_rng(seed)
-    lam = adv._admissible_coeffs(alice) if alice_coeffs is None else alice_coeffs
-    mu = adv._admissible_coeffs(bob) if bob_coeffs is None else bob_coeffs
-    r_povm = tg.build_dilated_povm(alice, lam)
-    s_povm = tg.build_dilated_povm(bob, mu)
+    r_povm = tg.build_dilated_povm(alice, adv._admissible_coeffs(alice))
+    s_povm = tg.build_dilated_povm(bob, adv._admissible_coeffs(bob))
     ideal = adv.ideal_joint(alice, bob, theta)
     psi = qo.psi_theta(theta)
     a_corr = mk.kron(qo.PAULI_X, qo.PAULI_X)
@@ -89,17 +84,17 @@ def reduction_oracle(alice, bob, theta, n_decompositions, seed, alice_coeffs=Non
 
 class TestChiStates:
     def test_orthogonal(self):
-        chi_p, chi_m = adv.chi_states()
+        chi_p, chi_m = adv.CHI
         assert abs(np.trace(chi_p.rho @ chi_m.rho)) <= 1e-14
 
     def test_marginal_is_maximally_mixed(self):
-        chi_p, _ = adv.chi_states()
+        chi_p, _ = adv.CHI
         marg = mk.partial_trace(chi_p.rho, (2, 2), keep=(0,))
         assert np.max(np.abs(marg - np.eye(2) / 2)) <= 1e-14
 
     def test_perfect_plus_minus_correlation(self):
         corr = mk.kron(qo.PAULI_X, qo.PAULI_X)
-        for chi in adv.chi_states():
+        for chi in adv.CHI:
             assert abs(mk.expval(corr, chi.rho) - 1.0) <= 1e-12
 
 
@@ -143,8 +138,12 @@ class TestClosedForm:
 
     def test_bad_sign_rejected(self):
         p = qo.adjusted_tetrahedral(0.5)
-        with pytest.raises(ValueError):
-            adv.closed_form_joint(p, p, np.zeros(4), np.zeros(4), 0.5, 0)
+        attack = adv.build_attack(p, p, 0.5)
+        for sign in (0, 2):
+            with pytest.raises(ValueError, match="sign must be"):
+                adv.closed_form_joint(p, p, np.zeros(4), np.zeros(4), 0.5, sign)
+            with pytest.raises(ValueError, match="sign must be"):
+                adv.brute_force_joint(attack, 0.5, sign)
 
 
 class TestOracleEquivalence:
@@ -333,12 +332,28 @@ class TestQubitReduction:
         assert rep.correlation_check <= 1e-10
         assert rep.n_decompositions == 10
 
-    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("count", [0, -3, 2.5, 3.0, True])
     def test_count_below_one_refused(self, count):
         with pytest.raises(ValueError, match="n_decompositions"):
             adv.qubit_reduction_check(
                 qo.adjusted_tetrahedral(0.9), qo.modified_mercedes(0.9), 0.9, n_decompositions=count
             )
+
+    def test_checks_only_four_by_four_stacks(self, monkeypatch):
+        # the composite (A, A', B, B') states are implied by the 4x4 checks, never formed
+        shapes = []
+        plain = qo.check_state_stack
+
+        def recording(rhos, where=None):
+            shapes.append(np.shape(rhos))
+            return plain(rhos, where)
+
+        monkeypatch.setattr(qo, "check_state_stack", recording)
+        adv.qubit_reduction_check(
+            qo.adjusted_tetrahedral(0.9), qo.modified_mercedes(0.9), 0.9, n_decompositions=6
+        )
+        assert shapes
+        assert all(len(shape) == 3 and shape[1:] == (4, 4) for shape in shapes)
 
     def test_three_by_two_trivially_reduces(self):
         rng = np.random.default_rng(13)
@@ -380,16 +395,7 @@ class TestQubitReduction:
         theta = np.pi / 2
         alice = qo.adjusted_tetrahedral(theta)
         bob = qo.adjusted_tetrahedral(theta)
-        attack = adv.build_attack(alice, bob, theta)
-        rep = adv.qubit_reduction_check(
-            alice,
-            bob,
-            theta,
-            n_decompositions=3,
-            seed=11,
-            alice_coeffs=attack.lambda_coeffs,
-            bob_coeffs=attack.mu_coeffs,
-        )
+        rep = adv.qubit_reduction_check(alice, bob, theta, n_decompositions=3, seed=11)
         assert not rep.reduces
         assert rep.max_deviation >= 1e-3
 
@@ -409,7 +415,7 @@ class TestReductionGates:
             (
                 5,
                 0,
-                adv.chi_states()[0].rho + np.eye(4, k=1) * 1e-6,
+                adv.CHI[0].rho + np.eye(4, k=1) * 1e-6,
                 r"must be Hermitian \(residual 1\.000e-06\)",
             ),
             (3, 1, PLUS_MINUS, r"<A' x B'> misses 1 by 2\.000e\+00"),
@@ -441,15 +447,9 @@ class TestStackedReduction:
         rng = np.random.default_rng(seed)
         alice = tg.random_extremal_povm(4, rng)
         bob = tg.random_extremal_povm(4 if four_by_four else 3, rng)
-        coeffs = {}
-        if four_by_four:
-            coeffs = {
-                "alice_coeffs": adv._admissible_coeffs(alice),
-                "bob_coeffs": adv._admissible_coeffs(bob),
-            }
-        n = int(rng.integers(1, 12))
-        rep = adv.qubit_reduction_check(alice, bob, theta, n_decompositions=n, seed=seed, **coeffs)
-        deviations, corr = reduction_oracle(alice, bob, theta, n, seed, **coeffs)
+        n = rng.integers(1, 12)  # a numpy integer count is accepted
+        rep = adv.qubit_reduction_check(alice, bob, theta, n_decompositions=n, seed=seed)
+        deviations, corr = reduction_oracle(alice, bob, theta, n, seed)
         if four_by_four:
             assert max(deviations) > mk.IDENTITY_TOL
         assert rep.n_decompositions == n
