@@ -216,15 +216,24 @@ def evaluate_attack(attack: AttackModel) -> ConditionalJoint:
     return ConditionalJoint(p_plus=p_plus, p_minus=p_minus)
 
 
-def min_entropy(dist) -> float:
-    """-log2 of the largest entry of a normalized nonnegative table."""
-    arr = np.asarray(dist, dtype=float)
-    total = float(arr.sum())
-    if abs(total - 1.0) > mk.RANK_TOL:
-        raise ValueError(f"distribution sums to {total}, not 1")
-    if arr.min() < -mk.ZERO_TOL:
-        raise ValueError("distribution has negative entries")
-    return -math.log2(float(arr.max()))
+def min_entropy(tables) -> list[float]:
+    """-log2 of the largest entry of each normalized nonnegative table in a stack (N, ...).
+
+    Row n is table n flattened.  A table must sum to 1 within RANK_TOL and
+    have no entry below -ZERO_TOL; a refusal names the first refused table.
+    """
+    arr = np.asarray(tables, dtype=float)
+    if arr.ndim < 2:
+        raise ValueError(f"expected a stack of tables (N, ...), got shape {arr.shape}")
+    rows = arr.reshape(len(arr), -1)
+    totals = rows.sum(axis=1)
+    off = np.abs(totals - 1.0) > mk.RANK_TOL
+    negative = rows.min(axis=1) < -mk.ZERO_TOL
+    if off.any() or negative.any():
+        n = int(np.argmax(off | negative))
+        what = f"sums to {float(totals[n])}, not 1" if off[n] else "has negative entries"
+        raise ValueError(f"distribution {n} {what}")
+    return [-math.log2(top) for top in rows.max(axis=1).tolist()]
 
 
 def randomness_cap() -> float:

@@ -1,16 +1,18 @@
 """Bell expression evaluation and self-test witnesses.
 
-Three angle-batched kernels each evaluate one of the paper's claims for a
-list of angles, and each validates the angles once at entry:
-:func:`bell_values` gives the two tilted CHSH expressions and the plain CHSH
-expression against their ideal values, :func:`selftest_reports` adds the
-spectral self-test of the 4x4 Bell operator, and ``SCHEMES`` maps each
-randomness scheme to the function giving its outcome tables.  The per-angle
-functions (:func:`eval_bell` on :func:`ideal_scenario`,
-:func:`spectral_selftest`, :func:`projective_joint_distribution`) build the
-same quantities from validated objects one angle at a time and serve as
-their oracle.  :func:`verify_b7_extraction` checks the trace-norm extraction
-of the seventh observable.
+A command checks its angles once, in :func:`angle_stack`, which builds the
+:class:`AngleStack` of the tilt and the theta-state kets that every
+angle-batched kernel reads.  Three such kernels each evaluate one of the
+paper's claims over the stack: :func:`bell_values` gives the two tilted CHSH
+expressions and the plain CHSH expression against their ideal values,
+:func:`selftest_reports` adds the spectral self-test of the 4x4 Bell
+operator, and ``SCHEMES`` maps each randomness scheme to its table function
+``f(stack, epsilon)``.  The per-angle functions (:func:`eval_bell` on
+:func:`ideal_scenario`, :func:`spectral_selftest`,
+:func:`projective_joint_distribution`) build the same quantities from
+validated objects one angle at a time and serve as their oracle.
+:func:`verify_b7_extraction` checks the trace-norm extraction of the seventh
+observable.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def _ideal_values(theta, w_plus) -> np.ndarray:
 def ideal_bell_values(theta) -> np.ndarray:
     """Targets (I, J, S), shape (..., 3): Bell energy 4 w_plus twice, then 2 sqrt(2) sin(theta)."""
     theta = check_theta(theta)
-    return _ideal_values(theta, qo.tilt(theta)[1])
+    return _ideal_values(theta, qo._tilt(theta)[1])
 
 
 @dataclass(frozen=True)
@@ -334,58 +336,67 @@ def _spectral_selftests(beta, delta, energy) -> tuple[np.ndarray, ...]:
     return w, recovered, fidelity, np.max(np.abs(op - form), axis=(1, 2)), eigenvalue_residual
 
 
-def _kets(thetas, *ancillas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The checked angle stack (N,), then its checked ket stacks.
-
-    First the theta-state kets (N, 1, 2, 2), then for each ancilla's kets a_k
-    the kets psi x a_k (N, K, 4, 4) on ((A, A'), (B, B')).  This is the one
-    angle check of every kernel.
-    """
-    theta = check_theta(np.asarray(thetas, dtype=float).reshape(-1))
-    psi = qo.psi_theta_ket(theta).reshape(-1, 2, 2)
-    stacks = [psi[:, None]]
-    for kets in ancillas:
-        full = np.einsum("nij,kab->nkiajb", psi, kets)
-        stacks.append(full.reshape(len(psi), len(kets), 4, 4))
-    for stack in stacks:
-        qo.check_ket_stack(stack, theta)
-    return theta, *stacks
+def _with_ancilla(psi: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Kets psi x a_k (N, K, 4, 4) on ((A, A'), (B, B')) from theta-kets (N, 2, 2) and ancilla kets."""
+    full = np.einsum("nij,kab->nkiajb", psi, kets)
+    return full.reshape(len(psi), len(kets), 4, 4)
 
 
-class BellRows(NamedTuple):
-    """Bell values of the ideal realization; row n belongs to theta[n].
+class AngleStack(NamedTuple):
+    """One command's checked angles and everything the kernels derive from them alone.
 
-    `delta` is the tilt defect 2 - beta; `values`, `ideals` and `residuals`
-    hold (I, J, S).
+    Row n belongs to theta[n]: the tilt (beta, w_plus, w_minus, delta) of
+    :func:`qobjects.tilt`, the theta-state kets `qubit` (N, 1, 2, 2) and the
+    kets `pure` (N, K, 4, 4) of the theta-state with the pure ancilla.
     """
 
     theta: np.ndarray
     beta: np.ndarray
+    w_plus: np.ndarray
+    w_minus: np.ndarray
     delta: np.ndarray
+    qubit: np.ndarray
+    pure: np.ndarray
+
+
+def angle_stack(thetas) -> AngleStack:
+    """Check `thetas` once, the kernels' only angle check, and build their `AngleStack`.
+
+    Each ket stack is checked by `check_ket_stack`; a refusal names the first
+    refused angle.
+    """
+    theta = check_theta(np.asarray(thetas, dtype=float).reshape(-1))
+    psi = qo._psi_ket(theta).reshape(-1, 2, 2)
+    qubit, pure = psi[:, None], _with_ancilla(psi, _PURE_KETS)
+    for kets in (qubit, pure):
+        qo.check_ket_stack(kets, theta)
+    return AngleStack(theta, *qo._tilt(theta), qubit, pure)
+
+
+class BellRows(NamedTuple):
+    """Bell values (I, J, S) of the ideal realization; row n belongs to the stack's theta[n]."""
+
     values: np.ndarray
     ideals: np.ndarray
     residuals: np.ndarray
 
 
-def bell_values(thetas) -> BellRows:
-    """The two tilted CHSH expressions and plain CHSH at every angle at once.
+def bell_values(stack: AngleStack) -> BellRows:
+    """The two tilted CHSH expressions and plain CHSH at every angle of the stack at once.
 
     Alice's three observables and Bob's four basis operators are contracted
     over the stacked kets cos(t/2)|0000> + sin(t/2)|1010> of the pure
     ancilla into an (N, 3, 4) table, weighted by Bob's (N, 7, 4)
-    coefficients.  Bob's observables and every state stack are validated as
-    one vectorized check each; a failure raises ValueError naming the check
-    and the first failing angle.
+    coefficients.  Bob's observables are validated as one vectorized check;
+    a failure raises ValueError naming the check and the first failing angle.
     """
-    theta, _, pure = _kets(thetas, _PURE_KETS)
-    beta, wp, wm, delta = qo.tilt(theta)
-
-    weights = _bob_weights(wp, wm)
+    weights = _bob_weights(stack.w_plus, stack.w_minus)
     bob = np.einsum("nbm,mij->nbij", weights[:, 1:], _BASIS)
-    qo.check_dichotomic_stack(bob, _BOB_LABELS, theta)
+    qo.check_dichotomic_stack(bob, _BOB_LABELS, stack.theta)
     # Rows A1..A3; column 0 is Bob's identity, columns 1..6 are B1..B6.
-    basis_table = mk.joint_table_kets(_BASIS[1:], _BASIS, pure)
+    basis_table = mk.joint_table_kets(_BASIS[1:], _BASIS, stack.pure)
     t = np.einsum("nam,nbm->nab", basis_table, weights)
+    beta = stack.beta
     values = np.stack(
         [
             beta * t[:, 0, 0] + t[:, 0, 1] + t[:, 0, 2] + t[:, 1, 1] - t[:, 1, 2],
@@ -394,20 +405,20 @@ def bell_values(thetas) -> BellRows:
         ],
         axis=1,
     )
-    ideals = _ideal_values(theta, wp)
-    return BellRows(theta, beta, delta, values, ideals, np.abs(values - ideals))
+    ideals = _ideal_values(stack.theta, stack.w_plus)
+    return BellRows(values, ideals, np.abs(values - ideals))
 
 
-def selftest_reports(thetas) -> list[dict]:
+def selftest_reports(stack: AngleStack) -> list[dict]:
     """JSON-ready self-test report per angle: the Bell values and the spectral self-test."""
-    rows = bell_values(thetas)
+    rows = bell_values(stack)
     spectrum, recovered, fidelity, form, eigen = _spectral_selftests(
-        rows.beta, rows.delta, rows.ideals[:, 0]
+        stack.beta, stack.delta, rows.ideals[:, 0]
     )
     columns = {
-        "theta": rows.theta,
-        "beta": rows.beta,
-        "delta": rows.delta,
+        "theta": stack.theta,
+        "beta": stack.beta,
+        "delta": stack.delta,
         **dict(zip(BELL_KEYS, rows.values.T)),
         "spectrum": spectrum,
         "theta_recovered": recovered,
@@ -423,33 +434,32 @@ def selftest_reports(thetas) -> list[dict]:
 
 def bell_report(theta: float) -> dict:
     """JSON-ready self-test report for one angle: row 0 of :func:`selftest_reports`."""
-    return selftest_reports([theta])[0]
+    return selftest_reports(angle_stack([theta]))[0]
 
 
-# Scheme tables: (N, T, ...) per angle, the reported table first.  `epsilon`
-# is the tilt of the near-Y POVM, which only the 4x3 scheme measures.
+# Scheme tables: (N, T, ...) per angle of the stack, the reported table first.
+# `epsilon` is the tilt of the near-Y POVM, which only the 4x3 scheme measures.
 
 
-def local_povm_tables(thetas, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def local_povm_tables(stack: AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """The adjusted-tetrahedral marginal on Alice's qubit, (N, 1, 4)."""
-    theta, qubit = _kets(thetas)
-    elements = qo.bloch_elements(*qo.adjusted_tetrahedral_bloch(theta))
-    return mk.joint_table_kets(elements, [qo.ID2], qubit)[:, None, :, 0]
+    elements = qo.bloch_elements(*qo.adjusted_tetrahedral_bloch(stack.theta))
+    return mk.joint_table_kets(elements, [qo.ID2], stack.qubit)[:, None, :, 0]
 
 
-def global_projective_tables(thetas, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def global_projective_tables(stack: AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """The Y x A' by X x I tables for the pure then the mixed ancilla, (N, 2, 2, 2)."""
-    _, _, pure, mixed = _kets(thetas, _PURE_KETS, _MIXED_KETS)
-    tables = [mk.joint_table_kets(_PROJECTORS_A, _PROJECTORS_B, k) for k in (pure, mixed)]
+    mixed = _with_ancilla(stack.qubit[:, 0], _MIXED_KETS)
+    qo.check_ket_stack(mixed, stack.theta)
+    tables = [mk.joint_table_kets(_PROJECTORS_A, _PROJECTORS_B, k) for k in (stack.pure, mixed)]
     return np.stack(tables, axis=1)
 
 
-def global_povm_tables(thetas, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def global_povm_tables(stack: AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """The near-Y by modified-Mercedes table, (N, 1, 4, 3)."""
-    theta, qubit = _kets(thetas)
     near_y = qo.bloch_elements(*qo.near_y_tetrahedral_bloch(epsilon))
-    mercedes = qo.bloch_elements(*qo.modified_mercedes_bloch(theta))
-    return mk.joint_table_kets(near_y, mercedes, qubit)[:, None]
+    mercedes = qo.bloch_elements(*qo.modified_mercedes_bloch(stack.theta))
+    return mk.joint_table_kets(near_y, mercedes, stack.qubit)[:, None]
 
 
 SCHEMES = {

@@ -11,15 +11,20 @@ sweep      Per-angle CSV of Bell values, residuals and min-entropies.
 Each command calls only the ``belltest`` kernels whose output it reports or
 gates: ``selftest`` Bell values and spectral self-tests, ``certify`` Bell
 values and its scenario's tables (``belltest.SCHEMES``), ``sweep`` Bell
-values and every scheme's tables.  Only the ``global_povm`` tables read
-``--epsilon``, so ``certify`` refuses it for another scenario.
+values and every scheme's tables.  These three build one
+``belltest.AngleStack`` of their angles and share it across their kernels,
+and take a scheme's min-entropies from one stacked ``adversary.min_entropy``
+call.  Only the ``global_povm`` tables read ``--epsilon``, so ``certify``
+refuses it for another scenario.
 
-Every command takes Schmidt angles in [THETA_MIN, pi/2], checked by the one
+Every command takes Schmidt angles in [THETA_MIN, pi/2] from either
+``--theta`` or ``--theta-grid``, never both, checked at parse time by the one
 angle gate ``qobjects.check_theta``; THETA_MIN = sqrt(float_info.min / 2),
 about 1.05e-154, is the smallest angle whose tilt defect 2 - beta is a normal
 double.  ``selftest`` passes an angle when the Bell residuals, the fidelity,
 the spectral-form and eigenvalue residuals and the relative error of the
-recovered angle are all within their tolerances.
+recovered angle are all within their tolerances; ``certify`` passes it when
+the Bell residuals and its scenario's uniformity or witness are.
 
 Each command registers only the options it reads (see ``COMMANDS``).  A
 ``--config`` file of ``key=value`` lines is read as the flags
@@ -81,7 +86,7 @@ COMMANDS = {
         "min-entropy certification for one scenario",
         ("json",),
         None,
-        {"uniform": mk.ZERO_TOL, "min_entropy": mk.RANK_TOL},
+        {"bell_residual": mk.IDENTITY_TOL, "uniform": mk.ZERO_TOL, "min_entropy": mk.RANK_TOL},
     ),
     "attack": Command(
         "build the conjugation attack and report the cap",
@@ -195,7 +200,7 @@ def _json_document(cfg: argparse.Namespace, command: str, payload: dict) -> str:
 def cmd_selftest(cfg: argparse.Namespace) -> int:
     tol_bell = cfg.tolerances["bell_residual"]
     tol_spec = cfg.tolerances["spectral"]
-    reports = bt.selftest_reports(cfg.thetas)
+    reports = bt.selftest_reports(bt.angle_stack(cfg.thetas))
     for rep in reports:
         rep["pass"] = (
             max(rep["residuals"].values()) <= tol_bell
@@ -210,7 +215,9 @@ def cmd_selftest(cfg: argparse.Namespace) -> int:
     return 0 if not failing else 1
 
 
-def _certify_one(cfg: argparse.Namespace, theta: float, residuals, tables: np.ndarray) -> dict:
+def _certify_one(
+    cfg: argparse.Namespace, theta: float, residuals, tables: np.ndarray, entropy: float
+) -> dict:
     """The gated certify report of `cfg.scenario` at one angle from its tables (reported first)."""
     dist = tables[0].reshape(-1)
     report = {
@@ -219,9 +226,10 @@ def _certify_one(cfg: argparse.Namespace, theta: float, residuals, tables: np.nd
         "epsilon": None,
         "bell_residuals": dict(zip(bt.BELL_KEYS, residuals)),
         "distribution": dist.tolist(),
-        "min_entropy_bits": adv.min_entropy(dist),
+        "min_entropy_bits": entropy,
         "max_entry": float(dist.max()),
     }
+    bell_ok = max(residuals) <= cfg.tolerances["bell_residual"]
     if cfg.scenario == "global_povm":
         deviation = float(dist.max() - 1.0 / 12.0)
         report.update(
@@ -230,15 +238,16 @@ def _certify_one(cfg: argparse.Namespace, theta: float, residuals, tables: np.nd
             target_bits=math.log2(12.0),
             deviation_from_limit=deviation,
         )
-        report["pass"] = deviation <= 10.0 * cfg.epsilon
+        report["pass"] = bell_ok and deviation <= 10.0 * cfg.epsilon
         return report
 
     # Every table of a two-bit scheme must be uniform.
     deviation = float(np.max(np.abs(tables - 0.25)))
     report.update(bound_type="attained", target_bits=2.0, uniform_deviation=deviation)
     report["pass"] = (
-        deviation <= cfg.tolerances["uniform"]
-        and abs(report["min_entropy_bits"] - 2.0) <= cfg.tolerances["min_entropy"]
+        bell_ok
+        and deviation <= cfg.tolerances["uniform"]
+        and abs(entropy - 2.0) <= cfg.tolerances["min_entropy"]
     )
     return report
 
@@ -250,11 +259,12 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
         cfg.epsilon = bt.DEFAULT_EPSILON
     elif cfg.scenario != "global_povm":
         raise UsageError(f"--epsilon applies to --scenario global_povm only, not {cfg.scenario}")
-    rows = bt.bell_values(cfg.thetas)
-    tables = bt.SCHEMES[cfg.scenario](cfg.thetas, cfg.epsilon)
+    stack = bt.angle_stack(cfg.thetas)
+    residuals = bt.bell_values(stack).residuals.tolist()
+    tables = bt.SCHEMES[cfg.scenario](stack, cfg.epsilon)
+    entropies = adv.min_entropy(tables[:, 0])
     reports = [
-        _certify_one(cfg, theta, residuals, t)
-        for theta, residuals, t in zip(rows.theta.tolist(), rows.residuals.tolist(), tables)
+        _certify_one(cfg, *row) for row in zip(stack.theta.tolist(), residuals, tables, entropies)
     ]
     ok = all(r["pass"] for r in reports)
     payload = {"scenario": cfg.scenario, "reports": reports, "all_pass": ok}
@@ -287,9 +297,10 @@ def cmd_attack(cfg: argparse.Namespace) -> int:
 
 
 def _sweep_rows(thetas: list[float], epsilon: float) -> list[dict]:
-    rows = bt.bell_values(thetas)
+    stack = bt.angle_stack(thetas)
+    rows = bt.bell_values(stack)
     minent = {
-        f"minent_{sc}": [adv.min_entropy(t[0].reshape(-1)) for t in scheme(thetas, epsilon)]
+        f"minent_{sc}": adv.min_entropy(scheme(stack, epsilon)[:, 0])
         for sc, scheme in bt.SCHEMES.items()
     }
     return [
@@ -302,7 +313,7 @@ def _sweep_rows(thetas: list[float], epsilon: float) -> list[dict]:
             "status": "ok",
         }
         for n, (theta, beta, values, res) in enumerate(
-            zip(thetas, rows.beta.tolist(), rows.values.tolist(), rows.residuals.tolist())
+            zip(*(a.tolist() for a in (stack.theta, stack.beta, rows.values, rows.residuals)))
         )
     ]
 
@@ -364,12 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
         p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
-        p.add_argument(
+        angles = p.add_mutually_exclusive_group()  # also when one of them comes from --config
+        angles.add_argument(
             "--theta",
             type=_theta_list,
             help=f"comma-separated Schmidt angles in [THETA_MIN = {qo.THETA_MIN:.5g}, pi/2]",
         )
-        p.add_argument("--theta-grid", type=_grid_size, help="number of grid angles (>= 1)")
+        angles.add_argument("--theta-grid", type=_grid_size, help="number of grid angles (>= 1)")
         p.add_argument("--config", help="flat key=value file; keys are these flag names")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument(

@@ -65,11 +65,16 @@ def tilt(theta):
     rounds to 2 and lambda_pm = 1 +- beta^2/4 cancels.  A float gives floats, an array arrays.
     """
     t = check_theta(theta)
+    out = _tilt(t)
+    return tuple(float(x) for x in out) if np.ndim(t) == 0 else out
+
+
+def _tilt(t) -> tuple:
+    """`tilt` of angles already passed through `check_theta`."""
     s, c = np.sin(t), np.cos(t)
     q = np.sqrt(1.0 + s**2)
     # (2 s)^2 rather than 4 s^2: s^2 is subnormal near THETA_MIN
-    out = (2.0 * c / q, 1.0 / q, s / q, (2.0 * s) ** 2 / (q * (q + c)))
-    return tuple(float(x) for x in out) if np.ndim(t) == 0 else out
+    return 2.0 * c / q, 1.0 / q, s / q, (2.0 * s) ** 2 / (q * (q + c))
 
 
 def beta_of_theta(theta):
@@ -218,7 +223,11 @@ def qstate_from_ket(ket, dims) -> QState:
 
 def psi_theta_ket(theta) -> np.ndarray:
     """Schmidt-form state vector cos(t/2)|00> + sin(t/2)|11>; (..., 4) for an array of angles."""
-    t = check_theta(theta)
+    return _psi_ket(check_theta(theta))
+
+
+def _psi_ket(t) -> np.ndarray:
+    """`psi_theta_ket` of angles already passed through `check_theta`."""
     ket = np.zeros(np.shape(t) + (4,), dtype=complex)
     ket[..., 0], ket[..., 3] = np.cos(t / 2), np.sin(t / 2)
     return ket

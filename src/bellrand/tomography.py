@@ -205,12 +205,13 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
 
     if n_outcomes == 3:
         for _ in range(_MAX_TRIES):
-            frame = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-            f1, f2 = frame[:, 0], frame[:, 1]
+            g = rng.normal(size=(3, 3))
             phis = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=3))
             gaps = np.diff(np.concatenate([phis, [phis[0] + 2.0 * math.pi]]))
             if gaps.max() >= math.pi:
-                continue
+                continue  # before the QR: the draws of a try do not depend on its frame
+            frame = np.linalg.qr(g)[0]
+            f1, f2 = frame[:, 0], frame[:, 1]
             normals = [math.cos(p) * f1 + math.sin(p) * f2 for p in phis]
             a = np.vstack([np.ones(3), [n @ f1 for n in normals], [n @ f2 for n in normals]])
             try:

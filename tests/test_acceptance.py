@@ -55,7 +55,7 @@ def test_03_projective_global_randomness():
         for ancilla in (qo.ancilla_pure(), qo.ancilla_mixed()):
             table = bt.projective_joint_distribution(theta, ancilla)
             worst = max(worst, float(np.max(np.abs(table - 0.25))))
-            entropies.append(adv.min_entropy(table.reshape(-1)))
+            entropies += adv.min_entropy([table])
     entropy_dev = max(abs(h - 2.0) for h in entropies)
     ok = worst <= 1e-12 and entropy_dev <= 1e-9
     report(3, "projective-global-two-bits", ok, f"uniformity dev {worst:.2e}")
@@ -70,7 +70,7 @@ def test_04_local_povm_randomness():
         rho_a = mk.partial_trace(qo.psi_theta(theta).rho, (2, 2), keep=(0,))
         dist = np.array([mk.expval(e, rho_a) for e in qo.adjusted_tetrahedral(theta).elements])
         worst = max(worst, float(np.max(np.abs(dist - 0.25))))
-        entropy_dev = max(entropy_dev, abs(adv.min_entropy(dist) - 2.0))
+        entropy_dev = max(entropy_dev, abs(adv.min_entropy([dist])[0] - 2.0))
     ok = worst <= 1e-12 and entropy_dev <= 1e-9
     report(4, "local-povm-two-bits", ok, f"uniformity dev {worst:.2e}")
     assert worst <= 1e-12

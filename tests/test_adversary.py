@@ -304,18 +304,48 @@ class TestCapAndEntropy:
         assert cap > math.log2(12)
 
     def test_min_entropy_values(self):
-        assert abs(adv.min_entropy(np.full(4, 0.25)) - 2.0) <= 1e-12
-        assert abs(adv.min_entropy(np.full(12, 1 / 12)) - math.log2(12)) <= 1e-12
-        point = np.zeros(8)
-        point[3] = 1.0
-        assert adv.min_entropy(point) == 0.0
+        assert abs(adv.min_entropy([np.full(4, 0.25)])[0] - 2.0) <= 1e-12
+        # row n is table n flattened: one 4x3 table
+        assert abs(adv.min_entropy(np.full((1, 4, 3), 1 / 12))[0] - math.log2(12)) <= 1e-12
+        point = np.zeros((2, 8))
+        point[0, 3] = point[1, 0] = 1.0
+        assert adv.min_entropy(point) == [0.0, 0.0]
 
     def test_min_entropy_validation(self):
-        with pytest.raises(ValueError, match="sums"):
-            adv.min_entropy(np.full(4, 0.3))
-        bad = np.array([0.5, 0.6, -0.1])
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="distribution 0 sums"):
+            adv.min_entropy([np.full(4, 0.3)])
+        bad = np.array([[1.0, 0.0, 0.0], [0.5, 0.6, -0.1]])
+        with pytest.raises(ValueError, match="distribution 1 has negative"):
             adv.min_entropy(bad)
+        with pytest.raises(ValueError, match="stack of tables"):
+            adv.min_entropy(np.full(4, 0.25))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(2, 12),
+        st.data(),
+    )
+    def test_stacked_min_entropy_is_per_table(self, seed, n, m, data):
+        rows = np.random.default_rng(seed).dirichlet(np.ones(m), size=n)
+        got = adv.min_entropy(rows)
+        assert [x.hex() for x in got] == [(-math.log2(row.max())).hex() for row in rows]
+        # corrupt one row, and a later one the other way: the refusal names the first
+        first = data.draw(st.integers(0, n - 1))
+        kinds = ("sums to", "has negative entries")
+        kind = data.draw(st.sampled_from(kinds))
+        other = kinds[1] if kind == kinds[0] else kinds[0]
+        for k, how in ((first, kind), (first + 1, other)):
+            if k == n:
+                break
+            if how == kinds[0]:
+                rows[k] *= 1.5
+            else:
+                rows[k, 1] += rows[k, 0] + 1e-6
+                rows[k, 0] = -1e-6
+        with pytest.raises(ValueError, match=f"^distribution {first} {kind}"):
+            adv.min_entropy(rows)
 
 
 class TestQubitReduction:

@@ -15,6 +15,7 @@ from bellrand import adversary as adv
 from bellrand import belltest as bt
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
+from bellrand import tomography as tg
 from bellrand.cli import COMMANDS, SCENARIOS, main
 
 PI_2 = "1.5707963267948966"
@@ -230,7 +231,7 @@ class TestConfigFile:
         # The tier defaults keep the values each bound had before the tiers.
         assert {name: spec.tolerances for name, spec in COMMANDS.items()} == {
             "selftest": {"bell_residual": 1e-10, "spectral": 1e-10},
-            "certify": {"uniform": 1e-12, "min_entropy": 1e-9},
+            "certify": {"bell_residual": 1e-10, "uniform": 1e-12, "min_entropy": 1e-9},
             "attack": {"attack": 1e-10},
             "sweep": {},
         }
@@ -256,6 +257,8 @@ REFUSED = [
     ["selftest", "--config", "config=other.cfg"],
     ["attack", "--seed", "7"],
     ["selftest", "--config", "seed=3"],
+    ["sweep", "--theta", "0.5", "--theta-grid", "3"],
+    ["sweep", "--theta", "0.5", "--config", "theta_grid=3"],
 ]
 
 
@@ -400,6 +403,26 @@ class TestGates:
         assert not rep["pass"] and doc["reports"][1]["pass"]
         assert abs(rep["theta_recovered"] / rep["theta"] - 1) > 1e-3
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_certify_gates_the_bell_residuals(self, capsys, monkeypatch, scenario):
+        exact = bt.bell_values
+
+        def corrupted(stack):
+            rows = exact(stack)
+            return rows._replace(residuals=rows.residuals + 1e-6)
+
+        monkeypatch.setattr(bt, "bell_values", corrupted)
+        argv = ["certify", "--scenario", scenario, "--theta", "0.4,1.1"]
+        code, out = run(capsys, argv)
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["all_pass"] is False
+        assert not any(rep["pass"] for rep in doc["reports"])
+        assert min(doc["reports"][0]["bell_residuals"].values()) >= 1e-6
+        # the key takes effect: a looser bound passes the same residuals
+        code, out = run(capsys, [*argv, "--tol", "bell_residual=1e-3"])
+        assert code == 0 and json.loads(out)["all_pass"] is True
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_error_row_keeps_its_columns(self, capsys, monkeypatch, fmt):
         def broken(thetas):
@@ -509,6 +532,39 @@ class TestEachCommandComputesWhatItReports:
             "certify local_povm": {"adjusted_tetrahedral_bloch"},
             "certify global_projective": set(),
             "certify global_povm": {"modified_mercedes_bloch", "near_y_tetrahedral_bloch"},
+        }
+
+
+    def test_angle_checks_per_command(self, monkeypatch, capsys):
+        # One angle stack per command, so one library angle check, except that
+        # selftest also checks its recovered angle (psi and phi kets) and
+        # attack keeps its per-angle path; one min_entropy call per table stack.
+        counts = {}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        seen, check_theta = {}, counted("check_theta", qo.check_theta)
+        with monkeypatch.context() as patch:
+            for module in (qo, bt, adv, tg):
+                patch.setattr(module, "check_theta", check_theta)
+            patch.setattr(bt, "angle_stack", counted("angle_stack", bt.angle_stack))
+            patch.setattr(adv, "min_entropy", counted("min_entropy", adv.min_entropy))
+            for form, argv in {**self.FORMS, "attack": ["attack"]}.items():
+                counts.update(check_theta=0, angle_stack=0, min_entropy=0)
+                assert main([*argv, "--theta", "0.4"]) == 0, form
+                seen[form] = dict(counts)
+        capsys.readouterr()
+        certify = {"check_theta": 1, "angle_stack": 1, "min_entropy": 1}
+        assert seen == {
+            "selftest": {"check_theta": 3, "angle_stack": 1, "min_entropy": 0},
+            "sweep": {"check_theta": 1, "angle_stack": 1, "min_entropy": len(SCENARIOS)},
+            **{f"certify {sc}": certify for sc in SCENARIOS},
+            "attack": {"check_theta": 5, "angle_stack": 0, "min_entropy": 0},
         }
 
 

@@ -354,6 +354,49 @@ class TestStackedSampler:
         assert np.isnan(w[1]).all()
 
 
+def loop_extremal_povm3(rng):
+    """Oracle: the 3-outcome sampler building each try's frame before its angular-gap test."""
+    for _ in range(tg._MAX_TRIES):
+        frame = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        f1, f2 = frame[:, 0], frame[:, 1]
+        phis = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=3))
+        gaps = np.diff(np.concatenate([phis, [phis[0] + 2.0 * math.pi]]))
+        if gaps.max() >= math.pi:
+            continue
+        normals = [math.cos(p) * f1 + math.sin(p) * f2 for p in phis]
+        a = np.vstack([np.ones(3), [n @ f1 for n in normals], [n @ f2 for n in normals]])
+        try:
+            w = np.linalg.solve(a, np.array([2.0, 0.0, 0.0]))
+        except np.linalg.LinAlgError:
+            continue
+        if w.min() > 0.05:
+            return qo.povm_from_bloch(w, normals)
+    raise RuntimeError("failed to sample a feasible 3-outcome POVM")
+
+
+class TestThreeOutcomeSampler:
+    """The 3-outcome sampler, which skips the QR of a try failing the gap test, against the loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(3)  # first accepted try is the 13th
+    def test_same_stream_as_the_loop(self, seed):
+        fast, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got, want = tg.random_extremal_povm(3, fast), loop_extremal_povm3(looped)
+            TestStackedSampler.assert_same_draw(got, want)
+            assert fast.bit_generator.state == looped.bit_generator.state
+
+    def test_refusal_consumes_the_same_stream(self, monkeypatch):
+        monkeypatch.setattr(tg, "_MAX_TRIES", 5)  # seed 3 accepts its 13th try only
+        fast, looped = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(RuntimeError, match="3-outcome"):
+            tg.random_extremal_povm(3, fast)
+        with pytest.raises(RuntimeError, match="3-outcome"):
+            loop_extremal_povm3(looped)
+        assert fast.bit_generator.state == looped.bit_generator.state
+
+
 class TestRandomExtremal:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_valid_and_extremal(self, n):
