@@ -189,7 +189,40 @@ def _json_document(cfg: argparse.Namespace, command: str, payload: dict) -> str:
         "tolerances": cfg.tolerances,
     }
     doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json_text(doc) + "\n"
+
+
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    `obj` is a tree of dicts with str keys, lists or tuples, strings, numbers,
+    bools and None.  The standard indented encoder runs in pure Python, one
+    generator step per token; this one joins each container's items in one call.
+    """
+    if type(obj) is float and obj - obj == 0.0:  # a finite float, the common leaf
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return _JSON_LITERALS[obj]
+    if isinstance(obj, (int, float)):
+        return json.dumps(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        string = json.encoder.encode_basestring_ascii
+        items = (f"{inner}{string(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = (inner + _json_text(value, inner) for value in obj)
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from bellrand import adversary as adv
 from bellrand import belltest as bt
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
+from bellrand import cli
 from bellrand import tomography as tg
 from bellrand.cli import COMMANDS, SCENARIOS, main
 
@@ -566,6 +567,39 @@ class TestEachCommandComputesWhatItReports:
             **{f"certify {sc}": certify for sc in SCENARIOS},
             "attack": {"check_theta": 5, "angle_stack": 0, "min_entropy": 0},
         }
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # NaN and the infinities included
+    | st.text()
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """The report writer against the standard encoder it replaces."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_trees)
+    @example({"a": [], "b": {}, "c": [1.5, -0.0, 5e-324, np.float64(0.1)], "é\n\"": (True, None)})
+    def test_same_bytes_as_json_dumps(self, tree):
+        assert cli._json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    def test_refuses_what_json_refuses(self):
+        for obj in ({1, 2}, [np.bool_(True)], {"x": object()}):
+            with pytest.raises(TypeError):
+                json.dumps(obj)
+            with pytest.raises(TypeError):
+                cli._json_text(obj)
 
 
 class TestCommandsAgree:
