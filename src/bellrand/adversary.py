@@ -33,27 +33,34 @@ _PP_MM = np.stack(
     [np.kron(tg.KET_PLUS, tg.KET_PLUS), np.kron(tg.KET_MINUS, tg.KET_MINUS)], axis=1
 )
 
-# Eve's ancilla pair chi_+- = (|++> +- |-->)/sqrt(2) on the two ancilla qubits,
-# validated once; _CHI_RHOS stacks it for the stacked joint tables.
-CHI: tuple[QState, QState] = tuple(
-    qo.qstate_from_ket(_PP_MM @ [1, s] / math.sqrt(2.0), (2, 2)) for s in (1, -1)
-)
+# Eve's ancilla pair chi_+- = (|++> +- |-->)/sqrt(2) on the two ancilla qubits:
+# _CHI_KETS holds the kets as rows (chi_+ first), CHI the states validated once,
+# and _CHI_RHOS stacks them for the stacked joint tables.
+_CHI_KETS = np.stack([_PP_MM @ [1, s] / math.sqrt(2.0) for s in (1, -1)])
+CHI: tuple[QState, QState] = tuple(qo.qstate_from_ket(k, (2, 2)) for k in _CHI_KETS)
 _CHI_RHOS = np.stack([chi.rho for chi in CHI])
 # A' x B' = X x X in the |+->-block gauge; Eve's states must keep <A' x B'> = 1.
 _XX = np.kron(qo.PAULI_X, qo.PAULI_X)
 
 
-def joint_amplitudes(alice: Povm, bob: Povm, theta: float) -> np.ndarray:
-    """Amplitude table <k_a l_b | psi_theta> from the subnormalized kets."""
+def joint_amplitudes(alice: Povm, bob: Povm, theta: float, *, psi=None) -> np.ndarray:
+    """Amplitude table <k_a l_b | psi_theta> from the subnormalized kets.
+
+    A caller that has checked theta and built its ket passes the ket as `psi`,
+    and theta is then not read.
+    """
     if alice.kets is None or bob.kets is None:
         raise ValueError("joint amplitudes need rank-one kets on both sides")
-    psi = qo.psi_theta_ket(theta).reshape(2, 2)
+    psi = (qo.psi_theta_ket(theta) if psi is None else psi).reshape(2, 2)
     return np.conj(alice.kets) @ psi @ np.conj(bob.kets).T
 
 
-def ideal_joint(alice: Povm, bob: Povm, theta: float) -> np.ndarray:
-    """Joint outcome table of the reference qubit POVMs on the theta-state."""
-    psi = qo.psi_theta_ket(theta).reshape(1, 1, 2, 2)
+def ideal_joint(alice: Povm, bob: Povm, theta: float, *, psi=None) -> np.ndarray:
+    """Joint outcome table of the reference qubit POVMs on the theta-state.
+
+    `psi` is theta's ket, as in :func:`joint_amplitudes`.
+    """
+    psi = (qo.psi_theta_ket(theta) if psi is None else psi).reshape(1, 1, 2, 2)
     return mk.joint_table_kets(alice.elements, bob.elements, psi)[0]
 
 
@@ -73,7 +80,11 @@ def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) 
 
 @dataclass(frozen=True)
 class AttackModel:
-    """Everything Eve needs besides her state pair `CHI`: coefficients and dilated POVMs."""
+    """Everything Eve needs besides her state pair `CHI`: coefficients and dilated POVMs.
+
+    `psi` is the theta-ket (4,) that the attack's tables read; left out, it is
+    derived from `theta`.
+    """
 
     theta: float
     alice: Povm
@@ -83,20 +94,30 @@ class AttackModel:
     r_povm: Povm  # dilated Alice POVM on qubit x ancilla
     s_povm: Povm  # dilated Bob POVM on qubit x ancilla
     target_pair: tuple[int, int]
+    psi: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.psi is None:
+            object.__setattr__(self, "psi", qo.psi_theta_ket(self.theta))
 
 
 def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarray:
     """Oracle of :func:`closed_form_joint` and :func:`evaluate_attack`.
 
-    Full 16-dimensional Born-rule evaluation: traces R_a x S_b against the
-    permuted product of the theta-state and the ancilla state chi_sign of
-    `CHI`, in the fixed (A, A', B, B') ordering.
+    Full 16-dimensional Born-rule evaluation of R_a x S_b on one ket: the
+    pure state psi_theta x chi_sign in (A, A', B, B') order, built from
+    `theta` and the chi_sign ket and checked against the `QState` contract
+    (`qo.check_ket_stack`).  Of the attack it reads only the dilated POVMs,
+    not the coefficients or the carried ket.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    chi = CHI[0] if sign == +1 else CHI[1]
-    rho = qo.compose_with_ancilla(qo.psi_theta(theta), chi).rho
-    return mk.joint_table(attack.r_povm.elements, attack.s_povm.elements, rho)
+    theta = check_theta(theta)
+    psi = qo._psi_ket(theta).reshape(2, 1, 2, 1)
+    chi = _CHI_KETS[0 if sign == +1 else 1].reshape(1, 2, 1, 2)
+    ket = (psi * chi).reshape(1, 1, 4, 4)  # rows (A, A'), columns (B, B')
+    qo.check_ket_stack(ket, [theta])
+    return mk.joint_table_kets(attack.r_povm.elements, attack.s_povm.elements, ket)[0]
 
 
 def _admissible_coeffs(p: Povm) -> np.ndarray:
@@ -137,7 +158,8 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
     if not (lam.any() and mu.any()):
         raise DegenerateAttackError("off-diagonal operators are linearly independent")
 
-    amp = joint_amplitudes(alice, bob, theta)
+    psi = qo._psi_ket(theta)
+    amp = joint_amplitudes(alice, bob, theta, psi=psi)
     unit_a = np.abs(lam) >= 1.0 - mk.RANK_TOL
     unit_b = np.abs(mu) >= 1.0 - mk.RANK_TOL
     weight = np.where(unit_a[:, None] & unit_b[None, :], np.abs(amp) ** 2, -1.0)
@@ -158,6 +180,7 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
         r_povm=tg.build_dilated_povm(alice, lam),
         s_povm=tg.build_dilated_povm(bob, mu),
         target_pair=(int(a_star), int(b_star)),
+        psi=psi,
     )
 
 
@@ -205,14 +228,13 @@ def _ancilla_joints(
 def evaluate_attack(attack: AttackModel) -> ConditionalJoint:
     """Both conditional tables, P_sign(a, b) = Re Tr[W_ab chi_sign].
 
-    W_ab = <psi| R_a x S_b |psi> is the operator :func:`qubit_reduction_check`
-    reads too, so both chi branches are one (2, 16) @ (16, na * nb) product
-    of the `_CHI_RHOS` stack in :func:`_ancilla_joints` and no
-    16-dimensional state is formed.  :func:`brute_force_joint` is its oracle.
+    W_ab = <psi| R_a x S_b |psi>, with psi the attack's carried theta-ket, is
+    the operator :func:`qubit_reduction_check` reads too, so both chi branches
+    are one (2, 16) @ (16, na * nb) product of the `_CHI_RHOS` stack in
+    :func:`_ancilla_joints`; no 16-dimensional state is formed and theta is
+    not checked again.  :func:`brute_force_joint` is its oracle.
     """
-    p_plus, p_minus = _ancilla_joints(
-        attack.r_povm, attack.s_povm, qo.psi_theta_ket(attack.theta), _CHI_RHOS
-    )
+    p_plus, p_minus = _ancilla_joints(attack.r_povm, attack.s_povm, attack.psi, _CHI_RHOS)
     return ConditionalJoint(p_plus=p_plus, p_minus=p_minus)
 
 
@@ -327,6 +349,7 @@ def qubit_reduction_check(
     all joints are evaluated on the (2 n, 4, 4) stack, with no per-state loop.
     """
     theta = check_theta(theta)
+    psi = qo._psi_ket(theta)
     count_ok = isinstance(n_decompositions, numbers.Integral) and not isinstance(
         n_decompositions, bool
     )
@@ -336,7 +359,7 @@ def qubit_reduction_check(
 
     r_povm = tg.build_dilated_povm(alice, _admissible_coeffs(alice))
     s_povm = tg.build_dilated_povm(bob, _admissible_coeffs(bob))
-    ideal = ideal_joint(alice, bob, theta)
+    ideal = ideal_joint(alice, bob, theta, psi=psi)
     _, index, sigmas = _eve_decompositions(n_decompositions, rng)
 
     def eve(n: int) -> str:
@@ -349,7 +372,7 @@ def qubit_reduction_check(
         n = int(np.argmax(corr > mk.IDENTITY_TOL))
         raise ValueError(f"<A' x B'> misses 1 by {corr[n]:.3e} at {eve(n)}")
 
-    joints = _ancilla_joints(r_povm, s_povm, qo.psi_theta_ket(theta), sigmas)
+    joints = _ancilla_joints(r_povm, s_povm, psi, sigmas)
     deviations = np.zeros(n_decompositions)
     np.maximum.at(deviations, index, np.max(np.abs(joints - ideal), axis=(1, 2)))
     return QubitReductionReport(
@@ -362,9 +385,9 @@ def qubit_reduction_check(
 
 
 def attack_report(attack: AttackModel) -> dict:
-    """JSON-ready summary of a built attack."""
+    """JSON-ready summary of a built attack, read from its carried theta-ket."""
     cj = evaluate_attack(attack)
-    ideal = ideal_joint(attack.alice, attack.bob, attack.theta)
+    ideal = ideal_joint(attack.alice, attack.bob, attack.theta, psi=attack.psi)
     return {
         "theta": attack.theta,
         "lambda": [[float(z.real), float(z.imag)] for z in attack.lambda_coeffs],

@@ -54,6 +54,7 @@ from . import adversary as adv
 from . import belltest as bt
 from . import matkernel as mk
 from . import qobjects as qo
+from .qobjects import check_theta
 
 SCHEMA_VERSION = 2
 
@@ -122,17 +123,27 @@ def _checked(convert, what: str, ok=lambda value: True):
     return parse
 
 
-_angle = _checked(qo.check_theta, f"an angle in [{qo.THETA_MIN!r}, pi/2]")
+_angle = _checked(check_theta, f"an angle in [{qo.THETA_MIN!r}, pi/2]")
 _grid_size = _checked(int, "an angle count >= 1", lambda n: n >= 1)
 _epsilon = _checked(float, "a tilt in (0, 1)", lambda e: 0.0 < e < 1.0)
 _tol_value = _checked(float, "a finite tolerance > 0", lambda v: math.isfinite(v) and v > 0.0)
 
 
 def _theta_list(text: str) -> list[float]:
-    values = [_angle(x) for x in text.split(",") if x.strip()]
-    if not values:
+    """Comma-separated angles, converted with `float` and checked as one array.
+
+    Only a refused list is checked text by text, so the refusal names the
+    first refused text.
+    """
+    texts = [x for x in text.split(",") if x.strip()]
+    if not texts:
         raise argparse.ArgumentTypeError(f"no angle in {text!r}")
-    return values
+    try:
+        return check_theta([float(x) for x in texts]).tolist()
+    except ValueError:
+        for x in texts:
+            _angle(x)
+        raise
 
 
 def _tol_entry(keys: tuple[str, ...]):

@@ -25,8 +25,9 @@ KET_MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 PROJ_PLUS = np.outer(KET_PLUS, KET_PLUS.conj())
 PROJ_MINUS = np.outer(KET_MINUS, KET_MINUS.conj())
 FLIP_PM = np.outer(KET_PLUS, KET_MINUS.conj())  # |+><-|
-# Ancilla factors of the four dilation blocks (E, E*, c T, c* T^dagger).
-_DILATION_ANCILLA = np.stack([PROJ_PLUS, PROJ_MINUS, FLIP_PM, FLIP_PM.conj().T])
+# Ancilla factors of the four dilation blocks (E, E*, c T, c* T^dagger), one
+# flattened 2x2 operator per row.
+_DILATION_ANCILLA = np.stack([PROJ_PLUS, PROJ_MINUS, FLIP_PM, FLIP_PM.conj().T]).reshape(4, 4)
 
 
 def eta_matrix(theta: float) -> np.ndarray:
@@ -81,7 +82,7 @@ def correlations_from_povm(p: Povm, theta: float) -> CorrelationTable:
     if p.dim != 2:
         raise ValueError("correlations are defined for qubit POVMs")
     theta = check_theta(theta)
-    psi = qo.psi_theta_ket(theta).reshape(1, 1, 2, 2)
+    psi = qo._psi_ket(theta).reshape(1, 1, 2, 2)
     return CorrelationTable(theta, mk.joint_table_kets(p.elements, PAULIS, psi)[0])
 
 
@@ -131,7 +132,9 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
 
     with T_a = |k_a><k_a*|.  Requires |c_a| <= 1 (eigenvalues of R_a are
     |k_a|^2 (1 +- |c_a|) plus zeros) and sum_a c_a T_a = 0 (completeness);
-    violations are rejected with the offending residual.
+    violations are rejected with the offending residual.  All R_a come from
+    one (4m, 4) @ (4, 4) product of the blocks against the flattened ancilla
+    factors.
     """
     if p.kets is None:
         raise ValueError("dilation needs rank-one kets; attach them first")
@@ -141,16 +144,15 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
     mags = np.abs(coeffs)
     if mags.max(initial=0.0) > 1.0 + mk.RANK_TOL:
         raise ValueError(f"coefficient magnitude {mags.max():.6f} exceeds 1")
-    offdiags = p.kets[:, :, None] * p.kets[:, None, :]
-    residual = float(np.linalg.norm(np.einsum("a,aij->ij", coeffs, offdiags)))
+    ct = coeffs[:, None, None] * p.kets[:, :, None] * p.kets[:, None, :]  # c_a T_a
+    residual = float(np.linalg.norm(ct.sum(axis=0)))
     if residual > mk.RANK_TOL:
         raise ValueError(f"coefficients do not close the completeness sum, residual {residual:.3e}")
     e = p.elements
-    ct = coeffs[:, None, None] * offdiags
-    blocks = np.stack([e, np.conj(e), ct, np.conj(np.swapaxes(ct, -1, -2))], axis=1)
-    d = e.shape[-1] * 2
-    elements = np.einsum("amij,mkl->aikjl", blocks, _DILATION_ANCILLA).reshape(-1, d, d)
-    return Povm(elements)
+    m, d = e.shape[:2]
+    blocks = np.stack([e, np.conj(e), ct, np.conj(np.swapaxes(ct, -1, -2))], axis=-1)
+    r = blocks.reshape(-1, 4) @ _DILATION_ANCILLA  # [(a i j), (k l)]
+    return Povm(r.reshape(m, d, d, 2, 2).transpose(0, 1, 3, 2, 4).reshape(m, 2 * d, 2 * d))
 
 
 _MAX_TRIES = 2000  # rejection-sampling attempts before a draw is refused

@@ -172,6 +172,70 @@ class TestOracleEquivalence:
         assert np.max(np.abs(brute - adv.ideal_joint(alice, bob, theta))) <= 1e-12
 
 
+class TestKetOracle:
+    """`brute_force_joint` evaluates one 16-dim ket; the density-matrix route is its oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, math.pi / 2))
+    def test_matches_the_density_matrix_route(self, seed, theta):
+        rng = np.random.default_rng(seed)
+        alice = tg.random_extremal_povm(4, rng)
+        bob = tg.random_extremal_povm(4, rng)
+        lam = random_admissible_coeffs(alice, rng)
+        mu = random_admissible_coeffs(bob, rng)
+        attack = make_attack(alice, bob, lam, mu, theta)
+        for k, sign in enumerate((+1, -1)):
+            rho = qo.compose_with_ancilla(qo.psi_theta(theta), adv.CHI[k]).rho
+            expected = mk.joint_table(attack.r_povm.elements, attack.s_povm.elements, rho)
+            assert np.max(np.abs(adv.brute_force_joint(attack, theta, sign) - expected)) <= 1e-14
+
+    def test_unnormalized_state_refused_naming_the_angle(self, monkeypatch):
+        p = qo.adjusted_tetrahedral(0.5)
+        attack = adv.build_attack(p, p, 0.5)
+        monkeypatch.setattr(adv, "_CHI_KETS", adv._CHI_KETS * 1.001)
+        with pytest.raises(ValueError, match=r"trace .* != 1 at theta=0\.5"):
+            adv.brute_force_joint(attack, 0.5, -1)
+
+    def test_attack_path_forms_no_composite_state(self, monkeypatch):
+        # One pair through the attack, both brute-force branches and the 4x3
+        # reduction: no validated QState, no tensor product or permutation, and
+        # one angle check per call that takes theta (the report reads the
+        # attack's theta-ket).
+        rng = np.random.default_rng(11)
+        alice, bob = (tg.random_extremal_povm(4, rng) for _ in range(2))
+        bob3 = tg.random_extremal_povm(3, rng)
+        counts = dict.fromkeys(
+            ("check_theta", "QState", "compose_with_ancilla", "kron", "permute_subsystems"), 0
+        )
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        check_theta = counted("check_theta", qo.check_theta)
+        for module in (qo, adv, tg):
+            monkeypatch.setattr(module, "check_theta", check_theta)
+        monkeypatch.setattr(qo.QState, "__post_init__", counted("QState", qo.QState.__post_init__))
+        for module, name in ((qo, "compose_with_ancilla"), (mk, "kron"), (mk, "permute_subsystems")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+        attack = adv.build_attack(alice, bob, 0.8)
+        adv.attack_report(attack)
+        for sign in (+1, -1):
+            adv.brute_force_joint(attack, 0.8, sign)
+        adv.qubit_reduction_check(alice, bob3, 0.8, seed=5)
+        assert counts == {
+            "check_theta": 4,
+            "QState": 0,
+            "compose_with_ancilla": 0,
+            "kron": 0,
+            "permute_subsystems": 0,
+        }
+
+
 class TestAttackTablesFromAncillaOperators:
     """`evaluate_attack` reads W_ab; the 16-dimensional `brute_force_joint` is its oracle."""
 

@@ -242,6 +242,7 @@ REFUSED = [
     ["selftest", "--theta-grid", "0"],
     ["selftest", "--theta-grid", "-1"],
     ["selftest", "--theta", ","],
+    ["selftest", "--theta", "0.1,2.0,0.3"],
     ["selftest", "--theta", "1", "--tol", "spectral=nan"],
     ["selftest", "--theta", "1", "--tol", "spectral=inf"],
     ["selftest", "--theta", "1", "--tol", "spectral=-1"],
@@ -366,6 +367,13 @@ class TestAngleDomain:
 
     def test_every_command_refuses_angles_above_pi_2(self):
         self.assert_refused(repr(math.pi / 2 + 1e-9))
+
+    @pytest.mark.parametrize("angles, refused", [("0.1,2.0,0.3", "2.0"), ("0.4,abc,nan", "abc")])
+    def test_a_refused_list_names_its_first_refused_text(self, angles, refused):
+        for command in self.FORMS:
+            code, out, err = self.call([*command, "--theta", angles])
+            assert code == 2 and out == "", (command, angles)
+            assert f"{refused!r} is not an angle in [{qo.THETA_MIN!r}, pi/2]" in err
 
 
 class TestGates:
@@ -539,7 +547,8 @@ class TestEachCommandComputesWhatItReports:
     def test_angle_checks_per_command(self, monkeypatch, capsys):
         # One angle stack per command, so one library angle check, except that
         # selftest also checks its recovered angle (psi and phi kets) and
-        # attack keeps its per-angle path; one min_entropy call per table stack.
+        # attack keeps its per-angle path (its POVM and its attack, which
+        # carries the theta-ket); one min_entropy call per table stack.
         counts = {}
 
         def counted(name, f):
@@ -565,7 +574,7 @@ class TestEachCommandComputesWhatItReports:
             "selftest": {"check_theta": 3, "angle_stack": 1, "min_entropy": 0},
             "sweep": {"check_theta": 1, "angle_stack": 1, "min_entropy": len(SCENARIOS)},
             **{f"certify {sc}": certify for sc in SCENARIOS},
-            "attack": {"check_theta": 5, "angle_stack": 0, "min_entropy": 0},
+            "attack": {"check_theta": 2, "angle_stack": 0, "min_entropy": 0},
         }
 
 
