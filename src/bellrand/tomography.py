@@ -144,7 +144,7 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
     mags = np.abs(coeffs)
     if mags.max(initial=0.0) > 1.0 + mk.RANK_TOL:
         raise ValueError(f"coefficient magnitude {mags.max():.6f} exceeds 1")
-    ct = coeffs[:, None, None] * p.kets[:, :, None] * p.kets[:, None, :]  # c_a T_a
+    ct = coeffs[:, None, None] * (p.kets[:, :, None] * p.kets[:, None, :])  # c_a T_a
     residual = float(np.linalg.norm(ct.sum(axis=0)))
     if residual > mk.RANK_TOL:
         raise ValueError(f"coefficients do not close the completeness sum, residual {residual:.3e}")
