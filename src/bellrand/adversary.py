@@ -27,20 +27,20 @@ class DegenerateAttackError(RuntimeError):
     """No unit-magnitude coefficient pair has a nonzero target amplitude."""
 
 
-# Columns |++> and |-->: an orthonormal basis of the +1 eigenspace of A' x B',
-# where every state of Eve's lives.
-_PP_MM = np.stack(
-    [np.kron(tg.KET_PLUS, tg.KET_PLUS), np.kron(tg.KET_MINUS, tg.KET_MINUS)], axis=1
-)
+# Eve's ancilla pair lives on the ancilla realization the Bell kernels use:
+# A' = B' = Z, with the average of her states its mixed sigma.  _SUPPORT holds
+# the columns |00> and |11>, an orthonormal basis of the +1 eigenspace of
+# A' x B' (_ZZ), where every state of Eve's lives.
+_ANCILLA = qo.ancilla_mixed()
+_ZZ = np.kron(_ANCILLA.a_prime, _ANCILLA.b_prime)
+_SUPPORT = np.eye(4)[:, [0, 3]]
 
-# Eve's ancilla pair chi_+- = (|++> +- |-->)/sqrt(2) on the two ancilla qubits:
+# Eve's ancilla pair chi_+- = (|00> +- |11>)/sqrt(2) on the two ancilla qubits:
 # _CHI_KETS holds the kets as rows (chi_+ first), CHI the states validated once,
 # and _CHI_RHOS stacks them for the stacked joint tables.
-_CHI_KETS = np.stack([_PP_MM @ [1, s] / math.sqrt(2.0) for s in (1, -1)])
+_CHI_KETS = np.stack([_SUPPORT @ [1, s] / math.sqrt(2.0) for s in (1, -1)])
 CHI: tuple[QState, QState] = tuple(qo.qstate_from_ket(k, (2, 2)) for k in _CHI_KETS)
 _CHI_RHOS = np.stack([chi.rho for chi in CHI])
-# A' x B' = X x X in the |+->-block gauge; Eve's states must keep <A' x B'> = 1.
-_XX = np.kron(qo.PAULI_X, qo.PAULI_X)
 
 
 def joint_amplitudes(alice: Povm, bob: Povm, theta: float, *, psi=None) -> np.ndarray:
@@ -82,8 +82,7 @@ def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) 
 class AttackModel:
     """Everything Eve needs besides her state pair `CHI`: coefficients and dilated POVMs.
 
-    `psi` is the theta-ket (4,) that the attack's tables read; left out, it is
-    derived from `theta`.
+    `psi` is the theta-ket (4,) that the attack's tables read.
     """
 
     theta: float
@@ -94,11 +93,7 @@ class AttackModel:
     r_povm: Povm  # dilated Alice POVM on qubit x ancilla
     s_povm: Povm  # dilated Bob POVM on qubit x ancilla
     target_pair: tuple[int, int]
-    psi: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.psi is None:
-            object.__setattr__(self, "psi", qo.psi_theta_ket(self.theta))
+    psi: np.ndarray
 
 
 def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarray:
@@ -249,8 +244,8 @@ def min_entropy(tables) -> list[float]:
         raise ValueError(f"expected a stack of tables (N, ...), got shape {arr.shape}")
     rows = arr.reshape(len(arr), -1)
     totals = rows.sum(axis=1)
-    off = np.abs(totals - 1.0) > mk.RANK_TOL
-    negative = rows.min(axis=1) < -mk.ZERO_TOL
+    off = ~(np.abs(totals - 1.0) <= mk.RANK_TOL)  # NaN is refused too
+    negative = ~(rows.min(axis=1) >= -mk.ZERO_TOL)
     if off.any() or negative.any():
         n = int(np.argmax(off | negative))
         what = f"sums to {float(totals[n])}, not 1" if off[n] else "has negative entries"
@@ -290,15 +285,15 @@ class QubitReductionReport:
 def _eve_decompositions(n_samples: int, rng: np.random.Generator):
     """Ensembles {(p_k, sigma_k)} decomposing the mixed ancilla pair, stacked.
 
-    The base state is the even mixture of |++><++| and |--><--|, the
-    ancilla marginal of (|++>|0> + |-->|1>)/sqrt(2) whose last qubit Eve
+    The base state is the mixed ancilla sigma = (|00><00| + |11><11|)/2, the
+    ancilla marginal of (|00>|0> + |11>|1>)/sqrt(2) whose last qubit Eve
     holds.  Her measurement {E_k} on that qubit leaves the subnormalized
-    state V E_k^T V^dagger / 2, with V the columns |++> and |-->, so
+    state V E_k^T V^dagger / 2, with V the columns |00> and |11>, so
     p_k = Tr E_k / 2.  The first decomposition is the canonical conjugation
     pair `CHI`; the rest alternate Haar-random rank-1 projective
     measurements and random two-element full-rank POVMs.  Every state lies in
-    the range of V, the +1 eigenspace of A' x B', so the perfect correlation
-    is preserved.
+    the range of V, the +1 eigenspace of A' x B' = Z x Z, so the perfect
+    correlation is preserved; V's 0/1 entries place those of E_k^T exactly.
 
     Returns (weights, index, states) of shapes (K,), (K,) and (K, 4, 4) with
     K = 2 n_samples: state n belongs to decomposition index[n].  All normals
@@ -319,7 +314,7 @@ def _eve_decompositions(n_samples: int, rng: np.random.Generator):
     elements[0::2] = cols[..., :, None] * np.conj(cols[..., None, :])
     elements[1::2] = root_inv @ g @ root_inv
     traces = np.trace(elements, axis1=-2, axis2=-1).real
-    states = _PP_MM @ np.swapaxes(elements, -1, -2) @ _PP_MM.conj().T / traces[..., None, None]
+    states = _SUPPORT @ np.swapaxes(elements, -1, -2) @ _SUPPORT.T / traces[..., None, None]
     weights = np.concatenate([[0.5, 0.5], traces.reshape(-1) / 2])
     states = np.concatenate([_CHI_RHOS, states.reshape(-1, 4, 4)])
     return weights, np.repeat(np.arange(n_samples), 2), states
@@ -367,7 +362,7 @@ def qubit_reduction_check(
         return f"Eve state {int(np.count_nonzero(index[:n] == d))} of decomposition {d}"
 
     qo.check_state_stack(sigmas, eve)
-    corr = np.abs(np.einsum("ij,nji->n", _XX, sigmas).real - 1.0)
+    corr = np.abs(np.einsum("ij,nji->n", _ZZ, sigmas).real - 1.0)
     if corr.max() > mk.IDENTITY_TOL:
         n = int(np.argmax(corr > mk.IDENTITY_TOL))
         raise ValueError(f"<A' x B'> misses 1 by {corr[n]:.3e} at {eve(n)}")

@@ -133,11 +133,9 @@ def _theta_list(text: str) -> list[float]:
     """Comma-separated angles, converted with `float` and checked as one array.
 
     Only a refused list is checked text by text, so the refusal names the
-    first refused text.
+    first refused text, an empty item as ''.
     """
-    texts = [x for x in text.split(",") if x.strip()]
-    if not texts:
-        raise argparse.ArgumentTypeError(f"no angle in {text!r}")
+    texts = text.split(",")
     try:
         return check_theta([float(x) for x in texts]).tolist()
     except ValueError:

@@ -131,8 +131,8 @@ def check_dichotomic_stack(ops, labels, thetas=None) -> None:
     herm = np.max(np.abs(ops - np.conj(np.swapaxes(ops, -1, -2))), axis=(-2, -1))
     square = np.max(np.abs(ops @ ops - np.eye(ops.shape[-1])), axis=(-2, -1))
     for resid, what in ((herm, "must be Hermitian"), (square, "fails O^2 = I")):
-        if resid.max(initial=0.0) > mk.IDENTITY_TOL:
-            n, m = np.argwhere(resid > mk.IDENTITY_TOL)[0]
+        if not resid.max(initial=0.0) <= mk.IDENTITY_TOL:  # NaN is refused too
+            n, m = np.argwhere(~(resid <= mk.IDENTITY_TOL))[0]
             at = f" at theta={float(thetas[n])!r}" if thetas is not None else ""
             raise ValueError(f"observable {labels[m]!r} {what}{at} (residual {resid[n, m]:.3e})")
 
@@ -152,8 +152,8 @@ def check_state_stack(rhos, where=None) -> None:
         raise ValueError(f"density operator {what}{at}")
 
     herm = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, -1, -2))), axis=(-2, -1))
-    if herm.max(initial=0.0) > mk.ZERO_TOL:
-        n = np.argmax(herm > mk.ZERO_TOL)
+    if not herm.max(initial=0.0) <= mk.ZERO_TOL:  # NaN is refused here, before `eigvalsh`
+        n = np.argmax(~(herm <= mk.ZERO_TOL))
         refuse(f"must be Hermitian (residual {herm[n]:.3e})", n)
     low = np.linalg.eigvalsh(rhos)[..., 0]
     if low.min(initial=0.0) < -mk.IDENTITY_TOL:
@@ -174,9 +174,9 @@ def check_ket_stack(kets, thetas) -> None:
     """
     kets = np.asarray(kets, dtype=complex)
     tr = np.sum(np.abs(kets) ** 2, axis=tuple(range(1, kets.ndim)))
-    bad = np.abs(tr - 1.0) > mk.IDENTITY_TOL
-    if bad.any():
-        n = np.argmax(bad)
+    off = np.abs(tr - 1.0)
+    if not off.max(initial=0.0) <= mk.IDENTITY_TOL:  # NaN is refused too
+        n = np.argmax(~(off <= mk.IDENTITY_TOL))
         raise ValueError(f"density operator trace {tr[n]} != 1 at theta={float(thetas[n])!r}")
 
 

@@ -18,18 +18,6 @@ from . import matkernel as mk
 from . import qobjects as qo
 from .qobjects import PAULIS, Povm, check_theta
 
-# Ancilla qubit used for all dilations: the +1/-1 blocks live on
-# |+> = (|0>+|1>)/sqrt(2) and |-> = (|0>-|1>)/sqrt(2).
-KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-KET_MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
-PROJ_PLUS = np.outer(KET_PLUS, KET_PLUS.conj())
-PROJ_MINUS = np.outer(KET_MINUS, KET_MINUS.conj())
-FLIP_PM = np.outer(KET_PLUS, KET_MINUS.conj())  # |+><-|
-# Ancilla factors of the four dilation blocks (E, E*, c T, c* T^dagger), one
-# flattened 2x2 operator per row.
-_DILATION_ANCILLA = np.stack([PROJ_PLUS, PROJ_MINUS, FLIP_PM, FLIP_PM.conj().T]).reshape(4, 4)
-
-
 def eta_matrix(theta: float) -> np.ndarray:
     """Pauli correlation matrix <sigma_mu x sigma_nu> of the theta-state.
 
@@ -127,32 +115,32 @@ def offdiag_set(p: Povm) -> OffdiagSet:
 def build_dilated_povm(p: Povm, coeffs) -> Povm:
     """Dilate a rank-one qubit POVM onto qubit x ancilla-qubit.
 
-    R_a = E_a x |+><+| + E_a* x |-><-|
-        + c_a T_a x |+><-| + c_a* T_a^dagger x |-><+|,
+    R_a = E_a x |0><0| + c_a T_a x |0><1| + c_a* T_a^dagger x |1><0| + E_a* x |1><1|,
 
-    with T_a = |k_a><k_a*|.  Requires |c_a| <= 1 (eigenvalues of R_a are
-    |k_a|^2 (1 +- |c_a|) plus zeros) and sum_a c_a T_a = 0 (completeness);
-    violations are rejected with the offending residual.  All R_a come from
-    one (4m, 4) @ (4, 4) product of the blocks against the flattened ancilla
-    factors.
+    with T_a = |k_a><k_a*|: the blocks sit on the eigenbasis of the ancilla
+    observable Z that the Bell kernels measure (A' = B' = Z).  Requires
+    |c_a| <= 1 (eigenvalues of R_a are |k_a|^2 (1 +- |c_a|) plus zeros) and
+    sum_a c_a T_a = 0 (completeness); violations are rejected with the
+    offending residual.  All R_a come from one stack of the four blocks,
+    transposed into (system, ancilla) order.
     """
     if p.kets is None:
         raise ValueError("dilation needs rank-one kets; attach them first")
     coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
     if coeffs.shape[0] != p.n_outcomes:
         raise ValueError("one coefficient per outcome required")
-    mags = np.abs(coeffs)
-    if mags.max(initial=0.0) > 1.0 + mk.RANK_TOL:
-        raise ValueError(f"coefficient magnitude {mags.max():.6f} exceeds 1")
+    top = np.abs(coeffs).max(initial=0.0)
+    if not top <= 1.0 + mk.RANK_TOL:
+        raise ValueError(f"coefficient magnitude {top:.6f} exceeds 1")
     ct = coeffs[:, None, None] * (p.kets[:, :, None] * p.kets[:, None, :])  # c_a T_a
     residual = float(np.linalg.norm(ct.sum(axis=0)))
-    if residual > mk.RANK_TOL:
+    if not residual <= mk.RANK_TOL:
         raise ValueError(f"coefficients do not close the completeness sum, residual {residual:.3e}")
     e = p.elements
     m, d = e.shape[:2]
-    blocks = np.stack([e, np.conj(e), ct, np.conj(np.swapaxes(ct, -1, -2))], axis=-1)
-    r = blocks.reshape(-1, 4) @ _DILATION_ANCILLA  # [(a i j), (k l)]
-    return Povm(r.reshape(m, d, d, 2, 2).transpose(0, 1, 3, 2, 4).reshape(m, 2 * d, 2 * d))
+    blocks = np.stack([e, ct, np.conj(np.swapaxes(ct, -1, -2)), np.conj(e)], axis=1)
+    r = blocks.reshape(m, 2, 2, d, d).transpose(0, 3, 1, 4, 2)  # [a, p, q, i, j] -> [a, i, p, j, q]
+    return Povm(r.reshape(m, 2 * d, 2 * d))
 
 
 _MAX_TRIES = 2000  # rejection-sampling attempts before a draw is refused

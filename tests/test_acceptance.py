@@ -189,6 +189,7 @@ def test_08_attack_suite():
             r_povm=tg.build_dilated_povm(alice, lam),
             s_povm=tg.build_dilated_povm(bob, mu),
             target_pair=(0, 0),
+            psi=qo.psi_theta_ket(theta),
         )
         for sign in (+1, -1):
             closed = adv.closed_form_joint(alice, bob, lam, mu, theta, sign)

@@ -10,6 +10,8 @@ from bellrand import matkernel as mk
 from bellrand import qobjects as qo
 from bellrand import tomography as tg
 
+ZERO, ONE = np.eye(2)  # the ancilla's Z eigenbasis |0>, |1>
+
 
 def random_admissible_coeffs(p, rng):
     """Null vector scaled by a random magnitude <= 1 and a random phase."""
@@ -29,6 +31,7 @@ def make_attack(alice, bob, lam, mu, theta):
         r_povm=tg.build_dilated_povm(alice, lam),
         s_povm=tg.build_dilated_povm(bob, mu),
         target_pair=(0, 0),
+        psi=qo.psi_theta_ket(theta),
     )
 
 
@@ -38,9 +41,7 @@ def old_eve_decompositions(n_samples, rng):
     Yields one list of (weight, state) pairs per decomposition, drawing the
     Haar unitaries and Ginibre matrices one matrix at a time.
     """
-    pp_mm = np.stack(
-        [np.kron(tg.KET_PLUS, tg.KET_PLUS), np.kron(tg.KET_MINUS, tg.KET_MINUS)], axis=1
-    )
+    support = np.stack([np.kron(ZERO, ZERO), np.kron(ONE, ONE)], axis=1)  # columns |00>, |11>
     yield [(0.5, chi.rho) for chi in adv.CHI]
     for k in range(1, n_samples):
         if k % 2 == 1:
@@ -54,7 +55,7 @@ def old_eve_decompositions(n_samples, rng):
             root_inv = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
             elements = [root_inv @ gi @ root_inv for gi in g]
         traces = [float(np.trace(e).real) for e in elements]
-        yield [(t / 2, pp_mm @ e.T @ pp_mm.conj().T / t) for t, e in zip(traces, elements)]
+        yield [(t / 2, support @ e.T @ support.T / t) for t, e in zip(traces, elements)]
 
 
 def reduction_oracle(alice, bob, theta, n_decompositions, seed):
@@ -68,7 +69,7 @@ def reduction_oracle(alice, bob, theta, n_decompositions, seed):
     s_povm = tg.build_dilated_povm(bob, adv._admissible_coeffs(bob))
     ideal = adv.ideal_joint(alice, bob, theta)
     psi = qo.psi_theta(theta)
-    a_corr = mk.kron(qo.PAULI_X, qo.PAULI_X)
+    a_corr = mk.kron(qo.PAULI_Z, qo.PAULI_Z)
     deviations = []
     corr_worst = 0.0
     for ensemble in old_eve_decompositions(n_decompositions, rng):
@@ -93,7 +94,7 @@ class TestChiStates:
         assert np.max(np.abs(marg - np.eye(2) / 2)) <= 1e-14
 
     def test_perfect_plus_minus_correlation(self):
-        corr = mk.kron(qo.PAULI_X, qo.PAULI_X)
+        corr = mk.kron(qo.PAULI_Z, qo.PAULI_Z)
         for chi in adv.CHI:
             assert abs(mk.expval(corr, chi.rho) - 1.0) <= 1e-12
 
@@ -412,6 +413,54 @@ class TestCapAndEntropy:
             adv.min_entropy(rows)
 
 
+NAN = float("nan")
+
+
+def nan_member(valid, shape):
+    """A stack of a valid member, then an all-NaN one: a refusal must name member 1."""
+    return np.stack([np.asarray(valid, dtype=complex), np.full(shape, NAN, dtype=complex)])
+
+
+class TestNanRefused:
+    """Every gate refuses NaN with its usual message, naming the NaN member."""
+
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            (
+                lambda: tg.build_dilated_povm(qo.adjusted_tetrahedral(0.7), [NAN] * 4),
+                "coefficient magnitude nan exceeds 1",
+            ),
+            (
+                lambda: qo.check_ket_stack(
+                    nan_member(np.eye(2) / math.sqrt(2), (2, 2))[:, None], [0.3, 0.5]
+                ),
+                r"trace nan != 1 at theta=0\.5",
+            ),
+            (
+                lambda: qo.check_dichotomic_stack(
+                    nan_member(qo.PAULI_Z, (2, 2))[:, None], ["Z"], [0.3, 0.5]
+                ),
+                r"'Z' must be Hermitian at theta=0\.5 \(residual nan\)",
+            ),
+            (
+                lambda: qo.check_state_stack(
+                    nan_member(np.eye(2) / 2, (2, 2)), lambda n: f"member {n}"
+                ),
+                r"must be Hermitian \(residual nan\) at member 1",
+            ),
+            (
+                lambda: adv.min_entropy(np.stack([np.full(4, 0.25), np.full(4, NAN)])),
+                "distribution 1 sums to nan, not 1",
+            ),
+        ],
+        ids=["dilation", "ket_stack", "dichotomic_stack", "state_stack", "min_entropy"],
+    )
+    def test_nan_refused(self, gate, message):
+        with pytest.raises(ValueError, match=message):
+            gate()
+
+
 class TestQubitReduction:
     def test_four_by_three_reduces(self):
         rep = adv.qubit_reduction_check(
@@ -461,10 +510,8 @@ class TestQubitReduction:
         assert rep.reduces
 
     def test_eve_ensembles_decompose_the_ancilla_mixture(self):
-        pp = np.kron(tg.KET_PLUS, tg.KET_PLUS)
-        mm = np.kron(tg.KET_MINUS, tg.KET_MINUS)
-        mixture = (np.outer(pp, pp.conj()) + np.outer(mm, mm.conj())) / 2
-        corr = mk.kron(qo.PAULI_X, qo.PAULI_X)
+        mixture = qo.ancilla_mixed().sigma.rho
+        corr = mk.kron(qo.PAULI_Z, qo.PAULI_Z)
         weights, index, states = adv._eve_decompositions(50, np.random.default_rng(3))
         assert np.array_equal(np.unique(index), np.arange(50))
         assert np.max(np.abs(np.bincount(index, weights) - 1.0)) <= mk.IDENTITY_TOL
@@ -497,9 +544,7 @@ class TestQubitReduction:
 class TestReductionGates:
     """A corrupted Eve state is refused, naming the condition, the state and its decomposition."""
 
-    PLUS_MINUS = np.outer(
-        np.kron(tg.KET_PLUS, tg.KET_MINUS), np.kron(tg.KET_PLUS, tg.KET_MINUS).conj()
-    )
+    ZERO_ONE = np.outer(np.kron(ZERO, ONE), np.kron(ZERO, ONE))  # |01><01|
 
     @pytest.mark.parametrize(
         "decomposition, member, sigma, message",
@@ -512,7 +557,7 @@ class TestReductionGates:
                 adv.CHI[0].rho + np.eye(4, k=1) * 1e-6,
                 r"must be Hermitian \(residual 1\.000e-06\)",
             ),
-            (3, 1, PLUS_MINUS, r"<A' x B'> misses 1 by 2\.000e\+00"),
+            (3, 1, ZERO_ONE, r"<A' x B'> misses 1 by 2\.000e\+00"),
         ],
     )
     def test_corrupted_state_refused(self, monkeypatch, decomposition, member, sigma, message):

@@ -242,6 +242,8 @@ REFUSED = [
     ["selftest", "--theta-grid", "0"],
     ["selftest", "--theta-grid", "-1"],
     ["selftest", "--theta", ","],
+    ["certify", "--scenario", "local_povm", "--theta", "0.3,,0.4"],
+    ["certify", "--scenario", "local_povm", "--theta", "0.3,"],
     ["selftest", "--theta", "0.1,2.0,0.3"],
     ["selftest", "--theta", "1", "--tol", "spectral=nan"],
     ["selftest", "--theta", "1", "--tol", "spectral=inf"],
@@ -368,7 +370,9 @@ class TestAngleDomain:
     def test_every_command_refuses_angles_above_pi_2(self):
         self.assert_refused(repr(math.pi / 2 + 1e-9))
 
-    @pytest.mark.parametrize("angles, refused", [("0.1,2.0,0.3", "2.0"), ("0.4,abc,nan", "abc")])
+    @pytest.mark.parametrize(
+        "angles, refused", [("0.1,2.0,0.3", "2.0"), ("0.4,abc,nan", "abc"), ("0.3,,0.4,", "")]
+    )
     def test_a_refused_list_names_its_first_refused_text(self, angles, refused):
         for command in self.FORMS:
             code, out, err = self.call([*command, "--theta", angles])

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellrand import belltest as bt
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
 from bellrand import tomography as tg
+
+# The dilation's ancilla operators in the Z eigenbasis: |0><0|, |1><1| and |0><1|.
+P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+FLIP_01 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
 class TestEtaMatrix:
@@ -170,7 +175,7 @@ class TestDilation:
         dilated = tg.build_dilated_povm(p, np.zeros(4))
         assert qo.povm_validity(dilated).is_valid
         for e, r in zip(p.elements, dilated.elements):
-            block = mk.kron(e, tg.PROJ_PLUS) + mk.kron(np.conj(e), tg.PROJ_MINUS)
+            block = mk.kron(e, P0) + mk.kron(np.conj(e), P1)
             assert np.max(np.abs(r - block)) <= 1e-14
 
     def test_unit_null_vector_gives_singular_element(self):
@@ -210,7 +215,7 @@ class TestDilation:
         v = tg.offdiag_set(p).null_basis[0]
         dilated = tg.build_dilated_povm(p, v / np.abs(v).max())
         for e, r in zip(p.elements, dilated.elements):
-            marg = mk.partial_trace(r @ mk.kron(np.eye(2), tg.PROJ_PLUS), (2, 2), keep=(0,))
+            marg = mk.partial_trace(r @ mk.kron(np.eye(2), P0), (2, 2), keep=(0,))
             assert np.max(np.abs(marg - e)) <= 1e-12
 
 
@@ -220,10 +225,10 @@ def dilate_by_kron(p, coeffs):
     for e, k, c in zip(p.elements, p.kets, coeffs):
         t = np.outer(k, k)
         elements.append(
-            mk.kron(e, tg.PROJ_PLUS)
-            + mk.kron(np.conj(e), tg.PROJ_MINUS)
-            + mk.kron(c * t, tg.FLIP_PM)
-            + mk.kron(np.conj(c) * t.conj().T, tg.FLIP_PM.conj().T)
+            mk.kron(e, P0)
+            + mk.kron(np.conj(e), P1)
+            + mk.kron(c * t, FLIP_01)
+            + mk.kron(np.conj(c) * t.conj().T, FLIP_01.T)
         )
     return elements
 
@@ -245,6 +250,52 @@ class TestDilationProperty:
         got = tg.build_dilated_povm(p, coeffs).elements
         want = dilate_by_kron(p, coeffs)
         assert max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) <= mk.ZERO_TOL
+
+
+# The other side's tomography settings on qubit x ancilla in the Bell kernels' gauge
+# A' = B' = Z, in the column order (I, X, Y, Z) of `correlations_from_povm`.
+GAUGE_SETTINGS = np.stack(
+    [
+        np.eye(4),
+        mk.kron(qo.PAULI_X, qo.ID2),
+        mk.kron(qo.PAULI_Y, qo.PAULI_Z),
+        mk.kron(qo.PAULI_Z, qo.ID2),
+    ]
+)
+
+
+class TestOneGauge:
+    """The dilation's blocks sit on the ancilla's Z basis, the gauge of the Bell kernels."""
+
+    def test_ancilla_blocks_are_the_four_operators_bitwise(self):
+        p = qo.adjusted_tetrahedral(0.7)
+        v = tg.offdiag_set(p).null_basis[0]
+        coeffs = 0.8 * np.exp(0.3j) * v / np.abs(v).max()
+        blocks = tg.build_dilated_povm(p, coeffs).elements.reshape(4, 2, 2, 2, 2)
+        for a, (e, k, c) in enumerate(zip(p.elements, p.kets, coeffs)):
+            ct = c * (k[:, None] * k[None, :])
+            np.testing.assert_array_equal(blocks[a, :, 0, :, 0], e)
+            np.testing.assert_array_equal(blocks[a, :, 0, :, 1], ct)
+            np.testing.assert_array_equal(blocks[a, :, 1, :, 0], ct.conj().T)
+            np.testing.assert_array_equal(blocks[a, :, 1, :, 1], np.conj(e))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, math.pi / 2))
+    def test_dilations_reproduce_tomography_on_the_mixed_ancilla(self, seed, theta):
+        """Against the other side's (I, X, Y x Z, Z) on the theta-state x the mixed ancilla."""
+        rng = np.random.default_rng(seed)
+        pair = (tg.random_extremal_povm(4, rng), tg.random_extremal_povm(4, rng))
+        kets = bt._with_ancilla(qo.psi_theta_ket(theta).reshape(1, 2, 2), bt._MIXED_KETS)
+        for side, p in enumerate(pair):
+            v = tg.offdiag_set(p).null_basis[0]
+            phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
+            r = tg.build_dilated_povm(p, phase * v / np.abs(v).max())
+            if side == 0:
+                got = mk.joint_table_kets(r.elements, GAUGE_SETTINGS, kets)[0]
+            else:
+                got = mk.joint_table_kets(GAUGE_SETTINGS, r.elements, kets)[0].T
+            want = tg.correlations_from_povm(p, theta).values
+            assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def loop_extremal_povm4(rng):
