@@ -20,7 +20,7 @@ import numpy as np
 from . import matkernel as mk
 from . import qobjects as qo
 from . import tomography as tg
-from .qobjects import Povm, QState, check_theta
+from .qobjects import Povm, QState
 
 
 class DegenerateAttackError(RuntimeError):
@@ -43,24 +43,17 @@ CHI: tuple[QState, QState] = tuple(qo.qstate_from_ket(k, (2, 2)) for k in _CHI_K
 _CHI_RHOS = np.stack([chi.rho for chi in CHI])
 
 
-def joint_amplitudes(alice: Povm, bob: Povm, theta: float, *, psi=None) -> np.ndarray:
-    """Amplitude table <k_a l_b | psi_theta> from the subnormalized kets.
-
-    A caller that has checked theta and built its ket passes the ket as `psi`,
-    and theta is then not read.
-    """
+def joint_amplitudes(alice: Povm, bob: Povm, psi) -> np.ndarray:
+    """Amplitude table <k_a l_b | psi> from the subnormalized kets and a theta-ket psi (4,)."""
     if alice.kets is None or bob.kets is None:
         raise ValueError("joint amplitudes need rank-one kets on both sides")
-    psi = (qo.psi_theta_ket(theta) if psi is None else psi).reshape(2, 2)
+    psi = np.asarray(psi, dtype=complex).reshape(2, 2)
     return np.conj(alice.kets) @ psi @ np.conj(bob.kets).T
 
 
-def ideal_joint(alice: Povm, bob: Povm, theta: float, *, psi=None) -> np.ndarray:
-    """Joint outcome table of the reference qubit POVMs on the theta-state.
-
-    `psi` is theta's ket, as in :func:`joint_amplitudes`.
-    """
-    psi = (qo.psi_theta_ket(theta) if psi is None else psi).reshape(1, 1, 2, 2)
+def ideal_joint(alice: Povm, bob: Povm, psi) -> np.ndarray:
+    """Joint outcome table of the reference qubit POVMs on a theta-ket psi (4,)."""
+    psi = np.asarray(psi, dtype=complex).reshape(1, 1, 2, 2)
     return mk.joint_table_kets(alice.elements, bob.elements, psi)[0]
 
 
@@ -73,7 +66,7 @@ def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) 
         raise ValueError("sign must be +1 or -1")
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     mu = np.asarray(mu, dtype=complex).reshape(-1)
-    amp = joint_amplitudes(alice, bob, theta)
+    amp = joint_amplitudes(alice, bob, qo.psi_theta_ket(theta))
     interference = np.real(np.conj(lam)[:, None] * np.conj(mu)[None, :] * amp**2)
     return np.abs(amp) ** 2 + sign * interference
 
@@ -100,17 +93,15 @@ def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarra
     """Oracle of :func:`closed_form_joint` and :func:`evaluate_attack`.
 
     Full 16-dimensional Born-rule evaluation of R_a x S_b on one ket: the
-    pure state psi_theta x chi_sign in (A, A', B, B') order, built from
-    `theta` and the chi_sign ket and checked against the `QState` contract
-    (`qo.check_ket_stack`).  Of the attack it reads only the dilated POVMs,
-    not the coefficients or the carried ket.
+    pure state psi_theta x chi_sign in (A, A', B, B') order, built by
+    `qo.with_ancilla` from `theta` and the chi_sign ket and checked against
+    the `QState` contract (`qo.check_ket_stack`).  Of the attack it reads
+    only the dilated POVMs, not the coefficients or the carried ket.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    theta = check_theta(theta)
-    psi = qo._psi_ket(theta).reshape(2, 1, 2, 1)
-    chi = _CHI_KETS[0 if sign == +1 else 1].reshape(1, 2, 1, 2)
-    ket = (psi * chi).reshape(1, 1, 4, 4)  # rows (A, A'), columns (B, B')
+    theta, psi = qo.theta_ket(theta)
+    ket = qo.with_ancilla(psi, _CHI_KETS[0 if sign == +1 else 1].reshape(1, 2, 2))
     qo.check_ket_stack(ket, [theta])
     return mk.joint_table_kets(attack.r_povm.elements, attack.s_povm.elements, ket)[0]
 
@@ -145,7 +136,7 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
     aligns the interference term so the minus-branch probability of the
     target pair vanishes exactly.
     """
-    theta = check_theta(theta)
+    theta, psi = qo.theta_ket(theta)
     if alice.n_outcomes != 4 or bob.n_outcomes != 4:
         raise ValueError("the attack needs four outcomes on both sides")
     lam = _admissible_coeffs(alice)
@@ -153,8 +144,7 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
     if not (lam.any() and mu.any()):
         raise DegenerateAttackError("off-diagonal operators are linearly independent")
 
-    psi = qo._psi_ket(theta)
-    amp = joint_amplitudes(alice, bob, theta, psi=psi)
+    amp = joint_amplitudes(alice, bob, psi)
     unit_a = np.abs(lam) >= 1.0 - mk.RANK_TOL
     unit_b = np.abs(mu) >= 1.0 - mk.RANK_TOL
     weight = np.where(unit_a[:, None] & unit_b[None, :], np.abs(amp) ** 2, -1.0)
@@ -343,8 +333,7 @@ def qubit_reduction_check(
     the contract too, so no 16-dimensional state is formed: the checks and
     all joints are evaluated on the (2 n, 4, 4) stack, with no per-state loop.
     """
-    theta = check_theta(theta)
-    psi = qo._psi_ket(theta)
+    theta, psi = qo.theta_ket(theta)
     count_ok = isinstance(n_decompositions, numbers.Integral) and not isinstance(
         n_decompositions, bool
     )
@@ -354,7 +343,7 @@ def qubit_reduction_check(
 
     r_povm = tg.build_dilated_povm(alice, _admissible_coeffs(alice))
     s_povm = tg.build_dilated_povm(bob, _admissible_coeffs(bob))
-    ideal = ideal_joint(alice, bob, theta, psi=psi)
+    ideal = ideal_joint(alice, bob, psi)
     _, index, sigmas = _eve_decompositions(n_decompositions, rng)
 
     def eve(n: int) -> str:
@@ -382,7 +371,7 @@ def qubit_reduction_check(
 def attack_report(attack: AttackModel) -> dict:
     """JSON-ready summary of a built attack, read from its carried theta-ket."""
     cj = evaluate_attack(attack)
-    ideal = ideal_joint(attack.alice, attack.bob, attack.theta, psi=attack.psi)
+    ideal = ideal_joint(attack.alice, attack.bob, attack.psi)
     return {
         "theta": attack.theta,
         "lambda": [[float(z.real), float(z.imag)] for z in attack.lambda_coeffs],

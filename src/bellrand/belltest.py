@@ -1,9 +1,9 @@
 """Bell expression evaluation and self-test witnesses.
 
-A command checks its angles once, in :func:`angle_stack`, which builds the
-:class:`AngleStack` of the tilt and the theta-state kets that every
-angle-batched kernel reads.  Three such kernels each evaluate one of the
-paper's claims over the stack: :func:`bell_values` gives the two tilted CHSH
+A command checks its angles once, in :func:`qobjects.angle_stack`, which
+builds the :class:`qobjects.AngleStack` of the tilt and the theta-state kets
+that every angle-batched kernel reads.  Three such kernels each evaluate one
+of the paper's claims over the stack: :func:`bell_values` gives the two tilted CHSH
 expressions and the plain CHSH expression against their ideal values,
 :func:`selftest_reports` adds the spectral self-test of the 4x4 Bell
 operator, and ``SCHEMES`` maps each randomness scheme to its table function
@@ -42,8 +42,7 @@ def _ideal_values(theta, w_plus) -> np.ndarray:
 
 def ideal_bell_values(theta) -> np.ndarray:
     """Targets (I, J, S), shape (..., 3): Bell energy 4 w_plus twice, then 2 sqrt(2) sin(theta)."""
-    theta = check_theta(theta)
-    return _ideal_values(theta, qo._tilt(theta)[1])
+    return _ideal_values(check_theta(theta), qo.tilt(theta)[1])
 
 
 @dataclass(frozen=True)
@@ -278,7 +277,9 @@ _BOB_LABELS = ("B1", "B2", "B3", "B4", "B5", "B6")
 # The kernels' operators on qubit x ancilla qubit.  Both ancilla realizations
 # they use measure A' = B' = Z, so they share the basis (I, Z x I, X x I, Y x Z) of
 # Bob's ideal observables, whose last three are Alice's (A1, A2, A3), and the
-# +-1 projectors of Y x A' (Alice) and X x I (Bob); only their kets differ.
+# +-1 projectors of Y x A' (Alice) and X x I (Bob); only their kets differ.  The
+# angle stack carries the theta-state with the pure ancilla's kets, and
+# `_MIXED_KETS` are the mixed ancilla's.
 _BASIS = np.stack(
     [
         np.eye(4),
@@ -292,16 +293,7 @@ _PROJECTORS_A, _PROJECTORS_B = (
     np.stack([0.5 * (_BASIS[0] + sign * _BASIS[k]) for sign in (1, -1)]) for k in (3, 2)
 )
 
-
-def _ancilla_kets(ancilla: AncillaRealization) -> np.ndarray:
-    """(K, da, db) kets whose projectors sum to the ancilla state."""
-    w, v = mk.eigh(ancilla.sigma.rho)
-    keep = w > mk.RANK_TOL
-    return (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, *ancilla.sigma.dims)
-
-
-_PURE_KETS = _ancilla_kets(ancilla_pure())
-_MIXED_KETS = _ancilla_kets(qo.ancilla_mixed())
+_MIXED_KETS = qo.ancilla_mixed().kets
 
 
 def _bob_weights(wp: np.ndarray, wm: np.ndarray) -> np.ndarray:
@@ -336,43 +328,6 @@ def _spectral_selftests(beta, delta, energy) -> tuple[np.ndarray, ...]:
     return w, recovered, fidelity, np.max(np.abs(op - form), axis=(1, 2)), eigenvalue_residual
 
 
-def _with_ancilla(psi: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Kets psi x a_k (N, K, 4, 4) on ((A, A'), (B, B')) from theta-kets (N, 2, 2) and ancilla kets."""
-    full = np.einsum("nij,kab->nkiajb", psi, kets)
-    return full.reshape(len(psi), len(kets), 4, 4)
-
-
-class AngleStack(NamedTuple):
-    """One command's checked angles and everything the kernels derive from them alone.
-
-    Row n belongs to theta[n]: the tilt (beta, w_plus, w_minus, delta) of
-    :func:`qobjects.tilt`, the theta-state kets `qubit` (N, 1, 2, 2) and the
-    kets `pure` (N, K, 4, 4) of the theta-state with the pure ancilla.
-    """
-
-    theta: np.ndarray
-    beta: np.ndarray
-    w_plus: np.ndarray
-    w_minus: np.ndarray
-    delta: np.ndarray
-    qubit: np.ndarray
-    pure: np.ndarray
-
-
-def angle_stack(thetas) -> AngleStack:
-    """Check `thetas` once, the kernels' only angle check, and build their `AngleStack`.
-
-    Each ket stack is checked by `check_ket_stack`; a refusal names the first
-    refused angle.
-    """
-    theta = check_theta(np.asarray(thetas, dtype=float).reshape(-1))
-    psi = qo._psi_ket(theta).reshape(-1, 2, 2)
-    qubit, pure = psi[:, None], _with_ancilla(psi, _PURE_KETS)
-    for kets in (qubit, pure):
-        qo.check_ket_stack(kets, theta)
-    return AngleStack(theta, *qo._tilt(theta), qubit, pure)
-
-
 class BellRows(NamedTuple):
     """Bell values (I, J, S) of the ideal realization; row n belongs to the stack's theta[n]."""
 
@@ -381,7 +336,7 @@ class BellRows(NamedTuple):
     residuals: np.ndarray
 
 
-def bell_values(stack: AngleStack) -> BellRows:
+def bell_values(stack: qo.AngleStack) -> BellRows:
     """The two tilted CHSH expressions and plain CHSH at every angle of the stack at once.
 
     Alice's three observables and Bob's four basis operators are contracted
@@ -409,7 +364,7 @@ def bell_values(stack: AngleStack) -> BellRows:
     return BellRows(values, ideals, np.abs(values - ideals))
 
 
-def selftest_reports(stack: AngleStack) -> list[dict]:
+def selftest_reports(stack: qo.AngleStack) -> list[dict]:
     """JSON-ready self-test report per angle: the Bell values and the spectral self-test."""
     rows = bell_values(stack)
     spectrum, recovered, fidelity, form, eigen = _spectral_selftests(
@@ -434,28 +389,28 @@ def selftest_reports(stack: AngleStack) -> list[dict]:
 
 def bell_report(theta: float) -> dict:
     """JSON-ready self-test report for one angle: row 0 of :func:`selftest_reports`."""
-    return selftest_reports(angle_stack([theta]))[0]
+    return selftest_reports(qo.angle_stack([theta]))[0]
 
 
 # Scheme tables: (N, T, ...) per angle of the stack, the reported table first.
 # `epsilon` is the tilt of the near-Y POVM, which only the 4x3 scheme measures.
 
 
-def local_povm_tables(stack: AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def local_povm_tables(stack: qo.AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """The adjusted-tetrahedral marginal on Alice's qubit, (N, 1, 4)."""
     elements = qo.bloch_elements(*qo.adjusted_tetrahedral_bloch(stack.theta))
     return mk.joint_table_kets(elements, [qo.ID2], stack.qubit)[:, None, :, 0]
 
 
-def global_projective_tables(stack: AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def global_projective_tables(stack: qo.AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """The Y x A' by X x I tables for the pure then the mixed ancilla, (N, 2, 2, 2)."""
-    mixed = _with_ancilla(stack.qubit[:, 0], _MIXED_KETS)
+    mixed = qo.with_ancilla(stack.qubit, _MIXED_KETS)
     qo.check_ket_stack(mixed, stack.theta)
     tables = [mk.joint_table_kets(_PROJECTORS_A, _PROJECTORS_B, k) for k in (stack.pure, mixed)]
     return np.stack(tables, axis=1)
 
 
-def global_povm_tables(stack: AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def global_povm_tables(stack: qo.AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """The near-Y by modified-Mercedes table, (N, 1, 4, 3)."""
     near_y = qo.bloch_elements(*qo.near_y_tetrahedral_bloch(epsilon))
     mercedes = qo.bloch_elements(*qo.modified_mercedes_bloch(stack.theta))

@@ -12,7 +12,7 @@ Each command calls only the ``belltest`` kernels whose output it reports or
 gates: ``selftest`` Bell values and spectral self-tests, ``certify`` Bell
 values and its scenario's tables (``belltest.SCHEMES``), ``sweep`` Bell
 values and every scheme's tables.  These three build one
-``belltest.AngleStack`` of their angles and share it across their kernels,
+``qobjects.AngleStack`` of their angles and share it across their kernels,
 and take a scheme's min-entropies from one stacked ``adversary.min_entropy``
 call.  Only the ``global_povm`` tables read ``--epsilon``, so ``certify``
 refuses it for another scenario.
@@ -242,7 +242,7 @@ def _json_text(obj, indent: str = "") -> str:
 def cmd_selftest(cfg: argparse.Namespace) -> int:
     tol_bell = cfg.tolerances["bell_residual"]
     tol_spec = cfg.tolerances["spectral"]
-    reports = bt.selftest_reports(bt.angle_stack(cfg.thetas))
+    reports = bt.selftest_reports(qo.angle_stack(cfg.thetas))
     for rep in reports:
         rep["pass"] = (
             max(rep["residuals"].values()) <= tol_bell
@@ -301,7 +301,7 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
         cfg.epsilon = bt.DEFAULT_EPSILON
     elif cfg.scenario != "global_povm":
         raise UsageError(f"--epsilon applies to --scenario global_povm only, not {cfg.scenario}")
-    stack = bt.angle_stack(cfg.thetas)
+    stack = qo.angle_stack(cfg.thetas)
     residuals = bt.bell_values(stack).residuals.tolist()
     tables = bt.SCHEMES[cfg.scenario](stack, cfg.epsilon)
     entropies = adv.min_entropy(tables[:, 0])
@@ -339,7 +339,7 @@ def cmd_attack(cfg: argparse.Namespace) -> int:
 
 
 def _sweep_rows(thetas: list[float], epsilon: float) -> list[dict]:
-    stack = bt.angle_stack(thetas)
+    stack = qo.angle_stack(thetas)
     rows = bt.bell_values(stack)
     minent = {
         f"minent_{sc}": adv.min_entropy(scheme(stack, epsilon)[:, 0])

@@ -1,9 +1,11 @@
 """Quantum domain objects.
 
-The one angle model of the tilted-CHSH test (:func:`tilt`), the entangled
-two-qubit state as a ket and a projector, the ideal Bell-test observables with
-their ancilla realizations, POVMs with validity/extremality reports, and the
-explicit POVM families used for randomness generation.
+The one angle model of the tilted-CHSH test (:func:`check_theta`, :func:`tilt`,
+:func:`theta_ket` and a command's :class:`AngleStack`), the entangled two-qubit
+state as a ket and a projector, the ideal Bell-test observables with their
+ancilla realizations and kets (:func:`with_ancilla`), POVMs with
+validity/extremality reports, and the explicit POVM families used for
+randomness generation.
 
 Pauli convention: Z = diag(1, -1), X = offdiag(1, 1), Y = offdiag(-i, i),
 so Y|0> = i|1>.  This fixes all signs in the state expansion and in the
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,16 +224,17 @@ def qstate_from_ket(ket, dims) -> QState:
     return QState(np.outer(k, k.conj()), tuple(dims))
 
 
-def psi_theta_ket(theta) -> np.ndarray:
-    """Schmidt-form state vector cos(t/2)|00> + sin(t/2)|11>; (..., 4) for an array of angles."""
-    return _psi_ket(check_theta(theta))
-
-
-def _psi_ket(t) -> np.ndarray:
-    """`psi_theta_ket` of angles already passed through `check_theta`."""
+def theta_ket(theta) -> tuple:
+    """(theta, psi_theta_ket(theta)) from one `check_theta` call: the checked angle and its ket."""
+    t = check_theta(theta)
     ket = np.zeros(np.shape(t) + (4,), dtype=complex)
     ket[..., 0], ket[..., 3] = np.cos(t / 2), np.sin(t / 2)
-    return ket
+    return t, ket
+
+
+def psi_theta_ket(theta) -> np.ndarray:
+    """Schmidt-form state vector cos(t/2)|00> + sin(t/2)|11>; (..., 4) for an array of angles."""
+    return theta_ket(theta)[1]
 
 
 def phi_theta_ket(theta) -> np.ndarray:
@@ -262,6 +266,7 @@ class AncillaRealization:
     a_prime: np.ndarray
     b_prime: np.ndarray
     sigma: QState
+    kets: np.ndarray  # (K, da, db) amplitude matrices whose projectors sum to sigma
     label: str = ""
 
     def correlation(self) -> float:
@@ -269,17 +274,19 @@ class AncillaRealization:
 
 
 def ancilla_pure() -> AncillaRealization:
-    """One qubit per side, A' = B' = Z, sigma = |00><00|."""
-    sigma = qstate_from_ket(np.array([1, 0, 0, 0], dtype=complex), (2, 2))
-    return AncillaRealization(PAULI_Z, PAULI_Z, sigma, label="pure")
+    """One qubit per side, A' = B' = Z, sigma = |00><00|, the one ket |00>."""
+    kets = _readonly([[[1, 0], [0, 0]]])
+    return AncillaRealization(PAULI_Z, PAULI_Z, qstate_from_ket(kets, (2, 2)), kets, label="pure")
 
 
 def ancilla_mixed() -> AncillaRealization:
-    """One qubit per side, A' = B' = Z, sigma = (|00><00| + |11><11|)/2."""
+    """One qubit per side, A' = B' = Z, sigma = (|00><00| + |11><11|)/2, kets |00>, |11>."""
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 0.5
     rho[3, 3] = 0.5
-    return AncillaRealization(PAULI_Z, PAULI_Z, QState(rho, (2, 2)), label="mixed")
+    r = math.sqrt(0.5)  # 1/sqrt(2) correctly rounded; 1 / math.sqrt(2) is an ulp below
+    kets = _readonly([[[r, 0], [0, 0]], [[0, 0], [0, r]]])
+    return AncillaRealization(PAULI_Z, PAULI_Z, QState(rho, (2, 2)), kets, label="mixed")
 
 
 def ideal_measurements(
@@ -334,6 +341,49 @@ def compose_with_ancilla(state: QState, sigma: QState) -> QState:
     return QState(rho, (2, da, 2, db))
 
 
+def with_ancilla(psi, kets) -> np.ndarray:
+    """Kets psi_n x a_k (N, K, 2 da, 2 db) on ((A, A'), (B, B')), `compose_with_ancilla` as kets.
+
+    `psi` holds N theta-kets (N, 4) and `kets` an ancilla's kets (K, da, db).
+    """
+    psi = np.reshape(psi, (-1, 2, 2))
+    full = np.einsum("nij,kab->nkiajb", psi, kets)
+    return full.reshape(len(psi), len(kets), 2 * kets.shape[1], -1)
+
+
+_PURE_KETS = ancilla_pure().kets
+
+
+class AngleStack(NamedTuple):
+    """One command's checked angles and everything the kernels derive from them alone.
+
+    Row n belongs to theta[n]: the tilt (beta, w_plus, w_minus, delta) of
+    :func:`tilt`, the theta-state kets `qubit` (N, 1, 2, 2) and the kets
+    `pure` (N, K, 4, 4) of the theta-state with the pure ancilla.
+    """
+
+    theta: np.ndarray
+    beta: np.ndarray
+    w_plus: np.ndarray
+    w_minus: np.ndarray
+    delta: np.ndarray
+    qubit: np.ndarray
+    pure: np.ndarray
+
+
+def angle_stack(thetas) -> AngleStack:
+    """Check `thetas` once, the kernels' only angle check, and build their `AngleStack`.
+
+    Each ket stack is checked by `check_ket_stack`; a refusal names the first
+    refused angle.
+    """
+    theta, psi = theta_ket(np.asarray(thetas, dtype=float).reshape(-1))
+    qubit, pure = psi.reshape(-1, 1, 2, 2), with_ancilla(psi, _PURE_KETS)
+    for kets in (qubit, pure):
+        check_ket_stack(kets, theta)
+    return AngleStack(theta, *_tilt(theta), qubit, pure)
+
+
 # ---------------------------------------------------------------------------
 # POVM reports and constructors
 # ---------------------------------------------------------------------------
@@ -360,8 +410,10 @@ def povm_validity(p: Povm) -> PovmValidity:
 
     The completeness residual is trace_norm(sum E_a - I) / dim, so a uniform
     scaling of one element by (1 + x) on a rank-one projector shows up as
-    roughly x/dim.
+    roughly x/dim.  Elements with a non-finite entry are invalid, with NaN margins.
     """
+    if not np.isfinite(p.elements).all():
+        return PovmValidity(False, math.nan, math.nan)
     d = p.dim
     psd_violation = max(0.0, -float(np.linalg.eigvalsh(p.elements).min()))
     residual = mk.trace_norm(p.elements.sum(axis=0) - np.eye(d)) / d
@@ -374,10 +426,13 @@ def povm_extremality(p: Povm) -> PovmExtremality:
 
     Checks that every element is rank one (second eigenvalue at most RANK_TOL)
     and that the elements are linearly independent (no more than d^2 of them
-    and the smallest singular value of their stack above RANK_TOL).
+    and the smallest singular value of their stack above RANK_TOL).  Elements
+    with a non-finite entry are not extremal, with NaN margins.
     """
     if p.dim != 2:
         raise ValueError("extremality criteria implemented for qubit POVMs only")
+    if not np.isfinite(p.elements).all():
+        return PovmExtremality(False, False, False, math.nan, math.nan)
     second = float(np.abs(np.linalg.eigvalsh(p.elements)[:, -2]).max())
     all_rank_one = second <= mk.RANK_TOL
     svals = np.linalg.svd(p.elements.reshape(p.n_outcomes, -1).T, compute_uv=False)
@@ -507,7 +562,7 @@ def kets_from_elements(p: Povm) -> Povm:
     """
     w, v = mk.eigh(p.elements)
     second = np.abs(w[:, 1])
-    if second.max(initial=0.0) > mk.RANK_TOL:
+    if not second.max(initial=0.0) <= mk.RANK_TOL:  # NaN is refused too
         raise ValueError(f"element is not rank one (second eigenvalue {second.max():.3e})")
     kets = np.sqrt(np.maximum(w[:, 0], 0.0))[:, None] * v[:, :, 0]
     lead = kets[np.arange(len(kets)), np.argmax(np.abs(kets) > mk.ZERO_TOL, axis=1)]

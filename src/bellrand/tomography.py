@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matkernel as mk
 from . import qobjects as qo
-from .qobjects import PAULIS, Povm, check_theta
+from .qobjects import PAULIS, Povm
 
 def eta_matrix(theta: float) -> np.ndarray:
     """Pauli correlation matrix <sigma_mu x sigma_nu> of the theta-state.
@@ -25,7 +25,7 @@ def eta_matrix(theta: float) -> np.ndarray:
     eta_IZ = eta_ZI = cos t, eta_XX = sin t, eta_YY = -sin t; the
     determinant is -sin(t)^4.
     """
-    theta = check_theta(theta)
+    theta = qo.check_theta(theta)
     c, s = math.cos(theta), math.sin(theta)
     m = np.zeros((4, 4))
     m[0, 0] = 1.0
@@ -43,7 +43,7 @@ def eta_inverse(theta: float) -> np.ndarray:
     the X and Y blocks are scalars; conditioning is transparent.  Raises
     with the condition number when sin(t) is numerically zero.
     """
-    theta = check_theta(theta)
+    theta = qo.check_theta(theta)
     c, s = math.cos(theta), math.sin(theta)
     if s**2 < 1e-14:
         # (1 + cos t)/(1 - cos t) without the cancellation in 1 - cos t
@@ -69,8 +69,8 @@ def correlations_from_povm(p: Povm, theta: float) -> CorrelationTable:
     """Forward map: trace each element against the Pauli settings on the state."""
     if p.dim != 2:
         raise ValueError("correlations are defined for qubit POVMs")
-    theta = check_theta(theta)
-    psi = qo._psi_ket(theta).reshape(1, 1, 2, 2)
+    theta, psi = qo.theta_ket(theta)
+    psi = psi.reshape(1, 1, 2, 2)
     return CorrelationTable(theta, mk.joint_table_kets(p.elements, PAULIS, psi)[0])
 
 

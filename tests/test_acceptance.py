@@ -83,7 +83,9 @@ def test_05_global_povm_lower_witness():
     thetas = (0.3, 0.8, math.pi / 2)
 
     def max_entry(theta, epsilon):
-        table = adv.ideal_joint(qo.near_y_tetrahedral(epsilon), qo.modified_mercedes(theta), theta)
+        table = adv.ideal_joint(
+            qo.near_y_tetrahedral(epsilon), qo.modified_mercedes(theta), qo.psi_theta_ket(theta)
+        )
         return float(table.max())
 
     bound_ok = True
@@ -163,7 +165,7 @@ def test_08_attack_suite():
         bob = qo.adjusted_tetrahedral(theta)
         attack = adv.build_attack(alice, bob, theta)
         cj = adv.evaluate_attack(attack)
-        ideal = adv.ideal_joint(alice, bob, theta)
+        ideal = adv.ideal_joint(alice, bob, qo.psi_theta_ket(theta))
         avg_worst = max(avg_worst, float(np.max(np.abs(cj.average - ideal))))
         zero_worst = max(zero_worst, float(cj.p_minus[attack.target_pair]))
 

@@ -67,7 +67,7 @@ def reduction_oracle(alice, bob, theta, n_decompositions, seed):
     rng = np.random.default_rng(seed)
     r_povm = tg.build_dilated_povm(alice, adv._admissible_coeffs(alice))
     s_povm = tg.build_dilated_povm(bob, adv._admissible_coeffs(bob))
-    ideal = adv.ideal_joint(alice, bob, theta)
+    ideal = adv.ideal_joint(alice, bob, qo.psi_theta_ket(theta))
     psi = qo.psi_theta(theta)
     a_corr = mk.kron(qo.PAULI_Z, qo.PAULI_Z)
     deviations = []
@@ -105,7 +105,7 @@ class TestClosedForm:
         alice = qo.adjusted_tetrahedral(theta)
         bob = qo.adjusted_tetrahedral(theta)
         table = adv.closed_form_joint(alice, bob, np.zeros(4), np.zeros(4), theta, +1)
-        ideal = adv.ideal_joint(alice, bob, theta)
+        ideal = adv.ideal_joint(alice, bob, qo.psi_theta_ket(theta))
         assert np.max(np.abs(table - ideal)) <= 1e-12
 
     def test_branches_average_to_ideal(self):
@@ -117,7 +117,7 @@ class TestClosedForm:
         mu = random_admissible_coeffs(bob, rng)
         plus = adv.closed_form_joint(alice, bob, lam, mu, theta, +1)
         minus = adv.closed_form_joint(alice, bob, lam, mu, theta, -1)
-        ideal = adv.ideal_joint(alice, bob, theta)
+        ideal = adv.ideal_joint(alice, bob, qo.psi_theta_ket(theta))
         assert np.max(np.abs(0.5 * (plus + minus) - ideal)) <= 1e-13
 
     def test_real_specialization(self):
@@ -131,7 +131,7 @@ class TestClosedForm:
         v = tg.offdiag_set(p).null_basis[0]
         assert np.max(np.abs(v.imag)) <= 1e-12
         lam = v.real / np.abs(v.real).max()
-        amp = adv.joint_amplitudes(p, p, theta)
+        amp = adv.joint_amplitudes(p, p, qo.psi_theta_ket(theta))
         assert np.max(np.abs(amp.imag)) <= 1e-12
         minus = adv.closed_form_joint(p, p, lam, lam, theta, -1)
         expected = amp.real**2 * (1 - np.outer(lam, lam))
@@ -170,7 +170,7 @@ class TestOracleEquivalence:
         bob = qo.adjusted_tetrahedral(theta)
         attack = make_attack(alice, bob, np.zeros(4), np.zeros(4), theta)
         brute = adv.brute_force_joint(attack, theta, +1)
-        assert np.max(np.abs(brute - adv.ideal_joint(alice, bob, theta))) <= 1e-12
+        assert np.max(np.abs(brute - adv.ideal_joint(alice, bob, qo.psi_theta_ket(theta)))) <= 1e-12
 
 
 class TestKetOracle:
@@ -217,8 +217,7 @@ class TestKetOracle:
             return wrapper
 
         check_theta = counted("check_theta", qo.check_theta)
-        for module in (qo, adv, tg):
-            monkeypatch.setattr(module, "check_theta", check_theta)
+        monkeypatch.setattr(qo, "check_theta", check_theta)
         monkeypatch.setattr(qo.QState, "__post_init__", counted("QState", qo.QState.__post_init__))
         for module, name in ((qo, "compose_with_ancilla"), (mk, "kron"), (mk, "permute_subsystems")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -271,7 +270,7 @@ class TestBuildAttack:
         bob = qo.adjusted_tetrahedral(theta)
         attack = adv.build_attack(alice, bob, theta)
         cj = adv.evaluate_attack(attack)
-        ideal = adv.ideal_joint(alice, bob, theta)
+        ideal = adv.ideal_joint(alice, bob, qo.psi_theta_ket(theta))
         assert cj.p_minus[attack.target_pair] <= 1e-10
         assert np.max(np.abs(cj.average - ideal)) <= 1e-10
         # a 16-outcome distribution with one zero entry: pigeonhole floor
@@ -311,7 +310,7 @@ class TestBuildAttack:
             bob = qo.adjusted_tetrahedral(theta)
             attack = adv.build_attack(alice, bob, theta)
             cj = adv.evaluate_attack(attack)
-            baseline = adv.ideal_joint(alice, bob, theta).max()
+            baseline = adv.ideal_joint(alice, bob, qo.psi_theta_ket(theta)).max()
             assert cj.guessing_prob >= baseline - 1e-12
 
     def test_degenerate_pairing_detected(self):
@@ -357,7 +356,7 @@ class TestGuessing:
         bob = qo.adjusted_tetrahedral(theta)
         attack = make_attack(alice, bob, np.zeros(4), np.zeros(4), theta)
         cj = adv.evaluate_attack(attack)
-        ideal_max = adv.ideal_joint(alice, bob, theta).max()
+        ideal_max = adv.ideal_joint(alice, bob, qo.psi_theta_ket(theta)).max()
         assert abs(cj.guessing_prob - ideal_max) <= 1e-12
 
 
@@ -610,7 +609,7 @@ class TestRandomPairs:
         except adv.DegenerateAttackError:
             assume(False)
         cj = adv.evaluate_attack(attack)
-        ideal = adv.ideal_joint(alice, bob, theta)
+        ideal = adv.ideal_joint(alice, bob, qo.psi_theta_ket(theta))
         assert np.max(np.abs(cj.average - ideal)) <= mk.IDENTITY_TOL
         assert cj.p_minus[attack.target_pair] <= mk.IDENTITY_TOL
         assert cj.certified_bits <= adv.randomness_cap()
@@ -659,3 +658,9 @@ class TestReportInterface:
             assert key in report
         assert len(report["lambda"]) == 4
         assert report["zero_entry_value"] <= 1e-10
+
+    @pytest.mark.parametrize("table", [adv.joint_amplitudes, adv.ideal_joint])
+    def test_theta_in_place_of_the_ket_refused(self, table):
+        p = qo.adjusted_tetrahedral(0.3)
+        with pytest.raises(ValueError):
+            table(p, p, 0.3)

@@ -125,7 +125,7 @@ class TestTiltOracle:
     @example(math.pi / 2)
     def test_full_relative_accuracy_over_the_angle_domain(self, theta):
         theta = min(max(theta, qo.THETA_MIN), math.pi / 2)  # exp may round past either end
-        stack = bt.angle_stack([theta])
+        stack = qo.angle_stack([theta])
         xx = bt._bell_operators(stack.beta, stack.delta)[0, 0, 3].real
         got = (stack.delta[0], bt.selftest_reports(stack)[0]["theta_recovered"], xx)
         # 2 - beta and 1 - beta^2/4 cancel about 2 log10(1/theta) digits: add them
@@ -220,7 +220,7 @@ class TestBellBatch:
         st.floats(1e-4, 0.5),
     )
     def test_matches_per_angle_oracle(self, thetas, epsilon):
-        stack = bt.angle_stack(thetas)
+        stack = qo.angle_stack(thetas)
         rows = bt.bell_values(stack)
         reports = bt.selftest_reports(stack)
         tables = {sc: scheme(stack, epsilon) for sc, scheme in bt.SCHEMES.items()}
@@ -278,7 +278,7 @@ class TestBellBatch:
         assert np.max(np.abs(ops - np.stack([b.op for b in bob]))) <= mk.ZERO_TOL
 
     def test_report_is_row_zero(self):
-        assert bt.bell_report(0.9) == bt.selftest_reports(bt.angle_stack([0.4, 0.9]))[1]
+        assert bt.bell_report(0.9) == bt.selftest_reports(qo.angle_stack([0.4, 0.9]))[1]
 
     def test_corrupted_observable_names_its_angle(self, monkeypatch):
         exact = bt._bob_weights
@@ -291,7 +291,7 @@ class TestBellBatch:
         monkeypatch.setattr(bt, "_bob_weights", corrupted)
         for kernel in (bt.bell_values, bt.selftest_reports):
             with pytest.raises(ValueError, match=r"'B1' fails O\^2 = I at theta=0.9"):
-                kernel(bt.angle_stack([0.4, 0.9, 1.2]))
+                kernel(qo.angle_stack([0.4, 0.9, 1.2]))
 
     def test_near_product_weights_do_not_cancel(self, monkeypatch):
         # Through lambda_- = 1 - beta^2/4 this weight was 0.6% low at theta = 1e-7.
@@ -300,7 +300,7 @@ class TestBellBatch:
         _, bob, _ = qo.ideal_measurements(theta)
         exact, seen = bt._bob_weights, []
         monkeypatch.setattr(bt, "_bob_weights", lambda *a: seen.append(exact(*a)) or seen[-1])
-        bt.bell_values(bt.angle_stack([theta]))
+        bt.bell_values(qo.angle_stack([theta]))
         # B1's X x I weight in the operator, then in the batch's coefficients
         for got in (bob[0].op[0, 2].real, seen[0][0, 1, 2]):
             assert abs(got / want - 1) <= 1e-15
@@ -309,4 +309,4 @@ class TestBellBatch:
         # the kernels read angles only through the stack, whose one gate refuses here
         refusal = r"theta must lie in \[1\.05\d*e-154, pi/2\], got 1e-200"
         with pytest.raises(ValueError, match=refusal):
-            bt.angle_stack([0.5, 1e-200])
+            qo.angle_stack([0.5, 1e-200])

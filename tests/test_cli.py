@@ -16,7 +16,6 @@ from bellrand import belltest as bt
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
 from bellrand import cli
-from bellrand import tomography as tg
 from bellrand.cli import COMMANDS, SCENARIOS, main
 
 PI_2 = "1.5707963267948966"
@@ -564,9 +563,9 @@ class TestEachCommandComputesWhatItReports:
 
         seen, check_theta = {}, counted("check_theta", qo.check_theta)
         with monkeypatch.context() as patch:
-            for module in (qo, bt, adv, tg):
+            for module in (qo, bt):
                 patch.setattr(module, "check_theta", check_theta)
-            patch.setattr(bt, "angle_stack", counted("angle_stack", bt.angle_stack))
+            patch.setattr(qo, "angle_stack", counted("angle_stack", qo.angle_stack))
             patch.setattr(adv, "min_entropy", counted("min_entropy", adv.min_entropy))
             for form, argv in {**self.FORMS, "attack": ["attack"]}.items():
                 counts.update(check_theta=0, angle_stack=0, min_entropy=0)

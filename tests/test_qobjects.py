@@ -165,6 +165,14 @@ class TestIdealMeasurements:
     @pytest.mark.parametrize("ancilla", [qo.ancilla_pure(), qo.ancilla_mixed()])
     def test_ancilla_correlation_is_one(self, ancilla):
         assert abs(ancilla.correlation() - 1.0) <= 1e-12
+        # The closed-form kets sum to sigma, and composed with a theta-ket they
+        # give the density-matrix composition.
+        kets = ancilla.kets.reshape(len(ancilla.kets), -1)
+        assert np.max(np.abs(kets.T @ kets.conj() - ancilla.sigma.rho)) <= mk.ZERO_TOL
+        theta = 0.7
+        full = qo.with_ancilla(qo.psi_theta_ket(theta), ancilla.kets)[0].reshape(len(kets), -1)
+        oracle = qo.compose_with_ancilla(qo.psi_theta(theta), ancilla.sigma).rho
+        assert np.max(np.abs(full.T @ full.conj() - oracle)) <= mk.ZERO_TOL
 
     def test_bob_angle_matches_tilt(self):
         # the Z-weight of (B1+B2)/2 realizes cos(mu/2) = sqrt((1 + beta^2/4)/2)
@@ -237,6 +245,22 @@ class TestPovmExtremality:
         report = qo.povm_extremality(qo.Povm(elements))
         assert not report.linearly_independent
         assert not report.is_extremal_candidate
+
+
+@pytest.mark.parametrize("report", [qo.kets_from_elements, qo.povm_validity, qo.povm_extremality])
+def test_nan_povm_refused_or_reported_failing(report):
+    # NaN fails every margin test: refused as not rank one, or reported
+    # invalid / not extremal with NaN margins, never numpy's LinAlgError.
+    p = qo.Povm(np.full((4, 2, 2), np.nan))
+    if report is qo.kets_from_elements:
+        with pytest.raises(ValueError, match="not rank one"):
+            report(p)
+        return
+    rep = report(p)
+    flags = [v for v in vars(rep).values() if isinstance(v, bool)]
+    margins = [v for v in vars(rep).values() if isinstance(v, float)]
+    assert flags and not any(flags)
+    assert margins and all(math.isnan(v) for v in margins)
 
 
 class TestAdjustedTetrahedral:

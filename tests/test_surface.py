@@ -54,3 +54,32 @@ def test_every_public_definition_is_reached():
         and uses[node.name] - (node.name in refs) == 0
     ]
     assert sorted(unreached) == CLAIM_ENTRY_POINTS
+
+
+def test_modules_keep_their_layers():
+    # No module reads another module's _-prefixed name, and the attack layer
+    # (adversary, tomography) does not import the Bell-test kernels.
+    stems = {path.stem for path in SRC.glob("*.py")}
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        aliases = {}  # local name -> package module
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [(a.name, a.asname) for a in node.names]
+                if node.module is None:  # from . import module as alias
+                    aliases.update({asname or name: name for name, asname in names})
+                    imported = [name for name, _ in names]
+                else:  # from .module import name
+                    imported = [node.module]
+                    private = [name for name, _ in names if name.startswith("_")]
+                    problems += [f"{path.stem} imports {node.module}.{name}" for name in private]
+                if path.stem in ("adversary", "tomography") and "belltest" in imported:
+                    problems.append(f"{path.stem} imports belltest")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and aliases.get(node.value.id) in stems
+                and node.attr.startswith("_")
+            ):
+                problems.append(f"{path.stem} reads {aliases[node.value.id]}.{node.attr}")
+    assert problems == []

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellrand import belltest as bt
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
 from bellrand import tomography as tg
@@ -285,7 +284,7 @@ class TestOneGauge:
         """Against the other side's (I, X, Y x Z, Z) on the theta-state x the mixed ancilla."""
         rng = np.random.default_rng(seed)
         pair = (tg.random_extremal_povm(4, rng), tg.random_extremal_povm(4, rng))
-        kets = bt._with_ancilla(qo.psi_theta_ket(theta).reshape(1, 2, 2), bt._MIXED_KETS)
+        kets = qo.with_ancilla(qo.psi_theta_ket(theta), qo.ancilla_mixed().kets)
         for side, p in enumerate(pair):
             v = tg.offdiag_set(p).null_basis[0]
             phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
