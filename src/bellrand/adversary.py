@@ -226,20 +226,15 @@ def evaluate_attack(attack: AttackModel) -> ConditionalJoint:
 def min_entropy(tables) -> list[float]:
     """-log2 of the largest entry of each normalized nonnegative table in a stack (N, ...).
 
-    Row n is table n flattened.  A table must sum to 1 within RANK_TOL and
-    have no entry below -ZERO_TOL; a refusal names the first refused table.
+    Row n is table n flattened.  Every table must sum to 1 within RANK_TOL, then
+    have no entry below -ZERO_TOL; each refusal names the first refused table.
     """
     arr = np.asarray(tables, dtype=float)
     if arr.ndim < 2:
         raise ValueError(f"expected a stack of tables (N, ...), got shape {arr.shape}")
-    rows = arr.reshape(len(arr), -1)
-    totals = rows.sum(axis=1)
-    off = ~(np.abs(totals - 1.0) <= mk.RANK_TOL)  # NaN is refused too
-    negative = ~(rows.min(axis=1) >= -mk.ZERO_TOL)
-    if off.any() or negative.any():
-        n = int(np.argmax(off | negative))
-        what = f"sums to {float(totals[n])}, not 1" if off[n] else "has negative entries"
-        raise ValueError(f"distribution {n} {what}")
+    rows, where = arr.reshape(len(arr), -1), "distribution {}".format
+    mk.refuse_beyond(np.abs(rows.sum(axis=1) - 1.0), mk.RANK_TOL, "|sum - 1|", where)
+    mk.refuse_beyond(-rows.min(axis=1), mk.ZERO_TOL, "negative entry", where)
     return [-math.log2(top) for top in rows.max(axis=1).tolist()]
 
 
@@ -327,11 +322,9 @@ def qubit_reduction_check(
     least 1; anything else is refused.
 
     Every Eve state sigma_n meets the `QState` contract and has
-    <A' x B'> = 1 within IDENTITY_TOL; a violation is refused naming the
-    condition, the state's index within its decomposition and the
-    decomposition.  As psi is a unit ket, |psi><psi| x sigma_n then meets
-    the contract too, so no 16-dimensional state is formed: the checks and
-    all joints are evaluated on the (2 n, 4, 4) stack, with no per-state loop.
+    <A' x B'> = 1 within IDENTITY_TOL, or is refused by its index within its
+    decomposition.  As psi is a unit ket, |psi><psi| x sigma_n then meets the
+    contract too, so the checks and all joints run on the (2 n, 4, 4) stack.
     """
     theta, psi = qo.theta_ket(theta)
     count_ok = isinstance(n_decompositions, numbers.Integral) and not isinstance(
@@ -352,9 +345,7 @@ def qubit_reduction_check(
 
     qo.check_state_stack(sigmas, eve)
     corr = np.abs(np.einsum("ij,nji->n", _ZZ, sigmas).real - 1.0)
-    if corr.max() > mk.IDENTITY_TOL:
-        n = int(np.argmax(corr > mk.IDENTITY_TOL))
-        raise ValueError(f"<A' x B'> misses 1 by {corr[n]:.3e} at {eve(n)}")
+    mk.refuse_beyond(corr, mk.IDENTITY_TOL, "|<A' x B'> - 1|", eve)
 
     joints = _ancilla_joints(r_povm, s_povm, psi, sigmas)
     deviations = np.zeros(n_decompositions)

@@ -279,7 +279,8 @@ _BOB_LABELS = ("B1", "B2", "B3", "B4", "B5", "B6")
 # Bob's ideal observables, whose last three are Alice's (A1, A2, A3), and the
 # +-1 projectors of Y x A' (Alice) and X x I (Bob); only their kets differ.  The
 # angle stack carries the theta-state with the pure ancilla's kets, and
-# `_MIXED_KETS` are the mixed ancilla's.
+# `_MIXED_KETS` are the mixed ancilla's.  The last three B_k satisfy {B_k, B_l} =
+# 2 delta_kl I, which `bell_values` relies on to check Bob's observables on their weights.
 _BASIS = np.stack(
     [
         np.eye(4),
@@ -288,7 +289,16 @@ _BASIS = np.stack(
         mk.kron(qo.PAULI_Y, qo.PAULI_Z),
     ]
 )
-qo.check_dichotomic_stack(_BASIS[None], ("I", "Z x I", "X x I", "Y x Z"))
+_BASIS_LABELS = ("I", "Z x I", "X x I", "Y x Z")
+qo.check_dichotomic_stack(_BASIS, lambda k: f"basis operator {_BASIS_LABELS[k]}")
+_PRODUCTS = np.einsum("kij,ljm->klim", _BASIS[1:], _BASIS[1:])  # B_k B_l
+_CLIFFORD = _PRODUCTS + _PRODUCTS.swapaxes(0, 1) - 2.0 * np.eye(3)[..., None, None] * _BASIS[0]
+mk.refuse_beyond(
+    np.max(np.abs(_CLIFFORD), axis=(-2, -1)),
+    mk.ZERO_TOL,
+    "{B_k, B_l} - 2 delta_kl I",
+    lambda k, l: f"basis operators {_BASIS_LABELS[k + 1]}, {_BASIS_LABELS[l + 1]}",
+)
 _PROJECTORS_A, _PROJECTORS_B = (
     np.stack([0.5 * (_BASIS[0] + sign * _BASIS[k]) for sign in (1, -1)]) for k in (3, 2)
 )
@@ -342,12 +352,18 @@ def bell_values(stack: qo.AngleStack) -> BellRows:
     Alice's three observables and Bob's four basis operators are contracted
     over the stacked kets cos(t/2)|0000> + sin(t/2)|1010> of the pure
     ancilla into an (N, 3, 4) table, weighted by Bob's (N, 7, 4)
-    coefficients.  Bob's observables are validated as one vectorized check;
-    a failure raises ValueError naming the check and the first failing angle.
+    coefficients.  Bob's observables w0 I + v.B are checked on their weights, as
+    |w0^2 + |v|^2 - 1| + 2 |w0| max|v|; a refusal names the observable and angle.
     """
     weights = _bob_weights(stack.w_plus, stack.w_minus)
-    bob = np.einsum("nbm,mij->nbij", weights[:, 1:], _BASIS)
-    qo.check_dichotomic_stack(bob, _BOB_LABELS, stack.theta)
+    w0, v = weights[:, 1:, 0], weights[:, 1:, 1:]
+    square = np.abs(w0**2 + np.sum(v**2, axis=-1) - 1.0) + 2.0 * np.abs(w0) * np.abs(v).max(axis=-1)
+    mk.refuse_beyond(
+        square,
+        mk.IDENTITY_TOL,
+        "O^2 - I",
+        lambda n, m: f"observable {_BOB_LABELS[m]!r} at theta={float(stack.theta[n])!r}",
+    )
     # Rows A1..A3; column 0 is Bob's identity, columns 1..6 are B1..B6.
     basis_table = mk.joint_table_kets(_BASIS[1:], _BASIS, stack.pure)
     t = np.einsum("nam,nbm->nab", basis_table, weights)

@@ -15,7 +15,7 @@ values and every scheme's tables.  These three build one
 ``qobjects.AngleStack`` of their angles and share it across their kernels,
 and take a scheme's min-entropies from one stacked ``adversary.min_entropy``
 call.  Only the ``global_povm`` tables read ``--epsilon``, so ``certify``
-refuses it for another scenario.
+refuses it for another scenario, and ``uniform``/``min_entropy`` tolerances for ``global_povm``.
 
 Every command takes Schmidt angles in [THETA_MIN, pi/2] from either
 ``--theta`` or ``--theta-grid``, never both, checked at parse time by the one
@@ -192,12 +192,7 @@ def _emit(text: str, cfg: argparse.Namespace) -> None:
 
 
 def _json_document(cfg: argparse.Namespace, command: str, payload: dict) -> str:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "tolerances": cfg.tolerances,
-    }
-    doc.update(payload)
+    doc = {"schema": SCHEMA_VERSION, "command": command, "tolerances": cfg.tolerances, **payload}
     return _json_text(doc) + "\n"
 
 
@@ -301,6 +296,11 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
         cfg.epsilon = bt.DEFAULT_EPSILON
     elif cfg.scenario != "global_povm":
         raise UsageError(f"--epsilon applies to --scenario global_povm only, not {cfg.scenario}")
+    if cfg.scenario == "global_povm":  # its gate reads bell_residual and 10 epsilon
+        for key in ("uniform", "min_entropy"):
+            if key in dict(cfg.tol):
+                raise UsageError(f"--tol {key} does not apply to --scenario global_povm")
+            del cfg.tolerances[key]
     stack = qo.angle_stack(cfg.thetas)
     residuals = bt.bell_values(stack).residuals.tolist()
     tables = bt.SCHEMES[cfg.scenario](stack, cfg.epsilon)

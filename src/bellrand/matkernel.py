@@ -23,6 +23,20 @@ IDENTITY_TOL = 1e-10  # an exact identity evaluated through a few matrix product
 RANK_TOL = 1e-9  # a numerical-rank or normalization decision
 
 
+def refuse_beyond(excess, bound: float, check: str, where=None) -> None:
+    """The one contract gate: refuse the first entry of `excess` not <= `bound`, NaN included.
+
+    The ValueError names the check, the value, the bound and, given `where`, the
+    member `where(*index)`.  Passing costs one reduction and one comparison.
+    """
+    excess = np.asarray(excess, dtype=float)
+    if excess.max(initial=-np.inf) <= bound:  # a NaN entry makes the max NaN
+        return
+    index = np.unravel_index(int(np.argmax(~(excess <= bound))), excess.shape)
+    at = "" if where is None else f" at {where(*(int(i) for i in index))}"
+    raise ValueError(f"{check} {float(excess[index]):.3e} exceeds {bound:.0e}{at}")
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a 2-d complex array (no copy when already one)."""
     a = np.asarray(m, dtype=complex)
@@ -91,14 +105,14 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (w, v) such that m = v @ diag(w) @ v^dagger with orthonormal
     eigenvector columns.  A stack of matrices (..., d, d) gives w of shape
-    (..., d) and v of shape (..., d, d).  Non-Hermitian input (beyond
-    ZERO_TOL) is a contract error.
+    (..., d) and v of shape (..., d, d).  Non-Hermitian or non-finite input
+    (beyond ZERO_TOL) is a contract error naming matrix k of the flattened stack.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if a.size and float(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))))) > ZERO_TOL:
-        raise ValueError("eigh requires a Hermitian matrix")
+    herm = np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))), axis=(-2, -1), initial=0.0)
+    refuse_beyond(herm.reshape(-1), ZERO_TOL, "eigh: non-Hermitian part", "matrix {}".format)
     w, v = np.linalg.eigh(a)
     return w[..., ::-1].copy(), v[..., ::-1].copy()
 

@@ -120,67 +120,49 @@ class Dichotomic:
     def __post_init__(self):
         op = _readonly(self.op)
         object.__setattr__(self, "op", op)
-        check_dichotomic_stack(op[None, None], (self.label,))
+        check_dichotomic_stack(op, lambda: f"observable {self.label!r}")
 
 
-def check_dichotomic_stack(ops, labels, thetas=None) -> None:
-    """The `Dichotomic` contract on a stack: ops[n, m] is observable labels[m] at thetas[n].
+def check_dichotomic_stack(ops, where) -> None:
+    """The `Dichotomic` contract on a stack of observables ops[..., :, :].
 
     Hermitian and O^2 = I within IDENTITY_TOL, one vectorized check per
-    condition; a failure names the condition, the observable and, when
-    `thetas` is given, the first failing angle.
+    condition; a refusal names the first refused member as `where(*index)`.
     """
     ops = np.asarray(ops, dtype=complex)
     herm = np.max(np.abs(ops - np.conj(np.swapaxes(ops, -1, -2))), axis=(-2, -1))
+    mk.refuse_beyond(herm, mk.IDENTITY_TOL, "non-Hermitian part", where)
     square = np.max(np.abs(ops @ ops - np.eye(ops.shape[-1])), axis=(-2, -1))
-    for resid, what in ((herm, "must be Hermitian"), (square, "fails O^2 = I")):
-        if not resid.max(initial=0.0) <= mk.IDENTITY_TOL:  # NaN is refused too
-            n, m = np.argwhere(~(resid <= mk.IDENTITY_TOL))[0]
-            at = f" at theta={float(thetas[n])!r}" if thetas is not None else ""
-            raise ValueError(f"observable {labels[m]!r} {what}{at} (residual {resid[n, m]:.3e})")
+    mk.refuse_beyond(square, mk.IDENTITY_TOL, "O^2 - I", where)
 
 
 def check_state_stack(rhos, where=None) -> None:
     """The `QState` contract on a stack of density operators rhos[n].
 
-    Hermitian within ZERO_TOL, then PSD (one stacked `eigvalsh`) and unit
-    trace within IDENTITY_TOL, one vectorized check per condition.  A failure
-    names the condition, the offending value and, when `where` is given, the
-    first failing member as `where(n)`.
+    Hermitian within ZERO_TOL, so NaN never reaches `eigvalsh`, then PSD and unit
+    trace within IDENTITY_TOL; a refusal names member n as `where(n)`, if given.
     """
     rhos = np.asarray(rhos, dtype=complex)
-
-    def refuse(what: str, n) -> None:
-        at = f" at {where(int(n))}" if where is not None else ""
-        raise ValueError(f"density operator {what}{at}")
-
     herm = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, -1, -2))), axis=(-2, -1))
-    if not herm.max(initial=0.0) <= mk.ZERO_TOL:  # NaN is refused here, before `eigvalsh`
-        n = np.argmax(~(herm <= mk.ZERO_TOL))
-        refuse(f"must be Hermitian (residual {herm[n]:.3e})", n)
+    mk.refuse_beyond(herm, mk.ZERO_TOL, "density operator non-Hermitian part", where)
     low = np.linalg.eigvalsh(rhos)[..., 0]
-    if low.min(initial=0.0) < -mk.IDENTITY_TOL:
-        n = np.argmax(low < -mk.IDENTITY_TOL)
-        refuse(f"not PSD (min eigenvalue {low[n]:.3e})", n)
+    mk.refuse_beyond(-low, mk.IDENTITY_TOL, "density operator PSD violation", where)
     tr = np.trace(rhos, axis1=-2, axis2=-1).real
-    bad = np.abs(tr - 1.0) > mk.IDENTITY_TOL
-    if bad.any():
-        n = np.argmax(bad)
-        refuse(f"trace {tr[n]} != 1", n)
+    mk.refuse_beyond(np.abs(tr - 1.0), mk.IDENTITY_TOL, "density operator |trace - 1|", where)
 
 
 def check_ket_stack(kets, thetas) -> None:
     """The `QState` contract on states given as kets: state n is sum_k |kets[n, k]><kets[n, k]|.
 
     Such a state is Hermitian and PSD by construction, so unit trace is the
-    condition left; a failure names the first failing angle.
+    condition left; a refusal names the first refused angle.
     """
-    kets = np.asarray(kets, dtype=complex)
-    tr = np.sum(np.abs(kets) ** 2, axis=tuple(range(1, kets.ndim)))
-    off = np.abs(tr - 1.0)
-    if not off.max(initial=0.0) <= mk.IDENTITY_TOL:  # NaN is refused too
-        n = np.argmax(~(off <= mk.IDENTITY_TOL))
-        raise ValueError(f"density operator trace {tr[n]} != 1 at theta={float(thetas[n])!r}")
+    off = np.abs(np.sum(np.abs(kets) ** 2, axis=tuple(range(1, np.ndim(kets)))) - 1.0)
+
+    def angle(n: int) -> str:
+        return f"theta={float(thetas[n])!r}"
+
+    mk.refuse_beyond(off, mk.IDENTITY_TOL, "density operator |trace - 1|", angle)
 
 
 @dataclass(frozen=True)
@@ -281,9 +263,7 @@ def ancilla_pure() -> AncillaRealization:
 
 def ancilla_mixed() -> AncillaRealization:
     """One qubit per side, A' = B' = Z, sigma = (|00><00| + |11><11|)/2, kets |00>, |11>."""
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 0.5
-    rho[3, 3] = 0.5
+    rho = np.diag([0.5, 0.0, 0.0, 0.5])
     r = math.sqrt(0.5)  # 1/sqrt(2) correctly rounded; 1 / math.sqrt(2) is an ulp below
     kets = _readonly([[[r, 0], [0, 0]], [[0, 0], [0, r]]])
     return AncillaRealization(PAULI_Z, PAULI_Z, QState(rho, (2, 2)), kets, label="mixed")
@@ -561,9 +541,7 @@ def kets_from_elements(p: Povm) -> Povm:
     first amplitude above ZERO_TOL is real positive; one stacked `eigh`.
     """
     w, v = mk.eigh(p.elements)
-    second = np.abs(w[:, 1])
-    if not second.max(initial=0.0) <= mk.RANK_TOL:  # NaN is refused too
-        raise ValueError(f"element is not rank one (second eigenvalue {second.max():.3e})")
+    mk.refuse_beyond(np.abs(w[:, 1]), mk.RANK_TOL, "second eigenvalue", "element {}".format)
     kets = np.sqrt(np.maximum(w[:, 0], 0.0))[:, None] * v[:, :, 0]
     lead = kets[np.arange(len(kets)), np.argmax(np.abs(kets) > mk.ZERO_TOL, axis=1)]
     big = np.abs(lead) > mk.ZERO_TOL  # a ket with no amplitude above ZERO_TOL keeps its phase

@@ -105,9 +105,11 @@ class OffdiagSet:
 
 
 def offdiag_set(p: Povm) -> OffdiagSet:
-    """Off-diagonal operators of a rank-one POVM plus their null space."""
+    """Off-diagonal operators of a rank-one POVM plus their null space; refuses non-finite kets."""
     if p.kets is None:
         raise ValueError("off-diagonal operators need rank-one kets; attach them first")
+    finite = np.where(np.isfinite(p.kets), 0.0, np.nan)
+    mk.refuse_beyond(finite, mk.ZERO_TOL, "non-finite ket", "outcome {}".format)
     operators = p.kets[:, :, None] * p.kets[:, None, :]  # |k><k*| has entries k_i k_j
     return OffdiagSet(operators, tuple(mk.null_space(operators)))
 
@@ -120,22 +122,18 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
     with T_a = |k_a><k_a*|: the blocks sit on the eigenbasis of the ancilla
     observable Z that the Bell kernels measure (A' = B' = Z).  Requires
     |c_a| <= 1 (eigenvalues of R_a are |k_a|^2 (1 +- |c_a|) plus zeros) and
-    sum_a c_a T_a = 0 (completeness); violations are rejected with the
-    offending residual.  All R_a come from one stack of the four blocks,
-    transposed into (system, ancilla) order.
+    sum_a c_a T_a = 0 (completeness), each within RANK_TOL; a violation is
+    refused with the offending residual and outcome.  All R_a come from one
+    stack of the four blocks, transposed into (system, ancilla) order.
     """
     if p.kets is None:
         raise ValueError("dilation needs rank-one kets; attach them first")
     coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
     if coeffs.shape[0] != p.n_outcomes:
         raise ValueError("one coefficient per outcome required")
-    top = np.abs(coeffs).max(initial=0.0)
-    if not top <= 1.0 + mk.RANK_TOL:
-        raise ValueError(f"coefficient magnitude {top:.6f} exceeds 1")
+    mk.refuse_beyond(np.abs(coeffs) - 1.0, mk.RANK_TOL, "|c_a| - 1", "outcome {}".format)
     ct = coeffs[:, None, None] * (p.kets[:, :, None] * p.kets[:, None, :])  # c_a T_a
-    residual = float(np.linalg.norm(ct.sum(axis=0)))
-    if not residual <= mk.RANK_TOL:
-        raise ValueError(f"coefficients do not close the completeness sum, residual {residual:.3e}")
+    mk.refuse_beyond(np.linalg.norm(ct.sum(axis=0)), mk.RANK_TOL, "completeness residual")
     e = p.elements
     m, d = e.shape[:2]
     blocks = np.stack([e, ct, np.conj(np.swapaxes(ct, -1, -2)), np.conj(e)], axis=1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,7 +195,8 @@ class TestKetOracle:
         p = qo.adjusted_tetrahedral(0.5)
         attack = adv.build_attack(p, p, 0.5)
         monkeypatch.setattr(adv, "_CHI_KETS", adv._CHI_KETS * 1.001)
-        with pytest.raises(ValueError, match=r"trace .* != 1 at theta=0\.5"):
+        trace = r"^density operator \|trace - 1\| 2\.001e-03 exceeds 1e-10 at theta=0\.5$"
+        with pytest.raises(ValueError, match=trace):
             adv.brute_force_joint(attack, 0.5, -1)
 
     def test_attack_path_forms_no_composite_state(self, monkeypatch):
@@ -376,10 +378,12 @@ class TestCapAndEntropy:
         assert adv.min_entropy(point) == [0.0, 0.0]
 
     def test_min_entropy_validation(self):
-        with pytest.raises(ValueError, match="distribution 0 sums"):
+        off = r"^\|sum - 1\| 2\.000e-01 exceeds 1e-09 at distribution 0$"
+        with pytest.raises(ValueError, match=off):
             adv.min_entropy([np.full(4, 0.3)])
         bad = np.array([[1.0, 0.0, 0.0], [0.5, 0.6, -0.1]])
-        with pytest.raises(ValueError, match="distribution 1 has negative"):
+        negative = r"^negative entry 1\.000e-01 exceeds 1e-12 at distribution 1$"
+        with pytest.raises(ValueError, match=negative):
             adv.min_entropy(bad)
         with pytest.raises(ValueError, match="stack of tables"):
             adv.min_entropy(np.full(4, 0.25))
@@ -395,9 +399,10 @@ class TestCapAndEntropy:
         rows = np.random.default_rng(seed).dirichlet(np.ones(m), size=n)
         got = adv.min_entropy(rows)
         assert [x.hex() for x in got] == [(-math.log2(row.max())).hex() for row in rows]
-        # corrupt one row, and a later one the other way: the refusal names the first
+        # corrupt one row, and a later one the other way: the sums are checked
+        # before the signs, and each check names the first row it refuses
         first = data.draw(st.integers(0, n - 1))
-        kinds = ("sums to", "has negative entries")
+        kinds = (r"\|sum - 1\|", "negative entry")
         kind = data.draw(st.sampled_from(kinds))
         other = kinds[1] if kind == kinds[0] else kinds[0]
         for k, how in ((first, kind), (first + 1, other)):
@@ -408,7 +413,9 @@ class TestCapAndEntropy:
             else:
                 rows[k, 1] += rows[k, 0] + 1e-6
                 rows[k, 0] = -1e-6
-        with pytest.raises(ValueError, match=f"^distribution {first} {kind}"):
+        named = first if kind == kinds[0] or first + 1 == n else first + 1
+        check = kinds[0] if named > first else kind
+        with pytest.raises(ValueError, match=f"^{check} .* at distribution {named}$"):
             adv.min_entropy(rows)
 
 
@@ -420,44 +427,190 @@ def nan_member(valid, shape):
     return np.stack([np.asarray(valid, dtype=complex), np.full(shape, NAN, dtype=complex)])
 
 
+def nan_eve_state(monkeypatch):
+    """qubit_reduction_check with Eve state 1 of decomposition 1 all NaN.
+
+    The states' `QState` check, whose eigvalsh cannot take the NaN, is off.
+    """
+    stacked = adv._eve_decompositions
+
+    def corrupted(n_samples, rng):
+        weights, index, states = stacked(n_samples, rng)
+        states = states.copy()
+        states[3] = NAN
+        return weights, index, states
+
+    monkeypatch.setattr(adv, "_eve_decompositions", corrupted)
+    monkeypatch.setattr(qo, "check_state_stack", lambda rhos, where=None: None)
+    p = qo.adjusted_tetrahedral(0.9)
+    adv.qubit_reduction_check(p, qo.modified_mercedes(0.9), 0.9, n_decompositions=3)
+
+
+def nan_observables(_):
+    qo.check_dichotomic_stack(nan_member(qo.PAULI_Z, (2, 2)), "member {}".format)
+
+
+def nan_states(_):
+    qo.check_state_stack(nan_member(np.eye(2) / 2, (2, 2)), "member {}".format)
+
+
+def nan_tables(_):
+    adv.min_entropy(np.stack([np.full(4, 0.25), np.full(4, NAN)]))
+
+
+def nan_ket_povm():
+    """The adjusted-tetrahedral POVM at 0.7 with the ket of outcome 1 all NaN."""
+    p = qo.adjusted_tetrahedral(0.7)
+    kets = p.kets.copy()
+    kets[1] = NAN
+    return qo.Povm(p.elements, kets)
+
+
+def nan_element_povm():
+    elements = qo.adjusted_tetrahedral(0.7).elements.copy()
+    elements[1] = NAN
+    return qo.Povm(elements)
+
+
+ADMISSIBLE = np.array([1.0, 0.5, 0.5, 0.5])  # any finite coefficients: the kets are NaN
+
+
 class TestNanRefused:
-    """Every gate refuses NaN with its usual message, naming the NaN member."""
+    """Each contract condition refuses NaN in member k on its own, in the gate's wording.
+
+    Only the condition under test reaches the gate and the others pass
+    everything, so NaN also reaches the conditions that an earlier one guards.
+    The refusal names nan, the bound and member k (a completeness sum has none).
+    """
 
     @pytest.mark.parametrize(
-        "gate, message",
+        "check, bound, member, call",
         [
-            (
-                lambda: tg.build_dilated_povm(qo.adjusted_tetrahedral(0.7), [NAN] * 4),
-                "coefficient magnitude nan exceeds 1",
+            pytest.param(
+                "|c_a| - 1",
+                "1e-09",
+                "outcome 1",
+                lambda _: tg.build_dilated_povm(qo.adjusted_tetrahedral(0.7), [0, NAN, 0, 0]),
+                id="dilation",
             ),
-            (
-                lambda: qo.check_ket_stack(
+            pytest.param(
+                "completeness residual",
+                "1e-09",
+                None,
+                lambda _: tg.build_dilated_povm(nan_ket_povm(), ADMISSIBLE),
+                id="dilation_completeness",
+            ),
+            pytest.param(
+                "density operator |trace - 1|",
+                "1e-10",
+                "theta=0.5",
+                lambda _: qo.check_ket_stack(
                     nan_member(np.eye(2) / math.sqrt(2), (2, 2))[:, None], [0.3, 0.5]
                 ),
-                r"trace nan != 1 at theta=0\.5",
+                id="ket_stack",
             ),
-            (
-                lambda: qo.check_dichotomic_stack(
-                    nan_member(qo.PAULI_Z, (2, 2))[:, None], ["Z"], [0.3, 0.5]
-                ),
-                r"'Z' must be Hermitian at theta=0\.5 \(residual nan\)",
+            pytest.param(
+                "non-Hermitian part",
+                "1e-10",
+                "member 1",
+                nan_observables,
+                id="dichotomic_stack",
             ),
-            (
-                lambda: qo.check_state_stack(
-                    nan_member(np.eye(2) / 2, (2, 2)), lambda n: f"member {n}"
-                ),
-                r"must be Hermitian \(residual nan\) at member 1",
+            pytest.param(
+                "O^2 - I",
+                "1e-10",
+                "member 1",
+                nan_observables,
+                id="dichotomic_square",
             ),
-            (
-                lambda: adv.min_entropy(np.stack([np.full(4, 0.25), np.full(4, NAN)])),
-                "distribution 1 sums to nan, not 1",
+            pytest.param(
+                "density operator non-Hermitian part",
+                "1e-12",
+                "member 1",
+                nan_states,
+                id="state_stack",
+            ),
+            pytest.param(
+                "density operator PSD violation",
+                "1e-10",
+                "member 1",
+                nan_states,
+                id="state_psd",
+            ),
+            pytest.param(
+                "density operator |trace - 1|",
+                "1e-10",
+                "member 1",
+                nan_states,
+                id="state_trace",
+            ),
+            pytest.param(
+                "|sum - 1|",
+                "1e-09",
+                "distribution 1",
+                nan_tables,
+                id="min_entropy",
+            ),
+            pytest.param(
+                "negative entry",
+                "1e-12",
+                "distribution 1",
+                nan_tables,
+                id="min_entropy_sign",
+            ),
+            pytest.param(
+                "eigh: non-Hermitian part",
+                "1e-12",
+                "matrix 1",
+                lambda _: mk.eigh(nan_member(np.eye(2), (2, 2))),
+                id="eigh",
+            ),
+            pytest.param(
+                "second eigenvalue",
+                "1e-09",
+                "element 1",
+                lambda _: qo.kets_from_elements(nan_element_povm()),
+                id="kets_from_elements",
+            ),
+            pytest.param(
+                "|<A' x B'> - 1|",
+                "1e-10",
+                "Eve state 1 of decomposition 1",
+                nan_eve_state,
+                id="reduction_correlation",
+            ),
+            pytest.param(
+                "non-finite ket",
+                "1e-12",
+                "outcome 1",
+                lambda _: tg.offdiag_set(nan_ket_povm()),
+                id="offdiag_set",
             ),
         ],
-        ids=["dilation", "ket_stack", "dichotomic_stack", "state_stack", "min_entropy"],
     )
-    def test_nan_refused(self, gate, message):
-        with pytest.raises(ValueError, match=message):
-            gate()
+    def test_nan_refused(self, monkeypatch, check, bound, member, call):
+        gate = mk.refuse_beyond
+
+        def only_this_check(excess, tier, name, where=None):
+            if name == check:
+                gate(excess, tier, name, where)
+
+        monkeypatch.setattr(mk, "refuse_beyond", only_this_check)
+        at = "" if member is None else f" at {member}"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{check} nan exceeds {bound}{at}')}$"):
+            call(monkeypatch)
+
+    def test_nan_povm_refused_before_the_svd(self):
+        # every attack-layer entry reaches offdiag_set before numpy's SVD
+        p = qo.Povm(np.full((4, 2, 2), NAN), np.full((4, 2), NAN))
+        refusal = r"^non-finite ket nan exceeds 1e-12 at outcome 0$"
+        for call in (
+            lambda: tg.offdiag_set(p),
+            lambda: adv.build_attack(p, p, 0.7),
+            lambda: adv.qubit_reduction_check(p, p, 0.7),
+        ):
+            with pytest.raises(ValueError, match=refusal):
+                call()
 
 
 class TestQubitReduction:
@@ -548,16 +701,27 @@ class TestReductionGates:
     @pytest.mark.parametrize(
         "decomposition, member, sigma, message",
         [
-            (4, 1, np.diag([1.5, 0, 0, -0.5]), r"not PSD \(min eigenvalue -5\.000e-01\)"),
-            (2, 0, np.diag([0.55, 0, 0, 0.55]), r"trace 1\.1 != 1"),
+            (
+                4,
+                1,
+                np.diag([1.5, 0, 0, -0.5]),
+                r"density operator PSD violation 5\.000e-01 exceeds 1e-10",
+            ),
+            (
+                2,
+                0,
+                np.diag([0.55, 0, 0, 0.55]),
+                r"density operator \|trace - 1\| 1\.000e-01 exceeds 1e-10",
+            ),
             (
                 5,
                 0,
                 adv.CHI[0].rho + np.eye(4, k=1) * 1e-6,
-                r"must be Hermitian \(residual 1\.000e-06\)",
+                r"density operator non-Hermitian part 1\.000e-06 exceeds 1e-12",
             ),
-            (3, 1, ZERO_ONE, r"<A' x B'> misses 1 by 2\.000e\+00"),
+            (3, 1, ZERO_ONE, r"\|<A' x B'> - 1\| 2\.000e\+00 exceeds 1e-10"),
         ],
+        ids=["psd", "trace", "hermitian", "correlation"],
     )
     def test_corrupted_state_refused(self, monkeypatch, decomposition, member, sigma, message):
         stacked = adv._eve_decompositions
@@ -570,7 +734,7 @@ class TestReductionGates:
 
         monkeypatch.setattr(adv, "_eve_decompositions", corrupted)
         where = f" at Eve state {member} of decomposition {decomposition}$"
-        with pytest.raises(ValueError, match=message + where):
+        with pytest.raises(ValueError, match="^" + message + where):
             adv.qubit_reduction_check(
                 qo.adjusted_tetrahedral(0.9), qo.modified_mercedes(0.9), 0.9, n_decompositions=6
             )

@@ -290,7 +290,8 @@ class TestBellBatch:
 
         monkeypatch.setattr(bt, "_bob_weights", corrupted)
         for kernel in (bt.bell_values, bt.selftest_reports):
-            with pytest.raises(ValueError, match=r"'B1' fails O\^2 = I at theta=0.9"):
+            square = r"^O\^2 - I 2\.001e-03 exceeds 1e-10 at observable 'B1' at theta=0\.9$"
+            with pytest.raises(ValueError, match=square):
                 kernel(qo.angle_stack([0.4, 0.9, 1.2]))
 
     def test_near_product_weights_do_not_cancel(self, monkeypatch):
@@ -304,6 +305,57 @@ class TestBellBatch:
         # B1's X x I weight in the operator, then in the batch's coefficients
         for got in (bob[0].op[0, 2].real, seen[0][0, 1, 2]):
             assert abs(got / want - 1) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(1e-3, math.pi / 2), min_size=1, max_size=4),
+        st.sampled_from(["scale", "identity", "nan"]),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),  # angle, modulo the count
+                st.integers(1, 6),  # observable B1..B6
+                st.sampled_from([-1.0, 1.0]),
+                st.one_of(st.floats(-16.0, -12.0), st.floats(-9.0, -1.0)),  # log10 size
+                st.integers(0, 3),  # the weight a NaN replaces
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_weight_check_refuses_as_the_operator_oracle(self, thetas, kind, corruptions):
+        # Corruptions at least 10x above or below IDENTITY_TOL: the closed-form
+        # residual on the weights and the built operators' entrywise one then
+        # agree on the verdict, and both name the first refused observable.
+        stack = qo.angle_stack(thetas)
+        weights = bt._bob_weights(stack.w_plus, stack.w_minus)
+        cells = {(n % len(thetas), b): rest for n, b, *rest in corruptions}
+        for (n, b), (sign, exponent, column) in cells.items():
+            size = sign * 10.0**exponent
+            if kind == "scale":
+                weights[n, b] *= 1.0 + size
+            elif kind == "identity":
+                weights[n, b, 0] = size
+            else:
+                weights[n, b, column] = math.nan
+
+        def refused_member(call):
+            try:
+                call()
+            except ValueError as exc:
+                return str(exc).split(" at ", 1)[1]
+            return None
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bt, "_bob_weights", lambda wp, wm: weights)
+            closed = refused_member(lambda: bt.bell_values(stack))
+        ops = np.einsum("nbm,mij->nbij", weights[:, 1:], bt._BASIS)
+        oracle = None
+        for n, theta in enumerate(stack.theta.tolist()):
+            members = [f"observable {label!r} at theta={theta!r}" for label in bt._BOB_LABELS]
+            oracle = refused_member(lambda: qo.check_dichotomic_stack(ops[n], members.__getitem__))
+            if oracle is not None:
+                break
+        assert closed == oracle
 
     def test_product_end_names_its_angle(self):
         # the kernels read angles only through the stack, whose one gate refuses here

@@ -95,6 +95,13 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["reports"][0]["epsilon"] == bt.DEFAULT_EPSILON
 
+    def test_global_povm_lists_the_one_tolerance_it_reads(self, capsys):
+        # its gate reads bell_residual and 10 epsilon; uniform and min_entropy are refused
+        argv = ["certify", "--scenario", "global_povm", "--theta", "0.9"]
+        code, out = run(capsys, argv + ["--tol", "bell_residual=1e-8"])
+        assert code == 0
+        assert json.loads(out)["tolerances"] == {"bell_residual": 1e-8}
+
     def test_missing_scenario_is_usage_error(self):
         assert main(["certify", "--theta", "0.5"]) == 2
 
@@ -256,6 +263,10 @@ REFUSED = [
     ["certify", "--scenario", "global_projective", "--epsilon", "1e-4"],
     ["certify", "--scenario", "local_povm", "--config", "epsilon=0.5"],
     ["certify", "--scenario", "global_projective", "--config", "epsilon=1e-4"],
+    ["certify", "--scenario", "global_povm", "--theta", "0.7", "--tol", "uniform=1e-300"],
+    ["certify", "--scenario", "global_povm", "--theta", "0.7", "--tol", "min_entropy=1e-300"],
+    ["certify", "--scenario", "global_povm", "--theta", "0.7", "--config", "tol.uniform=1e-300"],
+    ["certify", "--scenario", "global_povm", "--theta", "0.7", "--config", "tol.min_entropy=1"],
     ["selftest", "--config", "thetta=0.4"],
     ["selftest", "--config", "config=other.cfg"],
     ["attack", "--seed", "7"],
@@ -483,7 +494,9 @@ def test_sweep_keeps_the_rows_that_pass(capsys, monkeypatch):
     rows = json.loads(captured.out)["rows"]
     assert code == 3
     assert [rows[0], rows[2]] == [clean[0], clean[2]]
-    assert rows[1]["status"].startswith("error:ValueError:observable 'B1' fails O^2 = I at theta=0.9")
+    assert rows[1]["status"] == (
+        "error:ValueError:O^2 - I 2.001e-03 exceeds 1e-10 at observable 'B1' at theta=0.9"
+    )
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: library contract violated: 1 of 3 sweep rows failed")

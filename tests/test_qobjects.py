@@ -59,11 +59,11 @@ class TestState:
             qo.QState(np.diag([0.7, 0.7]).astype(complex), (2,))
 
     def test_dichotomic_validation(self):
-        # one observable: the stack check's messages without an angle
-        hermitian = r"^observable 'H' must be Hermitian \(residual 1\.000e\+00\)$"
+        # one observable: the gate's wording, the member named by its label
+        hermitian = r"^non-Hermitian part 1\.000e\+00 exceeds 1e-10 at observable 'H'$"
         with pytest.raises(ValueError, match=hermitian):
             qo.Dichotomic(np.array([[1, 1], [0, -1]], dtype=complex), "H")
-        square = r"^observable 'S' fails O\^2 = I \(residual 4\.004e-03\)$"
+        square = r"^O\^2 - I 4\.004e-03 exceeds 1e-10 at observable 'S'$"
         with pytest.raises(ValueError, match=square):
             qo.Dichotomic(1.002 * qo.PAULI_Z, "S")
 
@@ -73,6 +73,9 @@ class TestStackedContracts:
 
     THETAS = [0.3, 0.5, 0.9]
 
+    def where(self, n, m):
+        return f"observable {'AB'[m]!r} at theta={self.THETAS[n]!r}"
+
     def observables(self):
         ops = np.empty((3, 2, 4, 4), dtype=complex)
         ops[:, 0] = mk.kron(qo.PAULI_Z, qo.ID2)
@@ -80,7 +83,7 @@ class TestStackedContracts:
         return ops
 
     def test_valid_stacks_pass(self):
-        qo.check_dichotomic_stack(self.observables(), ["A", "B"], self.THETAS)
+        qo.check_dichotomic_stack(self.observables(), self.where)
         kets = np.zeros((3, 2, 2, 2), dtype=complex)
         kets[:, 0, 0, 0] = kets[:, 1, 1, 1] = math.sqrt(0.5)
         qo.check_ket_stack(kets, self.THETAS)
@@ -88,20 +91,23 @@ class TestStackedContracts:
     def test_observable_squaring_off_identity_names_its_angle(self):
         ops = self.observables()
         ops[1, 1] *= 1.001
-        with pytest.raises(ValueError, match=r"'B' fails O\^2 = I at theta=0.5"):
-            qo.check_dichotomic_stack(ops, ["A", "B"], self.THETAS)
+        square = r"^O\^2 - I 2\.001e-03 exceeds 1e-10 at observable 'B' at theta=0\.5$"
+        with pytest.raises(ValueError, match=square):
+            qo.check_dichotomic_stack(ops, self.where)
 
     def test_non_hermitian_observable_names_its_angle(self):
         ops = self.observables()
         ops[2, 0, 0, 1] += 1e-3
-        with pytest.raises(ValueError, match="'A' must be Hermitian at theta=0.9"):
-            qo.check_dichotomic_stack(ops, ["A", "B"], self.THETAS)
+        hermitian = r"^non-Hermitian part 1\.000e-03 exceeds 1e-10 at observable 'A' at theta=0\.9$"
+        with pytest.raises(ValueError, match=hermitian):
+            qo.check_dichotomic_stack(ops, self.where)
 
     def test_unnormalized_ket_names_its_angle(self):
         kets = np.zeros((3, 1, 4, 4), dtype=complex)
         kets[:, 0, 0, 0] = 1.0
         kets[2, 0, 0, 0] = 1.001
-        with pytest.raises(ValueError, match="trace .* != 1 at theta=0.9"):
+        trace = r"^density operator \|trace - 1\| 2\.001e-03 exceeds 1e-10 at theta=0\.9$"
+        with pytest.raises(ValueError, match=trace):
             qo.check_ket_stack(kets, self.THETAS)
 
 
@@ -249,11 +255,12 @@ class TestPovmExtremality:
 
 @pytest.mark.parametrize("report", [qo.kets_from_elements, qo.povm_validity, qo.povm_extremality])
 def test_nan_povm_refused_or_reported_failing(report):
-    # NaN fails every margin test: refused as not rank one, or reported
-    # invalid / not extremal with NaN margins, never numpy's LinAlgError.
+    # NaN fails every margin test: refused by the eigendecomposition's gate, or
+    # reported invalid / not extremal with NaN margins, never numpy's LinAlgError.
     p = qo.Povm(np.full((4, 2, 2), np.nan))
     if report is qo.kets_from_elements:
-        with pytest.raises(ValueError, match="not rank one"):
+        refusal = r"^eigh: non-Hermitian part nan exceeds 1e-12 at matrix 0$"
+        with pytest.raises(ValueError, match=refusal):
             report(p)
         return
     rep = report(p)

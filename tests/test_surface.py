@@ -83,3 +83,39 @@ def test_modules_keep_their_layers():
             ):
                 problems.append(f"{path.stem} reads {aliases[node.value.id]}.{node.attr}")
     assert problems == []
+
+
+TIERS = {"ZERO_TOL", "IDENTITY_TOL", "RANK_TOL"}
+
+
+def _raises_value_error(statements) -> bool:
+    return any(
+        isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id == "ValueError"
+        for statement in statements
+        for node in ast.walk(statement)
+    )
+
+
+def test_only_the_gate_refuses_on_a_tier():
+    # A contract check hands its residual and tier to matkernel.refuse_beyond,
+    # which alone decides and words a refusal: outside it, no `if` whose test
+    # reads a tier raises ValueError.  (DegenerateAttackError is a check outcome.)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        owner = {}  # node -> innermost enclosing function
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update((node, func.name) for node in ast.walk(func))
+        found += [
+            f"{path.stem}.{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.If)
+            and owner.get(node) != "refuse_beyond"
+            and TIERS & _references(node.test)
+            and _raises_value_error(node.body + node.orelse)
+        ]
+    assert found == []
