@@ -107,22 +107,24 @@ def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarra
 
 
 def _admissible_coeffs(p: Povm) -> np.ndarray:
-    """Dilation coefficients: the off-diagonal null vector divided by its largest entry.
+    """Dilation coefficients: the signed minors of the T_a = |k_a><k_a*| over their largest entry.
 
-    The first entry whose magnitude is within RANK_TOL of the largest becomes
-    exactly 1.  This fixes the phase that the SVD leaves free, and entries of
-    equal magnitude (all four at theta = pi/2) cannot trade places through
-    rounding.  Any three operators |k_a><k_a*| of pairwise non-parallel kets
-    are linearly independent in the span of {I, X, Z}, so an extremal POVM
-    has a one-dimensional null space with four outcomes and none with at most
-    three; then the coefficients are zero (the block form).
+    The minors are taken of the coordinates (k_0^2, k_0 k_1, k_1^2) in the span of {I, X, Z}.
+    The first entry within RANK_TOL of the largest magnitude becomes exactly 1, so entries tied
+    in magnitude (all four at theta = pi/2) cannot trade places through rounding.  With at most
+    three outcomes, or when every minor vanishes (the T_a span at most two dimensions), the
+    coefficients are zero (the block form).  Refuses all but qubit POVMs of at most 4 outcomes.
     """
-    basis = tg.offdiag_set(p).null_basis
-    if not basis:
+    if p.dim != 2 or p.n_outcomes > 4:
+        shape = f"{p.n_outcomes} outcomes of dimension {p.dim}"
+        raise ValueError(f"coefficients need a qubit POVM with at most 4 outcomes, got {shape}")
+    t = tg.offdiag_operators(p)
+    c = mk.null_vector(t[:, [0, 0, 1], [0, 1, 1]]) if p.n_outcomes == 4 else np.zeros(p.n_outcomes)
+    mags = np.abs(c)
+    if mags.max(initial=0.0) <= mk.ZERO_TOL:  # at most three outcomes, or every minor vanishes
         return np.zeros(p.n_outcomes, dtype=complex)
-    mags = np.abs(basis[0])
     i = np.argmax(mags >= (1.0 - mk.RANK_TOL) * mags.max())
-    c = basis[0] / basis[0][i]
+    c = c / c[i]
     c[i] = 1.0  # numpy's complex division can leave x / x an ulp below 1
     return c
 
@@ -142,7 +144,7 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
     lam = _admissible_coeffs(alice)
     mu = _admissible_coeffs(bob)
     if not (lam.any() and mu.any()):
-        raise DegenerateAttackError("off-diagonal operators are linearly independent")
+        raise DegenerateAttackError("off-diagonal operators span at most two dimensions")
 
     amp = joint_amplitudes(alice, bob, psi)
     unit_a = np.abs(lam) >= 1.0 - mk.RANK_TOL

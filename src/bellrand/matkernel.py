@@ -37,6 +37,12 @@ def refuse_beyond(excess, bound: float, check: str, where=None) -> None:
     raise ValueError(f"{check} {float(excess[index]):.3e} exceeds {bound:.0e}{at}")
 
 
+def non_hermitian_part(a) -> np.ndarray:
+    """max |A - A^dagger| per matrix of a stack (..., d, d); NaN without a warning if non-finite."""
+    a = np.where(np.isfinite(a), a, np.nan)
+    return np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))), axis=(-2, -1), initial=0.0)
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a 2-d complex array (no copy when already one)."""
     a = np.asarray(m, dtype=complex)
@@ -111,8 +117,8 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    herm = np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))), axis=(-2, -1), initial=0.0)
-    refuse_beyond(herm.reshape(-1), ZERO_TOL, "eigh: non-Hermitian part", "matrix {}".format)
+    herm = non_hermitian_part(a).reshape(-1)
+    refuse_beyond(herm, ZERO_TOL, "eigh: non-Hermitian part", "matrix {}".format)
     w, v = np.linalg.eigh(a)
     return w[..., ::-1].copy(), v[..., ::-1].copy()
 
@@ -123,12 +129,9 @@ def trace_norm(m) -> float:
 
 
 def null_space(mats) -> list[np.ndarray]:
-    """Orthonormal basis of {c : sum_a c_a mats[a] = 0} for a stack mats (m, ...).
+    """Orthonormal basis of {c : sum_a c_a mats[a] = 0} for a stack mats (m, ...), from one SVD.
 
-    Each matrix is flattened into one column of a single matrix whose
-    singular values are thresholded at RANK_TOL; the returned coefficient
-    vectors are the right-singular vectors past the numerical rank.  An
-    empty list means the matrices are linearly independent.
+    Singular values are thresholded at RANK_TOL; [] means the matrices are independent.
     """
     a = np.asarray(mats, dtype=complex)
     if len(a) == 0:
@@ -137,6 +140,19 @@ def null_space(mats) -> list[np.ndarray]:
     _, svals, vh = np.linalg.svd(stacked)
     rank = int(np.sum(svals > RANK_TOL))
     return list(vh[rank:].conj())
+
+
+def null_vector(v) -> np.ndarray:
+    """Signed minors c_a = (-1)^a det(v without row a) of m vectors v (..., m, m - 1).
+
+    sum_a c_a v_a = 0 (expand v with a column repeated); c = 0 iff rank v < m - 1.
+    """
+    v = np.asarray(v)
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2] - 1:
+        raise ValueError(f"expected m vectors of length m - 1, got shape {v.shape}")
+    rows, cols = np.arange(v.shape[-2]), np.arange(v.shape[-1])
+    minors = v[..., cols + (cols >= rows[:, None]), :]  # minor a: every row but a, in order
+    return np.linalg.det(minors) * (-1.0) ** rows
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

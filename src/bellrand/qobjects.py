@@ -130,8 +130,7 @@ def check_dichotomic_stack(ops, where) -> None:
     condition; a refusal names the first refused member as `where(*index)`.
     """
     ops = np.asarray(ops, dtype=complex)
-    herm = np.max(np.abs(ops - np.conj(np.swapaxes(ops, -1, -2))), axis=(-2, -1))
-    mk.refuse_beyond(herm, mk.IDENTITY_TOL, "non-Hermitian part", where)
+    mk.refuse_beyond(mk.non_hermitian_part(ops), mk.IDENTITY_TOL, "non-Hermitian part", where)
     square = np.max(np.abs(ops @ ops - np.eye(ops.shape[-1])), axis=(-2, -1))
     mk.refuse_beyond(square, mk.IDENTITY_TOL, "O^2 - I", where)
 
@@ -143,7 +142,7 @@ def check_state_stack(rhos, where=None) -> None:
     trace within IDENTITY_TOL; a refusal names member n as `where(n)`, if given.
     """
     rhos = np.asarray(rhos, dtype=complex)
-    herm = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, -1, -2))), axis=(-2, -1))
+    herm = mk.non_hermitian_part(rhos)
     mk.refuse_beyond(herm, mk.ZERO_TOL, "density operator non-Hermitian part", where)
     low = np.linalg.eigvalsh(rhos)[..., 0]
     mk.refuse_beyond(-low, mk.IDENTITY_TOL, "density operator PSD violation", where)

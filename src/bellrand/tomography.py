@@ -3,7 +3,7 @@
 Forward correlations of a POVM against the Pauli-type settings on the
 partially entangled state, linear-inversion reconstruction through the
 state's Pauli correlation matrix, the off-diagonal ket-pair operators with
-their admissible coefficient null space, and the explicit ancilla dilation
+their SVD null space (an oracle), and the explicit ancilla dilation
 whose diagonal blocks are a reference POVM and its complex conjugate.
 """
 
@@ -88,13 +88,7 @@ def reconstruct_povm(c: CorrelationTable) -> Povm:
 
 @dataclass(frozen=True)
 class OffdiagSet:
-    """Ket-pair operators |k_a><k_a*| and their admissible coefficient space.
-
-    Each operator is complex symmetric and Y-orthogonal, so all of them live
-    in the span of {I, X, Z}; four of them are never independent, at most
-    three can be.  `null_basis` holds orthonormal coefficient vectors c with
-    sum_a c_a T_a = 0.
-    """
+    """Ket-pair operators |k_a><k_a*| and an orthonormal basis of {c : sum_a c_a T_a = 0}."""
 
     operators: np.ndarray  # (m, d, d)
     null_basis: tuple[np.ndarray, ...]
@@ -104,13 +98,18 @@ class OffdiagSet:
         return len(self.null_basis)
 
 
-def offdiag_set(p: Povm) -> OffdiagSet:
-    """Off-diagonal operators of a rank-one POVM plus their null space; refuses non-finite kets."""
+def offdiag_operators(p: Povm) -> np.ndarray:
+    """The operators |k_a><k_a*| (entries k_i k_j) of a POVM, (m, d, d); refuses non-finite kets."""
     if p.kets is None:
         raise ValueError("off-diagonal operators need rank-one kets; attach them first")
     finite = np.where(np.isfinite(p.kets), 0.0, np.nan)
     mk.refuse_beyond(finite, mk.ZERO_TOL, "non-finite ket", "outcome {}".format)
-    operators = p.kets[:, :, None] * p.kets[:, None, :]  # |k><k*| has entries k_i k_j
+    return p.kets[:, :, None] * p.kets[:, None, :]
+
+
+def offdiag_set(p: Povm) -> OffdiagSet:
+    """Off-diagonal operators plus their SVD null space: the oracle of the signed minors."""
+    operators = offdiag_operators(p)
     return OffdiagSet(operators, tuple(mk.null_space(operators)))
 
 
@@ -142,26 +141,14 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
 
 
 _MAX_TRIES = 2000  # rejection-sampling attempts before a draw is refused
-_BLOCK = 32  # 4-outcome tries drawn and solved as one stack
-_COMPLETENESS4 = np.array([2.0, 0.0, 0.0, 0.0])  # sum_a w_a (1, n_a) = (2, 0, 0, 0)
+_BLOCK = 32  # 4-outcome tries drawn and weighed as one stack
 
 
-def _solve_or_nan(a: np.ndarray) -> np.ndarray:
-    """Stacked 4-outcome completeness solve; a singular member gets NaN weights.
-
-    A stacked `solve` raises on any singular member.  Only then is the stack
-    solved one member at a time, so a singular member is masked, not fatal.
-    """
-    try:
-        return np.linalg.solve(a, _COMPLETENESS4)
-    except np.linalg.LinAlgError:
-        w = np.full(a.shape[:-1], np.nan)
-        for n, m in enumerate(a):
-            try:
-                w[n] = np.linalg.solve(m, _COMPLETENESS4)
-            except np.linalg.LinAlgError:
-                pass
-        return w
+def _completion_weights(coords: np.ndarray) -> np.ndarray:
+    """Weights 2c / sum(c), c the signed minors of rows n_a (..., m, m - 1); NaN if sum(c) = 0."""
+    c = mk.null_vector(coords)
+    total = c.sum(axis=-1, keepdims=True)
+    return 2.0 * c / np.where(total == 0.0, np.nan, total)
 
 
 def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
@@ -171,14 +158,15 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
     well conditioned):
       2 outcomes: a Haar-random projective pair.
       3 outcomes: three unit Bloch vectors in a random plane whose angular
-        gaps are all below pi, weights solved from completeness.
-      4 outcomes: four Haar-random kets, weights solved from the 4x4
-        completeness system.
+        gaps are all below pi, weights from their in-plane coordinates.
+      4 outcomes: four Haar-random kets, weights from their Bloch normals.
+    Completeness, sum_a w_a (1, n_a) = (2, 0, ...), makes the weights the
+    signed minors of the coordinates scaled to sum 2; a singular try gets NaN.
 
     Stream contract for 4 outcomes: each try reads 16 standard normals, the
     real and then the imaginary parts of the four kets as (4, 2) blocks.  A
     try whose completeness system is singular is rejected, and the generator
-    is left just past the first accepted try.  Tries are drawn and solved
+    is left just past the first accepted try.  Tries are drawn and weighed
     `_BLOCK` at a time, then the generator is rewound past the surplus, so
     the POVM and the generator's final state are those of drawing one try at
     a time.  After `_MAX_TRIES` rejected tries, which consume exactly
@@ -201,11 +189,7 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
             frame = np.linalg.qr(g)[0]
             f1, f2 = frame[:, 0], frame[:, 1]
             normals = [math.cos(p) * f1 + math.sin(p) * f2 for p in phis]
-            a = np.vstack([np.ones(3), [n @ f1 for n in normals], [n @ f2 for n in normals]])
-            try:
-                w = np.linalg.solve(a, np.array([2.0, 0.0, 0.0]))
-            except np.linalg.LinAlgError:
-                continue
+            w = _completion_weights(np.array([[n @ f1, n @ f2] for n in normals]))
             if w.min() > 0.05:
                 return qo.povm_from_bloch(w, normals)
         raise RuntimeError("failed to sample a feasible 3-outcome POVM")
@@ -220,8 +204,7 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
             cross = 2.0 * np.conj(kets[..., 0]) * kets[..., 1]
             pops = np.abs(kets) ** 2
             normals = np.stack([cross.real, cross.imag, pops[..., 0] - pops[..., 1]], axis=-1)
-            a = np.concatenate([np.ones((n, 1, 4)), np.swapaxes(normals, -1, -2)], axis=1)
-            w = _solve_or_nan(a)
+            w = _completion_weights(normals)
             accepted = np.flatnonzero(w.min(axis=-1) > 0.05)
             if accepted.size:
                 k = int(accepted[0])

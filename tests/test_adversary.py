@@ -294,14 +294,14 @@ class TestBuildAttack:
 
     @pytest.mark.parametrize("theta", [0.9, np.pi / 2])
     def test_coefficient_gauge_ignores_the_null_vector_phase(self, monkeypatch, theta):
-        # the SVD fixes a null vector only up to a phase, and at pi/2 all four
-        # magnitudes tie; the reported coefficients must depend on neither
+        # a null vector is fixed only up to a scale and a phase, and at pi/2 all
+        # four magnitudes tie; the reported coefficients must depend on neither
         p = qo.adjusted_tetrahedral(theta)
         attack = adv.build_attack(p, p, theta)
         assert attack.mu_coeffs[0] == 1.0  # entry 0 has the largest magnitude
-        plain = mk.null_space
+        plain = mk.null_vector
         for factor in (-1.0, np.exp(1.3j), np.exp(1.3j) * (1.0 + 1e-14 * np.arange(4))):
-            monkeypatch.setattr(mk, "null_space", lambda m, f=factor: [f * c for c in plain(m)])
+            monkeypatch.setattr(mk, "null_vector", lambda v, f=factor: f * plain(v))
             again = adv.build_attack(p, p, theta)
             assert np.max(np.abs(again.lambda_coeffs - attack.lambda_coeffs)) <= mk.ZERO_TOL
             assert np.max(np.abs(again.mu_coeffs - attack.mu_coeffs)) <= mk.ZERO_TOL
@@ -335,6 +335,59 @@ class TestBuildAttack:
     def test_wrong_outcome_count_rejected(self):
         with pytest.raises(ValueError):
             adv.build_attack(qo.modified_mercedes(0.5), qo.adjusted_tetrahedral(0.5), 0.5)
+
+
+def gauge_fixed_svd_coeffs(p):
+    """Oracle: the SVD null vector over its first entry within RANK_TOL of the largest."""
+    v = tg.offdiag_set(p).null_basis[0]
+    mags = np.abs(v)
+    i = np.argmax(mags >= (1.0 - mk.RANK_TOL) * mags.max())
+    c = v / v[i]
+    c[i] = 1.0
+    return c
+
+
+class TestSignedMinorCoefficients:
+    """`_admissible_coeffs` (the signed minors) against the SVD null space of `offdiag_set`."""
+
+    @staticmethod
+    def assert_matches_the_svd(p):
+        c = adv._admissible_coeffs(p)
+        assert np.max(np.abs(c - gauge_fixed_svd_coeffs(p))) <= 1e-13
+        assert c[np.argmax(np.abs(c) >= 1.0 - mk.RANK_TOL)] == 1.0  # exactly, not x / x
+        closure = np.tensordot(c, tg.offdiag_set(p).operators, axes=1)
+        assert np.max(np.abs(closure)) <= mk.ZERO_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_four_outcome_povms(self, seed):
+        self.assert_matches_the_svd(tg.random_extremal_povm(4, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("theta", [qo.THETA_MIN, 1e-9, np.pi / 2])
+    def test_adjusted_tetrahedral(self, theta):
+        self.assert_matches_the_svd(qo.adjusted_tetrahedral(theta))
+
+    def test_three_parallel_kets_are_degenerate(self):
+        # four outcomes, three of them on the ray |0>: every 3x3 minor vanishes
+        p = qo.povm_from_bloch([0.5, 0.25, 0.25, 1.0], [[0, 0, 1]] * 3 + [[0, 0, -1]])
+        assert qo.povm_validity(p).is_valid
+        np.testing.assert_array_equal(adv._admissible_coeffs(p), np.zeros(4))
+        with pytest.raises(adv.DegenerateAttackError, match="^off-diagonal operators span at"):
+            adv.build_attack(p, qo.adjusted_tetrahedral(0.7), 0.7)
+
+    @pytest.mark.parametrize(
+        "p, named",
+        [
+            (qo.Povm(np.full((5, 2, 2), 0.2), np.full((5, 2), math.sqrt(0.2))), "got 5 outcomes"),
+            (qo.Povm(np.stack([np.eye(3)] * 4) / 4, np.full((4, 3), 0.5)), "of dimension 3"),
+        ],
+        ids=["five_outcomes", "qutrit"],
+    )
+    def test_only_qubit_povms_with_at_most_four_outcomes(self, p, named):
+        with pytest.raises(ValueError, match=named):
+            adv._admissible_coeffs(p)
+        with pytest.raises(ValueError, match=named):
+            adv.qubit_reduction_check(p, p, 0.7)
 
 
 class TestGuessing:
@@ -600,8 +653,22 @@ class TestNanRefused:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{check} nan exceeds {bound}{at}')}$"):
             call(monkeypatch)
 
+    @pytest.mark.parametrize(
+        "check, bound, call",
+        [
+            ("eigh: non-Hermitian part", "1e-12", lambda m: mk.eigh(m)),
+            ("density operator non-Hermitian part", "1e-12", lambda m: qo.check_state_stack(m)),
+            ("non-Hermitian part", "1e-10", lambda m: qo.Dichotomic(m[0], "x")),
+        ],
+        ids=["eigh", "state_stack", "dichotomic"],
+    )
+    def test_infinite_entry_refused(self, check, bound, call):
+        # inf - inf in A - A^dagger would warn; the residual reads NaN instead
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{check} nan exceeds {bound}')}"):
+            call(np.full((1, 2, 2), np.inf))
+
     def test_nan_povm_refused_before_the_svd(self):
-        # every attack-layer entry reaches offdiag_set before numpy's SVD
+        # every attack-layer entry refuses the non-finite kets before any table
         p = qo.Povm(np.full((4, 2, 2), NAN), np.full((4, 2), NAN))
         refusal = r"^non-finite ket nan exceeds 1e-12 at outcome 0$"
         for call in (

@@ -185,6 +185,33 @@ class TestNullSpace:
         assert mk.null_space([]) == []
 
 
+class TestNullVector:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+    def test_is_the_svd_null_direction(self, seed, m):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(3, m, m - 1)) + 1j * rng.normal(size=(3, m, m - 1))
+        c = mk.null_vector(v)
+        assert c.shape == (3, m)
+        assert np.max(np.abs(np.einsum("na,nai->ni", c, v))) <= 1e-12
+        for cn, vn in zip(c, v):
+            (u,) = mk.null_space(vn)
+            assert abs(abs(np.vdot(u, cn)) / np.linalg.norm(cn) - 1.0) <= 1e-12
+
+    def test_signs_alternate(self):
+        np.testing.assert_array_equal(mk.null_vector([[1.0], [1.0]]), [1.0, -1.0])
+        np.testing.assert_array_equal(mk.null_vector(np.eye(3)[:, :2]), [0.0, 0.0, 1.0])
+
+    def test_vanishes_below_full_rank(self):
+        v = np.array([[1.0, 2.0], [2.0, 4.0], [-4.0, -8.0]])  # exact LU pivots
+        np.testing.assert_array_equal(mk.null_vector(v), np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (4, 2), (2, 3, 1)])
+    def test_shape_refused(self, shape):
+        with pytest.raises(ValueError, match="vectors of length m - 1"):
+            mk.null_vector(np.ones(shape))
+
+
 class TestPermuteSubsystems:
     def test_swap_two_factors(self):
         rng = np.random.default_rng(5)

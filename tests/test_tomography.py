@@ -297,18 +297,32 @@ class TestOneGauge:
             assert np.max(np.abs(got - want)) <= 1e-14
 
 
+TETRAHEDRON = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
+
+
+def completeness(coords):
+    """The matrix of sum_a w_a (1, n_a) for coordinate rows n_a (..., m, m - 1)."""
+    ones = np.ones(coords.shape[:-1])[..., None, :]
+    return np.concatenate([ones, np.swapaxes(coords, -1, -2)], axis=-2)
+
+
+def loop_weights(coords):
+    """One try's completion weights 2c / sum(c) from the signed minors c, or None if singular."""
+    c = mk.null_vector(coords)
+    total = c.sum()
+    return None if total == 0.0 else 2.0 * c / total
+
+
 def loop_extremal_povm4(rng):
-    """Oracle: the 4-outcome sampler drawing and solving one try at a time."""
+    """Oracle: the 4-outcome sampler drawing and weighing one try at a time."""
     for _ in range(tg._MAX_TRIES):
         kets = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         kets /= np.linalg.norm(kets, axis=1)[:, None]
         cross = 2.0 * np.conj(kets[:, 0]) * kets[:, 1]
         pops = np.abs(kets) ** 2
         normals = np.stack([cross.real, cross.imag, pops[:, 0] - pops[:, 1]], axis=1)
-        a = np.vstack([np.ones(4), normals.T])
-        try:
-            w = np.linalg.solve(a, np.array([2.0, 0.0, 0.0, 0.0]))
-        except np.linalg.LinAlgError:
+        w = loop_weights(normals)
+        if w is None:
             continue
         if w.min() > 0.05:
             return qo.povm_from_bloch(w, normals)
@@ -322,7 +336,7 @@ SEED_TRIES = {3: 4, 25: 54, 738: 70}
 class SingularTry:
     """A generator whose 4-outcome try `index` is four copies of the ket |0>.
 
-    That try's completeness system has two zero rows, so solving it raises.
+    That try's completeness system has two zero rows, so its signed minors vanish.
     Every other normal is the wrapped generator's, in its order.
     """
 
@@ -390,17 +404,17 @@ class TestStackedSampler:
 
     @pytest.mark.parametrize("index", [0, 5, 40])
     def test_singular_try_is_skipped(self, index):
-        singular = np.array([[1.0] * 4, [0.0] * 4, [0.0] * 4, [1.0] * 4])
+        singular = np.tile([0.0, 0.0, 1.0], (4, 1))  # the Bloch normals of four kets |0>
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(np.stack([np.eye(4), singular]), np.ones(4))
+            np.linalg.solve(completeness(singular), np.ones(4))
         seed = 25  # rejects its first 53 tries, so the forced try is a rejected one
         stacked, looped = SingularTry(seed, index), SingularTry(seed, index)
         got = tg.random_extremal_povm(4, stacked)
         self.assert_same_draw(got, loop_extremal_povm4(looped))
         self.assert_same_draw(got, tg.random_extremal_povm(4, np.random.default_rng(seed)))
         assert stacked.bit_generator.state == looped.bit_generator.state
-        w = tg._solve_or_nan(np.stack([np.eye(4), singular]))
-        np.testing.assert_array_equal(w[0], [2.0, 0.0, 0.0, 0.0])
+        w = tg._completion_weights(np.stack([TETRAHEDRON, singular]))
+        np.testing.assert_allclose(w[0], 0.5, rtol=0, atol=mk.ZERO_TOL)
         assert np.isnan(w[1]).all()
 
 
@@ -414,10 +428,8 @@ def loop_extremal_povm3(rng):
         if gaps.max() >= math.pi:
             continue
         normals = [math.cos(p) * f1 + math.sin(p) * f2 for p in phis]
-        a = np.vstack([np.ones(3), [n @ f1 for n in normals], [n @ f2 for n in normals]])
-        try:
-            w = np.linalg.solve(a, np.array([2.0, 0.0, 0.0]))
-        except np.linalg.LinAlgError:
+        w = loop_weights(np.array([[n @ f1, n @ f2] for n in normals]))
+        if w is None:
             continue
         if w.min() > 0.05:
             return qo.povm_from_bloch(w, normals)
@@ -445,6 +457,35 @@ class TestThreeOutcomeSampler:
         with pytest.raises(RuntimeError, match="3-outcome"):
             loop_extremal_povm3(looped)
         assert fast.bit_generator.state == looped.bit_generator.state
+
+
+class TestCompletionWeights:
+    """The sampler's signed-minor weights against a solve of the completeness system."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equal_the_solve_on_accepted_tries(self, seed):
+        rng = np.random.default_rng(seed)
+        kets = rng.normal(size=(64, 4, 2)) + 1j * rng.normal(size=(64, 4, 2))
+        kets /= np.linalg.norm(kets, axis=-1)[..., None]
+        cross = 2.0 * np.conj(kets[..., 0]) * kets[..., 1]
+        pops = np.abs(kets) ** 2
+        normals = np.stack([cross.real, cross.imag, pops[..., 0] - pops[..., 1]], axis=-1)
+        phis = rng.uniform(0.0, 2.0 * math.pi, size=(64, 3))
+        in_plane = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
+        for coords in (normals, in_plane):
+            w = tg._completion_weights(coords)
+            m = coords.shape[-2]
+            want = np.linalg.solve(completeness(coords), 2.0 * np.eye(m)[0])
+            accepted = w.min(axis=-1) > 0.05  # the tries the sampler keeps
+            assert np.max(np.abs(w - want)[accepted], initial=0.0) <= mk.ZERO_TOL
+
+    def test_singular_three_outcome_try_gets_nan(self):
+        # the 4-outcome case is TestStackedSampler::test_singular_try_is_skipped
+        coords = np.ones((3, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(completeness(coords), np.ones(3))
+        assert np.isnan(tg._completion_weights(coords)).all()
 
 
 class TestRandomExtremal:
