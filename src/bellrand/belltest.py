@@ -414,7 +414,7 @@ def bell_report(theta: float) -> dict:
 
 def local_povm_tables(stack: qo.AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """The adjusted-tetrahedral marginal on Alice's qubit, (N, 1, 4)."""
-    elements = qo.bloch_elements(*qo.adjusted_tetrahedral_bloch(stack.theta))
+    elements = qo.ket_elements(qo.adjusted_tetrahedral_kets(stack.theta))
     return mk.joint_table_kets(elements, [qo.ID2], stack.qubit)[:, None, :, 0]
 
 
@@ -428,8 +428,8 @@ def global_projective_tables(stack: qo.AngleStack, epsilon: float = DEFAULT_EPSI
 
 def global_povm_tables(stack: qo.AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """The near-Y by modified-Mercedes table, (N, 1, 4, 3)."""
-    near_y = qo.bloch_elements(*qo.near_y_tetrahedral_bloch(epsilon))
-    mercedes = qo.bloch_elements(*qo.modified_mercedes_bloch(stack.theta))
+    near_y = qo.ket_elements(qo.near_y_tetrahedral_kets(epsilon))
+    mercedes = qo.ket_elements(qo.modified_mercedes_kets(stack.theta))
     return mk.joint_table_kets(near_y, mercedes, stack.qubit)[:, None]
 
 

@@ -5,7 +5,8 @@ The one angle model of the tilted-CHSH test (:func:`check_theta`, :func:`tilt`,
 state as a ket and a projector, the ideal Bell-test observables with their
 ancilla realizations and kets (:func:`with_ancilla`), POVMs with
 validity/extremality reports, and the explicit POVM families used for
-randomness generation.
+randomness generation, whose kets (`*_kets`) have closed half-angle forms.
+Every rank-one POVM is built from its kets by :func:`povm_from_kets`.
 
 Pauli convention: Z = diag(1, -1), X = offdiag(1, 1), Y = offdiag(-i, i),
 so Y|0> = i|1>.  This fixes all signs in the state expansion and in the
@@ -169,9 +170,10 @@ class Povm:
     """Ordered POVM elements as one read-only (m, d, d) stack.
 
     The optional rank-one kets are a read-only (m, d) stack with element a
-    equal to |kets[a]><kets[a]|.  Construction refuses any other shape but
-    does not enforce validity; use :func:`povm_validity` so that deliberately
-    corrupted element sets can be examined.
+    equal to |kets[a]><kets[a]|, by construction in :func:`povm_from_kets`.
+    Construction refuses any other shape but does not enforce validity; use
+    :func:`povm_validity` so that deliberately corrupted element sets can be
+    examined.
     """
 
     elements: np.ndarray
@@ -422,51 +424,53 @@ def povm_extremality(p: Povm) -> PovmExtremality:
     return PovmExtremality(all_rank_one, independent, all_rank_one and independent, second, margin)
 
 
+def ket_elements(kets) -> np.ndarray:
+    """The elements |k><k| (..., m, d, d) of kets (..., m, d), Hermitian and rank one exactly."""
+    kets = np.asarray(kets, dtype=complex)
+    # einsum, not a broadcast product: numpy's SIMD complex multiply may fuse a multiply-add,
+    # which leaves E_ij and E_ji an ulp from conjugate
+    return np.einsum("...i,...j->...ij", kets, np.conj(kets))
+
+
+def povm_from_kets(kets) -> Povm:
+    """The rank-one POVM of subnormalized kets (m, d): element a is |kets[a]><kets[a]|."""
+    return Povm(ket_elements(kets), kets)
+
+
 def bloch_ket(weights, normals) -> np.ndarray:
     """Subnormalized kets (..., m, 2) of the elements (w/2)(I + n.sigma).
 
-    Weights are (..., m) and Bloch normals (..., m, 3).  Global phase fixed
-    by making the first amplitude real nonnegative.
+    Weights are (..., m) and unit Bloch normals (..., m, 3).  The larger
+    half-angle amplitude is sqrt((1 + |n_z|)/2) and the other is (n_x + i n_y)/2
+    over it, so no amplitude is lost near a pole.  Global phase fixed by making
+    the first amplitude real nonnegative.
     """
     n = np.asarray(normals, dtype=float)
-    t = np.arccos(np.clip(n[..., 2], -1.0, 1.0))
-    phi = np.arctan2(n[..., 1], n[..., 0])
-    amplitudes = np.stack([np.cos(t / 2), np.sin(t / 2) * np.exp(1j * phi)], axis=-1)
+    big = np.sqrt((1.0 + np.abs(n[..., 2])) / 2.0)  # at least sqrt(1/2)
+    small = (n[..., 0] + 1j * n[..., 1]) / (2.0 * big)
+    north, phase = n[..., 2] >= 0.0, np.exp(1j * np.angle(small))  # angle(0) = 0
+    first, second = np.where(north, big, np.abs(small)), np.where(north, small, big * phase)
+    amplitudes = np.stack([first, second], axis=-1)
     return np.sqrt(np.asarray(weights, dtype=float))[..., None] * amplitudes
 
 
-def bloch_elements(weights, normals) -> np.ndarray:
-    """Elements (w/2)(I + n.sigma) for weights (..., m) and Bloch normals (..., m, 3)."""
-    w = np.asarray(weights, dtype=float)[..., None, None]
-    n = np.asarray(normals, dtype=float)
-    return (w / 2.0) * (ID2 + np.einsum("...k,kij->...ij", n, PAULIS[1:]))
-
-
-def povm_from_bloch(weights, normals) -> Povm:
-    return Povm(bloch_elements(weights, normals), bloch_ket(weights, normals))
-
-
 TETRAHEDRAL_DELTAS = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
+_TETRAHEDRAL_PHASES = np.exp(1j * np.array(TETRAHEDRAL_DELTAS))
 
 
-def adjusted_tetrahedral_bloch(thetas) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (..., 4) and Bloch normals (..., 4, 3) of `adjusted_tetrahedral`.
+def adjusted_tetrahedral_kets(thetas) -> np.ndarray:
+    """Kets (..., 4, 2) of `adjusted_tetrahedral`; `thetas` is one checked angle or an array.
 
-    `thetas` is one checked angle or an array of them.
+    With c = cos(t): sqrt(1/(2 + 2c)) |0>, and for each azimuth d in
+    `TETRAHEDRAL_DELTAS`, sqrt((1 + 2c)/(6 + 6c)) |0> + e^{i d}/sqrt(3) |1>, the
+    half-angle form of weight (3 + 4c)/(6 + 6c) on the cone cos(gamma) = -1/(3 + 4c).
     """
     c = np.cos(thetas)
-    lam1 = 1.0 / (2.0 + 2.0 * c)
-    lam = (3.0 + 4.0 * c) / (6.0 + 6.0 * c)
-    cos_g = -1.0 / (3.0 + 4.0 * c)
-    sin_g = np.sqrt(1.0 - cos_g**2)
-    weights = np.stack([lam1, lam, lam, lam], axis=-1)
-    normals = np.zeros(np.shape(c) + (4, 3))
-    normals[..., 0, 2] = 1.0
-    for i, d in enumerate(TETRAHEDRAL_DELTAS, start=1):
-        normals[..., i, 0] = sin_g * math.cos(d)
-        normals[..., i, 1] = sin_g * math.sin(d)
-        normals[..., i, 2] = cos_g
-    return weights, normals
+    kets = np.zeros(np.shape(c) + (4, 2), dtype=complex)
+    kets[..., 0, 0] = np.sqrt(1.0 / (2.0 + 2.0 * c))
+    kets[..., 1:, 0] = np.sqrt((1.0 + 2.0 * c) / (6.0 + 6.0 * c))[..., None]
+    kets[..., 1:, 1] = _TETRAHEDRAL_PHASES / math.sqrt(3.0)
+    return kets
 
 
 def adjusted_tetrahedral(theta: float) -> Povm:
@@ -476,44 +480,37 @@ def adjusted_tetrahedral(theta: float) -> Povm:
     with weight 1/(2 + 2cos t) and the remaining three sit on a cone at
     cos(gamma) = -1/(3 + 4cos t) with azimuths `TETRAHEDRAL_DELTAS`.
     """
-    weights, normals = adjusted_tetrahedral_bloch(check_theta(theta))
-    return povm_from_bloch(weights, normals)
+    return povm_from_kets(adjusted_tetrahedral_kets(check_theta(theta)))
 
 
-def modified_mercedes_bloch(thetas) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (..., 3) and Bloch normals (..., 3, 3) of `modified_mercedes`.
+def modified_mercedes_kets(thetas) -> np.ndarray:
+    """Kets (..., 3, 2) of `modified_mercedes`; `thetas` is one checked angle or an array.
 
-    `thetas` is one checked angle or an array of them.
+    With c = cos(t): sqrt(2/(3 + 3c)) |0> and sqrt((1 + 3c)/(6 + 6c)) |0> +- sqrt(1/2) |1>,
+    the half-angle form of weight (2 + 3c)/(3 + 3c) at Bloch z = -1/(2 + 3c).
     """
     c = np.cos(thetas)
-    lam1 = 2.0 / (3.0 + 3.0 * c)
-    lam23 = (2.0 + 3.0 * c) / (3.0 + 3.0 * c)
-    mu = 1.0 / (2.0 + 3.0 * c)
-    x = np.sqrt(1.0 - mu**2)
-    weights = np.stack([lam1, lam23, lam23], axis=-1)
-    normals = np.zeros(np.shape(c) + (3, 3))
-    normals[..., 0, 2] = 1.0
-    normals[..., 1, 0] = x
-    normals[..., 2, 0] = -x
-    normals[..., 1, 2] = -mu
-    normals[..., 2, 2] = -mu
-    return weights, normals
+    kets = np.zeros(np.shape(c) + (3, 2), dtype=complex)
+    kets[..., 0, 0] = np.sqrt(2.0 / (3.0 + 3.0 * c))
+    kets[..., 1:, 0] = np.sqrt((1.0 + 3.0 * c) / (6.0 + 6.0 * c))[..., None]
+    kets[..., 1:, 1] = (math.sqrt(0.5), -math.sqrt(0.5))
+    return kets
 
 
 def modified_mercedes(theta: float) -> Povm:
     """Three-outcome POVM in the X-Z plane with uniform outcome statistics."""
-    weights, normals = modified_mercedes_bloch(check_theta(theta))
-    return povm_from_bloch(weights, normals)
+    return povm_from_kets(modified_mercedes_kets(check_theta(theta)))
 
 
-def near_y_tetrahedral_bloch(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (4,) and Bloch normals (4, 3) of `near_y_tetrahedral`."""
+def near_y_tetrahedral_kets(epsilon: float) -> np.ndarray:
+    """Kets (4, 2) of `near_y_tetrahedral`: its Bloch directions in half-angle form, weight 1/2."""
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     r = math.sqrt(1.0 - epsilon**2)
-    normals = [[0.0, r, epsilon], [0.0, r, -epsilon], [epsilon, -r, 0.0], [-epsilon, -r, 0.0]]
-    return np.full(4, 0.5), np.array(normals)
+    up, down = math.sqrt(1.0 + epsilon) / 2.0, math.sqrt(1.0 - epsilon) / 2.0
+    equator = [[0.5, (epsilon - 1j * r) / 2], [0.5, (-epsilon - 1j * r) / 2]]
+    return np.array([[up, 1j * down], [down, 1j * up], *equator])
 
 
 def near_y_tetrahedral(epsilon: float) -> Povm:
@@ -521,11 +518,10 @@ def near_y_tetrahedral(epsilon: float) -> Povm:
 
     Element prefactor is 1/4; Bloch directions are (0, +-sqrt(1-eps^2), +-eps)
     and (+-eps, -sqrt(1-eps^2), 0).  The Y components cancel pairwise so the
-    elements sum to the identity exactly.  epsilon = 0 is rejected: the
+    elements sum to the identity.  epsilon = 0 is rejected: the
     elements then coincide pairwise and the POVM is not extremal.
     """
-    weights, normals = near_y_tetrahedral_bloch(epsilon)
-    return povm_from_bloch(weights, normals)
+    return povm_from_kets(near_y_tetrahedral_kets(epsilon))
 
 
 def conjugate_povm(p: Povm) -> Povm:

@@ -122,16 +122,16 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
     observable Z that the Bell kernels measure (A' = B' = Z).  Requires
     |c_a| <= 1 (eigenvalues of R_a are |k_a|^2 (1 +- |c_a|) plus zeros) and
     sum_a c_a T_a = 0 (completeness), each within RANK_TOL; a violation is
-    refused with the offending residual and outcome.  All R_a come from one
-    stack of the four blocks, transposed into (system, ancilla) order.
+    refused with the offending residual and outcome, and T_a comes from
+    :func:`offdiag_operators`, which refuses non-finite kets.  All R_a come
+    from one stack of the four blocks, transposed into (system, ancilla) order.
     """
-    if p.kets is None:
-        raise ValueError("dilation needs rank-one kets; attach them first")
+    t = offdiag_operators(p)
     coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
     if coeffs.shape[0] != p.n_outcomes:
         raise ValueError("one coefficient per outcome required")
     mk.refuse_beyond(np.abs(coeffs) - 1.0, mk.RANK_TOL, "|c_a| - 1", "outcome {}".format)
-    ct = coeffs[:, None, None] * (p.kets[:, :, None] * p.kets[:, None, :])  # c_a T_a
+    ct = coeffs[:, None, None] * t  # c_a T_a
     mk.refuse_beyond(np.linalg.norm(ct.sum(axis=0)), mk.RANK_TOL, "completeness residual")
     e = p.elements
     m, d = e.shape[:2]
@@ -156,12 +156,14 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
 
     Sampling scheme (rejection with a 0.05 weight margin so the POVMs stay
     well conditioned):
-      2 outcomes: a Haar-random projective pair.
+      2 outcomes: a Haar-random projective pair, Bloch normals +-n.
       3 outcomes: three unit Bloch vectors in a random plane whose angular
         gaps are all below pi, weights from their in-plane coordinates.
       4 outcomes: four Haar-random kets, weights from their Bloch normals.
     Completeness, sum_a w_a (1, n_a) = (2, 0, ...), makes the weights the
     signed minors of the coordinates scaled to sum 2; a singular try gets NaN.
+    The POVM is built from sqrt(w_a) times unit kets with a real nonnegative first
+    amplitude: `qobjects.bloch_ket` of the normals, or the accepted try's kets for 4.
 
     Stream contract for 4 outcomes: each try reads 16 standard normals, the
     real and then the imaginary parts of the four kets as (4, 2) blocks.  A
@@ -175,9 +177,7 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
     if n_outcomes == 2:
         v = rng.normal(size=3)
         n = v / np.linalg.norm(v)
-        weights = [1.0, 1.0]
-        normals = [n, -n]
-        return qo.povm_from_bloch(weights, normals)
+        return qo.povm_from_kets(qo.bloch_ket([1.0, 1.0], [n, -n]))
 
     if n_outcomes == 3:
         for _ in range(_MAX_TRIES):
@@ -191,7 +191,7 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
             normals = [math.cos(p) * f1 + math.sin(p) * f2 for p in phis]
             w = _completion_weights(np.array([[n @ f1, n @ f2] for n in normals]))
             if w.min() > 0.05:
-                return qo.povm_from_bloch(w, normals)
+                return qo.povm_from_kets(qo.bloch_ket(w, normals))
         raise RuntimeError("failed to sample a feasible 3-outcome POVM")
 
     if n_outcomes == 4:
@@ -210,7 +210,9 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
                 k = int(accepted[0])
                 rng.bit_generator.state = state
                 rng.normal(size=16 * (k + 1))  # leave the stream just past try k
-                return qo.povm_from_bloch(w[k], normals[k])
+                chosen = kets[k] * np.exp(-1j * np.angle(kets[k, :, :1]))
+                chosen[:, 0] = chosen[:, 0].real  # the phase-fixed first amplitude, real and >= 0
+                return qo.povm_from_kets(np.sqrt(w[k])[:, None] * chosen)
         raise RuntimeError("failed to sample a feasible 4-outcome POVM")
 
     raise ValueError(f"extremal qubit POVMs have 2, 3 or 4 outcomes, got {n_outcomes}")

@@ -127,7 +127,7 @@ class TestClosedForm:
             np.array([math.sin(a), 0.0, math.cos(a)])
             for a in (0, math.pi / 2, math.pi, 3 * math.pi / 2)
         ]
-        p = qo.povm_from_bloch([0.5] * 4, normals)
+        p = qo.povm_from_kets(qo.bloch_ket([0.5] * 4, normals))
         theta = 0.7
         v = tg.offdiag_set(p).null_basis[0]
         assert np.max(np.abs(v.imag)) <= 1e-12
@@ -328,7 +328,7 @@ class TestBuildAttack:
         normals = [np.array([0.0, 0.0, -1.0])]
         for d in (0, 2 * math.pi / 3, 4 * math.pi / 3):
             normals.append(-np.array([sin_g * math.cos(d), sin_g * math.sin(d), cos_g]))
-        bob = qo.povm_from_bloch([lam1, lam, lam, lam], normals)
+        bob = qo.povm_from_kets(qo.bloch_ket([lam1, lam, lam, lam], normals))
         with pytest.raises(adv.DegenerateAttackError):
             adv.build_attack(alice, bob, theta)
 
@@ -369,7 +369,8 @@ class TestSignedMinorCoefficients:
 
     def test_three_parallel_kets_are_degenerate(self):
         # four outcomes, three of them on the ray |0>: every 3x3 minor vanishes
-        p = qo.povm_from_bloch([0.5, 0.25, 0.25, 1.0], [[0, 0, 1]] * 3 + [[0, 0, -1]])
+        normals = [[0, 0, 1]] * 3 + [[0, 0, -1]]
+        p = qo.povm_from_kets(qo.bloch_ket([0.5, 0.25, 0.25, 1.0], normals))
         assert qo.povm_validity(p).is_valid
         np.testing.assert_array_equal(adv._admissible_coeffs(p), np.zeros(4))
         with pytest.raises(adv.DegenerateAttackError, match="^off-diagonal operators span at"):
@@ -673,6 +674,7 @@ class TestNanRefused:
         refusal = r"^non-finite ket nan exceeds 1e-12 at outcome 0$"
         for call in (
             lambda: tg.offdiag_set(p),
+            lambda: tg.build_dilated_povm(p, np.zeros(4)),
             lambda: adv.build_attack(p, p, 0.7),
             lambda: adv.qubit_reduction_check(p, p, 0.7),
         ):

@@ -525,11 +525,11 @@ class TestEachCommandComputesWhatItReports:
         "sweep": ["sweep"],
         **{f"certify {sc}": ["certify", "--scenario", sc] for sc in SCENARIOS},
     }
-    BLOCH = ("adjusted_tetrahedral_bloch", "modified_mercedes_bloch", "near_y_tetrahedral_bloch")
+    KETS = ("adjusted_tetrahedral_kets", "modified_mercedes_kets", "near_y_tetrahedral_kets")
 
     def calls(self, monkeypatch, capsys, argv):
-        """How often `argv` calls `mk.eigh` and each `qobjects.*_bloch` family."""
-        counts = dict.fromkeys(("eigh", *self.BLOCH), 0)
+        """How often `argv` calls `mk.eigh` and each `qobjects.*_kets` family."""
+        counts = dict.fromkeys(("eigh", *self.KETS), 0)
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -540,7 +540,7 @@ class TestEachCommandComputesWhatItReports:
 
         with monkeypatch.context() as patch:
             patch.setattr(mk, "eigh", counted("eigh", mk.eigh))
-            for name in self.BLOCH:
+            for name in self.KETS:
                 patch.setattr(qo, name, counted(name, getattr(qo, name)))
             code = main([*argv, "--theta", "0.4,1.1"])
         capsys.readouterr()
@@ -553,10 +553,10 @@ class TestEachCommandComputesWhatItReports:
         }
         assert called == {
             "selftest": {"eigh"},
-            "sweep": set(self.BLOCH),
-            "certify local_povm": {"adjusted_tetrahedral_bloch"},
+            "sweep": set(self.KETS),
+            "certify local_povm": {"adjusted_tetrahedral_kets"},
             "certify global_projective": set(),
-            "certify global_povm": {"modified_mercedes_bloch", "near_y_tetrahedral_bloch"},
+            "certify global_povm": {"modified_mercedes_kets", "near_y_tetrahedral_kets"},
         }
 
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
+from bellrand import tomography as tg
 
 THETA_GRID = qo.theta_grid(20)
 
@@ -344,6 +347,61 @@ class TestNearYTetrahedral:
     def test_degenerate_tilt_rejected(self, eps):
         with pytest.raises(ValueError):
             qo.near_y_tetrahedral(eps)
+
+
+def assert_elements_are_the_ket_products(p):
+    products = np.array([np.outer(k, np.conj(k)) for k in p.kets])
+    assert np.max(np.abs(products - p.elements)) <= mk.ZERO_TOL
+    np.testing.assert_array_equal(p.elements, np.conj(np.swapaxes(p.elements, -1, -2)))
+
+
+class TestRankOneConstructors:
+    """Every rank-one POVM is built from its kets: element a is |k_a><k_a|, Hermitian exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(qo.THETA_MIN, math.pi / 2),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(qo.THETA_MIN, 1e-4)
+    @example(1e-9, 0.5)
+    @example(math.pi / 2, 0.999)
+    def test_families(self, theta, epsilon):
+        for p in (qo.adjusted_tetrahedral(theta), qo.modified_mercedes(theta)):
+            assert_elements_are_the_ket_products(p)
+        assert_elements_are_the_ket_products(qo.near_y_tetrahedral(epsilon))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_sampler_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 4):
+            p = tg.random_extremal_povm(n, rng)
+            assert_elements_are_the_ket_products(p)
+            assert np.all(p.kets[:, 0].imag == 0.0) and np.all(p.kets[:, 0].real >= 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(-12.0, -4.0),
+        st.floats(0.0, 2 * math.pi),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(0.05, 2.0),
+    )
+    @example(-8.0, 0.0, 1.0, 1.0)
+    @example(-8.0, 0.0, -1.0, 1.0)
+    def test_bloch_ket_near_the_poles(self, log_offset, azimuth, pole, weight):
+        d = 10.0**log_offset
+        s = math.sin(d)
+        normal = [s * math.cos(azimuth), s * math.sin(azimuth), pole * math.cos(d)]
+        p = qo.povm_from_kets(qo.bloch_ket([weight], [normal]))
+        want = (weight / 2) * (qo.PAULIS[0] + np.tensordot(normal, qo.PAULIS[1:], axes=1))
+        assert np.max(np.abs(p.elements[0] - want)) <= mk.ZERO_TOL
+        assert p.kets[0, 0].imag == 0.0 and p.kets[0, 0].real >= 0.0
+
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_bloch_ket_on_the_poles(self, pole):
+        ket = qo.bloch_ket(1.0, [0.0, 0.0, pole])
+        np.testing.assert_array_equal(ket, [1.0, 0.0] if pole > 0 else [0.0, 1.0])
 
 
 class TestConjugatePovm:

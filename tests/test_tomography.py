@@ -59,10 +59,9 @@ class TestEtaMatrix:
 class TestCorrelations:
     def test_projective_probability_column(self):
         theta = 0.7
-        p = qo.Povm(
-            ((qo.ID2 + qo.PAULI_Z) / 2, (qo.ID2 - qo.PAULI_Z) / 2),
-            (qo.bloch_ket(1.0, [0, 0, 1]), qo.bloch_ket(1.0, [0, 0, -1])),
-        )
+        p = qo.povm_from_kets(qo.bloch_ket([1.0, 1.0], [[0, 0, 1], [0, 0, -1]]))
+        projectors = [(qo.ID2 + qo.PAULI_Z) / 2, (qo.ID2 - qo.PAULI_Z) / 2]
+        np.testing.assert_array_equal(p.elements, projectors)
         c = tg.correlations_from_povm(p, theta)
         expected = [math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2]
         np.testing.assert_allclose(c.values[:, 0], expected, atol=1e-14)
@@ -313,8 +312,21 @@ def loop_weights(coords):
     return None if total == 0.0 else 2.0 * c / total
 
 
+def polar_bloch_ket(weights, normals):
+    """Oracle: kets through the polar angles arccos(n_z) and arctan2(n_y, n_x), first one real."""
+    n = np.asarray(normals, dtype=float)
+    t = np.arccos(np.clip(n[..., 2], -1.0, 1.0))
+    phi = np.arctan2(n[..., 1], n[..., 0])
+    amplitudes = np.stack([np.cos(t / 2), np.sin(t / 2) * np.exp(1j * phi)], axis=-1)
+    return np.sqrt(np.asarray(weights, dtype=float))[..., None] * amplitudes
+
+
 def loop_extremal_povm4(rng):
-    """Oracle: the 4-outcome sampler drawing and weighing one try at a time."""
+    """Oracle: the 4-outcome sampler drawing and weighing one try at a time.
+
+    The accepted try's unit kets, phase-fixed to a real nonnegative first
+    amplitude and scaled by sqrt(w), agree with the polar route from their normals.
+    """
     for _ in range(tg._MAX_TRIES):
         kets = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         kets /= np.linalg.norm(kets, axis=1)[:, None]
@@ -325,7 +337,11 @@ def loop_extremal_povm4(rng):
         if w is None:
             continue
         if w.min() > 0.05:
-            return qo.povm_from_bloch(w, normals)
+            kets = kets * np.exp(-1j * np.angle(kets[:, :1]))
+            kets[:, 0] = kets[:, 0].real
+            kets = np.sqrt(w)[:, None] * kets
+            assert np.max(np.abs(kets - polar_bloch_ket(w, normals))) <= 1e-14
+            return qo.povm_from_kets(kets)
     raise RuntimeError("failed to sample a feasible 4-outcome POVM")
 
 
@@ -432,7 +448,7 @@ def loop_extremal_povm3(rng):
         if w is None:
             continue
         if w.min() > 0.05:
-            return qo.povm_from_bloch(w, normals)
+            return qo.povm_from_kets(qo.bloch_ket(w, normals))
     raise RuntimeError("failed to sample a feasible 3-outcome POVM")
 
 
