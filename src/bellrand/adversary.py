@@ -4,9 +4,13 @@ Constructs the explicit eavesdropping strategy that hides behind the
 conjugation ambiguity of four-outcome qubit POVMs: dilated measurements whose
 off-diagonal blocks carry admissible nonzero coefficients, combined with an
 equiprobable pair of ancilla states that flip the sign of the interference
-term.  Also provides the qubit-reduction check showing the attack is
-powerless when one side uses at most three outcomes, and the resulting
-min-entropy cap.
+term.  One stacked kernel, :func:`attack_rows`, evaluates the attack at N
+angles in closed form, P_+-(a, b) = |amp_ab|^2 +- Re[conj(lam_a mu_b) amp_ab^2]:
+the CLI's ``attack`` command, :func:`build_attack` (the kernel at one angle)
+and :func:`attack_report` read it, and the dilated-POVM tables of
+:func:`evaluate_attack` and :func:`brute_force_joint` are its oracles.  Also
+provides the qubit-reduction check showing the attack is powerless when one
+side uses at most three outcomes, and the resulting min-entropy cap.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,12 +48,18 @@ CHI: tuple[QState, QState] = tuple(qo.qstate_from_ket(k, (2, 2)) for k in _CHI_K
 _CHI_RHOS = np.stack([chi.rho for chi in CHI])
 
 
+def _amplitudes(alice_kets, bob_kets, psi) -> np.ndarray:
+    """Tables <k_a l_b | psi> (..., m, n) of kets (..., m, 2) and (..., n, 2), and psi (..., 4)."""
+    psi = np.asarray(psi, dtype=complex)
+    psi = psi.reshape(*psi.shape[:-1], 2, 2)
+    return np.conj(alice_kets) @ psi @ np.conj(np.swapaxes(bob_kets, -1, -2))
+
+
 def joint_amplitudes(alice: Povm, bob: Povm, psi) -> np.ndarray:
     """Amplitude table <k_a l_b | psi> from the subnormalized kets and a theta-ket psi (4,)."""
     if alice.kets is None or bob.kets is None:
         raise ValueError("joint amplitudes need rank-one kets on both sides")
-    psi = np.asarray(psi, dtype=complex).reshape(2, 2)
-    return np.conj(alice.kets) @ psi @ np.conj(bob.kets).T
+    return _amplitudes(alice.kets, bob.kets, psi)
 
 
 def ideal_joint(alice: Povm, bob: Povm, psi) -> np.ndarray:
@@ -57,18 +68,24 @@ def ideal_joint(alice: Povm, bob: Povm, psi) -> np.ndarray:
     return mk.joint_table_kets(alice.elements, bob.elements, psi)[0]
 
 
-def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) -> np.ndarray:
-    """Conditional joint distribution in closed form.
+def _tables(amp, lam, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|amp|^2, P_+, P_-) over stacks (..., m, n) in the attack's closed form
 
-    P_sign(a, b) = |<k_a l_b|psi>|^2 + sign * Re[conj(lam_a mu_b) <k_a l_b|psi>^2].
+    P_sign(a, b) = |amp_ab|^2 + sign * Re[conj(lam_a mu_b) amp_ab^2].
     """
+    ideal = np.abs(amp) ** 2
+    interference = np.real(np.conj(lam)[..., :, None] * np.conj(mu)[..., None, :] * amp**2)
+    return ideal, ideal + interference, ideal - interference
+
+
+def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) -> np.ndarray:
+    """Conditional joint distribution P_sign in closed form (see :func:`_tables`)."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     mu = np.asarray(mu, dtype=complex).reshape(-1)
-    amp = joint_amplitudes(alice, bob, qo.psi_theta_ket(theta))
-    interference = np.real(np.conj(lam)[:, None] * np.conj(mu)[None, :] * amp**2)
-    return np.abs(amp) ** 2 + sign * interference
+    _, p_plus, p_minus = _tables(joint_amplitudes(alice, bob, qo.psi_theta_ket(theta)), lam, mu)
+    return p_plus if sign == +1 else p_minus
 
 
 @dataclass(frozen=True)
@@ -90,7 +107,7 @@ class AttackModel:
 
 
 def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarray:
-    """Oracle of :func:`closed_form_joint` and :func:`evaluate_attack`.
+    """Oracle of the closed form and of :func:`evaluate_attack`.
 
     Full 16-dimensional Born-rule evaluation of R_a x S_b on one ket: the
     pure state psi_theta x chi_sign in (A, A', B, B') order, built by
@@ -106,74 +123,106 @@ def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarra
     return mk.joint_table_kets(attack.r_povm.elements, attack.s_povm.elements, ket)[0]
 
 
-def _admissible_coeffs(p: Povm) -> np.ndarray:
-    """Dilation coefficients: the signed minors of the T_a = |k_a><k_a*| over their largest entry.
+def _admissible_coeffs(kets) -> np.ndarray:
+    """Dilation coefficients (..., m): signed minors of the T_a = |k_a><k_a*| over the largest.
 
-    The minors are taken of the coordinates (k_0^2, k_0 k_1, k_1^2) in the span of {I, X, Z}.
-    The first entry within RANK_TOL of the largest magnitude becomes exactly 1, so entries tied
-    in magnitude (all four at theta = pi/2) cannot trade places through rounding.  With at most
-    three outcomes, or when every minor vanishes (the T_a span at most two dimensions), the
-    coefficients are zero (the block form).  Refuses all but qubit POVMs of at most 4 outcomes.
+    The kets are (..., m, 2), and the minors are taken of the coordinates
+    (k_0^2, k_0 k_1, k_1^2) of the T_a in the span of {I, X, Z}.  The first
+    entry within RANK_TOL of the largest magnitude becomes exactly 1, so
+    entries tied in magnitude (all four at theta = pi/2) cannot trade places
+    through rounding.  With at most three outcomes, or when every minor
+    vanishes (the T_a span at most two dimensions), the coefficients are zero
+    (the block form).  Refuses all but qubit POVMs of at most 4 outcomes.
     """
-    if p.dim != 2 or p.n_outcomes > 4:
-        shape = f"{p.n_outcomes} outcomes of dimension {p.dim}"
+    m, d = np.shape(kets)[-2:]
+    if d != 2 or m > 4:
+        shape = f"{m} outcomes of dimension {d}"
         raise ValueError(f"coefficients need a qubit POVM with at most 4 outcomes, got {shape}")
-    t = tg.offdiag_operators(p)
-    c = mk.null_vector(t[:, [0, 0, 1], [0, 1, 1]]) if p.n_outcomes == 4 else np.zeros(p.n_outcomes)
+    if m < 4:
+        return np.zeros(np.shape(kets)[:-1], dtype=complex)
+    c = mk.null_vector(kets[..., [0, 0, 1]] * kets[..., [0, 1, 1]])
     mags = np.abs(c)
-    if mags.max(initial=0.0) <= mk.ZERO_TOL:  # at most three outcomes, or every minor vanishes
-        return np.zeros(p.n_outcomes, dtype=complex)
-    i = np.argmax(mags >= (1.0 - mk.RANK_TOL) * mags.max())
-    c = c / c[i]
-    c[i] = 1.0  # numpy's complex division can leave x / x an ulp below 1
+    top = mags.max(axis=-1, keepdims=True)
+    tied = mags >= (1.0 - mk.RANK_TOL) * top
+    pivot = tied & (np.cumsum(tied, axis=-1) == 1)  # the first entry tied with the largest
+    live = ~(top <= mk.ZERO_TOL)  # NaN stays live, for the dilation gates to refuse
+    c = np.divide(c, np.sum(c * pivot, axis=-1, keepdims=True), out=np.zeros_like(c), where=live)
+    c[pivot & live] = 1.0  # numpy's x / x can be an ulp below 1
     return c
 
 
-def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
-    """Assemble the conjugation attack on a pair of four-outcome POVMs.
+_SPAN = "off-diagonal operators span at most two dimensions"
+_UNPAIRED = "no unit-magnitude pair with nonzero amplitude"
 
-    The coefficient vectors are each side's :func:`_admissible_coeffs`.  The
-    target pair maximizes |lam_a| |mu_b| |<k_a l_b|psi>|^2 over pairs with
-    both magnitudes at one, and a single global phase on the Alice vector
-    aligns the interference term so the minus-branch probability of the
-    target pair vanishes exactly.
+
+class AttackRows(NamedTuple):
+    """The conjugation attack at N angles; row n belongs to theta[n].
+
+    Coefficients `lam` and `mu` (N, 4), target pairs (N, 2), the tables |amp|^2,
+    P_+ and P_- (N, 4, 4), and `reason[n]`: None, or why row n is degenerate.
+    """
+
+    theta: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+    target: np.ndarray
+    ideal: np.ndarray
+    p_plus: np.ndarray
+    p_minus: np.ndarray
+    reason: list
+
+
+def attack_rows(theta, psi, alice_kets, bob_kets) -> AttackRows:
+    """The conjugation attack in closed form at N checked angles with theta-kets psi (N, 4).
+
+    Both sides' kets (N, 4, 2) get their :func:`_admissible_coeffs` from one
+    call, checked by `tomography.check_dilation`; a refusal names the side, the
+    outcome and the angle.  The target pair maximizes |<k_a l_b|psi>|^2 over
+    pairs with both magnitudes at one, and one global phase on lam aligns the
+    interference term so that P_- vanishes there.
+    """
+    if np.shape(alice_kets)[-2:] != (4, 2) or np.shape(bob_kets)[-2:] != (4, 2):
+        raise ValueError("the attack needs four outcomes on both sides")
+    kets = np.stack([alice_kets, bob_kets])
+    coeffs = _admissible_coeffs(kets)
+
+    def at(side, n, outcome=""):
+        return f"{('Alice', 'Bob')[side]}{outcome}, theta={float(theta[n])!r}"
+
+    tg.check_dilation(coeffs, kets, lambda side, n, a: at(side, n, f" outcome {a}"), at)
+    lam, mu = coeffs
+    amp = _amplitudes(alice_kets, bob_kets, psi)
+    unit = np.abs(coeffs) >= 1.0 - mk.RANK_TOL
+    weight = np.where(unit[0][:, :, None] & unit[1][:, None, :], np.abs(amp) ** 2, -1.0)
+    n, best = np.arange(len(amp)), np.argmax(weight.reshape(len(amp), 16), axis=1)
+    a, b = np.divmod(best, 4)
+    spans = coeffs.any(axis=-1).all(axis=0)
+    paired = (spans & (weight[n, a, b] > mk.ZERO_TOL)).tolist()
+    reason = [None if p else _UNPAIRED if s else _SPAN for s, p in zip(spans.tolist(), paired)]
+    # Align arg(conj(lam_a* mu_b*) amp^2) = 0 with one global phase on lam.
+    lam = lam * np.exp(1j * (np.angle(amp[n, a, b] ** 2) - np.angle(lam[n, a] * mu[n, b])))[:, None]
+    return AttackRows(theta, lam, mu, np.stack([a, b], axis=1), *_tables(amp, lam, mu), reason)
+
+
+def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
+    """The conjugation attack on a pair of four-outcome POVMs: :func:`attack_rows` at one angle.
+
+    A degenerate pair raises DegenerateAttackError with the row's reason.  The
+    dilated POVMs R_a and S_b are built for the oracles.
     """
     theta, psi = qo.theta_ket(theta)
-    if alice.n_outcomes != 4 or bob.n_outcomes != 4:
-        raise ValueError("the attack needs four outcomes on both sides")
-    lam = _admissible_coeffs(alice)
-    mu = _admissible_coeffs(bob)
-    if not (lam.any() and mu.any()):
-        raise DegenerateAttackError("off-diagonal operators span at most two dimensions")
-
-    amp = joint_amplitudes(alice, bob, psi)
-    unit_a = np.abs(lam) >= 1.0 - mk.RANK_TOL
-    unit_b = np.abs(mu) >= 1.0 - mk.RANK_TOL
-    weight = np.where(unit_a[:, None] & unit_b[None, :], np.abs(amp) ** 2, -1.0)
-    a_star, b_star = np.unravel_index(int(np.argmax(weight)), weight.shape)
-    if weight[a_star, b_star] <= mk.ZERO_TOL:
-        raise DegenerateAttackError("no unit-magnitude pair with nonzero amplitude")
-
-    # Align arg(conj(lam_a* mu_b*) amp^2) = 0 with one global phase on lam.
-    phase = np.angle(amp[a_star, b_star] ** 2) - np.angle(lam[a_star] * mu[b_star])
-    lam = lam * np.exp(1j * phase)
-
-    return AttackModel(
-        theta=theta,
-        alice=alice,
-        bob=bob,
-        lambda_coeffs=lam,
-        mu_coeffs=mu,
-        r_povm=tg.build_dilated_povm(alice, lam),
-        s_povm=tg.build_dilated_povm(bob, mu),
-        target_pair=(int(a_star), int(b_star)),
-        psi=psi,
-    )
+    kets = (tg.rank_one_kets(p)[None] for p in (alice, bob))
+    rows = attack_rows(np.array([theta]), psi[None], *kets)
+    if rows.reason[0] is not None:
+        raise DegenerateAttackError(rows.reason[0])
+    lam, mu, target = rows.lam[0], rows.mu[0], tuple(rows.target[0].tolist())
+    r_povm, s_povm = tg.build_dilated_povm(alice, lam), tg.build_dilated_povm(bob, mu)
+    return AttackModel(theta, alice, bob, lam, mu, r_povm, s_povm, target, psi)
 
 
 @dataclass(frozen=True)
 class ConditionalJoint:
-    """Eve-conditioned joint tables plus the derived guessing figures."""
+    """Eve-conditioned joint tables, or stacks of them, plus the derived guessing figures."""
 
     p_plus: np.ndarray
     p_minus: np.ndarray
@@ -183,13 +232,13 @@ class ConditionalJoint:
         return 0.5 * (self.p_plus + self.p_minus)
 
     @property
-    def guessing_prob(self) -> float:
-        """Eve knows the prepared branch: average of the per-branch maxima."""
-        return 0.5 * (float(self.p_plus.max()) + float(self.p_minus.max()))
+    def guessing_prob(self):
+        """Eve knows the prepared branch: average of the per-branch maxima, per table."""
+        return 0.5 * (self.p_plus.max(axis=(-2, -1)) + self.p_minus.max(axis=(-2, -1)))
 
     @property
-    def certified_bits(self) -> float:
-        return -math.log2(self.guessing_prob)
+    def certified_bits(self):
+        return -np.log2(self.guessing_prob)
 
 
 def _ancilla_joints(
@@ -213,13 +262,13 @@ def _ancilla_joints(
 
 
 def evaluate_attack(attack: AttackModel) -> ConditionalJoint:
-    """Both conditional tables, P_sign(a, b) = Re Tr[W_ab chi_sign].
+    """Both conditional tables from the dilated POVMs, P_sign(a, b) = Re Tr[W_ab chi_sign].
 
-    W_ab = <psi| R_a x S_b |psi>, with psi the attack's carried theta-ket, is
-    the operator :func:`qubit_reduction_check` reads too, so both chi branches
-    are one (2, 16) @ (16, na * nb) product of the `_CHI_RHOS` stack in
-    :func:`_ancilla_joints`; no 16-dimensional state is formed and theta is
-    not checked again.  :func:`brute_force_joint` is its oracle.
+    An oracle of the closed form that :func:`attack_rows` evaluates.  W_ab =
+    <psi| R_a x S_b |psi>, with psi the attack's carried theta-ket, is the
+    operator :func:`qubit_reduction_check` reads too, so both chi branches are
+    one (2, 16) @ (16, na * nb) product of the `_CHI_RHOS` stack in
+    :func:`_ancilla_joints`.  :func:`brute_force_joint` is its own oracle.
     """
     p_plus, p_minus = _ancilla_joints(attack.r_povm, attack.s_povm, attack.psi, _CHI_RHOS)
     return ConditionalJoint(p_plus=p_plus, p_minus=p_minus)
@@ -336,8 +385,9 @@ def qubit_reduction_check(
         raise ValueError(f"n_decompositions must be an integer >= 1, got {n_decompositions}")
     rng = np.random.default_rng(seed)
 
-    r_povm = tg.build_dilated_povm(alice, _admissible_coeffs(alice))
-    s_povm = tg.build_dilated_povm(bob, _admissible_coeffs(bob))
+    r_povm, s_povm = (
+        tg.build_dilated_povm(p, _admissible_coeffs(tg.rank_one_kets(p))) for p in (alice, bob)
+    )
     ideal = ideal_joint(alice, bob, psi)
     _, index, sigmas = _eve_decompositions(n_decompositions, rng)
 
@@ -361,20 +411,29 @@ def qubit_reduction_check(
     )
 
 
-def attack_report(attack: AttackModel) -> dict:
-    """JSON-ready summary of a built attack, read from its carried theta-ket."""
-    cj = evaluate_attack(attack)
-    ideal = ideal_joint(attack.alice, attack.bob, attack.psi)
-    return {
-        "theta": attack.theta,
-        "lambda": [[float(z.real), float(z.imag)] for z in attack.lambda_coeffs],
-        "mu": [[float(z.real), float(z.imag)] for z in attack.mu_coeffs],
-        "target_pair": list(attack.target_pair),
-        "P_plus": cj.p_plus.tolist(),
-        "P_minus": cj.p_minus.tolist(),
-        "average_vs_ideal_max_dev": float(np.max(np.abs(cj.average - ideal))),
-        "zero_entry_value": float(cj.p_minus[attack.target_pair]),
+def attack_reports(rows: AttackRows) -> list[dict]:
+    """JSON-ready report per row of :func:`attack_rows`, read from its closed-form tables."""
+    cj = ConditionalJoint(rows.p_plus, rows.p_minus)
+    n, (a, b) = np.arange(len(rows.theta)), rows.target.T
+    columns = {
+        "theta": rows.theta,
+        "lambda": np.stack([rows.lam.real, rows.lam.imag], axis=-1),
+        "mu": np.stack([rows.mu.real, rows.mu.imag], axis=-1),
+        "target_pair": rows.target,
+        "P_plus": rows.p_plus,
+        "P_minus": rows.p_minus,
+        "average_vs_ideal_max_dev": np.max(np.abs(cj.average - rows.ideal), axis=(1, 2)),
+        "zero_entry_value": rows.p_minus[n, a, b],
         "guessing_prob": cj.guessing_prob,
         "certified_bits": cj.certified_bits,
-        "cap_bits": randomness_cap(),
     }
+    cap, values = randomness_cap(), zip(*(c.tolist() for c in columns.values()))
+    return [dict(zip(columns, row), cap_bits=cap) for row in values]
+
+
+def attack_report(attack: AttackModel) -> dict:
+    """JSON-ready summary of a built attack: its closed-form tables on its carried theta-ket."""
+    lam, mu = attack.lambda_coeffs[None], attack.mu_coeffs[None]
+    tables = _tables(joint_amplitudes(attack.alice, attack.bob, attack.psi)[None], lam, mu)
+    target = np.array([attack.target_pair])
+    return attack_reports(AttackRows(np.array([attack.theta]), lam, mu, target, *tables, [None]))[0]

@@ -141,16 +141,20 @@ def _recovered_angle(beta, delta):
     return np.arctan2(_xx_weight(delta), beta)
 
 
-def _bell_operators(beta, delta) -> np.ndarray:
-    """(..., 4, 4) stack of `bell_operator_I` from tilts and their defects."""
+def _bell_terms() -> np.ndarray:
+    """The terms Z x I, Z x Z and X x X that `_bell_operators` weighs."""
+    pairs = ((qo.PAULI_Z, qo.ID2), (qo.PAULI_Z, qo.PAULI_Z), (qo.PAULI_X, qo.PAULI_X))
+    return np.stack([mk.kron(a, b) for a, b in pairs])
+
+
+_BELL_TERMS = _bell_terms()  # the stacked kernels' terms, built once
+
+
+def _bell_operators(beta, delta, terms=_BELL_TERMS) -> np.ndarray:
+    """(..., 4, 4) stack of `bell_operator_I` from tilts, their defects and its terms."""
     coeffs = np.stack(
         [beta, math.sqrt(2.0) * np.sqrt(1.0 + beta**2 / 4.0), _xx_weight(delta)], axis=-1
     )
-    terms = [
-        mk.kron(qo.PAULI_Z, qo.ID2),
-        mk.kron(qo.PAULI_Z, qo.PAULI_Z),
-        mk.kron(qo.PAULI_X, qo.PAULI_X),
-    ]
     return np.einsum("...m,mij->...ij", coeffs, terms)
 
 
@@ -160,9 +164,10 @@ def bell_operator_I(beta) -> np.ndarray:
     beta Z x I + sqrt(2) sqrt(1 + beta^2/4) Z x Z
                + sqrt(2) sqrt(1 - beta^2/4) X x X.
     An array of tilts gives the stack (..., 4, 4).  Only 0 <= beta < 2 admits
-    a quantum violation; anything else is rejected.
+    a quantum violation; anything else is rejected.  As the oracle of the
+    stacked kernels it forms its terms anew on every call.
     """
-    return _bell_operators(*_beta_and_defect(beta))
+    return _bell_operators(*_beta_and_defect(beta), _bell_terms())
 
 
 def theta_of_beta(beta):
@@ -284,7 +289,7 @@ _BOB_LABELS = ("B1", "B2", "B3", "B4", "B5", "B6")
 _BASIS = np.stack(
     [
         np.eye(4),
-        mk.kron(qo.PAULI_Z, qo.ID2),
+        _BELL_TERMS[0],
         mk.kron(qo.PAULI_X, qo.ID2),
         mk.kron(qo.PAULI_Y, qo.PAULI_Z),
     ]
@@ -332,9 +337,7 @@ def _spectral_selftests(beta, delta, energy) -> tuple[np.ndarray, ...]:
     recovered = _recovered_angle(beta, delta)
     psi, phi = qo.psi_theta_ket(recovered), qo.phi_theta_ket(recovered)
     fidelity = np.abs(np.einsum("ni,ni->n", psi, v[:, :, 0])) ** 2
-    form = energy[:, None, None] * (
-        psi[:, :, None] * psi[:, None, :] - phi[:, :, None] * phi[:, None, :]
-    )
+    form = energy[:, None, None] * (qo.ket_elements(psi) - qo.ket_elements(phi))
     return w, recovered, fidelity, np.max(np.abs(op - form), axis=(1, 2)), eigenvalue_residual
 
 

@@ -14,8 +14,11 @@ values and its scenario's tables (``belltest.SCHEMES``), ``sweep`` Bell
 values and every scheme's tables.  These three build one
 ``qobjects.AngleStack`` of their angles and share it across their kernels,
 and take a scheme's min-entropies from one stacked ``adversary.min_entropy``
-call.  Only the ``global_povm`` tables read ``--epsilon``, so ``certify``
-refuses it for another scenario, and ``uniform``/``min_entropy`` tolerances for ``global_povm``.
+call.  ``attack`` checks its angles once, builds the adjusted-tetrahedral
+kets of all of them and evaluates them in one ``adversary.attack_rows``
+call, the kernel that ``build_attack`` and ``attack_report`` read too.
+Only the ``global_povm`` tables read ``--epsilon``, so ``certify`` refuses
+it for another scenario, and ``uniform``/``min_entropy`` tolerances for ``global_povm``.
 
 Every command takes Schmidt angles in [THETA_MIN, pi/2] from either
 ``--theta`` or ``--theta-grid``, never both, checked at parse time by the one
@@ -316,21 +319,20 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
 
 def cmd_attack(cfg: argparse.Namespace) -> int:
     tol = cfg.tolerances["attack"]
+    theta, psi = qo.theta_ket(np.asarray(cfg.thetas))
+    kets = qo.adjusted_tetrahedral_kets(theta)  # Alice and Bob measure the same POVM
+    rows = adv.attack_rows(theta, psi, kets, kets)
     reports = []
-    for theta in cfg.thetas:
-        pair = qo.adjusted_tetrahedral(theta)  # Alice and Bob measure the same POVM
-        try:
-            attack = adv.build_attack(pair, pair, theta)
-        except adv.DegenerateAttackError as exc:
-            reports.append({"theta": theta, "degenerate": True, "reason": str(exc), "pass": False})
-            continue
-        rep = adv.attack_report(attack)
-        rep["degenerate"] = False
-        rep["pass"] = bool(
-            rep["average_vs_ideal_max_dev"] <= tol
-            and rep["zero_entry_value"] <= tol
-            and rep["certified_bits"] <= rep["cap_bits"]
-        )
+    for rep, reason in zip(adv.attack_reports(rows), rows.reason):
+        if reason is not None:
+            rep = {"theta": rep["theta"], "degenerate": True, "reason": reason, "pass": False}
+        else:
+            rep["degenerate"] = False
+            rep["pass"] = (
+                rep["average_vs_ideal_max_dev"] <= tol
+                and rep["zero_entry_value"] <= tol
+                and rep["certified_bits"] <= rep["cap_bits"]
+            )
         reports.append(rep)
     ok = all(rep["pass"] for rep in reports)
     payload = {"reports": reports, "all_pass": ok}

@@ -12,6 +12,7 @@ All reorderings go through :func:`permute_subsystems`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -142,17 +143,28 @@ def null_space(mats) -> list[np.ndarray]:
     return list(vh[rank:].conj())
 
 
+def _leibniz_terms(m: int) -> tuple:
+    """Row (m, 1, m - 1) and column (P, m - 1) gathers, signs (m, P): m minors' Leibniz terms."""
+    perms = np.array(list(itertools.permutations(range(m - 1))))
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    rows = [[r for r in range(m) if r != a] for a in range(m)]
+    return np.array(rows)[:, None], perms, (-1.0) ** (np.arange(m)[:, None] + inversions)
+
+
+_LEIBNIZ = {m: _leibniz_terms(m) for m in (2, 3, 4)}
+
+
 def null_vector(v) -> np.ndarray:
-    """Signed minors c_a = (-1)^a det(v without row a) of m vectors v (..., m, m - 1).
+    """Signed minors c_a = (-1)^a det(v without row a) of m vectors v (..., m, m - 1), 2 <= m <= 4.
 
     sum_a c_a v_a = 0 (expand v with a column repeated); c = 0 iff rank v < m - 1.
+    Each minor is its Leibniz expansion: one gather, one product and one signed sum.
     """
     v = np.asarray(v)
-    if v.ndim < 2 or v.shape[-1] != v.shape[-2] - 1:
-        raise ValueError(f"expected m vectors of length m - 1, got shape {v.shape}")
-    rows, cols = np.arange(v.shape[-2]), np.arange(v.shape[-1])
-    minors = v[..., cols + (cols >= rows[:, None]), :]  # minor a: every row but a, in order
-    return np.linalg.det(minors) * (-1.0) ** rows
+    if v.ndim < 2 or v.shape[-2] not in _LEIBNIZ or v.shape[-1] != v.shape[-2] - 1:
+        raise ValueError(f"expected m vectors of length m - 1, 2 <= m <= 4, got shape {v.shape}")
+    rows, cols, signs = _LEIBNIZ[v.shape[-2]]
+    return (v[..., rows, cols].prod(axis=-1) * signs).sum(axis=-1)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -201,10 +201,17 @@ class Povm:
         return self.elements.shape[-1]
 
 
+def ket_elements(kets) -> np.ndarray:
+    """The elements |k><k| (..., m, d, d) of kets (..., m, d), Hermitian and rank one exactly."""
+    kets = np.asarray(kets, dtype=complex)
+    # einsum, not a broadcast product: numpy's SIMD complex multiply may fuse a multiply-add,
+    # which leaves E_ij and E_ji an ulp from conjugate
+    return np.einsum("...i,...j->...ij", kets, np.conj(kets))
+
+
 def qstate_from_ket(ket, dims) -> QState:
     k = np.asarray(ket, dtype=complex).reshape(-1)
-    k = k / np.linalg.norm(k)
-    return QState(np.outer(k, k.conj()), tuple(dims))
+    return QState(ket_elements(k / np.linalg.norm(k)), tuple(dims))
 
 
 def theta_ket(theta) -> tuple:
@@ -422,14 +429,6 @@ def povm_extremality(p: Povm) -> PovmExtremality:
     margin = float(svals.min()) if fits else 0.0
     independent = fits and margin > mk.RANK_TOL
     return PovmExtremality(all_rank_one, independent, all_rank_one and independent, second, margin)
-
-
-def ket_elements(kets) -> np.ndarray:
-    """The elements |k><k| (..., m, d, d) of kets (..., m, d), Hermitian and rank one exactly."""
-    kets = np.asarray(kets, dtype=complex)
-    # einsum, not a broadcast product: numpy's SIMD complex multiply may fuse a multiply-add,
-    # which leaves E_ij and E_ji an ulp from conjugate
-    return np.einsum("...i,...j->...ij", kets, np.conj(kets))
 
 
 def povm_from_kets(kets) -> Povm:

@@ -98,19 +98,37 @@ class OffdiagSet:
         return len(self.null_basis)
 
 
-def offdiag_operators(p: Povm) -> np.ndarray:
-    """The operators |k_a><k_a*| (entries k_i k_j) of a POVM, (m, d, d); refuses non-finite kets."""
+def rank_one_kets(p: Povm) -> np.ndarray:
+    """The kets (m, d) of a rank-one POVM; refuses a POVM without kets or with a non-finite one."""
     if p.kets is None:
-        raise ValueError("off-diagonal operators need rank-one kets; attach them first")
+        raise ValueError("the POVM has no rank-one kets; attach them first")
     finite = np.where(np.isfinite(p.kets), 0.0, np.nan)
     mk.refuse_beyond(finite, mk.ZERO_TOL, "non-finite ket", "outcome {}".format)
-    return p.kets[:, :, None] * p.kets[:, None, :]
+    return p.kets
+
+
+def offdiag_operators(p: Povm) -> np.ndarray:
+    """The operators |k_a><k_a*| (entries k_i k_j) of a POVM, (m, d, d); refuses non-finite kets."""
+    kets = rank_one_kets(p)
+    return kets[:, :, None] * kets[:, None, :]
 
 
 def offdiag_set(p: Povm) -> OffdiagSet:
     """Off-diagonal operators plus their SVD null space: the oracle of the signed minors."""
     operators = offdiag_operators(p)
     return OffdiagSet(operators, tuple(mk.null_space(operators)))
+
+
+def check_dilation(coeffs, kets, outcome="outcome {}".format, row=None) -> None:
+    """The dilation's realizability for coefficients (..., m) of kets (..., m, d), within RANK_TOL.
+
+    |c_a| <= 1, a refusal naming `outcome(*index)`, then completeness,
+    sum_a c_a T_a = 0 with T_a = |k_a><k_a*|, a refusal naming `row(*index)`.
+    """
+    mk.refuse_beyond(np.abs(coeffs) - 1.0, mk.RANK_TOL, "|c_a| - 1", outcome)
+    closure = np.einsum("...a,...ai,...aj->...ij", coeffs, kets, kets)
+    residual = np.linalg.norm(closure, axis=(-2, -1))
+    mk.refuse_beyond(residual, mk.RANK_TOL, "completeness residual", row)
 
 
 def build_dilated_povm(p: Povm, coeffs) -> Povm:
@@ -121,8 +139,7 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
     with T_a = |k_a><k_a*|: the blocks sit on the eigenbasis of the ancilla
     observable Z that the Bell kernels measure (A' = B' = Z).  Requires
     |c_a| <= 1 (eigenvalues of R_a are |k_a|^2 (1 +- |c_a|) plus zeros) and
-    sum_a c_a T_a = 0 (completeness), each within RANK_TOL; a violation is
-    refused with the offending residual and outcome, and T_a comes from
+    sum_a c_a T_a = 0 (completeness): :func:`check_dilation`.  T_a comes from
     :func:`offdiag_operators`, which refuses non-finite kets.  All R_a come
     from one stack of the four blocks, transposed into (system, ancilla) order.
     """
@@ -130,9 +147,8 @@ def build_dilated_povm(p: Povm, coeffs) -> Povm:
     coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
     if coeffs.shape[0] != p.n_outcomes:
         raise ValueError("one coefficient per outcome required")
-    mk.refuse_beyond(np.abs(coeffs) - 1.0, mk.RANK_TOL, "|c_a| - 1", "outcome {}".format)
+    check_dilation(coeffs, p.kets)
     ct = coeffs[:, None, None] * t  # c_a T_a
-    mk.refuse_beyond(np.linalg.norm(ct.sum(axis=0)), mk.RANK_TOL, "completeness residual")
     e = p.elements
     m, d = e.shape[:2]
     blocks = np.stack([e, ct, np.conj(np.swapaxes(ct, -1, -2)), np.conj(e)], axis=1)

@@ -66,8 +66,8 @@ def reduction_oracle(alice, bob, theta, n_decompositions, seed):
     `compose_with_ancilla`, and its joint table comes from `mk.joint_table`.
     """
     rng = np.random.default_rng(seed)
-    r_povm = tg.build_dilated_povm(alice, adv._admissible_coeffs(alice))
-    s_povm = tg.build_dilated_povm(bob, adv._admissible_coeffs(bob))
+    r_povm = tg.build_dilated_povm(alice, adv._admissible_coeffs(alice.kets))
+    s_povm = tg.build_dilated_povm(bob, adv._admissible_coeffs(bob.kets))
     ideal = adv.ideal_joint(alice, bob, qo.psi_theta_ket(theta))
     psi = qo.psi_theta(theta)
     a_corr = mk.kron(qo.PAULI_Z, qo.PAULI_Z)
@@ -306,6 +306,21 @@ class TestBuildAttack:
             assert np.max(np.abs(again.lambda_coeffs - attack.lambda_coeffs)) <= mk.ZERO_TOL
             assert np.max(np.abs(again.mu_coeffs - attack.mu_coeffs)) <= mk.ZERO_TOL
 
+    def test_zeroes_a_target_off_the_gauge_pivots(self):
+        # at pi/2 all four coefficient magnitudes tie; ket phases, which leave the
+        # elements as they are, give the tied coefficients phases, and reordering
+        # Bob's outcomes moves the target off both pivots, so the global phase
+        # must align lam_a mu_b as well as amp^2
+        theta = math.pi / 2
+        p = qo.adjusted_tetrahedral(theta)
+        alice = qo.povm_from_kets(p.kets * np.exp(1j * np.array([0.0, 0.3, 0.7, 1.1]))[:, None])
+        bob_kets = p.kets[[1, 0, 2, 3]] * np.exp(1j * np.array([0.2, -0.5, 0.9, 0.4]))[:, None]
+        attack = adv.build_attack(alice, qo.povm_from_kets(bob_kets), theta)
+        a, b = attack.target_pair
+        assert min(abs(attack.lambda_coeffs[a].imag), abs(attack.mu_coeffs[b].imag)) > 0.1
+        assert adv.attack_report(attack)["zero_entry_value"] <= mk.ZERO_TOL
+        assert adv.evaluate_attack(attack).p_minus[a, b] <= mk.ZERO_TOL
+
     def test_monotone_damage(self):
         for theta in (0.3, 0.7, 1.0, 1.3, np.pi / 2):
             alice = qo.adjusted_tetrahedral(theta)
@@ -337,6 +352,42 @@ class TestBuildAttack:
             adv.build_attack(qo.modified_mercedes(0.5), qo.adjusted_tetrahedral(0.5), 0.5)
 
 
+class TestKernelGates:
+    """Coefficients no dilation realizes are refused, naming the side, the outcome and the angle."""
+
+    @staticmethod
+    def attack_at(thetas):
+        theta, psi = qo.theta_ket(np.array(thetas))
+        kets = qo.adjusted_tetrahedral_kets(theta)
+        return adv.attack_rows(theta, psi, kets, kets)
+
+    def test_coefficient_above_one_refused(self, monkeypatch):
+        plain = adv._admissible_coeffs
+
+        def scaled(kets):
+            c = plain(kets)
+            c[..., 1, 0] *= 1.5  # the unit entry at the second angle
+            return c
+
+        monkeypatch.setattr(adv, "_admissible_coeffs", scaled)
+        refusal = r"^\|c_a\| - 1 5\.000e-01 exceeds 1e-09 at Alice outcome 0, theta=0\.9$"
+        with pytest.raises(ValueError, match=refusal):
+            self.attack_at([0.5, 0.9])
+
+    def test_minor_with_flipped_sign_refused(self, monkeypatch):
+        plain = mk.null_vector
+
+        def flipped(v):
+            c = plain(v)
+            c[..., 1, 2] *= -1.0
+            return c
+
+        monkeypatch.setattr(mk, "null_vector", flipped)
+        refusal = r"^completeness residual \S+ exceeds 1e-09 at Alice, theta=0\.9$"
+        with pytest.raises(ValueError, match=refusal):
+            self.attack_at([0.5, 0.9])
+
+
 def gauge_fixed_svd_coeffs(p):
     """Oracle: the SVD null vector over its first entry within RANK_TOL of the largest."""
     v = tg.offdiag_set(p).null_basis[0]
@@ -352,7 +403,7 @@ class TestSignedMinorCoefficients:
 
     @staticmethod
     def assert_matches_the_svd(p):
-        c = adv._admissible_coeffs(p)
+        c = adv._admissible_coeffs(p.kets)
         assert np.max(np.abs(c - gauge_fixed_svd_coeffs(p))) <= 1e-13
         assert c[np.argmax(np.abs(c) >= 1.0 - mk.RANK_TOL)] == 1.0  # exactly, not x / x
         closure = np.tensordot(c, tg.offdiag_set(p).operators, axes=1)
@@ -372,7 +423,7 @@ class TestSignedMinorCoefficients:
         normals = [[0, 0, 1]] * 3 + [[0, 0, -1]]
         p = qo.povm_from_kets(qo.bloch_ket([0.5, 0.25, 0.25, 1.0], normals))
         assert qo.povm_validity(p).is_valid
-        np.testing.assert_array_equal(adv._admissible_coeffs(p), np.zeros(4))
+        np.testing.assert_array_equal(adv._admissible_coeffs(p.kets), np.zeros(4))
         with pytest.raises(adv.DegenerateAttackError, match="^off-diagonal operators span at"):
             adv.build_attack(p, qo.adjusted_tetrahedral(0.7), 0.7)
 
@@ -386,7 +437,7 @@ class TestSignedMinorCoefficients:
     )
     def test_only_qubit_povms_with_at_most_four_outcomes(self, p, named):
         with pytest.raises(ValueError, match=named):
-            adv._admissible_coeffs(p)
+            adv._admissible_coeffs(p.kets)
         with pytest.raises(ValueError, match=named):
             adv.qubit_reduction_check(p, p, 0.7)
 
@@ -828,6 +879,9 @@ class TestStackedReduction:
         assert abs(rep.correlation_check - corr) <= mk.ZERO_TOL
 
 
+ANGLES = st.floats(1e-3, math.pi / 2)
+
+
 class TestRandomPairs:
     """The attack and the 4 x 3 reduction over random extremal POVM pairs and angles."""
 
@@ -846,6 +900,31 @@ class TestRandomPairs:
         assert np.max(np.abs(cj.average - ideal)) <= mk.IDENTITY_TOL
         assert cj.p_minus[attack.target_pair] <= mk.IDENTITY_TOL
         assert cj.certified_bits <= adv.randomness_cap()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(ANGLES, min_size=1, max_size=4))
+    def test_kernel_rows_match_the_oracles(self, seed, thetas):
+        # the kernel over N angles against the attack at each angle alone, its
+        # dilated-POVM tables and the 16-dimensional Born rule
+        rng = np.random.default_rng(seed)
+        pairs = [(tg.random_extremal_povm(4, rng), tg.random_extremal_povm(4, rng)) for _ in thetas]
+        theta, psi = qo.theta_ket(np.array(thetas))
+        kets = (np.stack([p.kets for p in side]) for side in zip(*pairs))
+        rows = adv.attack_rows(theta, psi, *kets)
+        for n, (alice, bob) in enumerate(pairs):
+            try:
+                attack = adv.build_attack(alice, bob, thetas[n])
+            except adv.DegenerateAttackError as exc:
+                assert rows.reason[n] == str(exc)
+                continue
+            assert rows.reason[n] is None
+            assert tuple(rows.target[n].tolist()) == attack.target_pair
+            cj = adv.evaluate_attack(attack)
+            branches = ((+1, rows.p_plus[n], cj.p_plus), (-1, rows.p_minus[n], cj.p_minus))
+            for sign, table, oracle in branches:
+                assert np.max(np.abs(table - oracle)) <= 1e-14
+                brute = adv.brute_force_joint(attack, thetas[n], sign)
+                assert np.max(np.abs(table - brute)) <= 1e-14
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(1e-3, math.pi / 2))

@@ -121,14 +121,15 @@ class TestAttack:
         assert rep["cap_bits"] < 4.0
 
     def test_degenerate_pair_fails_the_run(self, capsys, monkeypatch):
-        exact = adv.build_attack
+        exact = adv.attack_rows
 
-        def degenerate_at_0_9(alice, bob, theta):
-            if theta == 0.9:
-                raise adv.DegenerateAttackError("no zero entry to force")
-            return exact(alice, bob, theta)
+        def degenerate_at_0_9(theta, *args):
+            rows = exact(theta, *args)
+            reason = list(rows.reason)
+            reason[theta.tolist().index(0.9)] = "no zero entry to force"
+            return rows._replace(reason=reason)
 
-        monkeypatch.setattr(adv, "build_attack", degenerate_at_0_9)
+        monkeypatch.setattr(adv, "attack_rows", degenerate_at_0_9)
         code, out = run(capsys, ["attack", "--theta", "0.5,0.9"])
         doc = json.loads(out)
         assert code == 1
@@ -561,10 +562,9 @@ class TestEachCommandComputesWhatItReports:
 
 
     def test_angle_checks_per_command(self, monkeypatch, capsys):
-        # One angle stack per command, so one library angle check, except that
-        # selftest also checks its recovered angle (psi and phi kets) and
-        # attack keeps its per-angle path (its POVM and its attack, which
-        # carries the theta-ket); one min_entropy call per table stack.
+        # One library angle check per command (an angle stack, or attack's
+        # theta-kets), except that selftest also checks its recovered angle (psi
+        # and phi kets); one min_entropy call per table stack.
         counts = {}
 
         def counted(name, f):
@@ -590,7 +590,7 @@ class TestEachCommandComputesWhatItReports:
             "selftest": {"check_theta": 3, "angle_stack": 1, "min_entropy": 0},
             "sweep": {"check_theta": 1, "angle_stack": 1, "min_entropy": len(SCENARIOS)},
             **{f"certify {sc}": certify for sc in SCENARIOS},
-            "attack": {"check_theta": 2, "angle_stack": 0, "min_entropy": 0},
+            "attack": {"check_theta": 1, "angle_stack": 0, "min_entropy": 0},
         }
 
 

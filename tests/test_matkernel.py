@@ -187,7 +187,7 @@ class TestNullSpace:
 
 class TestNullVector:
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
     def test_is_the_svd_null_direction(self, seed, m):
         rng = np.random.default_rng(seed)
         v = rng.normal(size=(3, m, m - 1)) + 1j * rng.normal(size=(3, m, m - 1))
@@ -206,7 +206,7 @@ class TestNullVector:
         v = np.array([[1.0, 2.0], [2.0, 4.0], [-4.0, -8.0]])  # exact LU pivots
         np.testing.assert_array_equal(mk.null_vector(v), np.zeros(3))
 
-    @pytest.mark.parametrize("shape", [(3,), (3, 3), (4, 2), (2, 3, 1)])
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (4, 2), (2, 3, 1), (1, 0), (5, 4)])
     def test_shape_refused(self, shape):
         with pytest.raises(ValueError, match="vectors of length m - 1"):
             mk.null_vector(np.ones(shape))

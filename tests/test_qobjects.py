@@ -53,6 +53,15 @@ class TestState:
             overlap = np.trace(qo.psi_theta(theta).rho @ qo.phi_theta(theta).rho)
             assert abs(overlap) < 1e-14
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(1)
+    def test_state_from_a_ket_is_exactly_hermitian(self, seed):
+        rng = np.random.default_rng(seed)
+        ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho = qo.qstate_from_ket(ket / np.linalg.norm(ket), (2, 2)).rho
+        np.testing.assert_array_equal(rho, np.conj(rho.T))
+
     def test_qstate_validation(self):
         with pytest.raises(ValueError, match="Hermitian"):
             qo.QState(np.array([[1, 1], [0, 0]], dtype=complex), (2,))
