@@ -4,13 +4,15 @@ Constructs the explicit eavesdropping strategy that hides behind the
 conjugation ambiguity of four-outcome qubit POVMs: dilated measurements whose
 off-diagonal blocks carry admissible nonzero coefficients, combined with an
 equiprobable pair of ancilla states that flip the sign of the interference
-term.  One stacked kernel, :func:`attack_rows`, evaluates the attack at N
-angles in closed form, P_+-(a, b) = |amp_ab|^2 +- Re[conj(lam_a mu_b) amp_ab^2]:
-the CLI's ``attack`` command, :func:`build_attack` (the kernel at one angle)
-and :func:`attack_report` read it, and the dilated-POVM tables of
-:func:`evaluate_attack` and :func:`brute_force_joint` are its oracles.  Also
-provides the qubit-reduction check showing the attack is powerless when one
-side uses at most three outcomes, and the resulting min-entropy cap.
+term.  Every table Eve can condition on is Re Tr[W_ab s], with W_ab =
+<psi| R_a x S_b |psi> restricted to her support span{|00>, |11>}: |amp_ab|^2
+on its diagonal, lam_a mu_b conj(amp_ab)^2 off it.  :func:`_tables` reads it
+for the chi_+- pair in :func:`attack_rows` (the attack at N angles, behind the
+CLI's ``attack``, :func:`build_attack` and :func:`attack_report`) and for the
+sampled states of :func:`qubit_reduction_check`, which shows the attack is
+powerless when one side uses at most three outcomes.  The dilated POVMs serve
+only the Born-rule oracles :func:`evaluate_attack` and
+:func:`brute_force_joint`.  Also provides the resulting min-entropy cap.
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ _SUPPORT = np.eye(4)[:, [0, 3]]
 
 # Eve's ancilla pair chi_+- = (|00> +- |11>)/sqrt(2) on the two ancilla qubits:
 # _CHI_KETS holds the kets as rows (chi_+ first), CHI the states validated once,
-# and _CHI_RHOS stacks them for the stacked joint tables.
+# _CHI_RHOS stacks them for Eve's first decomposition, and _CHI_BLOCKS holds their
+# blocks on _SUPPORT, exactly (1/2)[[1, +-1], [+-1, 1]] (CHI's squares give 0.4999999999999999).
 _CHI_KETS = np.stack([_SUPPORT @ [1, s] / math.sqrt(2.0) for s in (1, -1)])
 CHI: tuple[QState, QState] = tuple(qo.qstate_from_ket(k, (2, 2)) for k in _CHI_KETS)
 _CHI_RHOS = np.stack([chi.rho for chi in CHI])
+_CHI_BLOCKS = np.array([[[1.0, s], [s, 1.0]] for s in (1.0, -1.0)]) / 2
 
 
 def _amplitudes(alice_kets, bob_kets, psi) -> np.ndarray:
@@ -63,19 +67,25 @@ def joint_amplitudes(alice: Povm, bob: Povm, psi) -> np.ndarray:
 
 
 def ideal_joint(alice: Povm, bob: Povm, psi) -> np.ndarray:
-    """Joint outcome table of the reference qubit POVMs on a theta-ket psi (4,)."""
+    """Oracle of |amp|^2: the Born-rule table of the POVM elements on a theta-ket psi (4,)."""
     psi = np.asarray(psi, dtype=complex).reshape(1, 1, 2, 2)
     return mk.joint_table_kets(alice.elements, bob.elements, psi)[0]
 
 
-def _tables(amp, lam, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(|amp|^2, P_+, P_-) over stacks (..., m, n) in the attack's closed form
+def _tables(amp, lam, mu, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(|amp|^2, P) from amplitudes (..., m, n) and Eve's blocks s (S, 2, 2) on `_SUPPORT`.
 
-    P_sign(a, b) = |amp_ab|^2 + sign * Re[conj(lam_a mu_b) amp_ab^2].
+    W_ab restricted to `_SUPPORT` has |amp_ab|^2 on its diagonal and
+    lam_a mu_b conj(amp_ab)^2 off it, so a Hermitian block s conditions the table
+    P_s(a, b) = Re Tr[W_ab s] = |amp_ab|^2 tr s + 2 Re[s_01 conj(lam_a mu_b) amp_ab^2],
+    stacked (S, ..., m, n).  The chi_+- blocks `_CHI_BLOCKS` give
+    P_+-(a, b) = |amp_ab|^2 +- Re[conj(lam_a mu_b) amp_ab^2].
     """
     ideal = np.abs(amp) ** 2
-    interference = np.real(np.conj(lam)[..., :, None] * np.conj(mu)[..., None, :] * amp**2)
-    return ideal, ideal + interference, ideal - interference
+    s = np.reshape(blocks, (-1,) + (1,) * ideal.ndim + (2, 2))
+    coherence = np.conj(lam)[..., :, None] * np.conj(mu)[..., None, :] * amp**2
+    trace = np.trace(s, axis1=-2, axis2=-1).real
+    return ideal, ideal * trace + 2 * np.real(s[..., 0, 1] * coherence)
 
 
 def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) -> np.ndarray:
@@ -84,8 +94,8 @@ def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) 
         raise ValueError("sign must be +1 or -1")
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     mu = np.asarray(mu, dtype=complex).reshape(-1)
-    _, p_plus, p_minus = _tables(joint_amplitudes(alice, bob, qo.psi_theta_ket(theta)), lam, mu)
-    return p_plus if sign == +1 else p_minus
+    amp = joint_amplitudes(alice, bob, qo.psi_theta_ket(theta))
+    return _tables(amp, lam, mu, _CHI_BLOCKS)[1][0 if sign == +1 else 1]
 
 
 @dataclass(frozen=True)
@@ -201,7 +211,8 @@ def attack_rows(theta, psi, alice_kets, bob_kets) -> AttackRows:
     reason = [None if p else _UNPAIRED if s else _SPAN for s, p in zip(spans.tolist(), paired)]
     # Align arg(conj(lam_a* mu_b*) amp^2) = 0 with one global phase on lam.
     lam = lam * np.exp(1j * (np.angle(amp[n, a, b] ** 2) - np.angle(lam[n, a] * mu[n, b])))[:, None]
-    return AttackRows(theta, lam, mu, np.stack([a, b], axis=1), *_tables(amp, lam, mu), reason)
+    ideal, tables = _tables(amp, lam, mu, _CHI_BLOCKS)
+    return AttackRows(theta, lam, mu, np.stack([a, b], axis=1), ideal, *tables, reason)
 
 
 def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
@@ -241,36 +252,16 @@ class ConditionalJoint:
         return -np.log2(self.guessing_prob)
 
 
-def _ancilla_joints(
-    r_povm: Povm, s_povm: Povm, psi: np.ndarray, sigmas: np.ndarray
-) -> np.ndarray:
-    """Joint tables P_n(a, b) = Re Tr[W_ab sigma_n] of a stack of ancilla states, (N, na, nb).
-
-    W_ab = <psi| R_a x S_b |psi> acts on (A', B'), so one matrix product of
-    the flattened W against the flattened sigma_n^T gives every joint at once.
-    R_a's 2x2 block (p, q) on A' is R_a[(i p), (k q)] over A; the ket psi on
-    (A, B) enters as its 2x2 amplitude matrix Psi, giving Psi^dagger R_a^(pq) Psi.
-    """
-    psi = psi.reshape(2, 2)
-    r = r_povm.elements.reshape(-1, 2, 2, 2, 2)
-    s = s_povm.elements.reshape(-1, 2, 2, 2, 2)
-    na, nb = len(r), len(s)
-    u = np.conj(psi.T) @ r.transpose(0, 2, 4, 1, 3) @ psi  # [a, p, q, j, l]
-    w = u.reshape(na * 4, 4) @ s.transpose(1, 3, 0, 2, 4).reshape(4, nb * 4)  # [(a p q), (b r s)]
-    w = w.reshape(na, 2, 2, nb, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(na * nb, 16)
-    return (np.swapaxes(sigmas, -1, -2).reshape(-1, 16) @ w.T).real.reshape(-1, na, nb)
-
-
 def evaluate_attack(attack: AttackModel) -> ConditionalJoint:
-    """Both conditional tables from the dilated POVMs, P_sign(a, b) = Re Tr[W_ab chi_sign].
+    """Both conditional tables by the Born rule on the dilated POVMs: an oracle of :func:`_tables`.
 
-    An oracle of the closed form that :func:`attack_rows` evaluates.  W_ab =
-    <psi| R_a x S_b |psi>, with psi the attack's carried theta-ket, is the
-    operator :func:`qubit_reduction_check` reads too, so both chi branches are
-    one (2, 16) @ (16, na * nb) product of the `_CHI_RHOS` stack in
-    :func:`_ancilla_joints`.  :func:`brute_force_joint` is its own oracle.
+    P_sign(a, b) = <psi chi_sign| R_a x S_b |psi chi_sign>, with psi the
+    attack's carried theta-ket, from `mk.joint_table_kets` on the kets that
+    `qo.with_ancilla` composes: the kernel of :func:`brute_force_joint`, which
+    rebuilds and checks its ket from an angle.
     """
-    p_plus, p_minus = _ancilla_joints(attack.r_povm, attack.s_povm, attack.psi, _CHI_RHOS)
+    kets = qo.with_ancilla(attack.psi, _CHI_KETS.reshape(2, 2, 2)).reshape(2, 1, 4, 4)
+    p_plus, p_minus = mk.joint_table_kets(attack.r_povm.elements, attack.s_povm.elements, kets)
     return ConditionalJoint(p_plus=p_plus, p_minus=p_minus)
 
 
@@ -365,30 +356,28 @@ def qubit_reduction_check(
 ) -> QubitReductionReport:
     """Check that Eve-conditioned joints equal the ideal qubit joints.
 
-    Each side is dilated with its :func:`_admissible_coeffs`, which are zero
-    (the plain block form) when it has at most three outcomes; with four
-    outcomes on both sides they are not, and the check fails.  For each
-    sampled Eve decomposition every conditional joint is compared entrywise
-    to the ideal table.  The count of decompositions is an integer of at
-    least 1; anything else is refused.
+    Each side takes its :func:`_admissible_coeffs`, gated by
+    `tomography.check_dilation`; they are zero when it has at most three
+    outcomes, and with four outcomes on both sides they are not, and the
+    check fails.  For each sampled Eve decomposition every conditional joint
+    is compared entrywise to the ideal table |amp|^2.  The count of
+    decompositions is an integer of at least 1; anything else is refused.
 
     Every Eve state sigma_n meets the `QState` contract and has
     <A' x B'> = 1 within IDENTITY_TOL, or is refused by its index within its
-    decomposition.  As psi is a unit ket, |psi><psi| x sigma_n then meets the
-    contract too, so the checks and all joints run on the (2 n, 4, 4) stack.
+    decomposition.  Then sigma_n lives on `_SUPPORT`, so its joint is
+    :func:`_tables` of its 2x2 block there, and no dilated POVM is built.
     """
     theta, psi = qo.theta_ket(theta)
-    count_ok = isinstance(n_decompositions, numbers.Integral) and not isinstance(
-        n_decompositions, bool
-    )
-    if not count_ok or n_decompositions < 1:
-        raise ValueError(f"n_decompositions must be an integer >= 1, got {n_decompositions}")
+    count = n_decompositions
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"n_decompositions must be an integer >= 1, got {count}")
     rng = np.random.default_rng(seed)
 
-    r_povm, s_povm = (
-        tg.build_dilated_povm(p, _admissible_coeffs(tg.rank_one_kets(p))) for p in (alice, bob)
-    )
-    ideal = ideal_joint(alice, bob, psi)
+    kets = [tg.rank_one_kets(p) for p in (alice, bob)]
+    lam, mu = (_admissible_coeffs(k) for k in kets)
+    tg.check_dilation(lam, kets[0])
+    tg.check_dilation(mu, kets[1])
     _, index, sigmas = _eve_decompositions(n_decompositions, rng)
 
     def eve(n: int) -> str:
@@ -399,7 +388,7 @@ def qubit_reduction_check(
     corr = np.abs(np.einsum("ij,nji->n", _ZZ, sigmas).real - 1.0)
     mk.refuse_beyond(corr, mk.IDENTITY_TOL, "|<A' x B'> - 1|", eve)
 
-    joints = _ancilla_joints(r_povm, s_povm, psi, sigmas)
+    ideal, joints = _tables(_amplitudes(*kets, psi), lam, mu, sigmas[:, [0, 3]][:, :, [0, 3]])
     deviations = np.zeros(n_decompositions)
     np.maximum.at(deviations, index, np.max(np.abs(joints - ideal), axis=(1, 2)))
     return QubitReductionReport(
@@ -434,6 +423,7 @@ def attack_reports(rows: AttackRows) -> list[dict]:
 def attack_report(attack: AttackModel) -> dict:
     """JSON-ready summary of a built attack: its closed-form tables on its carried theta-ket."""
     lam, mu = attack.lambda_coeffs[None], attack.mu_coeffs[None]
-    tables = _tables(joint_amplitudes(attack.alice, attack.bob, attack.psi)[None], lam, mu)
-    target = np.array([attack.target_pair])
-    return attack_reports(AttackRows(np.array([attack.theta]), lam, mu, target, *tables, [None]))[0]
+    amp = joint_amplitudes(attack.alice, attack.bob, attack.psi)[None]
+    ideal, tables = _tables(amp, lam, mu, _CHI_BLOCKS)
+    theta, target = np.array([attack.theta]), np.array([attack.target_pair])
+    return attack_reports(AttackRows(theta, lam, mu, target, ideal, *tables, [None]))[0]

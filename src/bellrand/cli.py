@@ -157,8 +157,20 @@ def _tol_entry(keys: tuple[str, ...]):
     return parse
 
 
-def _config_tokens(path: str) -> list[str]:
-    """The lines of a flat config file as command-line tokens."""
+_CONFIG = _Parser(add_help=False, allow_abbrev=False)
+_CONFIG.add_argument("--config")
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """`argv` with the lines of its flat ``--config`` file, if any, as tokens after the command.
+
+    Only ``--config`` is looked up first, so the full parser reads the command line once;
+    without a ``--config`` token not even that lookup runs.
+    """
+    given = any(token.startswith("--config") for token in argv)
+    path = _CONFIG.parse_known_args(argv)[0].config if given else None
+    if path is None:
+        return argv
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -177,7 +189,8 @@ def _config_tokens(path: str) -> list[str]:
             tokens.append(f"--tol={key[4:]}={val}")
         else:
             tokens.append(f"--{key.replace('_', '-')}={val}")
-    return tokens
+    at = next((i + 1 for i, token in enumerate(argv) if token in COMMANDS), 0)
+    return [*argv[:at], *tokens, *argv[at:]]
 
 
 def _resolve_thetas(args: argparse.Namespace) -> list[float]:
@@ -456,11 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            at = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:at], *_config_tokens(args.config), *argv[at:]])
+        args = build_parser().parse_args(_with_config(argv))
         args.thetas = _resolve_thetas(args)
         args.tolerances = {**COMMANDS[args.command].tolerances, **dict(args.tol)}
         handler = {

@@ -239,7 +239,10 @@ class TestKetOracle:
 
 
 class TestAttackTablesFromAncillaOperators:
-    """`evaluate_attack` reads W_ab; the 16-dimensional `brute_force_joint` is its oracle."""
+    """`evaluate_attack` on the carried ket against `brute_force_joint`'s ket rebuilt from theta.
+
+    Both are the 16-dimensional Born rule on the dilated POVMs, the oracles of `_tables`.
+    """
 
     @staticmethod
     def assert_matches_brute_force(attack):
@@ -770,6 +773,17 @@ class TestQubitReduction:
         assert shapes
         assert all(len(shape) == 3 and shape[1:] == (4, 4) for shape in shapes)
 
+    def test_reads_no_dilated_povm(self, monkeypatch):
+        # the tables come from Eve's 2x2 blocks; dilations and element tables serve the oracles
+        def refused(*args, **kwargs):
+            raise AssertionError("an oracle kernel ran on the reduction path")
+
+        oracles = ((tg, "build_dilated_povm"), (adv, "ideal_joint"), (mk, "joint_table_kets"))
+        for module, name in oracles:
+            monkeypatch.setattr(module, name, refused)
+        p, bob3 = qo.adjusted_tetrahedral(0.9), qo.modified_mercedes(0.9)
+        assert adv.qubit_reduction_check(p, bob3, 0.9, n_decompositions=4).reduces
+
     def test_three_by_two_trivially_reduces(self):
         rng = np.random.default_rng(13)
         rep = adv.qubit_reduction_check(
@@ -877,6 +891,15 @@ class TestStackedReduction:
         assert rep.n_decompositions == n
         assert np.max(np.abs(np.subtract(rep.deviations, deviations))) <= mk.ZERO_TOL
         assert abs(rep.correlation_check - corr) <= mk.ZERO_TOL
+        # undetectable over every sampled decomposition, not only the chi pair:
+        # Eve's tables weighted by her decomposition's weights average to |amp|^2
+        weights, index, sigmas = adv._eve_decompositions(n, np.random.default_rng(seed))
+        amp = adv.joint_amplitudes(alice, bob, qo.psi_theta_ket(theta))
+        lam, mu = (adv._admissible_coeffs(p.kets) for p in (alice, bob))
+        ideal, tables = adv._tables(amp, lam, mu, sigmas[:, [0, 3]][:, :, [0, 3]])
+        averages = np.zeros((n, *ideal.shape))
+        np.add.at(averages, index, weights[:, None, None] * tables)
+        assert np.max(np.abs(averages - ideal)) <= mk.ZERO_TOL
 
 
 ANGLES = st.floats(1e-3, math.pi / 2)

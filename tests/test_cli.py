@@ -205,6 +205,19 @@ class TestConfigFile:
         assert code == 0
         assert abs(doc["reports"][0]["theta"] - 0.9) <= 1e-15
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_command_line_parsed_once(self, monkeypatch, capsys, tmp_path, via_config):
+        # the file is read ahead of the one parse, so each argparse type runs once
+        argv = ["certify", "--scenario", "local_povm", "--theta", "0.3,0.4"]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("scenario=local_povm\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        calls, check_theta = [], cli.check_theta
+        monkeypatch.setattr(cli, "check_theta", lambda t: calls.append(t) or check_theta(t))
+        assert run(capsys, argv)[0] == 0
+        assert len(calls) == 1
+
     def test_malformed_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("theta 0.4\n", encoding="utf-8")
