@@ -117,7 +117,7 @@ class AttackModel:
 
 
 def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarray:
-    """Oracle of the closed form and of :func:`evaluate_attack`.
+    """Oracle of the closed form; :func:`evaluate_attack` reads it for both signs.
 
     Full 16-dimensional Born-rule evaluation of R_a x S_b on one ket: the
     pure state psi_theta x chi_sign in (A, A', B, B') order, built by
@@ -253,16 +253,8 @@ class ConditionalJoint:
 
 
 def evaluate_attack(attack: AttackModel) -> ConditionalJoint:
-    """Both conditional tables by the Born rule on the dilated POVMs: an oracle of :func:`_tables`.
-
-    P_sign(a, b) = <psi chi_sign| R_a x S_b |psi chi_sign>, with psi the
-    attack's carried theta-ket, from `mk.joint_table_kets` on the kets that
-    `qo.with_ancilla` composes: the kernel of :func:`brute_force_joint`, which
-    rebuilds and checks its ket from an angle.
-    """
-    kets = qo.with_ancilla(attack.psi, _CHI_KETS.reshape(2, 2, 2)).reshape(2, 1, 4, 4)
-    p_plus, p_minus = mk.joint_table_kets(attack.r_povm.elements, attack.s_povm.elements, kets)
-    return ConditionalJoint(p_plus=p_plus, p_minus=p_minus)
+    """P+ and P- as :func:`brute_force_joint` at the attack's angle: an oracle of `_tables`."""
+    return ConditionalJoint(*(brute_force_joint(attack, attack.theta, s) for s in (+1, -1)))
 
 
 def min_entropy(tables) -> list[float]:

@@ -32,7 +32,11 @@ the Bell residuals and its scenario's uniformity or witness are.
 Each command registers only the options it reads (see ``COMMANDS``).  A
 ``--config`` file of ``key=value`` lines is read as the flags
 ``--key=value`` (``tol.KEY=VAL`` as ``--tol=KEY=VAL``) placed ahead of the
-command line, so both go through one parser and explicit flags win.
+command line, so both go through one parser and explicit flags win.  A second
+``--config``, and an empty ``--config`` or ``--out`` path, are usage errors.
+
+Every JSON document is one line of compact, sorted-key JSON from the
+standard library's C encoder; ``python -m json.tool`` indents it.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error
 (including an unreadable ``--config`` or unwritable ``--out``), 3 library
@@ -130,6 +134,7 @@ _angle = _checked(check_theta, f"an angle in [{qo.THETA_MIN!r}, pi/2]")
 _grid_size = _checked(int, "an angle count >= 1", lambda n: n >= 1)
 _epsilon = _checked(float, "a tilt in (0, 1)", lambda e: 0.0 < e < 1.0)
 _tol_value = _checked(float, "a finite tolerance > 0", lambda v: math.isfinite(v) and v > 0.0)
+_path = _checked(str, "a non-empty path", bool)
 
 
 def _theta_list(text: str) -> list[float]:
@@ -158,19 +163,23 @@ def _tol_entry(keys: tuple[str, ...]):
 
 
 _CONFIG = _Parser(add_help=False, allow_abbrev=False)
-_CONFIG.add_argument("--config")
+_CONFIG.add_argument("--config", type=_path, action="append")
 
 
 def _with_config(argv: list[str]) -> list[str]:
     """`argv` with the lines of its flat ``--config`` file, if any, as tokens after the command.
 
     Only ``--config`` is looked up first, so the full parser reads the command line once;
-    without a ``--config`` token not even that lookup runs.
+    without a ``--config`` token not even that lookup runs.  A second ``--config`` is
+    refused: its file would replace the first one's, not add to it.
     """
     given = any(token.startswith("--config") for token in argv)
-    path = _CONFIG.parse_known_args(argv)[0].config if given else None
-    if path is None:
+    paths = _CONFIG.parse_known_args(argv)[0].config if given else None
+    if not paths:
         return argv
+    if len(paths) > 1:
+        raise UsageError(f"argument --config: given {len(paths)} times; pass one config file")
+    path = paths[0]
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -209,40 +218,7 @@ def _emit(text: str, cfg: argparse.Namespace) -> None:
 
 def _json_document(cfg: argparse.Namespace, command: str, payload: dict) -> str:
     doc = {"schema": SCHEMA_VERSION, "command": command, "tolerances": cfg.tolerances, **payload}
-    return _json_text(doc) + "\n"
-
-
-_JSON_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def _json_text(obj, indent: str = "") -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
-
-    `obj` is a tree of dicts with str keys, lists or tuples, strings, numbers,
-    bools and None.  The standard indented encoder runs in pure Python, one
-    generator step per token; this one joins each container's items in one call.
-    """
-    if type(obj) is float and obj - obj == 0.0:  # a finite float, the common leaf
-        return float.__repr__(obj)
-    if isinstance(obj, str):
-        return json.encoder.encode_basestring_ascii(obj)
-    if obj is None or isinstance(obj, bool):
-        return _JSON_LITERALS[obj]
-    if isinstance(obj, (int, float)):
-        return json.dumps(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        string = json.encoder.encode_basestring_ascii
-        items = (f"{inner}{string(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = (inner + _json_text(value, inner) for value in obj)
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"comma-separated Schmidt angles in [THETA_MIN = {qo.THETA_MIN:.5g}, pi/2]",
         )
         angles.add_argument("--theta-grid", type=_grid_size, help="number of grid angles (>= 1)")
-        p.add_argument("--config", help="flat key=value file; keys are these flag names")
-        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument(
+            "--config", type=_path, help="flat key=value file; keys are these flag names"
+        )
+        p.add_argument("--out", type=_path, help="output path (default stdout)")
         p.add_argument(
             "--format", choices=spec.formats, default=spec.formats[0], help="output format"
         )

@@ -239,18 +239,19 @@ class TestKetOracle:
 
 
 class TestAttackTablesFromAncillaOperators:
-    """`evaluate_attack` on the carried ket against `brute_force_joint`'s ket rebuilt from theta.
+    """`evaluate_attack` against the density-matrix route Re Tr[(R_a x S_b) rho].
 
-    Both are the 16-dimensional Born rule on the dilated POVMs, the oracles of `_tables`.
+    rho = psi_theta x chi_k from `compose_with_ancilla`: chi_+ for P+ and chi_- for P-.
     """
 
     @staticmethod
-    def assert_matches_brute_force(attack):
+    def assert_matches_density_route(attack):
         cj = adv.evaluate_attack(attack)
-        for sign, table in ((+1, cj.p_plus), (-1, cj.p_minus)):
-            brute = adv.brute_force_joint(attack, attack.theta, sign)
-            assert table.shape == brute.shape
-            assert np.max(np.abs(table - brute)) <= mk.ZERO_TOL
+        for k, table in enumerate((cj.p_plus, cj.p_minus)):
+            rho = qo.compose_with_ancilla(qo.psi_theta(attack.theta), adv.CHI[k]).rho
+            expected = mk.joint_table(attack.r_povm.elements, attack.s_povm.elements, rho)
+            assert table.shape == expected.shape
+            assert np.max(np.abs(table - expected)) <= mk.ZERO_TOL
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(1e-3, math.pi / 2))
@@ -260,12 +261,12 @@ class TestAttackTablesFromAncillaOperators:
         bob = tg.random_extremal_povm(4, rng)
         lam = random_admissible_coeffs(alice, rng)
         mu = random_admissible_coeffs(bob, rng)
-        self.assert_matches_brute_force(make_attack(alice, bob, lam, mu, theta))
+        self.assert_matches_density_route(make_attack(alice, bob, lam, mu, theta))
 
     @pytest.mark.parametrize("theta", [qo.THETA_MIN, 1e-9, math.pi / 2])
     def test_cli_pair(self, theta):
         p = qo.adjusted_tetrahedral(theta)
-        self.assert_matches_brute_force(adv.build_attack(p, p, theta))
+        self.assert_matches_density_route(adv.build_attack(p, p, theta))
 
 
 class TestBuildAttack:

@@ -151,6 +151,26 @@ class TestAttack:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest"],
+        ["certify", "--scenario", "global_povm"],
+        ["attack"],
+        ["sweep"],
+        ["sweep", "--format", "json"],
+    ],
+    ids=" ".join,
+)
+def test_out_writes_the_bytes_of_stdout(capsys, tmp_path, argv):
+    argv = [*argv, "--theta", "0.4,1.1"]
+    code, out = run(capsys, argv)
+    path = tmp_path / "doc"
+    assert main([*argv, "--out", str(path)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode("utf-8")
+
+
 class TestSweep:
     def test_csv_structure_and_monotone_beta(self, capsys):
         code, out = run(capsys, ["sweep", "--theta-grid", "20"])
@@ -217,6 +237,16 @@ class TestConfigFile:
         monkeypatch.setattr(cli, "check_theta", lambda t: calls.append(t) or check_theta(t))
         assert run(capsys, argv)[0] == 0
         assert len(calls) == 1
+
+    def test_a_second_config_is_refused(self, capsys, tmp_path):
+        # With the second file dropped, the first one's impossible tolerance would fail the run.
+        c1, c2 = tmp_path / "c1.cfg", tmp_path / "c2.cfg"
+        c1.write_text("tol.bell_residual=1e-30\n", encoding="utf-8")
+        c2.write_text("theta=0.6\n", encoding="utf-8")
+        assert main(["selftest", "--config", str(c1), "--config", str(c2)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: argument --config: given 2 times; pass one config file\n"
 
     def test_malformed_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -286,6 +316,7 @@ REFUSED = [
     ["attack", "--seed", "7"],
     ["selftest", "--config", "seed=3"],
     ["sweep", "--theta", "0.5", "--theta-grid", "3"],
+    ["selftest", "--theta", "0.5", "--config="],
     ["sweep", "--theta", "0.5", "--config", "theta_grid=3"],
 ]
 
@@ -605,39 +636,6 @@ class TestEachCommandComputesWhatItReports:
             **{f"certify {sc}": certify for sc in SCENARIOS},
             "attack": {"check_theta": 1, "angle_stack": 0, "min_entropy": 0},
         }
-
-
-json_leaves = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats()  # NaN and the infinities included
-    | st.text()
-)
-json_trees = st.recursive(
-    json_leaves,
-    lambda children: st.lists(children)
-    | st.lists(children).map(tuple)
-    | st.dictionaries(st.text(), children),
-    max_leaves=40,
-)
-
-
-class TestJsonText:
-    """The report writer against the standard encoder it replaces."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(json_trees)
-    @example({"a": [], "b": {}, "c": [1.5, -0.0, 5e-324, np.float64(0.1)], "é\n\"": (True, None)})
-    def test_same_bytes_as_json_dumps(self, tree):
-        assert cli._json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
-
-    def test_refuses_what_json_refuses(self):
-        for obj in ({1, 2}, [np.bool_(True)], {"x": object()}):
-            with pytest.raises(TypeError):
-                json.dumps(obj)
-            with pytest.raises(TypeError):
-                cli._json_text(obj)
 
 
 class TestCommandsAgree:

@@ -62,6 +62,7 @@ REFUSAL_FORMS = (
     "attack --tol spectral=1e-3 --theta 0.5",
     "attack --epsilon 0.1 --theta 0.5",
     "sweep --format xml --theta 0.5",
+    "selftest --theta 0.5 --out=",
 )
 FORMS = (*(f"{c} {a}" for c in COMMAND_FORMS for a in ANGLE_FORMS), *REFUSAL_FORMS)
 
@@ -183,6 +184,12 @@ def test_documents_match_the_file():
     same = {k: table[k] for k in versions()} == versions()
     moved = report(table, fresh) if same else report(table, fresh, REL, FLOOR)
     assert not moved, "moved against cli_documents.json:\n" + "\n".join(moved)
+
+
+def test_every_json_document_is_one_compact_sorted_line():
+    for line in (f"{c} {a}" for c in COMMAND_FORMS if c != "sweep" for a in ANGLE_FORMS):
+        out = run_form(line)["stdout"]
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_a_moved_float_is_named_by_its_path():
