@@ -18,7 +18,6 @@ only the Born-rule oracles :func:`evaluate_attack` and
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,21 +33,14 @@ class DegenerateAttackError(RuntimeError):
     """No unit-magnitude coefficient pair has a nonzero target amplitude."""
 
 
-# Eve's ancilla pair lives on the ancilla realization the Bell kernels use:
-# A' = B' = Z, with the average of her states its mixed sigma.  _SUPPORT holds
-# the columns |00> and |11>, an orthonormal basis of the +1 eigenspace of
-# A' x B' (_ZZ), where every state of Eve's lives.
-_ANCILLA = qo.ancilla_mixed()
-_ZZ = np.kron(_ANCILLA.a_prime, _ANCILLA.b_prime)
-_SUPPORT = np.eye(4)[:, [0, 3]]
-
-# Eve's ancilla pair chi_+- = (|00> +- |11>)/sqrt(2) on the two ancilla qubits:
-# _CHI_KETS holds the kets as rows (chi_+ first), CHI the states validated once,
-# _CHI_RHOS stacks them for Eve's first decomposition, and _CHI_BLOCKS holds their
-# blocks on _SUPPORT, exactly (1/2)[[1, +-1], [+-1, 1]] (CHI's squares give 0.4999999999999999).
-_CHI_KETS = np.stack([_SUPPORT @ [1, s] / math.sqrt(2.0) for s in (1, -1)])
+# Eve's ancilla pair chi_+- = (|00> +- |11>)/sqrt(2) on the two ancilla qubits
+# (A' = B' = Z): _CHI_KETS holds the kets as rows (chi_+ first) for the oracle
+# brute_force_joint, and CHI the states validated once.  Every state of Eve's
+# lives on span{|00>, |11>}, the +1 eigenspace of A' x B', and is read as its
+# 2x2 block there; _CHI_BLOCKS holds chi_+-'s, exactly (1/2)[[1, +-1], [+-1, 1]]
+# (CHI's squares give 0.4999999999999999).
+_CHI_KETS = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]]) / math.sqrt(2.0)
 CHI: tuple[QState, QState] = tuple(qo.qstate_from_ket(k, (2, 2)) for k in _CHI_KETS)
-_CHI_RHOS = np.stack([chi.rho for chi in CHI])
 _CHI_BLOCKS = np.array([[[1.0, s], [s, 1.0]] for s in (1.0, -1.0)]) / 2
 
 
@@ -73,9 +65,9 @@ def ideal_joint(alice: Povm, bob: Povm, psi) -> np.ndarray:
 
 
 def _tables(amp, lam, mu, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(|amp|^2, P) from amplitudes (..., m, n) and Eve's blocks s (S, 2, 2) on `_SUPPORT`.
+    """(|amp|^2, P) from amplitudes (..., m, n) and Eve's blocks s (S, 2, 2) on span{|00>, |11>}.
 
-    W_ab restricted to `_SUPPORT` has |amp_ab|^2 on its diagonal and
+    W_ab restricted to that support has |amp_ab|^2 on its diagonal and
     lam_a mu_b conj(amp_ab)^2 off it, so a Hermitian block s conditions the table
     P_s(a, b) = Re Tr[W_ab s] = |amp_ab|^2 tr s + 2 Re[s_01 conj(lam_a mu_b) amp_ab^2],
     stacked (S, ..., m, n).  The chi_+- blocks `_CHI_BLOCKS` give
@@ -288,13 +280,16 @@ def randomness_cap() -> float:
 # ---------------------------------------------------------------------------
 
 
+_DECOMPOSITIONS = 10  # Eve decompositions sampled by qubit_reduction_check
+
+
 @dataclass(frozen=True)
 class QubitReductionReport:
     theta: float
     n_decompositions: int
     max_deviation: float
     deviations: tuple[float, ...]
-    correlation_check: float  # worst-case |<A' x B'> - 1| over conditionals
+    correlation_check: float  # worst-case |<A' x B'> - 1| = |tr s - 1| over Eve's blocks s
 
     @property
     def reduces(self) -> bool:
@@ -302,19 +297,19 @@ class QubitReductionReport:
 
 
 def _eve_decompositions(n_samples: int, rng: np.random.Generator):
-    """Ensembles {(p_k, sigma_k)} decomposing the mixed ancilla pair, stacked.
+    """Ensembles {(p_k, sigma_k)} decomposing the mixed ancilla pair, stacked as 2x2 blocks.
 
     The base state is the mixed ancilla sigma = (|00><00| + |11><11|)/2, the
     ancilla marginal of (|00>|0> + |11>|1>)/sqrt(2) whose last qubit Eve
-    holds.  Her measurement {E_k} on that qubit leaves the subnormalized
-    state V E_k^T V^dagger / 2, with V the columns |00> and |11>, so
+    holds.  Her measurement {E_k} on that qubit leaves the state with block
+    E_k^T / Tr E_k on span{|00>, |11>} and zero elsewhere, with probability
     p_k = Tr E_k / 2.  The first decomposition is the canonical conjugation
-    pair `CHI`; the rest alternate Haar-random rank-1 projective
-    measurements and random two-element full-rank POVMs.  Every state lies in
-    the range of V, the +1 eigenspace of A' x B' = Z x Z, so the perfect
-    correlation is preserved; V's 0/1 entries place those of E_k^T exactly.
+    pair, as the exact `_CHI_BLOCKS`; the rest alternate Haar-random rank-1
+    projective measurements and random two-element full-rank POVMs.  The
+    support is the +1 eigenspace of A' x B' = Z x Z, so the perfect
+    correlation is preserved.
 
-    Returns (weights, index, states) of shapes (K,), (K,) and (K, 4, 4) with
+    Returns (weights, index, blocks) of shapes (K,), (K,) and (K, 2, 2) with
     K = 2 n_samples: state n belongs to decomposition index[n].  All normals
     come from one draw, in the order of a loop over the decompositions
     (8 for a Haar unitary, then 16 for a POVM's two Ginibre matrices).
@@ -333,62 +328,53 @@ def _eve_decompositions(n_samples: int, rng: np.random.Generator):
     elements[0::2] = cols[..., :, None] * np.conj(cols[..., None, :])
     elements[1::2] = root_inv @ g @ root_inv
     traces = np.trace(elements, axis1=-2, axis2=-1).real
-    states = _SUPPORT @ np.swapaxes(elements, -1, -2) @ _SUPPORT.T / traces[..., None, None]
+    blocks = np.swapaxes(elements, -1, -2) / traces[..., None, None]
     weights = np.concatenate([[0.5, 0.5], traces.reshape(-1) / 2])
-    states = np.concatenate([_CHI_RHOS, states.reshape(-1, 4, 4)])
-    return weights, np.repeat(np.arange(n_samples), 2), states
+    blocks = np.concatenate([_CHI_BLOCKS, blocks.reshape(-1, 2, 2)])
+    return weights, np.repeat(np.arange(n_samples), 2), blocks
 
 
 def qubit_reduction_check(
-    alice: Povm,
-    bob: Povm,
-    theta: float,
-    n_decompositions: int = 10,
-    seed: int = 0,
+    alice: Povm, bob: Povm, theta: float, seed: int = 0
 ) -> QubitReductionReport:
-    """Check that Eve-conditioned joints equal the ideal qubit joints.
+    """Check that Eve-conditioned joints equal the ideal qubit joints over 10 decompositions.
 
     Each side takes its :func:`_admissible_coeffs`, gated by
     `tomography.check_dilation`; they are zero when it has at most three
     outcomes, and with four outcomes on both sides they are not, and the
     check fails.  For each sampled Eve decomposition every conditional joint
-    is compared entrywise to the ideal table |amp|^2.  The count of
-    decompositions is an integer of at least 1; anything else is refused.
+    is compared entrywise to the ideal table |amp|^2.
 
-    Every Eve state sigma_n meets the `QState` contract and has
-    <A' x B'> = 1 within IDENTITY_TOL, or is refused by its index within its
-    decomposition.  Then sigma_n lives on `_SUPPORT`, so its joint is
-    :func:`_tables` of its 2x2 block there, and no dilated POVM is built.
+    Every Eve state is its 2x2 block s on span{|00>, |11>}, gated by
+    `qo.check_state_stack`, which on that support is the embedded state's
+    `QState` contract; a refusal names the state by its index within its
+    decomposition.  A' x B' = Z x Z is the identity there, so
+    <A' x B'> = tr s, and `correlation_check` is max |tr s - 1|.  The joints
+    are :func:`_tables` of the blocks, and no dilated POVM is built.
     """
     theta, psi = qo.theta_ket(theta)
-    count = n_decompositions
-    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"n_decompositions must be an integer >= 1, got {count}")
     rng = np.random.default_rng(seed)
 
     kets = [tg.rank_one_kets(p) for p in (alice, bob)]
     lam, mu = (_admissible_coeffs(k) for k in kets)
     tg.check_dilation(lam, kets[0])
     tg.check_dilation(mu, kets[1])
-    _, index, sigmas = _eve_decompositions(n_decompositions, rng)
+    _, index, blocks = _eve_decompositions(_DECOMPOSITIONS, rng)
 
     def eve(n: int) -> str:
         d = int(index[n])
         return f"Eve state {int(np.count_nonzero(index[:n] == d))} of decomposition {d}"
 
-    qo.check_state_stack(sigmas, eve)
-    corr = np.abs(np.einsum("ij,nji->n", _ZZ, sigmas).real - 1.0)
-    mk.refuse_beyond(corr, mk.IDENTITY_TOL, "|<A' x B'> - 1|", eve)
-
-    ideal, joints = _tables(_amplitudes(*kets, psi), lam, mu, sigmas[:, [0, 3]][:, :, [0, 3]])
-    deviations = np.zeros(n_decompositions)
+    qo.check_state_stack(blocks, eve)
+    ideal, joints = _tables(_amplitudes(*kets, psi), lam, mu, blocks)
+    deviations = np.zeros(_DECOMPOSITIONS)
     np.maximum.at(deviations, index, np.max(np.abs(joints - ideal), axis=(1, 2)))
     return QubitReductionReport(
         theta=theta,
-        n_decompositions=n_decompositions,
+        n_decompositions=_DECOMPOSITIONS,
         max_deviation=float(deviations.max()),
         deviations=tuple(float(x) for x in deviations),
-        correlation_check=float(corr.max()),
+        correlation_check=float(np.max(np.abs(np.trace(blocks, axis1=1, axis2=2).real - 1.0))),
     )
 
 

@@ -217,18 +217,14 @@ def test_08_attack_suite():
 def test_09_qubit_reduction():
     theta = 0.8
     rep = adv.qubit_reduction_check(
-        qo.adjusted_tetrahedral(theta),
-        qo.modified_mercedes(theta),
-        theta,
-        n_decompositions=10,
-        seed=19,
+        qo.adjusted_tetrahedral(theta), qo.modified_mercedes(theta), theta, seed=19
     )
     reduce_ok = rep.max_deviation <= 1e-10
 
     theta = math.pi / 2
     alice = qo.adjusted_tetrahedral(theta)
     bob = qo.adjusted_tetrahedral(theta)
-    rep44 = adv.qubit_reduction_check(alice, bob, theta, n_decompositions=3, seed=23)
+    rep44 = adv.qubit_reduction_check(alice, bob, theta, seed=23)
     fail_ok = rep44.max_deviation >= 1e-3
     ok = reduce_ok and fail_ok
     report(

@@ -178,7 +178,7 @@ class TestKetOracle:
     """`brute_force_joint` evaluates one 16-dim ket; the density-matrix route is its oracle."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.floats(0.05, math.pi / 2))
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, math.pi / 2))
     def test_matches_the_density_matrix_route(self, seed, theta):
         rng = np.random.default_rng(seed)
         alice = tg.random_extremal_povm(4, rng)
@@ -186,10 +186,15 @@ class TestKetOracle:
         lam = random_admissible_coeffs(alice, rng)
         mu = random_admissible_coeffs(bob, rng)
         attack = make_attack(alice, bob, lam, mu, theta)
-        for k, sign in enumerate((+1, -1)):
+        brute = [adv.brute_force_joint(attack, theta, sign) for sign in (+1, -1)]
+        for k, table in enumerate(brute):
             rho = qo.compose_with_ancilla(qo.psi_theta(theta), adv.CHI[k]).rho
             expected = mk.joint_table(attack.r_povm.elements, attack.s_povm.elements, rho)
-            assert np.max(np.abs(adv.brute_force_joint(attack, theta, sign) - expected)) <= 1e-14
+            assert np.max(np.abs(table - expected)) <= 1e-14
+        # evaluate_attack wires chi_+ to P+ and chi_- to P-
+        cj = adv.evaluate_attack(attack)
+        np.testing.assert_array_equal(cj.p_plus, brute[0])
+        np.testing.assert_array_equal(cj.p_minus, brute[1])
 
     def test_unnormalized_state_refused_naming_the_angle(self, monkeypatch):
         p = qo.adjusted_tetrahedral(0.5)
@@ -252,16 +257,6 @@ class TestAttackTablesFromAncillaOperators:
             expected = mk.joint_table(attack.r_povm.elements, attack.s_povm.elements, rho)
             assert table.shape == expected.shape
             assert np.max(np.abs(table - expected)) <= mk.ZERO_TOL
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, math.pi / 2))
-    def test_random_pairs(self, seed, theta):
-        rng = np.random.default_rng(seed)
-        alice = tg.random_extremal_povm(4, rng)
-        bob = tg.random_extremal_povm(4, rng)
-        lam = random_admissible_coeffs(alice, rng)
-        mu = random_admissible_coeffs(bob, rng)
-        self.assert_matches_density_route(make_attack(alice, bob, lam, mu, theta))
 
     @pytest.mark.parametrize("theta", [qo.THETA_MIN, 1e-9, math.pi / 2])
     def test_cli_pair(self, theta):
@@ -536,25 +531,6 @@ def nan_member(valid, shape):
     return np.stack([np.asarray(valid, dtype=complex), np.full(shape, NAN, dtype=complex)])
 
 
-def nan_eve_state(monkeypatch):
-    """qubit_reduction_check with Eve state 1 of decomposition 1 all NaN.
-
-    The states' `QState` check, whose eigvalsh cannot take the NaN, is off.
-    """
-    stacked = adv._eve_decompositions
-
-    def corrupted(n_samples, rng):
-        weights, index, states = stacked(n_samples, rng)
-        states = states.copy()
-        states[3] = NAN
-        return weights, index, states
-
-    monkeypatch.setattr(adv, "_eve_decompositions", corrupted)
-    monkeypatch.setattr(qo, "check_state_stack", lambda rhos, where=None: None)
-    p = qo.adjusted_tetrahedral(0.9)
-    adv.qubit_reduction_check(p, qo.modified_mercedes(0.9), 0.9, n_decompositions=3)
-
-
 def nan_observables(_):
     qo.check_dichotomic_stack(nan_member(qo.PAULI_Z, (2, 2)), "member {}".format)
 
@@ -682,13 +658,6 @@ class TestNanRefused:
                 id="kets_from_elements",
             ),
             pytest.param(
-                "|<A' x B'> - 1|",
-                "1e-10",
-                "Eve state 1 of decomposition 1",
-                nan_eve_state,
-                id="reduction_correlation",
-            ),
-            pytest.param(
                 "non-finite ket",
                 "1e-12",
                 "outcome 1",
@@ -737,29 +706,20 @@ class TestNanRefused:
                 call()
 
 
+FOUR_BY_THREE = (qo.adjusted_tetrahedral(0.9), qo.modified_mercedes(0.9), 0.9)
+
+
 class TestQubitReduction:
     def test_four_by_three_reduces(self):
-        rep = adv.qubit_reduction_check(
-            qo.adjusted_tetrahedral(0.9),
-            qo.modified_mercedes(0.9),
-            0.9,
-            n_decompositions=10,
-            seed=7,
-        )
+        rep = adv.qubit_reduction_check(*FOUR_BY_THREE, seed=7)
         assert rep.reduces
         assert rep.max_deviation <= 1e-10
         assert rep.correlation_check <= 1e-10
-        assert rep.n_decompositions == 10
+        assert rep.n_decompositions == len(rep.deviations) == 10
 
-    @pytest.mark.parametrize("count", [0, -3, 2.5, 3.0, True])
-    def test_count_below_one_refused(self, count):
-        with pytest.raises(ValueError, match="n_decompositions"):
-            adv.qubit_reduction_check(
-                qo.adjusted_tetrahedral(0.9), qo.modified_mercedes(0.9), 0.9, n_decompositions=count
-            )
-
-    def test_checks_only_four_by_four_stacks(self, monkeypatch):
-        # the composite (A, A', B, B') states are implied by the 4x4 checks, never formed
+    def test_checks_only_two_by_two_blocks(self, monkeypatch):
+        # Eve's states are checked as their blocks on span{|00>, |11>}: neither
+        # a 4 x 4 ancilla state nor a composite (A, A', B, B') state is formed
         shapes = []
         plain = qo.check_state_stack
 
@@ -768,11 +728,8 @@ class TestQubitReduction:
             return plain(rhos, where)
 
         monkeypatch.setattr(qo, "check_state_stack", recording)
-        adv.qubit_reduction_check(
-            qo.adjusted_tetrahedral(0.9), qo.modified_mercedes(0.9), 0.9, n_decompositions=6
-        )
-        assert shapes
-        assert all(len(shape) == 3 and shape[1:] == (4, 4) for shape in shapes)
+        adv.qubit_reduction_check(*FOUR_BY_THREE)
+        assert shapes == [(20, 2, 2)]
 
     def test_reads_no_dilated_povm(self, monkeypatch):
         # the tables come from Eve's 2x2 blocks; dilations and element tables serve the oracles
@@ -782,97 +739,104 @@ class TestQubitReduction:
         oracles = ((tg, "build_dilated_povm"), (adv, "ideal_joint"), (mk, "joint_table_kets"))
         for module, name in oracles:
             monkeypatch.setattr(module, name, refused)
-        p, bob3 = qo.adjusted_tetrahedral(0.9), qo.modified_mercedes(0.9)
-        assert adv.qubit_reduction_check(p, bob3, 0.9, n_decompositions=4).reduces
+        assert adv.qubit_reduction_check(*FOUR_BY_THREE).reduces
 
     def test_three_by_two_trivially_reduces(self):
         rng = np.random.default_rng(13)
         rep = adv.qubit_reduction_check(
-            qo.modified_mercedes(0.5),
-            tg.random_extremal_povm(2, rng),
-            0.5,
-            n_decompositions=4,
-            seed=5,
+            qo.modified_mercedes(0.5), tg.random_extremal_povm(2, rng), 0.5, seed=5
         )
         assert rep.reduces
 
     def test_eve_ensembles_decompose_the_ancilla_mixture(self):
+        # the mixed ancilla is zero off span{|00>, |11>}; its block there is I/2
         mixture = qo.ancilla_mixed().sigma.rho
-        corr = mk.kron(qo.PAULI_Z, qo.PAULI_Z)
-        weights, index, states = adv._eve_decompositions(50, np.random.default_rng(3))
+        assert not mixture[1:3].any() and not mixture[:, 1:3].any()
+        mixture = mixture[[0, 3]][:, [0, 3]]
+        weights, index, blocks = adv._eve_decompositions(50, np.random.default_rng(3))
         assert np.array_equal(np.unique(index), np.arange(50))
         assert np.max(np.abs(np.bincount(index, weights) - 1.0)) <= mk.IDENTITY_TOL
         for d in range(50):
-            average = np.einsum("n,nij->ij", weights[index == d], states[index == d])
+            average = np.einsum("n,nij->ij", weights[index == d], blocks[index == d])
             assert np.max(np.abs(average - mixture)) <= mk.IDENTITY_TOL
-        for sigma in states:
-            assert abs(mk.expval(corr, sigma) - 1.0) <= mk.IDENTITY_TOL
+        # <A' x B'> = tr s: Z x Z is the identity on the support
+        traces = np.trace(blocks, axis1=1, axis2=2)
+        assert np.max(np.abs(traces - 1.0)) <= mk.IDENTITY_TOL
 
     @pytest.mark.parametrize("seed", [0, 3, 2**31 - 1])
     def test_eve_stream_matches_the_per_decomposition_draws(self, seed):
-        rng = np.random.default_rng(seed)
-        weights, index, states = adv._eve_decompositions(10, rng)
-        old_rng = np.random.default_rng(seed)
-        old = [m for ensemble in old_eve_decompositions(10, old_rng) for m in ensemble]
-        np.testing.assert_array_equal(weights, [p for p, _ in old])
-        np.testing.assert_array_equal(index, np.repeat(np.arange(10), 2))
-        np.testing.assert_array_equal(states, [sigma for _, sigma in old])
-        assert rng.bit_generator.state == old_rng.bit_generator.state
+        # the 4 x 4 reference states are exactly zero off the support and
+        # restrict to the blocks; the chi pair is exact in the blocks only
+        for n in (1, 2, 10, 11):
+            rng = np.random.default_rng(seed)
+            weights, index, blocks = adv._eve_decompositions(n, rng)
+            old_rng = np.random.default_rng(seed)
+            old = [m for ensemble in old_eve_decompositions(n, old_rng) for m in ensemble]
+            states = np.array([sigma for _, sigma in old])
+            np.testing.assert_array_equal(weights, [p for p, _ in old])
+            np.testing.assert_array_equal(index, np.repeat(np.arange(n), 2))
+            assert not states[:, 1:3].any() and not states[:, :, 1:3].any()
+            restricted = states[:, [0, 3]][:, :, [0, 3]]
+            np.testing.assert_array_equal(blocks[:2], adv._CHI_BLOCKS)
+            assert np.max(np.abs(restricted[:2] - blocks[:2])) <= mk.ZERO_TOL
+            np.testing.assert_array_equal(blocks[2:], restricted[2:])
+            assert rng.bit_generator.state == old_rng.bit_generator.state
 
     def test_four_by_four_with_nonzero_coefficients_fails(self):
         theta = np.pi / 2
         alice = qo.adjusted_tetrahedral(theta)
         bob = qo.adjusted_tetrahedral(theta)
-        rep = adv.qubit_reduction_check(alice, bob, theta, n_decompositions=3, seed=11)
+        rep = adv.qubit_reduction_check(alice, bob, theta, seed=11)
         assert not rep.reduces
         assert rep.max_deviation >= 1e-3
 
 
 class TestReductionGates:
-    """A corrupted Eve state is refused, naming the condition, the state and its decomposition."""
-
-    ZERO_ONE = np.outer(np.kron(ZERO, ONE), np.kron(ZERO, ONE))  # |01><01|
+    """A corrupted Eve block is refused, naming the condition, the state and its decomposition."""
 
     @pytest.mark.parametrize(
-        "decomposition, member, sigma, message",
+        "decomposition, member, block, message",
         [
             (
                 4,
                 1,
-                np.diag([1.5, 0, 0, -0.5]),
+                np.diag([1.5, -0.5]),
                 r"density operator PSD violation 5\.000e-01 exceeds 1e-10",
             ),
             (
                 2,
                 0,
-                np.diag([0.55, 0, 0, 0.55]),
+                np.diag([0.55, 0.55]),
                 r"density operator \|trace - 1\| 1\.000e-01 exceeds 1e-10",
             ),
             (
                 5,
                 0,
-                adv.CHI[0].rho + np.eye(4, k=1) * 1e-6,
+                adv._CHI_BLOCKS[0] + np.eye(2, k=1) * 1e-6,
                 r"density operator non-Hermitian part 1\.000e-06 exceeds 1e-12",
             ),
-            (3, 1, ZERO_ONE, r"\|<A' x B'> - 1\| 2\.000e\+00 exceeds 1e-10"),
+            (
+                1,
+                1,
+                np.full((2, 2), NAN),
+                r"density operator non-Hermitian part nan exceeds 1e-12",
+            ),
         ],
-        ids=["psd", "trace", "hermitian", "correlation"],
+        ids=["psd", "trace", "hermitian", "nan"],
     )
-    def test_corrupted_state_refused(self, monkeypatch, decomposition, member, sigma, message):
+    def test_corrupted_state_refused(self, monkeypatch, decomposition, member, block, message):
         stacked = adv._eve_decompositions
 
         def corrupted(n_samples, rng):
-            weights, index, states = stacked(n_samples, rng)
-            states = states.copy()
-            states[np.flatnonzero(index == decomposition)[member]] = sigma
-            return weights, index, states
+            weights, index, blocks = stacked(n_samples, rng)
+            blocks = blocks.copy()
+            blocks[np.flatnonzero(index == decomposition)[member]] = block
+            return weights, index, blocks
 
         monkeypatch.setattr(adv, "_eve_decompositions", corrupted)
         where = f" at Eve state {member} of decomposition {decomposition}$"
         with pytest.raises(ValueError, match="^" + message + where):
-            adv.qubit_reduction_check(
-                qo.adjusted_tetrahedral(0.9), qo.modified_mercedes(0.9), 0.9, n_decompositions=6
-            )
+            adv.qubit_reduction_check(*FOUR_BY_THREE)
 
 
 class TestStackedReduction:
@@ -884,23 +848,93 @@ class TestStackedReduction:
         rng = np.random.default_rng(seed)
         alice = tg.random_extremal_povm(4, rng)
         bob = tg.random_extremal_povm(4 if four_by_four else 3, rng)
-        n = rng.integers(1, 12)  # a numpy integer count is accepted
-        rep = adv.qubit_reduction_check(alice, bob, theta, n_decompositions=n, seed=seed)
-        deviations, corr = reduction_oracle(alice, bob, theta, n, seed)
+        rep = adv.qubit_reduction_check(alice, bob, theta, seed=seed)
+        deviations, corr = reduction_oracle(alice, bob, theta, 10, seed)
         if four_by_four:
             assert max(deviations) > mk.IDENTITY_TOL
-        assert rep.n_decompositions == n
         assert np.max(np.abs(np.subtract(rep.deviations, deviations))) <= mk.ZERO_TOL
         assert abs(rep.correlation_check - corr) <= mk.ZERO_TOL
-        # undetectable over every sampled decomposition, not only the chi pair:
-        # Eve's tables weighted by her decomposition's weights average to |amp|^2
-        weights, index, sigmas = adv._eve_decompositions(n, np.random.default_rng(seed))
+        # undetectable over every sampled decomposition, not only the chi pair,
+        # for any count down to the chi pair alone: Eve's tables weighted by
+        # her decomposition's weights average to |amp|^2
+        n = int(rng.integers(1, 12))
+        weights, index, blocks = adv._eve_decompositions(n, np.random.default_rng(seed))
         amp = adv.joint_amplitudes(alice, bob, qo.psi_theta_ket(theta))
         lam, mu = (adv._admissible_coeffs(p.kets) for p in (alice, bob))
-        ideal, tables = adv._tables(amp, lam, mu, sigmas[:, [0, 3]][:, :, [0, 3]])
+        ideal, tables = adv._tables(amp, lam, mu, blocks)
         averages = np.zeros((n, *ideal.shape))
         np.add.at(averages, index, weights[:, None, None] * tables)
         assert np.max(np.abs(averages - ideal)) <= mk.ZERO_TOL
+
+
+class TestReductionWorstCase:
+    """No Eve state moves a table entry by more than max_ab |lam_a| |mu_b| |amp_ab|^2.
+
+    Every Eve block s has tr s = 1 and |s_01| <= 1/2, so its deviation
+    2 Re[s_01 conj(lam_a mu_b) amp_ab^2] from |amp_ab|^2 is at most
+    |lam_a| |mu_b| |amp_ab|^2; the chi pair's real s_01 = +-1/2 reaches it up
+    to the phase of the interference term.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, math.pi / 2), st.booleans())
+    def test_every_sampled_deviation_within_the_worst_case(self, seed, theta, four_by_four):
+        rng = np.random.default_rng(seed)
+        alice = tg.random_extremal_povm(4, rng)
+        bob = tg.random_extremal_povm(4 if four_by_four else 3, rng)
+        lam, mu = (adv._admissible_coeffs(p.kets) for p in (alice, bob))
+        amp = adv.joint_amplitudes(alice, bob, qo.psi_theta_ket(theta))
+        worst = np.max(np.abs(lam)[:, None] * np.abs(mu)[None, :] * np.abs(amp) ** 2)
+        rep = adv.qubit_reduction_check(alice, bob, theta, seed=seed)
+        assert max(rep.deviations) <= worst + mk.ZERO_TOL
+
+
+def coherence_determinant(kets):
+    """det of the rows (k_0^2, k_0 k_1, k_1^2) of three kets (..., 3, 2), by Laplace expansion.
+
+    The rows are the coordinates of T_a = |k_a><k_a*| in the span of {I, X, Z},
+    and the expansion runs along the first column with `mk.null_vector`'s
+    signed minors of the other two.
+    """
+    c = kets[..., [0, 0, 1]] * kets[..., [0, 1, 1]]
+    return np.sum(c[..., 0] * mk.null_vector(c[..., 1:]), axis=-1)
+
+
+def pairwise_determinants(kets):
+    """Product over a < b of the ket determinants k_a0 k_b1 - k_b0 k_a1 of kets (..., 3, 2)."""
+    a, b = np.array([0, 0, 1]), np.array([1, 2, 2])
+    return np.prod(kets[..., a, 0] * kets[..., b, 1] - kets[..., b, 0] * kets[..., a, 1], axis=-1)
+
+
+class TestThreeOutcomeIndependence:
+    """The three T_a of a three-outcome extremal POVM are independent.
+
+    Then sum_a c_a T_a = 0 forces c = 0, so `_admissible_coeffs`' zeros are
+    the only admissible coefficients and the qubit reduction is exact.  The
+    determinant of the T_a coordinates is a homogeneous Vandermonde
+    determinant: the product of the pairwise ket determinants, nonzero
+    unless two kets are parallel.
+    """
+
+    @staticmethod
+    def assert_certified(kets):
+        det = coherence_determinant(kets)
+        assert np.max(np.abs(det - pairwise_determinants(kets))) <= 1e-15
+        assert np.abs(det).min() > mk.RANK_TOL
+
+    def test_random_extremal_povms(self):
+        rng = np.random.default_rng(3)
+        self.assert_certified(np.stack([tg.random_extremal_povm(3, rng).kets for _ in range(300)]))
+
+    def test_modified_mercedes(self):
+        thetas = [qo.THETA_MIN, 1e-9, *np.linspace(1e-3, math.pi / 2, 50)]
+        self.assert_certified(np.stack([qo.modified_mercedes(t).kets for t in thetas]))
+
+    def test_parallel_kets_give_zero(self):
+        kets = qo.modified_mercedes(0.7).kets.copy()
+        kets[1] = 0.5 * kets[0]
+        assert coherence_determinant(kets) == 0.0
+        assert pairwise_determinants(kets) == 0.0
 
 
 ANGLES = st.floats(1e-3, math.pi / 2)
