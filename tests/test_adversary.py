@@ -258,6 +258,16 @@ class TestAttackTablesFromAncillaOperators:
             assert table.shape == expected.shape
             assert np.max(np.abs(table - expected)) <= mk.ZERO_TOL
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, math.pi / 2))
+    def test_random_pairs(self, seed, theta):
+        rng = np.random.default_rng(seed)
+        alice = tg.random_extremal_povm(4, rng)
+        bob = tg.random_extremal_povm(4, rng)
+        lam = random_admissible_coeffs(alice, rng)
+        mu = random_admissible_coeffs(bob, rng)
+        self.assert_matches_density_route(make_attack(alice, bob, lam, mu, theta))
+
     @pytest.mark.parametrize("theta", [qo.THETA_MIN, 1e-9, math.pi / 2])
     def test_cli_pair(self, theta):
         p = qo.adjusted_tetrahedral(theta)
