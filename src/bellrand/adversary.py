@@ -34,13 +34,16 @@ class DegenerateAttackError(RuntimeError):
 
 
 # Eve's ancilla pair chi_+- = (|00> +- |11>)/sqrt(2) on the two ancilla qubits
-# (A' = B' = Z): _CHI_KETS holds the kets as rows (chi_+ first) for the oracle
-# brute_force_joint, and CHI the states validated once.  Every state of Eve's
-# lives on span{|00>, |11>}, the +1 eigenspace of A' x B', and is read as its
-# 2x2 block there; _CHI_BLOCKS holds chi_+-'s, exactly (1/2)[[1, +-1], [+-1, 1]]
-# (CHI's squares give 0.4999999999999999).
-_CHI_KETS = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]]) / math.sqrt(2.0)
-CHI: tuple[QState, QState] = tuple(qo.qstate_from_ket(k, (2, 2)) for k in _CHI_KETS)
+# (A' = B' = Z): _CHI_KETS holds each as a one-ket stack (1, 2, 2) on (A', B'),
+# chi_+ first, the ancilla format of `qo.with_ancilla`, for the oracle
+# brute_force_joint, and CHI the states validated once; their equal mixture is
+# the state of `qo.ANCILLA_MIXED`.
+# Every state of Eve's lives on span{|00>, |11>}, the +1 eigenspace of A' x B',
+# and is read as its 2x2 block there; _CHI_BLOCKS holds chi_+-'s, exactly
+# (1/2)[[1, +-1], [+-1, 1]] (CHI's squares give 0.4999999999999999).
+_CHI_KETS = np.array([[[[1.0, 0.0], [0.0, s]]] for s in (1.0, -1.0)]) / math.sqrt(2.0)
+_CHI_KETS.setflags(write=False)
+CHI: tuple[QState, QState] = tuple(qo.qstate_from_kets(k) for k in _CHI_KETS)
 _CHI_BLOCKS = np.array([[[1.0, s], [s, 1.0]] for s in (1.0, -1.0)]) / 2
 
 
@@ -87,7 +90,8 @@ def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) 
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     mu = np.asarray(mu, dtype=complex).reshape(-1)
     amp = joint_amplitudes(alice, bob, qo.psi_theta_ket(theta))
-    return _tables(amp, lam, mu, _CHI_BLOCKS)[1][0 if sign == +1 else 1]
+    i = 0 if sign == +1 else 1
+    return _tables(amp, lam, mu, _CHI_BLOCKS[i : i + 1])[1][0]
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarra
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     theta, psi = qo.theta_ket(theta)
-    ket = qo.with_ancilla(psi, _CHI_KETS[0 if sign == +1 else 1].reshape(1, 2, 2))
+    ket = qo.with_ancilla(psi, _CHI_KETS[0 if sign == +1 else 1])
     qo.check_ket_stack(ket, [theta])
     return mk.joint_table_kets(attack.r_povm.elements, attack.s_povm.elements, ket)[0]
 
@@ -367,8 +371,8 @@ def qubit_reduction_check(
 
     qo.check_state_stack(blocks, eve)
     ideal, joints = _tables(_amplitudes(*kets, psi), lam, mu, blocks)
-    deviations = np.zeros(_DECOMPOSITIONS)
-    np.maximum.at(deviations, index, np.max(np.abs(joints - ideal), axis=(1, 2)))
+    worst = np.max(np.abs(joints - ideal), axis=(1, 2))  # two states per decomposition
+    deviations = worst.reshape(_DECOMPOSITIONS, 2).max(axis=1)
     return QubitReductionReport(
         theta=theta,
         n_decompositions=_DECOMPOSITIONS,

@@ -25,14 +25,7 @@ import numpy as np
 
 from . import matkernel as mk
 from . import qobjects as qo
-from .qobjects import (
-    AncillaRealization,
-    Dichotomic,
-    QState,
-    ancilla_pure,
-    beta_of_theta,
-    check_theta,
-)
+from .qobjects import Dichotomic, QState, beta_of_theta, check_theta
 
 
 def _ideal_values(theta, w_plus) -> np.ndarray:
@@ -87,13 +80,11 @@ class BellValues:
         )
 
 
-def ideal_scenario(theta: float, ancilla: AncillaRealization | None = None) -> BellScenario:
-    """Ideal realization: theta-state x ancilla with the ideal observables."""
+def ideal_scenario(theta: float, ancilla: np.ndarray = qo.ANCILLA_PURE) -> BellScenario:
+    """Ideal realization: theta-state x ancilla kets (K, 2, 2) with the ideal observables."""
     theta = check_theta(theta)
-    if ancilla is None:
-        ancilla = ancilla_pure()
-    alice, bob, sigma = qo.ideal_measurements(theta, ancilla)
-    state = qo.compose_with_ancilla(qo.psi_theta(theta), sigma)
+    alice, bob = qo.ideal_measurements(theta)
+    state = qo.compose_with_ancilla(qo.psi_theta(theta), qo.qstate_from_kets(ancilla))
     return BellScenario(state, tuple(alice), tuple(bob), theta)
 
 
@@ -250,24 +241,21 @@ def verify_b7_extraction(
 
 
 def projective_joint_distribution(
-    theta: float, ancilla: AncillaRealization | None = None
+    theta: float, ancilla: np.ndarray = qo.ANCILLA_PURE
 ) -> np.ndarray:
     """Joint outcome distribution of the Y-type and X-type measurements.
 
-    Returns a 2x2 table indexed [a, b] with index 0 for outcome +1; all four
-    probabilities equal 1/4 for any ancilla realization satisfying the
-    perfect A'-B' correlation.
+    Y x A' and X x I on the theta-state x ancilla kets (K, 2, 2).  Returns a
+    2x2 table indexed [a, b] with index 0 for outcome +1; all four
+    probabilities equal 1/4 for any ancilla state with the perfect A'-B'
+    correlation of the gauge A' = B' = Z.
     """
     theta = check_theta(theta)
-    if ancilla is None:
-        ancilla = ancilla_pure()
-    da = ancilla.a_prime.shape[0]
-    db = ancilla.b_prime.shape[0]
-    a3 = mk.kron(qo.PAULI_Y, ancilla.a_prime)
-    b7 = mk.kron(qo.PAULI_X, np.eye(db))
-    rho = qo.compose_with_ancilla(qo.psi_theta(theta), ancilla.sigma).rho
-    proj_a = [0.5 * (np.eye(2 * da) + a * a3) for a in (1, -1)]
-    proj_b = [0.5 * (np.eye(2 * db) + b * b7) for b in (1, -1)]
+    a3 = mk.kron(qo.PAULI_Y, qo.PAULI_Z)
+    b7 = mk.kron(qo.PAULI_X, np.eye(2))
+    rho = qo.compose_with_ancilla(qo.psi_theta(theta), qo.qstate_from_kets(ancilla)).rho
+    proj_a = [0.5 * (np.eye(4) + a * a3) for a in (1, -1)]
+    proj_b = [0.5 * (np.eye(4) + b * b7) for b in (1, -1)]
     return mk.joint_table(proj_a, proj_b, rho)
 
 
@@ -279,13 +267,14 @@ DEFAULT_EPSILON = 1e-4  # tilt of the near-Y POVM in the 4x3 table
 BELL_KEYS = ("I", "J", "S")  # the report keys of the three Bell expressions
 _BOB_LABELS = ("B1", "B2", "B3", "B4", "B5", "B6")
 
-# The kernels' operators on qubit x ancilla qubit.  Both ancilla realizations
-# they use measure A' = B' = Z, so they share the basis (I, Z x I, X x I, Y x Z) of
-# Bob's ideal observables, whose last three are Alice's (A1, A2, A3), and the
-# +-1 projectors of Y x A' (Alice) and X x I (Bob); only their kets differ.  The
-# angle stack carries the theta-state with the pure ancilla's kets, and
-# `_MIXED_KETS` are the mixed ancilla's.  The last three B_k satisfy {B_k, B_l} =
-# 2 delta_kl I, which `bell_values` relies on to check Bob's observables on their weights.
+# The kernels' operators on qubit x ancilla qubit.  Every ancilla state lives in
+# the gauge A' = B' = Z, so the basis (I, Z x I, X x I, Y x Z) of Bob's ideal
+# observables, whose last three are Alice's (A1, A2, A3), and the +-1 projectors
+# of Y x A' (Alice) and X x I (Bob) serve both ancillas; only their kets differ.
+# The angle stack carries the theta-state with `qo.ANCILLA_PURE`, and
+# `global_projective_tables` adds `qo.ANCILLA_MIXED`.  The last three B_k satisfy
+# {B_k, B_l} = 2 delta_kl I, which `bell_values` relies on to check Bob's
+# observables on their weights.
 _BASIS = np.stack(
     [
         np.eye(4),
@@ -307,8 +296,6 @@ mk.refuse_beyond(
 _PROJECTORS_A, _PROJECTORS_B = (
     np.stack([0.5 * (_BASIS[0] + sign * _BASIS[k]) for sign in (1, -1)]) for k in (3, 2)
 )
-
-_MIXED_KETS = qo.ancilla_mixed().kets
 
 
 def _bob_weights(wp: np.ndarray, wm: np.ndarray) -> np.ndarray:
@@ -423,7 +410,7 @@ def local_povm_tables(stack: qo.AngleStack, epsilon: float = DEFAULT_EPSILON) ->
 
 def global_projective_tables(stack: qo.AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """The Y x A' by X x I tables for the pure then the mixed ancilla, (N, 2, 2, 2)."""
-    mixed = qo.with_ancilla(stack.qubit, _MIXED_KETS)
+    mixed = qo.with_ancilla(stack.qubit, qo.ANCILLA_MIXED)
     qo.check_ket_stack(mixed, stack.theta)
     tables = [mk.joint_table_kets(_PROJECTORS_A, _PROJECTORS_B, k) for k in (stack.pure, mixed)]
     return np.stack(tables, axis=1)

@@ -2,8 +2,9 @@
 
 The one angle model of the tilted-CHSH test (:func:`check_theta`, :func:`tilt`,
 :func:`theta_ket` and a command's :class:`AngleStack`), the entangled two-qubit
-state as a ket and a projector, the ideal Bell-test observables with their
-ancilla realizations and kets (:func:`with_ancilla`), POVMs with
+state as a ket and a projector, the ideal Bell-test observables in the ancilla
+gauge A' = B' = Z, the ancilla states `ANCILLA_PURE` and `ANCILLA_MIXED` as ket
+stacks (:func:`with_ancilla`, :func:`qstate_from_kets`), POVMs with
 validity/extremality reports, and the explicit POVM families used for
 randomness generation, whose kets (`*_kets`) have closed half-angle forms.
 Every rank-one POVM is built from its kets by :func:`povm_from_kets`.
@@ -209,9 +210,10 @@ def ket_elements(kets) -> np.ndarray:
     return np.einsum("...i,...j->...ij", kets, np.conj(kets))
 
 
-def qstate_from_ket(ket, dims) -> QState:
-    k = np.asarray(ket, dtype=complex).reshape(-1)
-    return QState(ket_elements(k / np.linalg.norm(k)), tuple(dims))
+def qstate_from_kets(kets) -> QState:
+    """The validated state sum_k |kets[k]><kets[k]| of a ket stack (K, d_1, ..., d_n)."""
+    kets = np.asarray(kets, dtype=complex)
+    return QState(ket_elements(kets.reshape(len(kets), -1)).sum(axis=0), kets.shape[1:])
 
 
 def theta_ket(theta) -> tuple:
@@ -237,7 +239,7 @@ def phi_theta_ket(theta) -> np.ndarray:
 
 def psi_theta(theta: float) -> QState:
     """Rank-one projector onto the partially entangled two-qubit state."""
-    return qstate_from_ket(psi_theta_ket(theta), (2, 2))
+    return qstate_from_kets(psi_theta_ket(theta).reshape(1, 2, 2))
 
 
 def phi_theta(theta: float) -> QState:
@@ -246,73 +248,44 @@ def phi_theta(theta: float) -> QState:
     Together with psi_theta it spans the +-eigenspaces of the tilted Bell
     operator.
     """
-    return qstate_from_ket(phi_theta_ket(theta), (2, 2))
+    return qstate_from_kets(phi_theta_ket(theta).reshape(1, 2, 2))
 
 
-@dataclass(frozen=True)
-class AncillaRealization:
-    """Concrete ancilla pair (A', B', sigma) satisfying <A' x B'>_sigma = 1."""
-
-    a_prime: np.ndarray
-    b_prime: np.ndarray
-    sigma: QState
-    kets: np.ndarray  # (K, da, db) amplitude matrices whose projectors sum to sigma
-    label: str = ""
-
-    def correlation(self) -> float:
-        return mk.expval(mk.kron(self.a_prime, self.b_prime), self.sigma.rho)
+# The ancilla states of the ideal realizations as read-only ket stacks (K, 2, 2) on
+# (A', B'), whose state is sum_k |a_k><a_k| (`qstate_from_kets`).  Every ancilla
+# state, these two and Eve's chi pair, lives in the gauge A' = B' = Z, where
+# <A' x B'> = 1, so `ideal_measurements` serves them all.
+ANCILLA_PURE = _readonly([[[1, 0], [0, 0]]])  # |00>
+# (|00><00| + |11><11|)/2 with 1/sqrt(2) correctly rounded; 1 / math.sqrt(2) is an ulp below
+ANCILLA_MIXED = _readonly(math.sqrt(0.5) * np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]]))
 
 
-def ancilla_pure() -> AncillaRealization:
-    """One qubit per side, A' = B' = Z, sigma = |00><00|, the one ket |00>."""
-    kets = _readonly([[[1, 0], [0, 0]]])
-    return AncillaRealization(PAULI_Z, PAULI_Z, qstate_from_ket(kets, (2, 2)), kets, label="pure")
-
-
-def ancilla_mixed() -> AncillaRealization:
-    """One qubit per side, A' = B' = Z, sigma = (|00><00| + |11><11|)/2, kets |00>, |11>."""
-    rho = np.diag([0.5, 0.0, 0.0, 0.5])
-    r = math.sqrt(0.5)  # 1/sqrt(2) correctly rounded; 1 / math.sqrt(2) is an ulp below
-    kets = _readonly([[[r, 0], [0, 0]], [[0, 0], [0, r]]])
-    return AncillaRealization(PAULI_Z, PAULI_Z, QState(rho, (2, 2)), kets, label="mixed")
-
-
-def ideal_measurements(
-    theta: float, ancilla: AncillaRealization | None = None
-) -> tuple[list[Dichotomic], list[Dichotomic], QState]:
-    """Ideal Bell-test observables on qubit x ancilla for a given angle.
+def ideal_measurements(theta: float) -> tuple[list[Dichotomic], list[Dichotomic]]:
+    """Ideal Bell-test observables on qubit x ancilla qubit for a given angle.
 
     Alice measures (Z, X, Y x A') and Bob the six tilted-CHSH combinations
-    built from Z, X and Y x B' with the weights of :func:`tilt`.  Returns
-    (alice, bob, sigma) where sigma is the ancilla state of the supplied
-    realization (default: `ancilla_pure`).
+    built from Z, X and Y x B' with the weights of :func:`tilt`, where
+    A' = B' = Z is the gauge of every ancilla state.  Returns (alice, bob).
     """
     _, wp, wm, _ = tilt(theta)
-    if ancilla is None:
-        ancilla = ancilla_pure()
-    da = ancilla.a_prime.shape[0]
-    db = ancilla.b_prime.shape[0]
-    z_a = mk.kron(PAULI_Z, np.eye(da))
-    x_a = mk.kron(PAULI_X, np.eye(da))
-    y_ap = mk.kron(PAULI_Y, ancilla.a_prime)
-    z_b = mk.kron(PAULI_Z, np.eye(db))
-    x_b = mk.kron(PAULI_X, np.eye(db))
-    y_bp = mk.kron(PAULI_Y, ancilla.b_prime)
+    z = mk.kron(PAULI_Z, np.eye(2))
+    x = mk.kron(PAULI_X, np.eye(2))
+    y = mk.kron(PAULI_Y, PAULI_Z)
 
     alice = [
-        Dichotomic(z_a, "A1"),
-        Dichotomic(x_a, "A2"),
-        Dichotomic(y_ap, "A3"),
+        Dichotomic(z, "A1"),
+        Dichotomic(x, "A2"),
+        Dichotomic(y, "A3"),
     ]
     bob = [
-        Dichotomic(wp * z_b + wm * x_b, "B1"),
-        Dichotomic(wp * z_b - wm * x_b, "B2"),
-        Dichotomic(wp * z_b - wm * y_bp, "B3"),
-        Dichotomic(wp * z_b + wm * y_bp, "B4"),
-        Dichotomic((x_b - y_bp) / math.sqrt(2), "B5"),
-        Dichotomic((x_b + y_bp) / math.sqrt(2), "B6"),
+        Dichotomic(wp * z + wm * x, "B1"),
+        Dichotomic(wp * z - wm * x, "B2"),
+        Dichotomic(wp * z - wm * y, "B3"),
+        Dichotomic(wp * z + wm * y, "B4"),
+        Dichotomic((x - y) / math.sqrt(2), "B5"),
+        Dichotomic((x + y) / math.sqrt(2), "B6"),
     ]
-    return alice, bob, ancilla.sigma
+    return alice, bob
 
 
 def compose_with_ancilla(state: QState, sigma: QState) -> QState:
@@ -339,9 +312,6 @@ def with_ancilla(psi, kets) -> np.ndarray:
     return full.reshape(len(psi), len(kets), 2 * kets.shape[1], -1)
 
 
-_PURE_KETS = ancilla_pure().kets
-
-
 class AngleStack(NamedTuple):
     """One command's checked angles and everything the kernels derive from them alone.
 
@@ -366,7 +336,7 @@ def angle_stack(thetas) -> AngleStack:
     refused angle.
     """
     theta, psi = theta_ket(np.asarray(thetas, dtype=float).reshape(-1))
-    qubit, pure = psi.reshape(-1, 1, 2, 2), with_ancilla(psi, _PURE_KETS)
+    qubit, pure = psi.reshape(-1, 1, 2, 2), with_ancilla(psi, ANCILLA_PURE)
     for kets in (qubit, pure):
         check_ket_stack(kets, theta)
     return AngleStack(theta, *_tilt(theta), qubit, pure)

@@ -198,9 +198,8 @@ def random_extremal_povm(n_outcomes: int, rng: np.random.Generator) -> Povm:
     if n_outcomes == 3:
         for _ in range(_MAX_TRIES):
             g = rng.normal(size=(3, 3))
-            phis = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=3))
-            gaps = np.diff(np.concatenate([phis, [phis[0] + 2.0 * math.pi]]))
-            if gaps.max() >= math.pi:
+            phis = a, b, c = sorted(rng.uniform(0.0, 2.0 * math.pi, size=3).tolist())
+            if max(b - a, c - b, a + 2.0 * math.pi - c) >= math.pi:
                 continue  # before the QR: the draws of a try do not depend on its frame
             frame = np.linalg.qr(g)[0]
             f1, f2 = frame[:, 0], frame[:, 1]

@@ -52,7 +52,7 @@ def test_03_projective_global_randomness():
     worst = 0.0
     entropies = []
     for theta in qo.theta_grid(10):
-        for ancilla in (qo.ancilla_pure(), qo.ancilla_mixed()):
+        for ancilla in (qo.ANCILLA_PURE, qo.ANCILLA_MIXED):
             table = bt.projective_joint_distribution(theta, ancilla)
             worst = max(worst, float(np.max(np.abs(table - 0.25))))
             entropies += adv.min_entropy([table])

@@ -760,8 +760,10 @@ class TestQubitReduction:
 
     def test_eve_ensembles_decompose_the_ancilla_mixture(self):
         # the mixed ancilla is zero off span{|00>, |11>}; its block there is I/2
-        mixture = qo.ancilla_mixed().sigma.rho
+        mixture = qo.qstate_from_kets(qo.ANCILLA_MIXED).rho
         assert not mixture[1:3].any() and not mixture[:, 1:3].any()
+        # the attack hides in (chi_+ + chi_-)/2 being the mixed ancilla
+        assert np.max(np.abs((adv.CHI[0].rho + adv.CHI[1].rho) / 2 - mixture)) <= mk.ZERO_TOL
         mixture = mixture[[0, 3]][:, [0, 3]]
         weights, index, blocks = adv._eve_decompositions(50, np.random.default_rng(3))
         assert np.array_equal(np.unique(index), np.arange(50))

@@ -32,7 +32,7 @@ class TestEvalBell:
         assert abs(values.j_value - 8 / math.sqrt(7)) <= 1e-12
         assert abs(values.s_value - math.sqrt(6)) <= 1e-12
 
-    @pytest.mark.parametrize("ancilla", [qo.ancilla_pure(), qo.ancilla_mixed()])
+    @pytest.mark.parametrize("ancilla", [qo.ANCILLA_PURE, qo.ANCILLA_MIXED])
     def test_grid_residuals(self, ancilla):
         for theta in qo.theta_grid(50):
             values = bt.eval_bell(bt.ideal_scenario(theta, ancilla))
@@ -171,7 +171,7 @@ class TestB7Extraction:
 
 
 class TestProjectiveJoint:
-    @pytest.mark.parametrize("ancilla", [qo.ancilla_pure(), qo.ancilla_mixed()])
+    @pytest.mark.parametrize("ancilla", [qo.ANCILLA_PURE, qo.ANCILLA_MIXED])
     def test_uniform_over_random_angles(self, ancilla):
         rng = np.random.default_rng(17)
         for theta in rng.uniform(0.05, np.pi / 2, size=10):
@@ -180,7 +180,7 @@ class TestProjectiveJoint:
             assert abs(table.sum() - 1.0) <= 1e-12
 
     def test_specific_angles(self):
-        for theta, ancilla in ((np.pi / 2, qo.ancilla_pure()), (0.3, qo.ancilla_mixed())):
+        for theta, ancilla in ((np.pi / 2, qo.ANCILLA_PURE), (0.3, qo.ANCILLA_MIXED)):
             table = bt.projective_joint_distribution(theta, ancilla)
             assert np.max(np.abs(table - 0.25)) <= 1e-12
 
@@ -236,7 +236,7 @@ class TestBellBatch:
             local = mk.joint_table(qo.adjusted_tetrahedral(theta).elements, [qo.ID2], psi)[:, 0]
             projective = [
                 bt.projective_joint_distribution(theta, a)
-                for a in (qo.ancilla_pure(), qo.ancilla_mixed())
+                for a in (qo.ANCILLA_PURE, qo.ANCILLA_MIXED)
             ]
             four_by_three = mk.joint_table(near_y, qo.modified_mercedes(theta).elements, psi)
             rep = reports[n]
@@ -266,12 +266,9 @@ class TestBellBatch:
             for got, want in pairs:
                 assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= mk.ZERO_TOL
 
-    @pytest.mark.parametrize(
-        "ancilla", [qo.ancilla_pure(), qo.ancilla_mixed()], ids=lambda a: a.label
-    )
-    def test_shared_operators_are_each_realizations_observables(self, ancilla):
-        # the batch measures both ancillas with one operator set (A' = B' = Z for both)
-        alice, bob, _ = qo.ideal_measurements(0.7, ancilla)
+    def test_shared_operators_are_each_realizations_observables(self):
+        # the batch measures every ancilla with one operator set, in the gauge A' = B' = Z
+        alice, bob = qo.ideal_measurements(0.7)
         np.testing.assert_array_equal(np.stack([a.op for a in alice]), bt._BASIS[1:])
         _, wp, wm, _ = qo.tilt(np.array([0.7]))
         ops = np.einsum("bm,mij->bij", bt._bob_weights(wp, wm)[0, 1:], bt._BASIS)
@@ -298,7 +295,7 @@ class TestBellBatch:
         # Through lambda_- = 1 - beta^2/4 this weight was 0.6% low at theta = 1e-7.
         theta = 1e-7
         want = math.sin(theta) / math.sqrt(1 + math.sin(theta) ** 2)
-        _, bob, _ = qo.ideal_measurements(theta)
+        _, bob = qo.ideal_measurements(theta)
         exact, seen = bt._bob_weights, []
         monkeypatch.setattr(bt, "_bob_weights", lambda *a: seen.append(exact(*a)) or seen[-1])
         bt.bell_values(qo.angle_stack([theta]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellrand import adversary as adv
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
 from bellrand import tomography as tg
@@ -59,7 +60,7 @@ class TestState:
     def test_state_from_a_ket_is_exactly_hermitian(self, seed):
         rng = np.random.default_rng(seed)
         ket = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rho = qo.qstate_from_ket(ket / np.linalg.norm(ket), (2, 2)).rho
+        rho = qo.qstate_from_kets((ket / np.linalg.norm(ket)).reshape(1, 2, 2)).rho
         np.testing.assert_array_equal(rho, np.conj(rho.T))
 
     def test_qstate_validation(self):
@@ -163,40 +164,40 @@ class TestBeta:
 
 class TestIdealMeasurements:
     def test_all_dichotomic(self):
-        alice, bob, _ = qo.ideal_measurements(0.6)
+        alice, bob = qo.ideal_measurements(0.6)
         for obs in alice + bob:
             resid = np.max(np.abs(obs.op @ obs.op - np.eye(obs.op.shape[0])))
             assert resid <= 1e-10
 
     def test_b1_at_maximal_entanglement(self):
         # lambda_pm = 1 at beta = 0, so B1 = (Z + X)/sqrt(2) on the qubit
-        _, bob, _ = qo.ideal_measurements(np.pi / 2)
+        _, bob = qo.ideal_measurements(np.pi / 2)
         expected = mk.kron((qo.PAULI_Z + qo.PAULI_X) / math.sqrt(2), np.eye(2))
         assert np.max(np.abs(bob[0].op - expected)) <= 1e-12
 
     def test_anticommutation(self):
-        alice, _, _ = qo.ideal_measurements(0.9)
+        alice, _ = qo.ideal_measurements(0.9)
         a1, a2, a3 = (o.op for o in alice)
         assert np.max(np.abs(a1 @ a2 + a2 @ a1)) <= 1e-10
         assert np.max(np.abs(a1 @ a3 + a3 @ a1)) <= 1e-10
 
-    @pytest.mark.parametrize("ancilla", [qo.ancilla_pure(), qo.ancilla_mixed()])
+    @pytest.mark.parametrize("ancilla", [qo.ANCILLA_PURE, qo.ANCILLA_MIXED, *adv._CHI_KETS])
     def test_ancilla_correlation_is_one(self, ancilla):
-        assert abs(ancilla.correlation() - 1.0) <= 1e-12
-        # The closed-form kets sum to sigma, and composed with a theta-ket they
-        # give the density-matrix composition.
-        kets = ancilla.kets.reshape(len(ancilla.kets), -1)
-        assert np.max(np.abs(kets.T @ kets.conj() - ancilla.sigma.rho)) <= mk.ZERO_TOL
+        # every ancilla state, the two realizations' and Eve's chi pair, is a ket
+        # stack in the gauge A' = B' = Z
+        sigma = qo.qstate_from_kets(ancilla)
+        assert abs(mk.expval(mk.kron(qo.PAULI_Z, qo.PAULI_Z), sigma.rho) - 1.0) <= 1e-12
+        # composed with a theta-ket, the kets give the density-matrix composition
         theta = 0.7
-        full = qo.with_ancilla(qo.psi_theta_ket(theta), ancilla.kets)[0].reshape(len(kets), -1)
-        oracle = qo.compose_with_ancilla(qo.psi_theta(theta), ancilla.sigma).rho
+        full = qo.with_ancilla(qo.psi_theta_ket(theta), ancilla)[0].reshape(len(ancilla), -1)
+        oracle = qo.compose_with_ancilla(qo.psi_theta(theta), sigma).rho
         assert np.max(np.abs(full.T @ full.conj() - oracle)) <= mk.ZERO_TOL
 
     def test_bob_angle_matches_tilt(self):
         # the Z-weight of (B1+B2)/2 realizes cos(mu/2) = sqrt((1 + beta^2/4)/2)
         for theta in (0.4, 1.0, np.pi / 2):
             beta = qo.beta_of_theta(theta)
-            _, bob, _ = qo.ideal_measurements(theta)
+            _, bob = qo.ideal_measurements(theta)
             half_sum = (bob[0].op + bob[1].op) / 2
             cos_half_mu = mk.expval(half_sum @ mk.kron(qo.PAULI_Z, np.eye(2)), np.eye(4)) / 4
             assert abs(cos_half_mu - math.sqrt((1 + beta**2 / 4) / 2)) <= 1e-12
