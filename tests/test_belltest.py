@@ -266,13 +266,18 @@ class TestBellBatch:
             for got, want in pairs:
                 assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= mk.ZERO_TOL
 
-    def test_shared_operators_are_each_realizations_observables(self):
+    @pytest.mark.parametrize(
+        "ancilla", [qo.ANCILLA_PURE, qo.ANCILLA_MIXED], ids=["pure", "mixed"]
+    )
+    def test_shared_operators_are_each_realizations_observables(self, ancilla):
         # the batch measures every ancilla with one operator set, in the gauge A' = B' = Z
-        alice, bob = qo.ideal_measurements(0.7)
-        np.testing.assert_array_equal(np.stack([a.op for a in alice]), bt._BASIS[1:])
+        sigma = qo.qstate_from_kets(ancilla).rho
+        assert abs(np.trace(sigma @ mk.kron(qo.PAULI_Z, qo.PAULI_Z)) - 1.0) <= mk.ZERO_TOL
+        scenario = bt.ideal_scenario(0.7, ancilla)
+        np.testing.assert_array_equal(np.stack([a.op for a in scenario.alice]), bt._BASIS[1:])
         _, wp, wm, _ = qo.tilt(np.array([0.7]))
         ops = np.einsum("bm,mij->bij", bt._bob_weights(wp, wm)[0, 1:], bt._BASIS)
-        assert np.max(np.abs(ops - np.stack([b.op for b in bob]))) <= mk.ZERO_TOL
+        assert np.max(np.abs(ops - np.stack([b.op for b in scenario.bob]))) <= mk.ZERO_TOL
 
     def test_report_is_row_zero(self):
         assert bt.bell_report(0.9) == bt.selftest_reports(qo.angle_stack([0.4, 0.9]))[1]
