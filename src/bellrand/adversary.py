@@ -89,7 +89,7 @@ def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) 
         raise ValueError("sign must be +1 or -1")
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     mu = np.asarray(mu, dtype=complex).reshape(-1)
-    amp = joint_amplitudes(alice, bob, qo.psi_theta_ket(theta))
+    amp = joint_amplitudes(alice, bob, qo.theta_ket(theta)[1])
     i = 0 if sign == +1 else 1
     return _tables(amp, lam, mu, _CHI_BLOCKS[i : i + 1])[1][0]
 
@@ -215,7 +215,8 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
     """The conjugation attack on a pair of four-outcome POVMs: :func:`attack_rows` at one angle.
 
     A degenerate pair raises DegenerateAttackError with the row's reason.  The
-    dilated POVMs R_a and S_b are built for the oracles.
+    dilated POVMs R_a and S_b are built for the oracles by `tomography.dilate`
+    from the kets and coefficients that `attack_rows` has already gated.
     """
     theta, psi = qo.theta_ket(theta)
     kets = (tg.rank_one_kets(p)[None] for p in (alice, bob))
@@ -223,7 +224,7 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
     if rows.reason[0] is not None:
         raise DegenerateAttackError(rows.reason[0])
     lam, mu, target = rows.lam[0], rows.mu[0], tuple(rows.target[0].tolist())
-    r_povm, s_povm = tg.build_dilated_povm(alice, lam), tg.build_dilated_povm(bob, mu)
+    r_povm, s_povm = tg.dilate(alice, lam), tg.dilate(bob, mu)
     return AttackModel(theta, alice, bob, lam, mu, r_povm, s_povm, target, psi)
 
 
@@ -268,15 +269,11 @@ def min_entropy(tables) -> list[float]:
     return [-math.log2(top) for top in rows.max(axis=1).tolist()]
 
 
-def randomness_cap() -> float:
-    """Min-entropy cap for double four-outcome schemes.
-
-    One conditional branch can always be forced to a zero entry, so its
-    maximum is at least 1/15 while the other is at least 1/16; Eve holds the
-    branch label, capping the certifiable randomness at
-    -log2((1/15 + 1/16)/2).
-    """
-    return -math.log2(0.5 * (1.0 / 15.0 + 1.0 / 16.0))
+# Min-entropy cap for double four-outcome schemes.  One conditional branch can
+# always be forced to a zero entry, so its maximum is at least 1/15 while the
+# other is at least 1/16; Eve holds the branch label, capping the certifiable
+# randomness at -log2((1/15 + 1/16)/2).
+CAP_BITS = -math.log2(0.5 * (1.0 / 15.0 + 1.0 / 16.0))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +395,8 @@ def attack_reports(rows: AttackRows) -> list[dict]:
         "guessing_prob": cj.guessing_prob,
         "certified_bits": cj.certified_bits,
     }
-    cap, values = randomness_cap(), zip(*(c.tolist() for c in columns.values()))
-    return [dict(zip(columns, row), cap_bits=cap) for row in values]
+    values = zip(*(c.tolist() for c in columns.values()))
+    return [dict(zip(columns, row), cap_bits=CAP_BITS) for row in values]
 
 
 def attack_report(attack: AttackModel) -> dict:

@@ -25,17 +25,13 @@ import numpy as np
 
 from . import matkernel as mk
 from . import qobjects as qo
-from .qobjects import Dichotomic, QState, beta_of_theta, check_theta
+from .qobjects import Dichotomic, QState, check_theta
 
 
 def _ideal_values(theta, w_plus) -> np.ndarray:
+    """Targets (I, J, S), shape (..., 3): Bell energy 4 w_plus twice, then 2 sqrt(2) sin(theta)."""
     tilted = 4.0 * w_plus
     return np.stack([tilted, tilted, 2.0 * math.sqrt(2.0) * np.sin(theta)], axis=-1)
-
-
-def ideal_bell_values(theta) -> np.ndarray:
-    """Targets (I, J, S), shape (..., 3): Bell energy 4 w_plus twice, then 2 sqrt(2) sin(theta)."""
-    return _ideal_values(check_theta(theta), qo.tilt(theta)[1])
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,7 @@ def eval_bell(s: BellScenario) -> BellValues:
     S = <A2 (B5 + B6) + A3 (B5 - B6)>
     """
     theta = s.theta
-    beta = beta_of_theta(theta)
+    beta, w_plus, _, _ = qo.tilt(theta)
     db = s.bob[0].op.shape[0]
     # Rows A1..A3; column 0 is Bob's identity, columns 1..6 are B1..B6.
     t = mk.joint_table(
@@ -105,7 +101,7 @@ def eval_bell(s: BellScenario) -> BellValues:
     i_value = beta * t[0][0] + t[0][1] + t[0][2] + t[1][1] - t[1][2]
     j_value = beta * t[0][0] + t[0][3] + t[0][4] + t[2][3] - t[2][4]
     s_value = t[1][5] + t[1][6] + t[2][5] - t[2][6]
-    ideal_i, ideal_j, ideal_s = ideal_bell_values(theta).tolist()
+    ideal_i, ideal_j, ideal_s = _ideal_values(theta, w_plus).tolist()
     return BellValues(theta, beta, i_value, j_value, s_value, ideal_i, ideal_j, ideal_s)
 
 
@@ -190,7 +186,7 @@ def spectral_selftest(beta: float) -> SpectralSelftest:
     expected = np.array([energy, 0.0, 0.0, -energy])
     eigenvalue_residual = float(np.max(np.abs(w - expected)))
     theta = theta_of_beta(beta)
-    psi_ket = qo.psi_theta_ket(theta)
+    psi_ket = qo.theta_ket(theta)[1]
     fidelity = float(np.abs(np.vdot(psi_ket, v[:, 0])) ** 2)
     spectral_form = energy * (qo.psi_theta(theta).rho - qo.phi_theta(theta).rho)
     residual = float(np.max(np.abs(op - spectral_form)))
@@ -322,7 +318,7 @@ def _spectral_selftests(beta, delta, energy) -> tuple[np.ndarray, ...]:
     w, v = mk.eigh(op)
     eigenvalue_residual = np.max(np.abs(w - energy[:, None] * [1.0, 0.0, 0.0, -1.0]), axis=1)
     recovered = _recovered_angle(beta, delta)
-    psi, phi = qo.psi_theta_ket(recovered), qo.phi_theta_ket(recovered)
+    psi, phi = qo.theta_ket(recovered)[1], qo.phi_theta_ket(recovered)
     fidelity = np.abs(np.einsum("ni,ni->n", psi, v[:, :, 0])) ** 2
     form = energy[:, None, None] * (qo.ket_elements(psi) - qo.ket_elements(phi))
     return w, recovered, fidelity, np.max(np.abs(op - form), axis=(1, 2)), eigenvalue_residual

@@ -82,11 +82,6 @@ def _tilt(t) -> tuple:
     return 2.0 * c / q, 1.0 / q, s / q, (2.0 * s) ** 2 / (q * (q + c))
 
 
-def beta_of_theta(theta):
-    """Tilt parameter of the modified CHSH expressions: 2cos(t)/sqrt(1+sin(t)^2)."""
-    return tilt(theta)[0]
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
@@ -217,16 +212,14 @@ def qstate_from_kets(kets) -> QState:
 
 
 def theta_ket(theta) -> tuple:
-    """(theta, psi_theta_ket(theta)) from one `check_theta` call: the checked angle and its ket."""
+    """The checked angle and its theta-ket cos(t/2)|00> + sin(t/2)|11>, from one `check_theta`.
+
+    The ket is (4,) for one angle and (..., 4) for an array of them.
+    """
     t = check_theta(theta)
     ket = np.zeros(np.shape(t) + (4,), dtype=complex)
     ket[..., 0], ket[..., 3] = np.cos(t / 2), np.sin(t / 2)
     return t, ket
-
-
-def psi_theta_ket(theta) -> np.ndarray:
-    """Schmidt-form state vector cos(t/2)|00> + sin(t/2)|11>; (..., 4) for an array of angles."""
-    return theta_ket(theta)[1]
 
 
 def phi_theta_ket(theta) -> np.ndarray:
@@ -239,7 +232,7 @@ def phi_theta_ket(theta) -> np.ndarray:
 
 def psi_theta(theta: float) -> QState:
     """Rank-one projector onto the partially entangled two-qubit state."""
-    return qstate_from_kets(psi_theta_ket(theta).reshape(1, 2, 2))
+    return qstate_from_kets(theta_ket(theta)[1].reshape(1, 2, 2))
 
 
 def phi_theta(theta: float) -> QState:
@@ -332,14 +325,13 @@ class AngleStack(NamedTuple):
 def angle_stack(thetas) -> AngleStack:
     """Check `thetas` once, the kernels' only angle check, and build their `AngleStack`.
 
-    Each ket stack is checked by `check_ket_stack`; a refusal names the first
-    refused angle.
+    `check_ket_stack` gates the theta-kets, naming the first refused angle.  `pure`
+    needs no gate: times the one ket |00> of `ANCILLA_PURE`, it holds them exactly.
     """
     theta, psi = theta_ket(np.asarray(thetas, dtype=float).reshape(-1))
-    qubit, pure = psi.reshape(-1, 1, 2, 2), with_ancilla(psi, ANCILLA_PURE)
-    for kets in (qubit, pure):
-        check_ket_stack(kets, theta)
-    return AngleStack(theta, *_tilt(theta), qubit, pure)
+    qubit = psi.reshape(-1, 1, 2, 2)
+    check_ket_stack(qubit, theta)
+    return AngleStack(theta, *_tilt(theta), qubit, with_ancilla(psi, ANCILLA_PURE))
 
 
 # ---------------------------------------------------------------------------

@@ -107,15 +107,10 @@ def rank_one_kets(p: Povm) -> np.ndarray:
     return p.kets
 
 
-def offdiag_operators(p: Povm) -> np.ndarray:
-    """The operators |k_a><k_a*| (entries k_i k_j) of a POVM, (m, d, d); refuses non-finite kets."""
-    kets = rank_one_kets(p)
-    return kets[:, :, None] * kets[:, None, :]
-
-
 def offdiag_set(p: Povm) -> OffdiagSet:
-    """Off-diagonal operators plus their SVD null space: the oracle of the signed minors."""
-    operators = offdiag_operators(p)
+    """The operators |k_a><k_a*| (entries k_i k_j) and their SVD null space: the minors' oracle."""
+    kets = rank_one_kets(p)
+    operators = kets[:, :, None] * kets[:, None, :]
     return OffdiagSet(operators, tuple(mk.null_space(operators)))
 
 
@@ -132,23 +127,30 @@ def check_dilation(coeffs, kets, outcome="outcome {}".format, row=None) -> None:
 
 
 def build_dilated_povm(p: Povm, coeffs) -> Povm:
-    """Dilate a rank-one qubit POVM onto qubit x ancilla-qubit.
+    """:func:`dilate` behind its gates, for coefficients from outside, one per outcome.
+
+    :func:`rank_one_kets` refuses a POVM without kets or with a non-finite one, and
+    :func:`check_dilation` requires |c_a| <= 1 (eigenvalues of R_a are
+    |k_a|^2 (1 +- |c_a|) plus zeros) and completeness, sum_a c_a T_a = 0.
+    """
+    kets = rank_one_kets(p)
+    coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
+    if coeffs.shape[0] != p.n_outcomes:
+        raise ValueError("one coefficient per outcome required")
+    check_dilation(coeffs, kets)
+    return dilate(p, coeffs)
+
+
+def dilate(p: Povm, coeffs) -> Povm:
+    """Dilate a rank-one qubit POVM onto qubit x ancilla-qubit, with coefficients (m,) gated.
 
     R_a = E_a x |0><0| + c_a T_a x |0><1| + c_a* T_a^dagger x |1><0| + E_a* x |1><1|,
 
     with T_a = |k_a><k_a*|: the blocks sit on the eigenbasis of the ancilla
-    observable Z that the Bell kernels measure (A' = B' = Z).  Requires
-    |c_a| <= 1 (eigenvalues of R_a are |k_a|^2 (1 +- |c_a|) plus zeros) and
-    sum_a c_a T_a = 0 (completeness): :func:`check_dilation`.  T_a comes from
-    :func:`offdiag_operators`, which refuses non-finite kets.  All R_a come
+    observable Z that the Bell kernels measure (A' = B' = Z).  All R_a come
     from one stack of the four blocks, transposed into (system, ancilla) order.
     """
-    t = offdiag_operators(p)
-    coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
-    if coeffs.shape[0] != p.n_outcomes:
-        raise ValueError("one coefficient per outcome required")
-    check_dilation(coeffs, p.kets)
-    ct = coeffs[:, None, None] * t  # c_a T_a
+    ct = coeffs[:, None, None] * (p.kets[:, :, None] * p.kets[:, None, :])  # c_a T_a
     e = p.elements
     m, d = e.shape[:2]
     blocks = np.stack([e, ct, np.conj(np.swapaxes(ct, -1, -2)), np.conj(e)], axis=1)

@@ -84,7 +84,7 @@ def test_05_global_povm_lower_witness():
 
     def max_entry(theta, epsilon):
         table = adv.ideal_joint(
-            qo.near_y_tetrahedral(epsilon), qo.modified_mercedes(theta), qo.psi_theta_ket(theta)
+            qo.near_y_tetrahedral(epsilon), qo.modified_mercedes(theta), qo.theta_ket(theta)[1]
         )
         return float(table.max())
 
@@ -165,7 +165,7 @@ def test_08_attack_suite():
         bob = qo.adjusted_tetrahedral(theta)
         attack = adv.build_attack(alice, bob, theta)
         cj = adv.evaluate_attack(attack)
-        ideal = adv.ideal_joint(alice, bob, qo.psi_theta_ket(theta))
+        ideal = adv.ideal_joint(alice, bob, qo.theta_ket(theta)[1])
         avg_worst = max(avg_worst, float(np.max(np.abs(cj.average - ideal))))
         zero_worst = max(zero_worst, float(cj.p_minus[attack.target_pair]))
 
@@ -191,14 +191,14 @@ def test_08_attack_suite():
             r_povm=tg.build_dilated_povm(alice, lam),
             s_povm=tg.build_dilated_povm(bob, mu),
             target_pair=(0, 0),
-            psi=qo.psi_theta_ket(theta),
+            psi=qo.theta_ket(theta)[1],
         )
         for sign in (+1, -1):
             closed = adv.closed_form_joint(alice, bob, lam, mu, theta, sign)
             brute = adv.brute_force_joint(attack, theta, sign)
             oracle_worst = max(oracle_worst, float(np.max(np.abs(closed - brute))))
 
-    cap = adv.randomness_cap()
+    cap = adv.CAP_BITS
     cap_ok = abs(cap - 3.9527) <= 1e-4 and cap < 4.0
     ok = avg_worst <= 1e-10 and zero_worst <= 1e-10 and oracle_worst <= 1e-10 and cap_ok
     report(

@@ -86,7 +86,7 @@ class TestSpectralSelftest:
         assert abs(report.theta - np.pi / 2) <= 1e-10
 
     def test_top_eigenvector_is_theta_state(self):
-        beta = qo.beta_of_theta(np.pi / 3)
+        beta = qo.tilt(np.pi / 3)[0]
         report = bt.spectral_selftest(beta)
         assert abs(report.theta - np.pi / 3) <= 1e-10
         assert report.top_eigvec_fidelity >= 1 - 1e-10
@@ -103,7 +103,7 @@ class TestSpectralSelftest:
             theta = bt.theta_of_beta(beta)
             cos2 = 2 * (beta**2 / 4) / (1 + beta**2 / 4)
             assert abs(math.cos(theta) ** 2 - cos2) <= 1e-10
-            assert abs(qo.beta_of_theta(theta) - beta) <= 1e-10
+            assert abs(qo.tilt(theta)[0] - beta) <= 1e-10
 
     def test_arrays_are_the_stack_of_floats(self):
         betas = np.array([0.0, 0.7, 1.9999999999999998])
@@ -112,8 +112,9 @@ class TestSpectralSelftest:
         with pytest.raises(ValueError, match=r"got 2\.0"):
             bt.theta_of_beta([0.5, 2.0])
         thetas = np.array([1e-7, 0.3, np.pi / 2])
-        each = [bt.ideal_bell_values(t) for t in thetas]
-        np.testing.assert_array_equal(bt.ideal_bell_values(thetas), each)
+        each = [bt.eval_bell(bt.ideal_scenario(t)) for t in thetas]
+        ideals = bt.bell_values(qo.angle_stack(thetas)).ideals
+        np.testing.assert_array_equal(ideals, [[v.ideal_i, v.ideal_j, v.ideal_s] for v in each])
 
 
 class TestTiltOracle:

@@ -123,16 +123,24 @@ class TestStackedContracts:
         with pytest.raises(ValueError, match=trace):
             qo.check_ket_stack(kets, self.THETAS)
 
+    def test_pure_kets_embed_the_checked_theta_kets(self):
+        # angle_stack gates only the theta-kets: its pure-ancilla kets must hold them exactly
+        stack = qo.angle_stack(self.THETAS)
+        pure = stack.pure[:, 0].reshape(3, 2, 2, 2, 2)  # (n, A, A', B, B')
+        embedded = np.zeros_like(pure)
+        embedded[:, :, 0, :, 0] = stack.qubit[:, 0]
+        np.testing.assert_array_equal(pure, embedded)
+
 
 class TestBeta:
     def test_maximal_entanglement_gives_zero(self):
-        assert abs(qo.beta_of_theta(np.pi / 2)) < 1e-12
+        assert abs(qo.tilt(np.pi / 2)[0]) < 1e-12
 
     def test_pi_thirds_value(self):
-        assert abs(qo.beta_of_theta(np.pi / 3) - 2 / math.sqrt(7)) < 1e-14
+        assert abs(qo.tilt(np.pi / 3)[0] - 2 / math.sqrt(7)) < 1e-14
 
     def test_strictly_below_two_near_zero(self):
-        b = qo.beta_of_theta(0.001)
+        b = qo.tilt(0.001)[0]
         assert 1.9 < b < 2.0
 
     def test_tilt_weights_are_the_lambda_form(self):
@@ -144,17 +152,20 @@ class TestBeta:
 
     @pytest.mark.parametrize(
         "fn",
-        [qo.check_theta, qo.tilt, qo.psi_theta_ket, qo.phi_theta_ket],
+        [qo.check_theta, qo.tilt, qo.theta_ket, qo.phi_theta_ket],
         ids=lambda f: f.__name__,
     )
     def test_array_of_angles_is_the_stack_of_floats(self, fn):
         thetas = np.array([1e-7, 0.3, 1.2, np.pi / 2 + 1e-13])
         each = [fn(float(t)) for t in thetas]
         batch = fn(thetas)
-        if fn is qo.tilt:
-            assert all(type(x) is float for x in each[0])
-            each, batch = np.array(each).T, np.array(batch)
-        np.testing.assert_array_equal(batch, np.array(each))
+        if fn in (qo.tilt, qo.theta_ket):  # tuples, compared part by part
+            floats = each[0] if fn is qo.tilt else each[0][:1]
+            assert all(type(x) is float for x in floats)
+            each = list(zip(*each))
+        assert len(batch) == len(each)
+        for b, e in zip(batch, each):
+            np.testing.assert_array_equal(b, np.array(e))
 
     def test_array_names_its_first_refused_angle(self):
         with pytest.raises(ValueError, match=r"got 0\.0"):
@@ -189,14 +200,14 @@ class TestIdealMeasurements:
         assert abs(mk.expval(mk.kron(qo.PAULI_Z, qo.PAULI_Z), sigma.rho) - 1.0) <= 1e-12
         # composed with a theta-ket, the kets give the density-matrix composition
         theta = 0.7
-        full = qo.with_ancilla(qo.psi_theta_ket(theta), ancilla)[0].reshape(len(ancilla), -1)
+        full = qo.with_ancilla(qo.theta_ket(theta)[1], ancilla)[0].reshape(len(ancilla), -1)
         oracle = qo.compose_with_ancilla(qo.psi_theta(theta), sigma).rho
         assert np.max(np.abs(full.T @ full.conj() - oracle)) <= mk.ZERO_TOL
 
     def test_bob_angle_matches_tilt(self):
         # the Z-weight of (B1+B2)/2 realizes cos(mu/2) = sqrt((1 + beta^2/4)/2)
         for theta in (0.4, 1.0, np.pi / 2):
-            beta = qo.beta_of_theta(theta)
+            beta = qo.tilt(theta)[0]
             _, bob = qo.ideal_measurements(theta)
             half_sum = (bob[0].op + bob[1].op) / 2
             cos_half_mu = mk.expval(half_sum @ mk.kron(qo.PAULI_Z, np.eye(2)), np.eye(4)) / 4

@@ -283,7 +283,7 @@ class TestOneGauge:
         """Against the other side's (I, X, Y x Z, Z) on the theta-state x the mixed ancilla."""
         rng = np.random.default_rng(seed)
         pair = (tg.random_extremal_povm(4, rng), tg.random_extremal_povm(4, rng))
-        kets = qo.with_ancilla(qo.psi_theta_ket(theta), qo.ANCILLA_MIXED)
+        kets = qo.with_ancilla(qo.theta_ket(theta)[1], qo.ANCILLA_MIXED)
         for side, p in enumerate(pair):
             v = tg.offdiag_set(p).null_basis[0]
             phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
