@@ -47,18 +47,9 @@ CHI: tuple[QState, QState] = tuple(qo.qstate_from_kets(k) for k in _CHI_KETS)
 _CHI_BLOCKS = np.array([[[1.0, s], [s, 1.0]] for s in (1.0, -1.0)]) / 2
 
 
-def _amplitudes(alice_kets, bob_kets, psi) -> np.ndarray:
-    """Tables <k_a l_b | psi> (..., m, n) of kets (..., m, 2) and (..., n, 2), and psi (..., 4)."""
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi.reshape(*psi.shape[:-1], 2, 2)
-    return np.conj(alice_kets) @ psi @ np.conj(np.swapaxes(bob_kets, -1, -2))
-
-
 def joint_amplitudes(alice: Povm, bob: Povm, psi) -> np.ndarray:
-    """Amplitude table <k_a l_b | psi> from the subnormalized kets and a theta-ket psi (4,)."""
-    if alice.kets is None or bob.kets is None:
-        raise ValueError("joint amplitudes need rank-one kets on both sides")
-    return _amplitudes(alice.kets, bob.kets, psi)
+    """Amplitude table <k_a l_b | psi> of both sides' gated rank-one kets and a theta-ket (4,)."""
+    return mk.amplitudes(tg.rank_one_kets(alice), tg.rank_one_kets(bob), np.reshape(psi, (2, 2)))
 
 
 def ideal_joint(alice: Povm, bob: Povm, psi) -> np.ndarray:
@@ -197,7 +188,7 @@ def attack_rows(theta, psi, alice_kets, bob_kets) -> AttackRows:
 
     tg.check_dilation(coeffs, kets, lambda side, n, a: at(side, n, f" outcome {a}"), at)
     lam, mu = coeffs
-    amp = _amplitudes(alice_kets, bob_kets, psi)
+    amp = mk.amplitudes(alice_kets, bob_kets, np.reshape(psi, (-1, 2, 2)))
     unit = np.abs(coeffs) >= 1.0 - mk.RANK_TOL
     weight = np.where(unit[0][:, :, None] & unit[1][:, None, :], np.abs(amp) ** 2, -1.0)
     n, best = np.arange(len(amp)), np.argmax(weight.reshape(len(amp), 16), axis=1)
@@ -367,7 +358,7 @@ def qubit_reduction_check(
         return f"Eve state {int(np.count_nonzero(index[:n] == d))} of decomposition {d}"
 
     qo.check_state_stack(blocks, eve)
-    ideal, joints = _tables(_amplitudes(*kets, psi), lam, mu, blocks)
+    ideal, joints = _tables(mk.amplitudes(*kets, psi.reshape(2, 2)), lam, mu, blocks)
     worst = np.max(np.abs(joints - ideal), axis=(1, 2))  # two states per decomposition
     deviations = worst.reshape(_DECOMPOSITIONS, 2).max(axis=1)
     return QubitReductionReport(

@@ -7,7 +7,8 @@ of the paper's claims over the stack: :func:`bell_values` gives the two tilted C
 expressions and the plain CHSH expression against their ideal values,
 :func:`selftest_reports` adds the spectral self-test of the 4x4 Bell
 operator, and ``SCHEMES`` maps each randomness scheme to its table function
-``f(stack, epsilon)``.  The per-angle functions (:func:`eval_bell` on
+``f(stack, epsilon)``, the rank-one ones as |`matkernel.amplitudes`|^2 of the
+POVM families' kets.  The per-angle functions (:func:`eval_bell` on
 :func:`ideal_scenario`, :func:`spectral_selftest`,
 :func:`projective_joint_distribution`) build the same quantities from
 validated objects one angle at a time and serve as their oracle.
@@ -399,24 +400,22 @@ def bell_report(theta: float) -> dict:
 
 
 def local_povm_tables(stack: qo.AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """The adjusted-tetrahedral marginal on Alice's qubit, (N, 1, 4)."""
-    elements = qo.ket_elements(qo.adjusted_tetrahedral_kets(stack.theta))
-    return mk.joint_table_kets(elements, [qo.ID2], stack.qubit)[:, None, :, 0]
+    """The adjusted-tetrahedral marginal on Alice's qubit, (N, 1, 4): sum_b |amp|^2 over |b>."""
+    amp = mk.amplitudes(qo.adjusted_tetrahedral_kets(stack.theta), qo.ID2, stack.qubit)
+    return np.sum(np.abs(amp) ** 2, axis=-1)[:, None]
 
 
 def global_projective_tables(stack: qo.AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """The Y x A' by X x I tables for the pure then the mixed ancilla, (N, 2, 2, 2)."""
     mixed = qo.with_ancilla(stack.qubit, qo.ANCILLA_MIXED)
-    qo.check_ket_stack(mixed, stack.theta)
     tables = [mk.joint_table_kets(_PROJECTORS_A, _PROJECTORS_B, k) for k in (stack.pure, mixed)]
     return np.stack(tables, axis=1)
 
 
 def global_povm_tables(stack: qo.AngleStack, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """The near-Y by modified-Mercedes table, (N, 1, 4, 3)."""
-    near_y = qo.ket_elements(qo.near_y_tetrahedral_kets(epsilon))
-    mercedes = qo.ket_elements(qo.modified_mercedes_kets(stack.theta))
-    return mk.joint_table_kets(near_y, mercedes, stack.qubit)[:, None]
+    """The near-Y by modified-Mercedes table |amp|^2, (N, 1, 4, 3)."""
+    kets = qo.near_y_tetrahedral_kets(epsilon), qo.modified_mercedes_kets(stack.theta)
+    return (np.abs(mk.amplitudes(*kets, stack.qubit)) ** 2)[:, None]
 
 
 SCHEMES = {

@@ -18,7 +18,7 @@ call.  ``attack`` checks its angles once, builds the adjusted-tetrahedral
 kets of all of them and evaluates them in one ``adversary.attack_rows``
 call, the kernel that ``build_attack`` and ``attack_report`` read too.
 Only the ``global_povm`` tables read ``--epsilon``, so ``certify`` refuses
-it for another scenario, and ``uniform``/``min_entropy`` tolerances for ``global_povm``.
+it for another scenario, and the ``min_entropy`` tolerance for ``global_povm``.
 
 Every command takes Schmidt angles in [THETA_MIN, pi/2] from either
 ``--theta`` or ``--theta-grid``, never both, checked at parse time by the one
@@ -27,7 +27,7 @@ about 1.05e-154, is the smallest angle whose tilt defect 2 - beta is a normal
 double.  ``selftest`` passes an angle when the Bell residuals, the fidelity,
 the spectral-form and eigenvalue residuals and the relative error of the
 recovered angle are all within their tolerances; ``certify`` passes it when
-the Bell residuals and its scenario's uniformity or witness are.
+the Bell residuals and its tables' uniformity (4x3: max = (1 + epsilon)/12) are.
 
 Each command registers only the options it reads (see ``COMMANDS``).  A
 ``--config`` file of ``key=value`` lines is read as the flags
@@ -260,14 +260,14 @@ def _certify_one(
     }
     bell_ok = max(residuals) <= cfg.tolerances["bell_residual"]
     if cfg.scenario == "global_povm":
-        deviation = float(dist.max() - 1.0 / 12.0)
         report.update(
             bound_type="lower_witness",
             epsilon=cfg.epsilon,
             target_bits=math.log2(12.0),
-            deviation_from_limit=deviation,
+            deviation_from_limit=report["max_entry"] - 1.0 / 12.0,
         )
-        report["pass"] = bell_ok and deviation <= 10.0 * cfg.epsilon
+        witness = abs(report["max_entry"] - (1.0 + cfg.epsilon) / 12.0)
+        report["pass"] = bell_ok and witness <= cfg.tolerances["uniform"]
         return report
 
     # Every table of a two-bit scheme must be uniform.
@@ -288,11 +288,10 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
         cfg.epsilon = bt.DEFAULT_EPSILON
     elif cfg.scenario != "global_povm":
         raise UsageError(f"--epsilon applies to --scenario global_povm only, not {cfg.scenario}")
-    if cfg.scenario == "global_povm":  # its gate reads bell_residual and 10 epsilon
-        for key in ("uniform", "min_entropy"):
-            if key in dict(cfg.tol):
-                raise UsageError(f"--tol {key} does not apply to --scenario global_povm")
-            del cfg.tolerances[key]
+    if cfg.scenario == "global_povm":  # its gate reads bell_residual and uniform
+        if "min_entropy" in dict(cfg.tol):
+            raise UsageError("--tol min_entropy does not apply to --scenario global_povm")
+        del cfg.tolerances["min_entropy"]
     stack = qo.angle_stack(cfg.thetas)
     residuals = bt.bell_values(stack).residuals.tolist()
     tables = bt.SCHEMES[cfg.scenario](stack, cfg.epsilon)

@@ -2,8 +2,9 @@
 
 Tensor products, subsystem permutations, partial traces, Hermitian
 eigendecompositions, trace norms, joint null spaces and Born-rule outcome
-tables, over plain numpy arrays (complex128, row-major).  Every operation is
-a pure function and safe to call concurrently.
+tables (|.|^2 of :func:`amplitudes` for rank-one elements), over plain numpy
+arrays (complex128, row-major).  Every operation is a pure function and safe
+to call concurrently.
 
 Subsystem ordering convention used throughout the package:
 (A-qubit, A'-ancilla, B-qubit, B'-ancilla), nested as ((A x A') x (B x B')).
@@ -199,6 +200,16 @@ def joint_table(ops_a, ops_b, rho) -> np.ndarray:
     r = as_matrix(rho)
     check_shape(r, (da, db))
     return np.einsum("aik,bjl,klij->ab", a, b, r.reshape(da, db, da, db)).real
+
+
+def amplitudes(kets_a, kets_b, psi) -> np.ndarray:
+    """Amplitude tables <k_a l_b|psi> = (conj(k) psi l^dagger)[a, b] (..., m, n).
+
+    Kets are (..., m, da) and (..., n, db), and psi (..., da, db) is a ket viewed
+    as a matrix (row: the `kets_a` side).  |.|^2 is the Born-rule table of the
+    rank-one elements |k_a><k_a| x |l_b><l_b|.
+    """
+    return np.conj(kets_a) @ psi @ np.conj(np.swapaxes(kets_b, -1, -2))
 
 
 def joint_table_kets(ops_a, ops_b, kets) -> np.ndarray:

@@ -251,6 +251,7 @@ def phi_theta(theta: float) -> QState:
 ANCILLA_PURE = _readonly([[[1, 0], [0, 0]]])  # |00>
 # (|00><00| + |11><11|)/2 with 1/sqrt(2) correctly rounded; 1 / math.sqrt(2) is an ulp below
 ANCILLA_MIXED = _readonly(math.sqrt(0.5) * np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]]))
+qstate_from_kets(ANCILLA_MIXED)  # its `QState` contract, checked once here, not per use
 
 
 def ideal_measurements(theta: float) -> tuple[list[Dichotomic], list[Dichotomic]]:
@@ -309,8 +310,8 @@ class AngleStack(NamedTuple):
     """One command's checked angles and everything the kernels derive from them alone.
 
     Row n belongs to theta[n]: the tilt (beta, w_plus, w_minus, delta) of
-    :func:`tilt`, the theta-state kets `qubit` (N, 1, 2, 2) and the kets
-    `pure` (N, K, 4, 4) of the theta-state with the pure ancilla.
+    :func:`tilt`, the theta-state kets `qubit` as 2x2 matrices (N, 2, 2) and
+    the kets `pure` (N, K, 4, 4) of the theta-state with the pure ancilla.
     """
 
     theta: np.ndarray
@@ -329,9 +330,8 @@ def angle_stack(thetas) -> AngleStack:
     needs no gate: times the one ket |00> of `ANCILLA_PURE`, it holds them exactly.
     """
     theta, psi = theta_ket(np.asarray(thetas, dtype=float).reshape(-1))
-    qubit = psi.reshape(-1, 1, 2, 2)
-    check_ket_stack(qubit, theta)
-    return AngleStack(theta, *_tilt(theta), qubit, with_ancilla(psi, ANCILLA_PURE))
+    check_ket_stack(psi[:, None], theta)  # one ket per state
+    return AngleStack(theta, *_tilt(theta), psi.reshape(-1, 2, 2), with_ancilla(psi, ANCILLA_PURE))
 
 
 # ---------------------------------------------------------------------------

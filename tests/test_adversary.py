@@ -138,6 +138,15 @@ class TestClosedForm:
         expected = amp.real**2 * (1 - np.outer(lam, lam))
         assert np.max(np.abs(minus - expected)) <= 1e-12
 
+    def test_non_finite_ket_refused_naming_its_outcome(self):
+        p = qo.adjusted_tetrahedral(0.5)
+        kets = p.kets.copy()
+        kets[1, 0] = np.nan
+        bad = qo.Povm(p.elements, kets)
+        for alice, bob in ((bad, p), (p, bad)):
+            with pytest.raises(ValueError, match="^non-finite ket nan exceeds 1e-12 at outcome 1$"):
+                adv.closed_form_joint(alice, bob, np.zeros(4), np.zeros(4), 0.5, +1)
+
     def test_bad_sign_rejected(self):
         p = qo.adjusted_tetrahedral(0.5)
         attack = adv.build_attack(p, p, 0.5)

@@ -267,6 +267,26 @@ class TestBellBatch:
             for got, want in pairs:
                 assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= mk.ZERO_TOL
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(log_uniform_angle, min_size=1, max_size=8),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example([qo.THETA_MIN, 1e-9, math.pi / 2], 1e-4)
+    @example([qo.THETA_MIN, 1e-9, math.pi / 2], 5e-324)
+    @example([qo.THETA_MIN, 1e-9, math.pi / 2], 1.0 - 2**-53)
+    def test_rank_one_tables_match_the_element_route(self, thetas, epsilon):
+        # |amplitude|^2 against the elements |k><k| contracted over the theta-kets
+        stack = qo.angle_stack(thetas)
+        kets = stack.qubit[:, None]  # one ket per state
+        elements = qo.ket_elements(qo.adjusted_tetrahedral_kets(stack.theta))
+        local = mk.joint_table_kets(elements, [qo.ID2], kets)[..., 0]
+        near_y = qo.ket_elements(qo.near_y_tetrahedral_kets(epsilon))
+        mercedes = qo.ket_elements(qo.modified_mercedes_kets(stack.theta))
+        four_by_three = mk.joint_table_kets(near_y, mercedes, kets)
+        assert np.max(np.abs(bt.local_povm_tables(stack, epsilon)[:, 0] - local)) <= 1e-15
+        assert np.max(np.abs(bt.global_povm_tables(stack, epsilon)[:, 0] - four_by_three)) <= 1e-15
+
     @pytest.mark.parametrize(
         "ancilla", [qo.ANCILLA_PURE, qo.ANCILLA_MIXED], ids=["pure", "mixed"]
     )

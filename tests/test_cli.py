@@ -95,12 +95,12 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["reports"][0]["epsilon"] == bt.DEFAULT_EPSILON
 
-    def test_global_povm_lists_the_one_tolerance_it_reads(self, capsys):
-        # its gate reads bell_residual and 10 epsilon; uniform and min_entropy are refused
+    def test_global_povm_lists_the_tolerances_it_reads(self, capsys):
+        # its gate reads bell_residual and uniform; min_entropy is refused
         argv = ["certify", "--scenario", "global_povm", "--theta", "0.9"]
-        code, out = run(capsys, argv + ["--tol", "bell_residual=1e-8"])
+        code, out = run(capsys, argv + ["--tol", "bell_residual=1e-8", "--tol", "uniform=1e-3"])
         assert code == 0
-        assert json.loads(out)["tolerances"] == {"bell_residual": 1e-8}
+        assert json.loads(out)["tolerances"] == {"bell_residual": 1e-8, "uniform": 1e-3}
 
     def test_missing_scenario_is_usage_error(self):
         assert main(["certify", "--theta", "0.5"]) == 2
@@ -307,9 +307,7 @@ REFUSED = [
     ["certify", "--scenario", "global_projective", "--epsilon", "1e-4"],
     ["certify", "--scenario", "local_povm", "--config", "epsilon=0.5"],
     ["certify", "--scenario", "global_projective", "--config", "epsilon=1e-4"],
-    ["certify", "--scenario", "global_povm", "--theta", "0.7", "--tol", "uniform=1e-300"],
     ["certify", "--scenario", "global_povm", "--theta", "0.7", "--tol", "min_entropy=1e-300"],
-    ["certify", "--scenario", "global_povm", "--theta", "0.7", "--config", "tol.uniform=1e-300"],
     ["certify", "--scenario", "global_povm", "--theta", "0.7", "--config", "tol.min_entropy=1"],
     ["selftest", "--config", "thetta=0.4"],
     ["selftest", "--config", "config=other.cfg"],
@@ -471,6 +469,20 @@ class TestGates:
         assert not rep["pass"] and doc["reports"][1]["pass"]
         assert abs(rep["theta_recovered"] / rep["theta"] - 1) > 1e-3
 
+    def test_certify_gates_the_4x3_witness_at_its_closed_form(self, capsys, monkeypatch):
+        # the largest entry is (1 + epsilon)/12 at every angle, to the last few ulps
+        argv = ["certify", "--scenario", "global_povm", "--theta", f"{qo.THETA_MIN!r},1e-9,0.4,1.1"]
+        code, out = run(capsys, argv + ["--tol", "uniform=1e-15", "--epsilon", "0.5"])
+        assert code == 0
+        # Mercedes kets rotated by 1e-4 rad move it by about 1e-5, which 1/12 + 10 epsilon admits
+        exact, c, s = qo.modified_mercedes_kets, math.cos(5e-5), math.sin(5e-5)
+        rotated = np.array([[c, s], [-s, c]])
+        monkeypatch.setattr(qo, "modified_mercedes_kets", lambda t: exact(t) @ rotated)
+        code, out = run(capsys, argv)
+        reports = json.loads(out)["reports"]
+        assert code == 1 and not any(rep["pass"] for rep in reports)
+        assert all(1e-6 < rep["deviation_from_limit"] <= 10 * 1e-4 for rep in reports)
+
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_certify_gates_the_bell_residuals(self, capsys, monkeypatch, scenario):
         exact = bt.bell_values
@@ -573,8 +585,9 @@ class TestEachCommandComputesWhatItReports:
     KETS = ("adjusted_tetrahedral_kets", "modified_mercedes_kets", "near_y_tetrahedral_kets")
 
     def calls(self, monkeypatch, capsys, argv):
-        """How often `argv` calls `mk.eigh` and each `qobjects.*_kets` family."""
-        counts = dict.fromkeys(("eigh", *self.KETS), 0)
+        """How often `argv` calls `mk.eigh`, `mk.joint_table_kets`, `qo.ket_elements` and each
+        `qobjects.*_kets` family."""
+        counts = dict.fromkeys(("eigh", "joint_table_kets", "ket_elements", *self.KETS), 0)
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -584,7 +597,8 @@ class TestEachCommandComputesWhatItReports:
             return wrapper
 
         with monkeypatch.context() as patch:
-            patch.setattr(mk, "eigh", counted("eigh", mk.eigh))
+            for module, name in ((mk, "eigh"), (mk, "joint_table_kets"), (qo, "ket_elements")):
+                patch.setattr(module, name, counted(name, getattr(module, name)))
             for name in self.KETS:
                 patch.setattr(qo, name, counted(name, getattr(qo, name)))
             code = main([*argv, "--theta", "0.4,1.1"])
@@ -593,16 +607,18 @@ class TestEachCommandComputesWhatItReports:
         return {name: n for name, n in counts.items() if n}
 
     def test_kernel_calls_per_command(self, monkeypatch, capsys):
-        called = {
-            form: set(self.calls(monkeypatch, capsys, argv)) for form, argv in self.FORMS.items()
+        counts = {form: self.calls(monkeypatch, capsys, argv) for form, argv in self.FORMS.items()}
+        tables = {"joint_table_kets"}  # the Bell basis table, and the projective tables
+        assert {form: set(called) for form, called in counts.items()} == {
+            "selftest": {"eigh", "ket_elements", *tables},
+            "sweep": {*self.KETS, *tables},
+            "certify local_povm": {"adjusted_tetrahedral_kets", *tables},
+            "certify global_projective": tables,
+            "certify global_povm": {"modified_mercedes_kets", "near_y_tetrahedral_kets", *tables},
         }
-        assert called == {
-            "selftest": {"eigh"},
-            "sweep": set(self.KETS),
-            "certify local_povm": {"adjusted_tetrahedral_kets"},
-            "certify global_projective": set(),
-            "certify global_povm": {"modified_mercedes_kets", "near_y_tetrahedral_kets"},
-        }
+        # the POVM tables are |amplitude|^2, so the one table of operators is the Bell basis
+        assert counts["certify local_povm"]["joint_table_kets"] == 1
+        assert counts["certify global_povm"]["joint_table_kets"] == 1
 
 
     def test_angle_checks_per_command(self, monkeypatch, capsys):

@@ -264,6 +264,32 @@ class TestJointTable:
             mk.joint_table([I2], [I2], np.eye(8) / 8)
 
 
+class TestAmplitudes:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(2, 2), (2, 4), (4, 2)]),
+        st.integers(1, 4),
+        st.integers(1, 4),
+    )
+    def test_matches_the_inner_product(self, seed, dims, m, n):
+        # complex kets and a general complex state, so a conjugate dropped on either side shows
+        rng = np.random.default_rng(seed)
+        da, db = dims
+
+        def normal(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        ka, kb, psi = normal(3, m, da), normal(3, n, db), normal(3, da, db)
+        amp = mk.amplitudes(ka, kb, psi)
+        oracle = [
+            [[np.vdot(np.kron(a, b), p.reshape(-1)) for b in kb[s]] for a in ka[s]]
+            for s, p in enumerate(psi)
+        ]
+        assert amp.shape == (3, m, n)
+        assert np.max(np.abs(amp - oracle)) <= 1e-12
+
+
 def test_tiers_are_the_only_thresholds():
     """No `*_TOL` constant or 1e-9..1e-13 literal outside matkernel's three tier lines."""
     threshold = re.compile(r"\b\w*_TOL\s*=(?!=)|\b\d+(\.\d*)?[eE]-0*(9|1[0-3])\b")

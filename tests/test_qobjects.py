@@ -128,7 +128,7 @@ class TestStackedContracts:
         stack = qo.angle_stack(self.THETAS)
         pure = stack.pure[:, 0].reshape(3, 2, 2, 2, 2)  # (n, A, A', B, B')
         embedded = np.zeros_like(pure)
-        embedded[:, :, 0, :, 0] = stack.qubit[:, 0]
+        embedded[:, :, 0, :, 0] = stack.qubit
         np.testing.assert_array_equal(pure, embedded)
 
 
