@@ -10,9 +10,10 @@ on its diagonal, lam_a mu_b conj(amp_ab)^2 off it.  :func:`_tables` reads it
 for the chi_+- pair in :func:`attack_rows` (the attack at N angles, behind the
 CLI's ``attack``, :func:`build_attack` and :func:`attack_report`) and for the
 sampled states of :func:`qubit_reduction_check`, which shows the attack is
-powerless when one side uses at most three outcomes.  The dilated POVMs serve
-only the Born-rule oracles :func:`evaluate_attack` and
-:func:`brute_force_joint`.  Also provides the resulting min-entropy cap.
+powerless when one side uses at most three outcomes.  :func:`attack_columns`
+holds the rows as report columns.  The dilated POVMs serve only the Born-rule
+oracles :func:`evaluate_attack` and :func:`brute_force_joint`.  Also provides
+the resulting min-entropy cap.
 """
 
 from __future__ import annotations
@@ -370,11 +371,11 @@ def qubit_reduction_check(
     )
 
 
-def attack_reports(rows: AttackRows) -> list[dict]:
-    """JSON-ready report per row of :func:`attack_rows`, read from its closed-form tables."""
+def attack_columns(rows: AttackRows) -> dict:
+    """The attack report's columns over the rows of :func:`attack_rows`, read from its tables."""
     cj = ConditionalJoint(rows.p_plus, rows.p_minus)
     n, (a, b) = np.arange(len(rows.theta)), rows.target.T
-    columns = {
+    return {
         "theta": rows.theta,
         "lambda": np.stack([rows.lam.real, rows.lam.imag], axis=-1),
         "mu": np.stack([rows.mu.real, rows.mu.imag], axis=-1),
@@ -385,15 +386,15 @@ def attack_reports(rows: AttackRows) -> list[dict]:
         "zero_entry_value": rows.p_minus[n, a, b],
         "guessing_prob": cj.guessing_prob,
         "certified_bits": cj.certified_bits,
+        "cap_bits": [CAP_BITS] * len(rows.theta),
     }
-    values = zip(*(c.tolist() for c in columns.values()))
-    return [dict(zip(columns, row), cap_bits=CAP_BITS) for row in values]
 
 
 def attack_report(attack: AttackModel) -> dict:
-    """JSON-ready summary of a built attack: its closed-form tables on its carried theta-ket."""
+    """JSON-ready report of a built attack: row 0 of :func:`attack_columns`, from its gated kets."""
     lam, mu = attack.lambda_coeffs[None], attack.mu_coeffs[None]
-    amp = joint_amplitudes(attack.alice, attack.bob, attack.psi)[None]
+    amp = mk.amplitudes(attack.alice.kets, attack.bob.kets, attack.psi.reshape(2, 2))[None]
     ideal, tables = _tables(amp, lam, mu, _CHI_BLOCKS)
     theta, target = np.array([attack.theta]), np.array([attack.target_pair])
-    return attack_reports(AttackRows(theta, lam, mu, target, ideal, *tables, [None]))[0]
+    rows = AttackRows(theta, lam, mu, target, ideal, *tables, [None])
+    return qo.report_rows(attack_columns(rows))[0]

@@ -3,17 +3,18 @@
 A command checks its angles once, in :func:`qobjects.angle_stack`, which
 builds the :class:`qobjects.AngleStack` of the tilt and the theta-state kets
 that every angle-batched kernel reads.  Three such kernels each evaluate one
-of the paper's claims over the stack: :func:`bell_values` gives the two tilted CHSH
-expressions and the plain CHSH expression against their ideal values,
-:func:`selftest_reports` adds the spectral self-test of the 4x4 Bell
-operator, and ``SCHEMES`` maps each randomness scheme to its table function
-``f(stack, epsilon)``, the rank-one ones as |`matkernel.amplitudes`|^2 of the
-POVM families' kets.  The per-angle functions (:func:`eval_bell` on
-:func:`ideal_scenario`, :func:`spectral_selftest`,
-:func:`projective_joint_distribution`) build the same quantities from
-validated objects one angle at a time and serve as their oracle.
-:func:`verify_b7_extraction` checks the trace-norm extraction of the seventh
-observable.
+of the paper's claims over the stack: :func:`bell_values` gives the two
+tilted CHSH expressions and the plain CHSH expression against their ideal
+values, :func:`selftest_columns` adds the spectral self-test of the 4x4 Bell
+operator as the self-test report's columns, whose rows
+:func:`qobjects.report_rows` forms, and ``SCHEMES`` maps each randomness
+scheme to its table function ``f(stack, epsilon)``, the rank-one ones as
+|`matkernel.amplitudes`|^2 of the POVM families' kets.  The per-angle
+functions (:func:`eval_bell` on :func:`ideal_scenario`,
+:func:`spectral_selftest`, :func:`projective_joint_distribution`) build the
+same quantities from validated objects one angle at a time and serve as
+their oracle.  :func:`verify_b7_extraction` checks the trace-norm extraction
+of the seventh observable.
 """
 
 from __future__ import annotations
@@ -367,32 +368,30 @@ def bell_values(stack: qo.AngleStack) -> BellRows:
     return BellRows(values, ideals, np.abs(values - ideals))
 
 
-def selftest_reports(stack: qo.AngleStack) -> list[dict]:
-    """JSON-ready self-test report per angle: the Bell values and the spectral self-test."""
+def selftest_columns(stack: qo.AngleStack) -> dict:
+    """The self-test report's columns over the stack: the Bell values and the spectral self-test."""
     rows = bell_values(stack)
     spectrum, recovered, fidelity, form, eigen = _spectral_selftests(
         stack.beta, stack.delta, rows.ideals[:, 0]
     )
-    columns = {
+    return {
         "theta": stack.theta,
         "beta": stack.beta,
         "delta": stack.delta,
         **dict(zip(BELL_KEYS, rows.values.T)),
+        "ideals": dict(zip(BELL_KEYS, rows.ideals.T)),
+        "residuals": dict(zip(BELL_KEYS, rows.residuals.T)),
         "spectrum": spectrum,
         "theta_recovered": recovered,
         "fidelity": fidelity,
         "spectral_form_residual": form,
         "eigenvalue_residual": eigen,
     }
-    reports = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-    for rep, ideals, residuals in zip(reports, rows.ideals.tolist(), rows.residuals.tolist()):
-        rep.update(ideals=dict(zip(BELL_KEYS, ideals)), residuals=dict(zip(BELL_KEYS, residuals)))
-    return reports
 
 
 def bell_report(theta: float) -> dict:
-    """JSON-ready self-test report for one angle: row 0 of :func:`selftest_reports`."""
-    return selftest_reports(qo.angle_stack([theta]))[0]
+    """JSON-ready self-test report for one angle: row 0 of :func:`selftest_columns`."""
+    return qo.report_rows(selftest_columns(qo.angle_stack([theta])))[0]
 
 
 # Scheme tables: (N, T, ...) per angle of the stack, the reported table first.

@@ -19,6 +19,10 @@ kets of all of them and evaluates them in one ``adversary.attack_rows``
 call, the kernel that ``build_attack`` and ``attack_report`` read too.
 Only the ``global_povm`` tables read ``--epsilon``, so ``certify`` refuses
 it for another scenario, and the ``min_entropy`` tolerance for ``global_povm``.
+Every command holds its report as columns over its angles, gates them as one
+``pass`` column, in which a NaN fails, and forms its rows in one
+``qobjects.report_rows`` call; ``all_pass``, ``failing_thetas`` and the
+exit code read that column.
 
 Every command takes Schmidt angles in [THETA_MIN, pi/2] from either
 ``--theta`` or ``--theta-grid``, never both, checked at parse time by the one
@@ -202,13 +206,6 @@ def _with_config(argv: list[str]) -> list[str]:
     return [*argv[:at], *tokens, *argv[at:]]
 
 
-def _resolve_thetas(args: argparse.Namespace) -> list[float]:
-    if args.theta:
-        return args.theta
-    n = args.theta_grid or COMMANDS[args.command].default_grid
-    return [float(t) for t in qo.theta_grid(n)] if n else [math.pi / 2]
-
-
 def _emit(text: str, cfg: argparse.Namespace) -> None:
     if cfg.out:
         Path(cfg.out).write_text(text, encoding="utf-8")
@@ -216,9 +213,9 @@ def _emit(text: str, cfg: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _json_document(cfg: argparse.Namespace, command: str, payload: dict) -> str:
-    doc = {"schema": SCHEMA_VERSION, "command": command, "tolerances": cfg.tolerances, **payload}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def _json_document(cfg: argparse.Namespace, payload: dict) -> str:
+    doc = {"schema": SCHEMA_VERSION, "command": cfg.command, "tolerances": cfg.tolerances}
+    return json.dumps({**doc, **payload}, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -226,59 +223,25 @@ def _json_document(cfg: argparse.Namespace, command: str, payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _emit_gated(cfg: argparse.Namespace, reports: list[dict], passed: np.ndarray, **payload) -> int:
+    """Emit the command's reports and `all_pass` from the per-angle gate; exit 1 if one fails."""
+    ok = bool(passed.all())
+    _emit(_json_document(cfg, {"reports": reports, "all_pass": ok, **payload}), cfg)
+    return 0 if ok else 1
+
+
 def cmd_selftest(cfg: argparse.Namespace) -> int:
-    tol_bell = cfg.tolerances["bell_residual"]
     tol_spec = cfg.tolerances["spectral"]
-    reports = bt.selftest_reports(qo.angle_stack(cfg.thetas))
-    for rep in reports:
-        rep["pass"] = (
-            max(rep["residuals"].values()) <= tol_bell
-            and rep["fidelity"] >= 1.0 - tol_spec
-            and rep["spectral_form_residual"] <= tol_spec
-            and rep["eigenvalue_residual"] <= tol_spec
-            and abs(rep["theta_recovered"] / rep["theta"] - 1.0) <= tol_spec
-        )
-    failing = [rep["theta"] for rep in reports if not rep["pass"]]
-    payload = {"reports": reports, "all_pass": not failing, "failing_thetas": failing}
-    _emit(_json_document(cfg, "selftest", payload), cfg)
-    return 0 if not failing else 1
-
-
-def _certify_one(
-    cfg: argparse.Namespace, theta: float, residuals, tables: np.ndarray, entropy: float
-) -> dict:
-    """The gated certify report of `cfg.scenario` at one angle from its tables (reported first)."""
-    dist = tables[0].reshape(-1)
-    report = {
-        "scenario": cfg.scenario,
-        "theta": theta,
-        "epsilon": None,
-        "bell_residuals": dict(zip(bt.BELL_KEYS, residuals)),
-        "distribution": dist.tolist(),
-        "min_entropy_bits": entropy,
-        "max_entry": float(dist.max()),
-    }
-    bell_ok = max(residuals) <= cfg.tolerances["bell_residual"]
-    if cfg.scenario == "global_povm":
-        report.update(
-            bound_type="lower_witness",
-            epsilon=cfg.epsilon,
-            target_bits=math.log2(12.0),
-            deviation_from_limit=report["max_entry"] - 1.0 / 12.0,
-        )
-        witness = abs(report["max_entry"] - (1.0 + cfg.epsilon) / 12.0)
-        report["pass"] = bell_ok and witness <= cfg.tolerances["uniform"]
-        return report
-
-    # Every table of a two-bit scheme must be uniform.
-    deviation = float(np.max(np.abs(tables - 0.25)))
-    report.update(bound_type="attained", target_bits=2.0, uniform_deviation=deviation)
-    report["pass"] = (
-        bell_ok
-        and deviation <= cfg.tolerances["uniform"]
-        and abs(entropy - 2.0) <= cfg.tolerances["min_entropy"]
+    columns = bt.selftest_columns(qo.angle_stack(cfg.thetas))
+    passed = (
+        (np.maximum.reduce(list(columns["residuals"].values())) <= cfg.tolerances["bell_residual"])
+        & (columns["fidelity"] >= 1.0 - tol_spec)
+        & (columns["spectral_form_residual"] <= tol_spec)
+        & (columns["eigenvalue_residual"] <= tol_spec)
+        & (np.abs(columns["theta_recovered"] / columns["theta"] - 1.0) <= tol_spec)
     )
-    return report
+    reports = qo.report_rows({**columns, "pass": passed})
+    return _emit_gated(cfg, reports, passed, failing_thetas=columns["theta"][~passed].tolist())
 
 
 def cmd_certify(cfg: argparse.Namespace) -> int:
@@ -292,17 +255,31 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
         if "min_entropy" in dict(cfg.tol):
             raise UsageError("--tol min_entropy does not apply to --scenario global_povm")
         del cfg.tolerances["min_entropy"]
+    tol = cfg.tolerances
     stack = qo.angle_stack(cfg.thetas)
-    residuals = bt.bell_values(stack).residuals.tolist()
-    tables = bt.SCHEMES[cfg.scenario](stack, cfg.epsilon)
-    entropies = adv.min_entropy(tables[:, 0])
-    reports = [
-        _certify_one(cfg, *row) for row in zip(stack.theta.tolist(), residuals, tables, entropies)
-    ]
-    ok = all(r["pass"] for r in reports)
-    payload = {"scenario": cfg.scenario, "reports": reports, "all_pass": ok}
-    _emit(_json_document(cfg, "certify", payload), cfg)
-    return 0 if ok else 1
+    residuals = bt.bell_values(stack).residuals
+    tables = bt.SCHEMES[cfg.scenario](stack, cfg.epsilon)  # the reported table first
+    dist, entropy = tables[:, 0].reshape(len(tables), -1), adv.min_entropy(tables[:, 0])
+    columns = {
+        "theta": stack.theta,
+        "bell_residuals": dict(zip(bt.BELL_KEYS, residuals.T)),
+        "distribution": dist,
+        "min_entropy_bits": entropy,
+        "max_entry": dist.max(axis=1),
+    }
+    passed = residuals.max(axis=1) <= tol["bell_residual"]
+    if cfg.scenario == "global_povm":
+        constants = dict(bound_type="lower_witness", epsilon=cfg.epsilon, target_bits=math.log2(12))
+        columns["deviation_from_limit"] = columns["max_entry"] - 1.0 / 12.0
+        passed &= np.abs(columns["max_entry"] - (1.0 + cfg.epsilon) / 12.0) <= tol["uniform"]
+    else:
+        # Every table of a two-bit scheme must be uniform.
+        constants = dict(bound_type="attained", epsilon=None, target_bits=2.0)
+        columns["uniform_deviation"] = np.abs(tables - 0.25).reshape(len(tables), -1).max(axis=1)
+        passed &= columns["uniform_deviation"] <= tol["uniform"]
+        passed &= [abs(bits - 2.0) <= tol["min_entropy"] for bits in entropy]  # a list column
+    reports = qo.report_rows({**columns, "pass": passed}, scenario=cfg.scenario, **constants)
+    return _emit_gated(cfg, reports, passed, scenario=cfg.scenario)
 
 
 def cmd_attack(cfg: argparse.Namespace) -> int:
@@ -310,44 +287,30 @@ def cmd_attack(cfg: argparse.Namespace) -> int:
     theta, psi = qo.theta_ket(np.asarray(cfg.thetas))
     kets = qo.adjusted_tetrahedral_kets(theta)  # Alice and Bob measure the same POVM
     rows = adv.attack_rows(theta, psi, kets, kets)
-    reports = []
-    for rep, reason in zip(adv.attack_reports(rows), rows.reason):
-        if reason is not None:
-            rep = {"theta": rep["theta"], "degenerate": True, "reason": reason, "pass": False}
-        else:
-            rep["degenerate"] = False
-            rep["pass"] = (
-                rep["average_vs_ideal_max_dev"] <= tol
-                and rep["zero_entry_value"] <= tol
-                and rep["certified_bits"] <= rep["cap_bits"]
-            )
-        reports.append(rep)
-    ok = all(rep["pass"] for rep in reports)
-    payload = {"reports": reports, "all_pass": ok}
-    _emit(_json_document(cfg, "attack", payload), cfg)
-    return 0 if ok else 1
+    columns = adv.attack_columns(rows)
+    degenerate = np.array([reason is not None for reason in rows.reason])
+    passed = (
+        ~degenerate
+        & (columns["average_vs_ideal_max_dev"] <= tol)
+        & (columns["zero_entry_value"] <= tol)
+        & (columns["certified_bits"] <= adv.CAP_BITS)
+    )
+    reports = qo.report_rows({**columns, "degenerate": degenerate, "pass": passed})
+    reports = [  # a degenerate row says why it fails, not its tables
+        rep
+        if why is None
+        else {"theta": rep["theta"], "degenerate": True, "reason": why, "pass": False}
+        for rep, why in zip(reports, rows.reason)
+    ]
+    return _emit_gated(cfg, reports, passed)
 
 
 def _sweep_rows(thetas: list[float], epsilon: float) -> list[dict]:
     stack = qo.angle_stack(thetas)
     rows = bt.bell_values(stack)
-    minent = {
-        f"minent_{sc}": adv.min_entropy(scheme(stack, epsilon)[:, 0])
-        for sc, scheme in bt.SCHEMES.items()
-    }
-    return [
-        {
-            "theta": theta,
-            "beta": beta,
-            **dict(zip(bt.BELL_KEYS, values)),
-            **{f"res_{key}": r for key, r in zip(bt.BELL_KEYS, res)},
-            **{col: entropies[n] for col, entropies in minent.items()},
-            "status": "ok",
-        }
-        for n, (theta, beta, values, res) in enumerate(
-            zip(*(a.tolist() for a in (stack.theta, stack.beta, rows.values, rows.residuals)))
-        )
-    ]
+    minent = [adv.min_entropy(scheme(stack, epsilon)[:, 0]) for scheme in bt.SCHEMES.values()]
+    columns = (stack.theta, stack.beta, *rows.values.T, *rows.residuals.T, *minent)
+    return qo.report_rows(dict(zip(SWEEP_COLUMNS[:-1], columns, strict=True)), status="ok")
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
@@ -372,14 +335,11 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
             ",".join(SWEEP_COLUMNS),
         ]
         for row in rows:
-            cells = []
-            for col in SWEEP_COLUMNS:
-                val = row.get(col, "")
-                cells.append(f"{val:.17g}" if isinstance(val, float) else str(val))
-            lines.append(",".join(cells))
+            cells = (row.get(col, "") for col in SWEEP_COLUMNS)
+            lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in cells))
         _emit("\n".join(lines) + "\n", cfg)
     else:
-        _emit(_json_document(cfg, "sweep", {"rows": rows, "all_pass": not errors}), cfg)
+        _emit(_json_document(cfg, {"rows": rows, "all_pass": not errors}), cfg)
     if errors:
         first = errors[0]
         print(
@@ -447,7 +407,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_with_config(argv))
-        args.thetas = _resolve_thetas(args)
+        n = args.theta_grid or COMMANDS[args.command].default_grid  # None: pi/2 alone
+        args.thetas = args.theta or ([float(t) for t in qo.theta_grid(n)] if n else [math.pi / 2])
         args.tolerances = {**COMMANDS[args.command].tolerances, **dict(args.tol)}
         handler = {
             "selftest": cmd_selftest,

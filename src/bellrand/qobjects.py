@@ -334,6 +334,21 @@ def angle_stack(thetas) -> AngleStack:
     return AngleStack(theta, *_tilt(theta), psi.reshape(-1, 2, 2), with_ancilla(psi, ANCILLA_PURE))
 
 
+def report_rows(columns: dict, **constants) -> list[dict]:
+    """The N JSON-ready rows of equal-length columns (N, ...), row n of each as an `AngleStack`'s.
+
+    Arrays give entries by `.tolist()`, a dict of array columns nests, `constants`
+    repeat on every row, and a column of another length is refused.
+    """
+    cells = [
+        [dict(zip(c, row)) for row in zip(*[a.tolist() for a in c.values()], strict=True)]
+        if isinstance(c, dict)
+        else c.tolist() if isinstance(c, np.ndarray) else c
+        for c in columns.values()
+    ]
+    return [dict(zip(columns, row), **constants) for row in zip(*cells, strict=True)]
+
+
 # ---------------------------------------------------------------------------
 # POVM reports and constructors
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ class TestTiltOracle:
         theta = min(max(theta, qo.THETA_MIN), math.pi / 2)  # exp may round past either end
         stack = qo.angle_stack([theta])
         xx = bt._bell_operators(stack.beta, stack.delta)[0, 0, 3].real
-        got = (stack.delta[0], bt.selftest_reports(stack)[0]["theta_recovered"], xx)
+        got = (stack.delta[0], bt.selftest_columns(stack)["theta_recovered"][0], xx)
         # 2 - beta and 1 - beta^2/4 cancel about 2 log10(1/theta) digits: add them
         # to the working precision so that 80 digits are left.
         with mpmath.workdps(80 - 2 * int(mpmath.log10(theta))):
@@ -223,7 +223,7 @@ class TestBellBatch:
     def test_matches_per_angle_oracle(self, thetas, epsilon):
         stack = qo.angle_stack(thetas)
         rows = bt.bell_values(stack)
-        reports = bt.selftest_reports(stack)
+        reports = qo.report_rows(bt.selftest_columns(stack))
         tables = {sc: scheme(stack, epsilon) for sc, scheme in bt.SCHEMES.items()}
         n_angles = len(thetas)
         assert tables["local_povm"].shape == (n_angles, 1, 4)
@@ -301,7 +301,8 @@ class TestBellBatch:
         assert np.max(np.abs(ops - np.stack([b.op for b in scenario.bob]))) <= mk.ZERO_TOL
 
     def test_report_is_row_zero(self):
-        assert bt.bell_report(0.9) == bt.selftest_reports(qo.angle_stack([0.4, 0.9]))[1]
+        columns = bt.selftest_columns(qo.angle_stack([0.4, 0.9]))
+        assert bt.bell_report(0.9) == qo.report_rows(columns)[1]
 
     def test_corrupted_observable_names_its_angle(self, monkeypatch):
         exact = bt._bob_weights
@@ -312,7 +313,7 @@ class TestBellBatch:
             return w
 
         monkeypatch.setattr(bt, "_bob_weights", corrupted)
-        for kernel in (bt.bell_values, bt.selftest_reports):
+        for kernel in (bt.bell_values, bt.selftest_columns):
             square = r"^O\^2 - I 2\.001e-03 exceeds 1e-10 at observable 'B1' at theta=0\.9$"
             with pytest.raises(ValueError, match=square):
                 kernel(qo.angle_stack([0.4, 0.9, 1.2]))

@@ -337,7 +337,7 @@ class TestRefusedInput:
         def broken(thetas):
             raise ValueError("eigh requires a Hermitian matrix")
 
-        monkeypatch.setattr(bt, "selftest_reports", broken)
+        monkeypatch.setattr(bt, "selftest_columns", broken)
         assert main(["selftest", "--theta", "0.7"]) == 3
         assert "contract" in capsys.readouterr().err
         # A refused flag is still a usage error, found before any library call.
@@ -503,6 +503,28 @@ class TestGates:
         code, out = run(capsys, [*argv, "--tol", "bell_residual=1e-3"])
         assert code == 0 and json.loads(out)["all_pass"] is True
 
+    @pytest.mark.parametrize("key", bt.BELL_KEYS)
+    @pytest.mark.parametrize(
+        "argv",
+        [["selftest"], *(["certify", "--scenario", sc] for sc in SCENARIOS)],
+        ids=" ".join,
+    )
+    def test_a_nan_bell_residual_fails(self, capsys, monkeypatch, argv, key):
+        # Python's max() skips a NaN after the first entry; the gate must not
+        exact = bt.bell_values
+
+        def nan_residual(stack):
+            rows = exact(stack)
+            residuals = rows.residuals.copy()
+            residuals[:, bt.BELL_KEYS.index(key)] = math.nan
+            return rows._replace(residuals=residuals)
+
+        monkeypatch.setattr(bt, "bell_values", nan_residual)
+        code, out = run(capsys, [*argv, "--theta", "0.7"])
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["all_pass"] is False and doc["reports"][0]["pass"] is False
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_error_row_keeps_its_columns(self, capsys, monkeypatch, fmt):
         def broken(thetas):
@@ -624,7 +646,8 @@ class TestEachCommandComputesWhatItReports:
     def test_angle_checks_per_command(self, monkeypatch, capsys):
         # One library angle check per command (an angle stack, or attack's
         # theta-kets), except that selftest also checks its recovered angle (psi
-        # and phi kets); one min_entropy call per table stack.
+        # and phi kets); one min_entropy call per table stack; one report_rows call,
+        # which forms every report row.
         counts = {}
 
         def counted(name, f):
@@ -640,17 +663,23 @@ class TestEachCommandComputesWhatItReports:
                 patch.setattr(module, "check_theta", check_theta)
             patch.setattr(qo, "angle_stack", counted("angle_stack", qo.angle_stack))
             patch.setattr(adv, "min_entropy", counted("min_entropy", adv.min_entropy))
+            patch.setattr(qo, "report_rows", counted("report_rows", qo.report_rows))
             for form, argv in {**self.FORMS, "attack": ["attack"]}.items():
-                counts.update(check_theta=0, angle_stack=0, min_entropy=0)
+                counts.update(check_theta=0, angle_stack=0, min_entropy=0, report_rows=0)
                 assert main([*argv, "--theta", "0.4"]) == 0, form
                 seen[form] = dict(counts)
         capsys.readouterr()
-        certify = {"check_theta": 1, "angle_stack": 1, "min_entropy": 1}
+        certify = {"check_theta": 1, "angle_stack": 1, "min_entropy": 1, "report_rows": 1}
         assert seen == {
-            "selftest": {"check_theta": 3, "angle_stack": 1, "min_entropy": 0},
-            "sweep": {"check_theta": 1, "angle_stack": 1, "min_entropy": len(SCENARIOS)},
+            "selftest": {"check_theta": 3, "angle_stack": 1, "min_entropy": 0, "report_rows": 1},
+            "sweep": {
+                "check_theta": 1,
+                "angle_stack": 1,
+                "min_entropy": len(SCENARIOS),
+                "report_rows": 1,
+            },
             **{f"certify {sc}": certify for sc in SCENARIOS},
-            "attack": {"check_theta": 1, "angle_stack": 0, "min_entropy": 0},
+            "attack": {"check_theta": 1, "angle_stack": 0, "min_entropy": 0, "report_rows": 1},
         }
 
 
@@ -691,3 +720,18 @@ class TestCommandsAgree:
                 cert = certify[sc][n]
                 assert row[f"minent_{sc}"] == cert["min_entropy_bits"]
                 assert [cert["bell_residuals"][k] for k in keys] == residuals
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(math.log(qo.THETA_MIN), math.log(math.pi / 2)).map(math.exp))
+    @example(qo.THETA_MIN)
+    @example(math.pi / 2)
+    def test_library_reports_are_the_command_rows(self, theta):
+        theta = min(max(theta, qo.THETA_MIN), math.pi / 2)  # exp may round past either end
+        angle = ["--theta", repr(theta)]
+        selftest = self.call(["selftest", *angle])["reports"][0]
+        del selftest["pass"]
+        assert bt.bell_report(theta) == selftest
+        attack = self.call(["attack", *angle])["reports"][0]
+        del attack["pass"], attack["degenerate"]
+        povm = qo.adjusted_tetrahedral(theta)
+        assert adv.attack_report(adv.build_attack(povm, povm, theta)) == attack

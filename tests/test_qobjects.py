@@ -132,6 +132,50 @@ class TestStackedContracts:
         np.testing.assert_array_equal(pure, embedded)
 
 
+class TestReportRows:
+    def test_rows_of_columns_nested_columns_and_constants(self):
+        columns = {
+            "theta": np.array([0.1, 0.2]),
+            "pair": np.array([[0, 1], [2, 3]]),
+            "entropy": [1.5, 2.0],
+            "residuals": {"I": np.array([1e-17, 0.0]), "J": np.array([0.0, 2e-17])},
+            "pass": np.array([True, False]),
+        }
+        rows = qo.report_rows(columns, scenario="local_povm", epsilon=None)
+        assert rows == [
+            {
+                "theta": 0.1,
+                "pair": [0, 1],
+                "entropy": 1.5,
+                "residuals": {"I": 1e-17, "J": 0.0},
+                "pass": True,
+                "scenario": "local_povm",
+                "epsilon": None,
+            },
+            {
+                "theta": 0.2,
+                "pair": [2, 3],
+                "entropy": 2.0,
+                "residuals": {"I": 0.0, "J": 2e-17},
+                "pass": False,
+                "scenario": "local_povm",
+                "epsilon": None,
+            },
+        ]
+        # plain Python values, exactly the column entries
+        types = [float, list, float, dict, bool, str, type(None)]
+        assert [type(v) for v in rows[0].values()] == types
+
+    @pytest.mark.parametrize(
+        "short",
+        [{"entropy": [1.5]}, {"residuals": {"I": np.array([0.0, 0.0]), "J": np.array([0.0])}}],
+        ids=["column", "nested column"],
+    )
+    def test_a_short_column_is_refused(self, short):
+        with pytest.raises(ValueError, match="zip"):
+            qo.report_rows({"theta": np.array([0.1, 0.2]), **short})
+
+
 class TestBeta:
     def test_maximal_entanglement_gives_zero(self):
         assert abs(qo.tilt(np.pi / 2)[0]) < 1e-12
