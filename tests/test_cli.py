@@ -2,13 +2,14 @@ import contextlib
 import io
 import json
 import math
+import re
 import shlex
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellrand import adversary as adv
@@ -24,6 +25,15 @@ PI_2 = "1.5707963267948966"
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def strict_loads(text: str):
+    """RFC 8259 JSON only: refuses the NaN and Infinity tokens that `json.loads` accepts."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestSelftest:
@@ -96,7 +106,7 @@ class TestCertify:
         assert json.loads(out)["reports"][0]["epsilon"] == bt.DEFAULT_EPSILON
 
     def test_global_povm_lists_the_tolerances_it_reads(self, capsys):
-        # its gate reads bell_residual and uniform; min_entropy is refused
+        # its gate reads bell_residual and uniform, as every scenario's does
         argv = ["certify", "--scenario", "global_povm", "--theta", "0.9"]
         code, out = run(capsys, argv + ["--tol", "bell_residual=1e-8", "--tol", "uniform=1e-3"])
         assert code == 0
@@ -269,20 +279,20 @@ class TestConfigFile:
         assert json.loads(out)["tolerances"]["spectral"] == mk.IDENTITY_TOL
 
     def test_reports_embed_tolerances(self, capsys):
-        argv = {
-            "selftest": ["selftest"],
-            "certify": ["certify", "--scenario", "local_povm"],
-            "attack": ["attack"],
-            "sweep": ["sweep", "--format", "json"],
-        }
-        for name, spec in COMMANDS.items():
-            _, out = run(capsys, argv[name] + ["--theta", "0.8"])
+        forms = [
+            ["selftest"],
+            *(["certify", "--scenario", sc] for sc in SCENARIOS),
+            ["attack"],
+            ["sweep", "--format", "json"],
+        ]
+        for argv in forms:
+            _, out = run(capsys, argv + ["--theta", "0.8"])
             block = json.loads(out)["tolerances"]
-            assert block == spec.tolerances, name
+            assert block == COMMANDS[argv[0]].tolerances, argv
         # The tier defaults keep the values each bound had before the tiers.
         assert {name: spec.tolerances for name, spec in COMMANDS.items()} == {
             "selftest": {"bell_residual": 1e-10, "spectral": 1e-10},
-            "certify": {"bell_residual": 1e-10, "uniform": 1e-12, "min_entropy": 1e-9},
+            "certify": {"bell_residual": 1e-10, "uniform": 1e-12},
             "attack": {"attack": 1e-10},
             "sweep": {},
         }
@@ -309,6 +319,9 @@ REFUSED = [
     ["certify", "--scenario", "global_projective", "--config", "epsilon=1e-4"],
     ["certify", "--scenario", "global_povm", "--theta", "0.7", "--tol", "min_entropy=1e-300"],
     ["certify", "--scenario", "global_povm", "--theta", "0.7", "--config", "tol.min_entropy=1"],
+    ["certify", "--scenario", "local_povm", "--tol", "min_entropy=1e-9"],
+    ["certify", "--scenario", "local_povm", "--config", "tol.min_entropy=1"],
+    ["selftest", "--format", "json"],
     ["selftest", "--config", "thetta=0.4"],
     ["selftest", "--config", "config=other.cfg"],
     ["attack", "--seed", "7"],
@@ -503,6 +516,64 @@ class TestGates:
         code, out = run(capsys, [*argv, "--tol", "bell_residual=1e-3"])
         assert code == 0 and json.loads(out)["all_pass"] is True
 
+    @pytest.mark.parametrize("scenario", ["local_povm", "global_projective"])
+    def test_certify_gates_every_two_bit_table_at_uniform(self, capsys, monkeypatch, scenario):
+        exact = bt.SCHEMES[scenario]
+
+        def tilted(stack, epsilon):
+            tables = exact(stack, epsilon).copy()  # the last: global_projective's unreported one
+            flat = tables.reshape(*tables.shape[:2], -1)
+            flat[:, -1, 0] += 1e-6
+            flat[:, -1, 1] -= 1e-6
+            return tables
+
+        monkeypatch.setitem(bt.SCHEMES, scenario, tilted)
+        argv = ["certify", "--scenario", scenario, "--theta", "0.4,1.1"]
+        code, out = run(capsys, argv)
+        doc = json.loads(out)
+        assert code == 1 and doc["all_pass"] is False
+        assert not any(rep["pass"] for rep in doc["reports"])
+        assert all(abs(rep["uniform_deviation"] - 1e-6) <= 1e-12 for rep in doc["reports"])
+        # the key takes effect: a looser bound passes the same tables
+        code, out = run(capsys, [*argv, "--tol", "uniform=1e-3"])
+        assert code == 0 and json.loads(out)["all_pass"] is True
+
+    @pytest.mark.parametrize(
+        "clause, shift",
+        [
+            # P+ moves off its target, so the average leaves the ideal table by 5e-7
+            ("average_vs_ideal_max_dev", {"p_plus": [(1, 1, 1e-6), (1, 2, -1e-6)]}),
+            # 1e-6 moves from P+ to P- at the target, so the average stays ideal
+            ("zero_entry_value", {"p_plus": [(0, 0, -1e-6)], "p_minus": [(0, 0, 1e-6)]}),
+        ],
+        ids=("average_vs_ideal_max_dev", "zero_entry_value"),
+    )
+    def test_attack_gates_each_table_clause(self, capsys, monkeypatch, clause, shift):
+        exact = adv.attack_rows
+
+        def shifted(*args):
+            rows = exact(*args)
+            assert (rows.target == 0).all()  # the entry (0, 0) is the forced zero
+            tables = {name: getattr(rows, name).copy() for name in shift}
+            for name, moves in shift.items():
+                for a, b, by in moves:
+                    tables[name][:, a, b] += by
+            return rows._replace(**tables)
+
+        monkeypatch.setattr(adv, "attack_rows", shifted)
+        argv = ["attack", "--theta", "0.5,0.9"]
+        code, out = run(capsys, argv)
+        doc = json.loads(out)
+        assert code == 1 and doc["all_pass"] is False
+        assert not any(rep["pass"] for rep in doc["reports"])
+        clauses = ("average_vs_ideal_max_dev", "zero_entry_value")
+        values = {key: [rep[key] for rep in doc["reports"]] for key in clauses}
+        assert all(1e-7 <= value <= 1e-6 for value in values.pop(clause))
+        assert all(value <= 1e-15 for others in values.values() for value in others)
+        # the key takes effect: a looser bound passes the same tables
+        code, out = run(capsys, [*argv, "--tol", "attack=1e-3"])
+        assert code == 0 and json.loads(out)["all_pass"] is True
+
     @pytest.mark.parametrize("key", bt.BELL_KEYS)
     @pytest.mark.parametrize(
         "argv",
@@ -524,6 +595,7 @@ class TestGates:
         doc = json.loads(out)
         assert code == 1
         assert doc["all_pass"] is False and doc["reports"][0]["pass"] is False
+        assert strict_loads(out) == doc  # NaN is written as null, which a strict parser reads
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_error_row_keeps_its_columns(self, capsys, monkeypatch, fmt):
@@ -555,6 +627,27 @@ class TestGates:
         assert "theta=0.5" in lines[0]
 
 
+def test_sweep_refuses_a_non_finite_value(capsys, monkeypatch):
+    exact = bt.bell_values
+
+    def nan_j_at_0_9(stack):
+        rows = exact(stack)
+        values = rows.values.copy()
+        values[stack.theta == 0.9, bt.BELL_KEYS.index("J")] = math.nan
+        return rows._replace(values=values)
+
+    monkeypatch.setattr(bt, "bell_values", nan_j_at_0_9)
+    status = "error:ValueError:non-finite value nan exceeds 1e-12 at column 'J' at theta=0.9"
+    code, out = run(capsys, ["sweep", "--theta", "0.7,0.9", "--format", "json"])
+    good, bad = strict_loads(out)["rows"]
+    assert code == 3
+    assert good["status"] == "ok" and math.isfinite(good["J"])
+    assert bad == {"theta": 0.9, "status": status}
+    code, out = run(capsys, ["sweep", "--theta", "0.7,0.9"])
+    *_, good, bad = out.splitlines()
+    assert code == 3 and "nan" not in good and bad == f"{0.9:.17g}{',' * 11}{status}"
+
+
 def test_sweep_keeps_the_rows_that_pass(capsys, monkeypatch):
     argv = ["sweep", "--theta", "0.5,0.9,1.2", "--format", "json"]
     _, out = run(capsys, argv)
@@ -582,9 +675,13 @@ def test_sweep_keeps_the_rows_that_pass(capsys, monkeypatch):
     assert "theta=0.9" in lines[0]
 
 
-def readme_cli_lines():
+def readme_cli_section() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return readme.split("## CLI", 1)[1]
+
+
+def readme_cli_lines():
+    block = readme_cli_section().split("```sh", 1)[1].split("```", 1)[0]
     lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
     return [line for line in lines if line.startswith("bellrand ")]
 
@@ -596,6 +693,57 @@ def test_readme_cli_line_runs(capsys, tmp_path, line):
         at = argv.index("--out") + 1
         argv[at] = str(tmp_path / argv[at])
     assert main(argv) == 0
+
+
+class TestUniformBoundsTheMinEntropy:
+    """Entries within u of 1/4 put the min-entropy within -log2(1 - 4u) of 2 bits (up to
+    the rounding of -log2 next to 2), so `certify` gates a two-bit scheme at `uniform` alone."""
+
+    SLACK = 2 * math.ulp(2.0)
+
+    @staticmethod
+    def bound(u: float) -> float:
+        return -math.log1p(-4.0 * u) / math.log(2.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(math.log(qo.THETA_MIN), math.log(math.pi / 2)).map(math.exp))
+    @example(qo.THETA_MIN)
+    @example(1e-9)
+    @example(math.pi / 2)
+    def test_two_bit_reports(self, theta):
+        theta = min(max(theta, qo.THETA_MIN), math.pi / 2)  # exp may round past either end
+        for scenario in ("local_povm", "global_projective"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["certify", "--scenario", scenario, "--theta", repr(theta)])
+            rep = json.loads(out.getvalue())["reports"][0]
+            assert code == 0
+            bound = self.bound(rep["uniform_deviation"]) + self.SLACK
+            assert abs(rep["min_entropy_bits"] - 2.0) <= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        st.floats(math.log(1e-17), math.log(0.24)).map(math.exp),
+    )
+    @example([1.0, -1.0, 0.0, 0.0], 1e-16)
+    def test_perturbed_distributions(self, direction, scale):
+        d = np.array(direction) - np.mean(direction)  # sums to 0
+        assume(np.abs(d).max() > 0.0)
+        p = 0.25 + scale * d / np.abs(d).max()
+        u = float(np.abs(p - 0.25).max())
+        bits = adv.min_entropy(p[None])[0]
+        assert abs(bits - 2.0) <= self.bound(u) + self.SLACK
+
+
+def test_readme_lists_each_commands_tolerance_keys():
+    lines = readme_cli_section().splitlines()
+    at = next(n for n, line in enumerate(lines) if "`--tol KEY=VAL` keys" in line)
+    column = [cell.strip() for cell in lines[at].split("|")].index("`--tol KEY=VAL` keys")
+    rows = [[cell.strip() for cell in line.split("|")] for line in lines[at + 2 :]]
+    rows = rows[: next(n for n, row in enumerate(rows) if len(row) == 1)]  # to the blank line
+    listed = {row[1].strip("`"): re.findall(r"`(\w+)`", row[column]) for row in rows}
+    assert listed == {name: list(spec.tolerances) for name, spec in COMMANDS.items()}
 
 
 class TestEachCommandComputesWhatItReports:
