@@ -263,16 +263,13 @@ def projective_joint_distribution(
 
 DEFAULT_EPSILON = 1e-4  # tilt of the near-Y POVM in the 4x3 table
 BELL_KEYS = ("I", "J", "S")  # the report keys of the three Bell expressions
-_BOB_LABELS = ("B1", "B2", "B3", "B4", "B5", "B6")
 
 # The kernels' operators on qubit x ancilla qubit.  Every ancilla state lives in
-# the gauge A' = B' = Z, so the basis (I, Z x I, X x I, Y x Z) of Bob's ideal
-# observables, whose last three are Alice's (A1, A2, A3), and the +-1 projectors
-# of Y x A' (Alice) and X x I (Bob) serve both ancillas; only their kets differ.
-# The angle stack carries the theta-state with `qo.ANCILLA_PURE`, and
-# `global_projective_tables` adds `qo.ANCILLA_MIXED`.  The last three B_k satisfy
-# {B_k, B_l} = 2 delta_kl I, which `bell_values` relies on to check Bob's
-# observables on their weights.
+# the gauge A' = B' = Z, so the basis (I, Z x I, X x I, Y x Z), whose last three
+# are Alice's observables (A1, A2, A3), and the +-1 projectors of Y x A' (Alice)
+# and X x I (Bob) serve both ancillas; only their kets differ.  The angle stack
+# carries the theta-state with `qo.ANCILLA_PURE`, and `global_projective_tables`
+# adds `qo.ANCILLA_MIXED`.
 _BASIS = np.stack(
     [
         np.eye(4),
@@ -283,30 +280,9 @@ _BASIS = np.stack(
 )
 _BASIS_LABELS = ("I", "Z x I", "X x I", "Y x Z")
 qo.check_dichotomic_stack(_BASIS, lambda k: f"basis operator {_BASIS_LABELS[k]}")
-_PRODUCTS = np.einsum("kij,ljm->klim", _BASIS[1:], _BASIS[1:])  # B_k B_l
-_CLIFFORD = _PRODUCTS + _PRODUCTS.swapaxes(0, 1) - 2.0 * np.eye(3)[..., None, None] * _BASIS[0]
-mk.refuse_beyond(
-    np.max(np.abs(_CLIFFORD), axis=(-2, -1)),
-    mk.ZERO_TOL,
-    "{B_k, B_l} - 2 delta_kl I",
-    lambda k, l: f"basis operators {_BASIS_LABELS[k + 1]}, {_BASIS_LABELS[l + 1]}",
-)
 _PROJECTORS_A, _PROJECTORS_B = (
     np.stack([0.5 * (_BASIS[0] + sign * _BASIS[k]) for sign in (1, -1)]) for k in (3, 2)
 )
-
-
-def _bob_weights(wp: np.ndarray, wm: np.ndarray) -> np.ndarray:
-    """(N, 7, 4) coefficients of Bob's identity and B1..B6 over `_BASIS`, from the tilt weights."""
-    r = 1.0 / math.sqrt(2.0)
-    w = np.zeros((len(wp), 7, 4))
-    w[:, 0, 0] = 1.0
-    w[:, 1:5, 1] = wp[:, None]
-    w[:, 1, 2], w[:, 2, 2] = wm, -wm
-    w[:, 3, 3], w[:, 4, 3] = -wm, wm
-    w[:, 5, 2:] = (r, -r)
-    w[:, 6, 2:] = (r, r)
-    return w
 
 
 def _spectral_selftests(beta, delta, energy) -> tuple[np.ndarray, ...]:
@@ -339,28 +315,19 @@ def bell_values(stack: qo.AngleStack) -> BellRows:
 
     Alice's three observables and Bob's four basis operators are contracted
     over the stacked kets cos(t/2)|0000> + sin(t/2)|1010> of the pure
-    ancilla into an (N, 3, 4) table, weighted by Bob's (N, 7, 4)
-    coefficients.  Bob's observables w0 I + v.B are checked on their weights, as
-    |w0^2 + |v|^2 - 1| + 2 |w0| max|v|; a refusal names the observable and angle.
+    ancilla into an (N, 3, 4) table t.  Bob's observables enter each
+    expression only as the pair sums B1 +- B2 = 2 w+ Z, 2 w- X;
+    B3 +- B4 = 2 w+ Z, -2 w- Y x B'; B5 +- B6 = sqrt(2) X, -sqrt(2) Y x B',
+    so I = beta t00 + 2 w+ t01 + 2 w- t12, J = beta t00 + 2 w+ t01 - 2 w- t23
+    and S = sqrt(2) (t12 - t23).
     """
-    weights = _bob_weights(stack.w_plus, stack.w_minus)
-    w0, v = weights[:, 1:, 0], weights[:, 1:, 1:]
-    square = np.abs(w0**2 + np.sum(v**2, axis=-1) - 1.0) + 2.0 * np.abs(w0) * np.abs(v).max(axis=-1)
-    mk.refuse_beyond(
-        square,
-        mk.IDENTITY_TOL,
-        "O^2 - I",
-        lambda n, m: f"observable {_BOB_LABELS[m]!r} at theta={float(stack.theta[n])!r}",
-    )
-    # Rows A1..A3; column 0 is Bob's identity, columns 1..6 are B1..B6.
-    basis_table = mk.joint_table_kets(_BASIS[1:], _BASIS, stack.pure)
-    t = np.einsum("nam,nbm->nab", basis_table, weights)
-    beta = stack.beta
+    t = mk.joint_table_kets(_BASIS[1:], _BASIS, stack.pure)
+    tilted = stack.beta * t[:, 0, 0] + 2.0 * stack.w_plus * t[:, 0, 1]
     values = np.stack(
         [
-            beta * t[:, 0, 0] + t[:, 0, 1] + t[:, 0, 2] + t[:, 1, 1] - t[:, 1, 2],
-            beta * t[:, 0, 0] + t[:, 0, 3] + t[:, 0, 4] + t[:, 2, 3] - t[:, 2, 4],
-            t[:, 1, 5] + t[:, 1, 6] + t[:, 2, 5] - t[:, 2, 6],
+            tilted + 2.0 * stack.w_minus * t[:, 1, 2],
+            tilted - 2.0 * stack.w_minus * t[:, 2, 3],
+            math.sqrt(2.0) * (t[:, 1, 2] - t[:, 2, 3]),
         ],
         axis=1,
     )

@@ -249,8 +249,6 @@ def cmd_selftest(cfg: argparse.Namespace) -> int:
 
 
 def cmd_certify(cfg: argparse.Namespace) -> int:
-    if cfg.scenario is None:
-        raise UsageError("certify requires --scenario")
     if cfg.epsilon is None:
         cfg.epsilon = bt.DEFAULT_EPSILON
     elif cfg.scenario != "global_povm":
@@ -402,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"near-Y POVM tilt in (0, 1), default {bt.DEFAULT_EPSILON:g}",
             )
         if name == "certify":
-            p.add_argument("--scenario", choices=SCENARIOS, help="certification scenario")
+            p.add_argument(
+                "--scenario", choices=SCENARIOS, required=True, help="certification scenario"
+            )
         if name == "sweep":
             p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     return parser

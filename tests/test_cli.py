@@ -62,7 +62,8 @@ class TestSelftest:
         assert code == 2
 
     def test_impossible_tolerance_gives_numeric_failure(self, capsys):
-        code, out = run(capsys, ["selftest", "--theta", PI_2, "--tol", "bell_residual=1e-30"])
+        # the default grid: at pi/2 alone every Bell residual is exactly 0
+        code, out = run(capsys, ["selftest", "--tol", "bell_residual=1e-30"])
         assert code == 1
         assert not json.loads(out)["all_pass"]
 
@@ -627,48 +628,45 @@ class TestGates:
         assert "theta=0.5" in lines[0]
 
 
-def test_sweep_refuses_a_non_finite_value(capsys, monkeypatch):
+NAN_J_STATUS = "error:ValueError:non-finite value nan exceeds 1e-12 at column 'J' at theta=0.9"
+
+
+def nan_j_at_0_9(monkeypatch):
+    """Patch `bt.bell_values` to give J = NaN at theta = 0.9."""
     exact = bt.bell_values
 
-    def nan_j_at_0_9(stack):
+    def patched(stack):
         rows = exact(stack)
         values = rows.values.copy()
         values[stack.theta == 0.9, bt.BELL_KEYS.index("J")] = math.nan
         return rows._replace(values=values)
 
-    monkeypatch.setattr(bt, "bell_values", nan_j_at_0_9)
-    status = "error:ValueError:non-finite value nan exceeds 1e-12 at column 'J' at theta=0.9"
+    monkeypatch.setattr(bt, "bell_values", patched)
+
+
+def test_sweep_refuses_a_non_finite_value(capsys, monkeypatch):
+    nan_j_at_0_9(monkeypatch)
     code, out = run(capsys, ["sweep", "--theta", "0.7,0.9", "--format", "json"])
     good, bad = strict_loads(out)["rows"]
     assert code == 3
     assert good["status"] == "ok" and math.isfinite(good["J"])
-    assert bad == {"theta": 0.9, "status": status}
+    assert bad == {"theta": 0.9, "status": NAN_J_STATUS}
     code, out = run(capsys, ["sweep", "--theta", "0.7,0.9"])
     *_, good, bad = out.splitlines()
-    assert code == 3 and "nan" not in good and bad == f"{0.9:.17g}{',' * 11}{status}"
+    assert code == 3 and "nan" not in good and bad == f"{0.9:.17g}{',' * 11}{NAN_J_STATUS}"
 
 
 def test_sweep_keeps_the_rows_that_pass(capsys, monkeypatch):
     argv = ["sweep", "--theta", "0.5,0.9,1.2", "--format", "json"]
     _, out = run(capsys, argv)
     clean = json.loads(out)["rows"]
-    exact = bt._bob_weights
-    failing_wp = qo.tilt(0.9)[1]
-
-    def corrupted(wp, wm):
-        w = exact(wp, wm)
-        w[wp == failing_wp] *= 1.001
-        return w
-
-    monkeypatch.setattr(bt, "_bob_weights", corrupted)
+    nan_j_at_0_9(monkeypatch)
     code = main(argv)
     captured = capsys.readouterr()
     rows = json.loads(captured.out)["rows"]
     assert code == 3
     assert [rows[0], rows[2]] == [clean[0], clean[2]]
-    assert rows[1]["status"] == (
-        "error:ValueError:O^2 - I 2.001e-03 exceeds 1e-10 at observable 'B1' at theta=0.9"
-    )
+    assert rows[1]["status"] == NAN_J_STATUS
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: library contract violated: 1 of 3 sweep rows failed")
