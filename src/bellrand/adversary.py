@@ -13,7 +13,8 @@ sampled states of :func:`qubit_reduction_check`, which shows the attack is
 powerless when one side uses at most three outcomes.  :func:`attack_columns`
 holds the rows as report columns.  The dilated POVMs serve only the Born-rule
 oracles :func:`evaluate_attack` and :func:`brute_force_joint`.  Also provides
-the resulting min-entropy cap.
+the resulting min-entropy cap.  Only the caller's POVMs and tables are gated;
+Eve's kets and blocks are built in closed form and take no gate.
 """
 
 from __future__ import annotations
@@ -109,15 +110,13 @@ def brute_force_joint(attack: AttackModel, theta: float, sign: int) -> np.ndarra
 
     Full 16-dimensional Born-rule evaluation of R_a x S_b on one ket: the
     pure state psi_theta x chi_sign in (A, A', B, B') order, built by
-    `qo.with_ancilla` from `theta` and the chi_sign ket and checked against
-    the `QState` contract (`qo.check_ket_stack`).  Of the attack it reads
-    only the dilated POVMs, not the coefficients or the carried ket.
+    `qo.with_ancilla` from the checked `theta` and the chi_sign ket, a unit
+    ket in closed form.  Of the attack it reads only the dilated POVMs, not
+    the coefficients or the carried ket.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    theta, psi = qo.theta_ket(theta)
-    ket = qo.with_ancilla(psi, _CHI_KETS[0 if sign == +1 else 1])
-    qo.check_ket_stack(ket, [theta])
+    ket = qo.with_ancilla(qo.theta_ket(theta)[1], _CHI_KETS[0 if sign == +1 else 1])
     return mk.joint_table_kets(attack.r_povm.elements, attack.s_povm.elements, ket)[0]
 
 
@@ -302,9 +301,9 @@ def _eve_decompositions(n_samples: int, rng: np.random.Generator):
     support is the +1 eigenspace of A' x B' = Z x Z, so the perfect
     correlation is preserved.
 
-    Returns (weights, index, blocks) of shapes (K,), (K,) and (K, 2, 2) with
-    K = 2 n_samples: state n belongs to decomposition index[n].  All normals
-    come from one draw, in the order of a loop over the decompositions
+    Returns (weights, blocks) of shapes (K,) and (K, 2, 2), K = 2 n_samples, with
+    blocks 2d and 2d + 1 (states by construction) making up decomposition d.  All
+    normals come from one draw, in the order of a loop over the decompositions
     (8 for a Haar unitary, then 16 for a POVM's two Ginibre matrices).
     """
     n_proj, n_povm = n_samples // 2, (n_samples - 1) // 2
@@ -324,7 +323,7 @@ def _eve_decompositions(n_samples: int, rng: np.random.Generator):
     blocks = np.swapaxes(elements, -1, -2) / traces[..., None, None]
     weights = np.concatenate([[0.5, 0.5], traces.reshape(-1) / 2])
     blocks = np.concatenate([_CHI_BLOCKS, blocks.reshape(-1, 2, 2)])
-    return weights, np.repeat(np.arange(n_samples), 2), blocks
+    return weights, blocks
 
 
 def qubit_reduction_check(
@@ -338,12 +337,10 @@ def qubit_reduction_check(
     check fails.  For each sampled Eve decomposition every conditional joint
     is compared entrywise to the ideal table |amp|^2.
 
-    Every Eve state is its 2x2 block s on span{|00>, |11>}, gated by
-    `qo.check_state_stack`, which on that support is the embedded state's
-    `QState` contract; a refusal names the state by its index within its
-    decomposition.  A' x B' = Z x Z is the identity there, so
-    <A' x B'> = tr s, and `correlation_check` is max |tr s - 1|.  The joints
-    are :func:`_tables` of the blocks, and no dilated POVM is built.
+    Every Eve state is its 2x2 block s on span{|00>, |11>}.  A' x B' = Z x Z is
+    the identity there, so <A' x B'> = tr s, and `correlation_check` is
+    max |tr s - 1|.  The joints are :func:`_tables` of the blocks, and no
+    dilated POVM is built.
     """
     theta, psi = qo.theta_ket(theta)
     rng = np.random.default_rng(seed)
@@ -352,13 +349,7 @@ def qubit_reduction_check(
     lam, mu = (_admissible_coeffs(k) for k in kets)
     tg.check_dilation(lam, kets[0])
     tg.check_dilation(mu, kets[1])
-    _, index, blocks = _eve_decompositions(_DECOMPOSITIONS, rng)
-
-    def eve(n: int) -> str:
-        d = int(index[n])
-        return f"Eve state {int(np.count_nonzero(index[:n] == d))} of decomposition {d}"
-
-    qo.check_state_stack(blocks, eve)
+    _, blocks = _eve_decompositions(_DECOMPOSITIONS, rng)
     ideal, joints = _tables(mk.amplitudes(*kets, psi.reshape(2, 2)), lam, mu, blocks)
     worst = np.max(np.abs(joints - ideal), axis=(1, 2))  # two states per decomposition
     deviations = worst.reshape(_DECOMPOSITIONS, 2).max(axis=1)

@@ -265,11 +265,11 @@ DEFAULT_EPSILON = 1e-4  # tilt of the near-Y POVM in the 4x3 table
 BELL_KEYS = ("I", "J", "S")  # the report keys of the three Bell expressions
 
 # The kernels' operators on qubit x ancilla qubit.  Every ancilla state lives in
-# the gauge A' = B' = Z, so the basis (I, Z x I, X x I, Y x Z), whose last three
-# are Alice's observables (A1, A2, A3), and the +-1 projectors of Y x A' (Alice)
-# and X x I (Bob) serve both ancillas; only their kets differ.  The angle stack
-# carries the theta-state with `qo.ANCILLA_PURE`, and `global_projective_tables`
-# adds `qo.ANCILLA_MIXED`.
+# the gauge A' = B' = Z, so the basis (I, Z x I, X x I, Y x Z) of Pauli products,
+# dichotomic exactly, whose last three are Alice's observables (A1, A2, A3), and
+# the +-1 projectors of Y x A' (Alice) and X x I (Bob) serve both ancillas; only
+# their kets differ.  The angle stack carries the theta-state with
+# `qo.ANCILLA_PURE`, and `global_projective_tables` adds `qo.ANCILLA_MIXED`.
 _BASIS = np.stack(
     [
         np.eye(4),
@@ -278,8 +278,6 @@ _BASIS = np.stack(
         mk.kron(qo.PAULI_Y, qo.PAULI_Z),
     ]
 )
-_BASIS_LABELS = ("I", "Z x I", "X x I", "Y x Z")
-qo.check_dichotomic_stack(_BASIS, lambda k: f"basis operator {_BASIS_LABELS[k]}")
 _PROJECTORS_A, _PROJECTORS_B = (
     np.stack([0.5 * (_BASIS[0] + sign * _BASIS[k]) for sign in (1, -1)]) for k in (3, 2)
 )

@@ -18,7 +18,7 @@ call.  ``attack`` checks its angles once, builds the adjusted-tetrahedral
 kets of all of them and evaluates them in one ``adversary.attack_rows``
 call, the kernel that ``build_attack`` and ``attack_report`` read too.
 Only the ``global_povm`` tables read ``--epsilon``, so ``certify`` refuses
-it for another scenario.
+it for another scenario; a tilt whose near-Y POVM is not extremal is refused.
 Every command holds its report as columns over its angles, gates them as one
 ``pass`` column, in which a NaN fails, and forms its rows in one
 ``qobjects.report_rows`` call; ``all_pass``, ``failing_thetas`` and the
@@ -117,23 +117,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _checked(convert, what: str, ok=lambda value: True):
-    """argparse type: `convert(text)` when it succeeds and satisfies `ok`."""
+    """argparse type: `convert(text)` when it succeeds and satisfies `ok`, neither raising."""
 
     def parse(text: str):
         try:
-            value = convert(text)
+            if ok(value := convert(text)):
+                return value
         except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
 
     return parse
 
 
 _angle = _checked(check_theta, f"an angle in [{qo.THETA_MIN!r}, pi/2]")
 _grid_size = _checked(int, "an angle count >= 1", lambda n: n >= 1)
-_epsilon = _checked(float, "a tilt in (0, 1)", lambda e: 0.0 < e < 1.0)
+_epsilon = _checked(
+    float,
+    f"a tilt in (0, 1) whose near-Y POVM is extremal (independence margin > {mk.RANK_TOL:.0e})",
+    lambda e: qo.povm_extremality(qo.near_y_tetrahedral(e)).is_extremal_candidate,
+)
 _tol_value = _checked(float, "a finite tolerance > 0", lambda v: math.isfinite(v) and v > 0.0)
 _path = _checked(str, "a non-empty path", bool)
 

@@ -132,33 +132,19 @@ def check_dichotomic_stack(ops, where) -> None:
     mk.refuse_beyond(square, mk.IDENTITY_TOL, "O^2 - I", where)
 
 
-def check_state_stack(rhos, where=None) -> None:
+def check_state_stack(rhos) -> None:
     """The `QState` contract on a stack of density operators rhos[n].
 
     Hermitian within ZERO_TOL, so NaN never reaches `eigvalsh`, then PSD and unit
-    trace within IDENTITY_TOL; a refusal names member n as `where(n)`, if given.
+    trace within IDENTITY_TOL.
     """
     rhos = np.asarray(rhos, dtype=complex)
     herm = mk.non_hermitian_part(rhos)
-    mk.refuse_beyond(herm, mk.ZERO_TOL, "density operator non-Hermitian part", where)
+    mk.refuse_beyond(herm, mk.ZERO_TOL, "density operator non-Hermitian part")
     low = np.linalg.eigvalsh(rhos)[..., 0]
-    mk.refuse_beyond(-low, mk.IDENTITY_TOL, "density operator PSD violation", where)
+    mk.refuse_beyond(-low, mk.IDENTITY_TOL, "density operator PSD violation")
     tr = np.trace(rhos, axis1=-2, axis2=-1).real
-    mk.refuse_beyond(np.abs(tr - 1.0), mk.IDENTITY_TOL, "density operator |trace - 1|", where)
-
-
-def check_ket_stack(kets, thetas) -> None:
-    """The `QState` contract on states given as kets: state n is sum_k |kets[n, k]><kets[n, k]|.
-
-    Such a state is Hermitian and PSD by construction, so unit trace is the
-    condition left; a refusal names the first refused angle.
-    """
-    off = np.abs(np.sum(np.abs(kets) ** 2, axis=tuple(range(1, np.ndim(kets)))) - 1.0)
-
-    def angle(n: int) -> str:
-        return f"theta={float(thetas[n])!r}"
-
-    mk.refuse_beyond(off, mk.IDENTITY_TOL, "density operator |trace - 1|", angle)
+    mk.refuse_beyond(np.abs(tr - 1.0), mk.IDENTITY_TOL, "density operator |trace - 1|")
 
 
 @dataclass(frozen=True)
@@ -251,7 +237,6 @@ def phi_theta(theta: float) -> QState:
 ANCILLA_PURE = _readonly([[[1, 0], [0, 0]]])  # |00>
 # (|00><00| + |11><11|)/2 with 1/sqrt(2) correctly rounded; 1 / math.sqrt(2) is an ulp below
 ANCILLA_MIXED = _readonly(math.sqrt(0.5) * np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]]))
-qstate_from_kets(ANCILLA_MIXED)  # its `QState` contract, checked once here, not per use
 
 
 def ideal_measurements(theta: float) -> tuple[list[Dichotomic], list[Dichotomic]]:
@@ -326,11 +311,10 @@ class AngleStack(NamedTuple):
 def angle_stack(thetas) -> AngleStack:
     """Check `thetas` once, the kernels' only angle check, and build their `AngleStack`.
 
-    `check_ket_stack` gates the theta-kets, naming the first refused angle.  `pure`
-    needs no gate: times the one ket |00> of `ANCILLA_PURE`, it holds them exactly.
+    Theta-kets are unit kets in closed form, and `pure` holds them exactly, times
+    the one ket |00> of `ANCILLA_PURE`, so neither takes a gate.
     """
     theta, psi = theta_ket(np.asarray(thetas, dtype=float).reshape(-1))
-    check_ket_stack(psi[:, None], theta)  # one ket per state
     return AngleStack(theta, *_tilt(theta), psi.reshape(-1, 2, 2), with_ancilla(psi, ANCILLA_PURE))
 
 

@@ -299,6 +299,10 @@ class TestBellBatch:
         assert np.max(np.abs(bt.local_povm_tables(stack, epsilon)[:, 0] - local)) <= 1e-15
         assert np.max(np.abs(bt.global_povm_tables(stack, epsilon)[:, 0] - four_by_three)) <= 1e-15
 
+    def test_basis_is_dichotomic(self):
+        # (I, Z x I, X x I, Y x Z), built once at import, where no gate runs
+        qo.check_dichotomic_stack(bt._BASIS, "basis operator {}".format)
+
     @pytest.mark.parametrize(
         "ancilla", [qo.ANCILLA_PURE, qo.ANCILLA_MIXED], ids=["pure", "mixed"]
     )

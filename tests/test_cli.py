@@ -316,6 +316,7 @@ REFUSED = [
     ["attack", "--epsilon", "0.5"],
     ["certify", "--scenario", "local_povm", "--epsilon", "0.5"],
     ["certify", "--scenario", "global_projective", "--epsilon", "1e-4"],
+    ["sweep", "--theta", "0.5", "--epsilon", "1e-12"],
     ["certify", "--scenario", "local_povm", "--config", "epsilon=0.5"],
     ["certify", "--scenario", "global_projective", "--config", "epsilon=1e-4"],
     ["certify", "--scenario", "global_povm", "--theta", "0.7", "--tol", "min_entropy=1e-300"],
@@ -346,6 +347,14 @@ class TestRefusedInput:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("epsilon, code", [("1e-12", 2), ("2e-9", 2), ("1e-8", 0)])
+    def test_epsilon_must_leave_the_near_y_povm_extremal(self, capsys, epsilon, code):
+        # its independence margin is about epsilon/2, and extremality needs it above RANK_TOL
+        argv = ["certify", "--scenario", "global_povm", "--theta", "0.5", "--epsilon", epsilon]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert ("independence margin > 1e-09" in err) == (code == 2)
 
     def test_contract_violation_exits_3(self, capsys, monkeypatch):
         def broken(thetas):

@@ -82,7 +82,7 @@ class TestState:
 
 
 class TestStackedContracts:
-    """One corrupted member of a stack is refused, and the error names its angle."""
+    """One corrupted observable of a stack is refused, and the error names its angle."""
 
     THETAS = [0.3, 0.5, 0.9]
 
@@ -97,9 +97,6 @@ class TestStackedContracts:
 
     def test_valid_stacks_pass(self):
         qo.check_dichotomic_stack(self.observables(), self.where)
-        kets = np.zeros((3, 2, 2, 2), dtype=complex)
-        kets[:, 0, 0, 0] = kets[:, 1, 1, 1] = math.sqrt(0.5)
-        qo.check_ket_stack(kets, self.THETAS)
 
     def test_observable_squaring_off_identity_names_its_angle(self):
         ops = self.observables()
@@ -115,21 +112,44 @@ class TestStackedContracts:
         with pytest.raises(ValueError, match=hermitian):
             qo.check_dichotomic_stack(ops, self.where)
 
-    def test_unnormalized_ket_names_its_angle(self):
-        kets = np.zeros((3, 1, 4, 4), dtype=complex)
-        kets[:, 0, 0, 0] = 1.0
-        kets[2, 0, 0, 0] = 1.001
-        trace = r"^density operator \|trace - 1\| 2\.001e-03 exceeds 1e-10 at theta=0\.9$"
-        with pytest.raises(ValueError, match=trace):
-            qo.check_ket_stack(kets, self.THETAS)
-
     def test_pure_kets_embed_the_checked_theta_kets(self):
-        # angle_stack gates only the theta-kets: its pure-ancilla kets must hold them exactly
+        # angle_stack gates only the angles: its pure-ancilla kets must hold the theta-kets exactly
         stack = qo.angle_stack(self.THETAS)
         pure = stack.pure[:, 0].reshape(3, 2, 2, 2, 2)  # (n, A, A', B, B')
         embedded = np.zeros_like(pure)
         embedded[:, :, 0, :, 0] = stack.qubit
         np.testing.assert_array_equal(pure, embedded)
+
+
+# log-uniform angles over the whole angle domain, then its ends and 1e-9
+UNIT_NORM_ANGLES = np.concatenate(
+    [
+        np.exp(
+            np.random.default_rng(0).uniform(math.log(qo.THETA_MIN), math.log(math.pi / 2), 5000)
+        ),
+        [qo.THETA_MIN, 1e-9, math.pi / 2],
+    ]
+)
+ULPS_4 = 4 * np.finfo(float).eps
+
+
+class TestClosedFormStates:
+    """The kets and states that the library builds in closed form and no gate re-tests."""
+
+    def test_theta_kets_have_unit_norm(self):
+        kets = qo.angle_stack(UNIT_NORM_ANGLES).qubit.reshape(-1, 4)
+        assert np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0)) <= ULPS_4
+
+    def test_brute_force_kets_have_unit_norm(self):
+        # psi_theta x chi_sign, the one 16-dim ket of `adversary.brute_force_joint`
+        psi = qo.theta_ket(UNIT_NORM_ANGLES)[1]
+        for chi in adv._CHI_KETS:
+            kets = qo.with_ancilla(psi, chi).reshape(len(psi), 16)
+            assert np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0)) <= ULPS_4
+
+    def test_mixed_ancilla_is_a_state(self):
+        rho = qo.qstate_from_kets(qo.ANCILLA_MIXED).rho  # the QState contract
+        assert np.max(np.abs(rho - np.diag([0.5, 0.0, 0.0, 0.5]))) <= mk.ZERO_TOL
 
 
 class TestReportRows:

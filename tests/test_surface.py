@@ -1,10 +1,19 @@
-"""The library's public surface is what something reaches."""
+"""The library's public surface is what something reaches, and every gate can fire."""
 
 import ast
+import math
+import traceback
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import bellrand
+from bellrand import adversary as adv
+from bellrand import matkernel as mk
+from bellrand import qobjects as qo
+from bellrand import tomography as tg
 
 SRC = Path(bellrand.__file__).resolve().parent
 BENCH = SRC.parents[1] / "bench"
@@ -15,7 +24,6 @@ CLAIM_ENTRY_POINTS = [
     "belltest.verify_b7_extraction",  # TestB7Extraction: only B7 = X x I saturates sin(t)
     "qobjects.conjugate_povm",  # TestConjugatePovm: the conjugation ambiguity of the attack
     "qobjects.kets_from_elements",  # test_reconstructed_povm_feeds_offdiag_analysis
-    "qobjects.povm_extremality",  # TestPovmExtremality, TestRandomExtremal
     "qobjects.povm_validity",  # test_corrupted_correlations_detected, dilated POVMs valid
     "tomography.eta_matrix",  # test_06_tomography_round_trip: det eta = -sin(t)^4
 ]
@@ -119,3 +127,126 @@ def test_only_the_gate_refuses_on_a_tier():
             and _raises_value_error(node.body + node.orelse)
         ]
     assert found == []
+
+
+# Every gate call in src/ and a public call, with nothing patched, that makes it
+# raise: a gate on a value that the library builds from checked input cannot
+# fire, and a call to it does not belong in the library.  A site is keyed by
+# module.function, the gate and its ordinal among that function's calls to it.
+GATES = (
+    "refuse_beyond",
+    "check_dichotomic_stack",
+    "check_state_stack",
+    "check_dilation",
+    "rank_one_kets",
+)
+
+TETRA = qo.adjusted_tetrahedral(0.7)
+BARE = qo.Povm(TETRA.elements)  # no kets
+# finite kets whose dilation residual, rounding scaled by 1e10, is far past RANK_TOL
+SCALED = qo.povm_from_kets(TETRA.kets * 1e5)
+MERCEDES = qo.modified_mercedes(0.7)
+NAN_KETS = qo.Povm(TETRA.elements, np.full((4, 2), math.nan))
+PSI = qo.theta_ket(0.7)[1]
+
+FIRING_CALLS = {
+    ("matkernel.eigh", "refuse_beyond", 1): lambda: mk.eigh([[0.0, 1.0], [0.0, 0.0]]),
+    ("qobjects.QState.__post_init__", "check_state_stack", 1): lambda: qo.QState(
+        np.diag([0.7, 0.7]), (2,)
+    ),
+    ("qobjects.Dichotomic.__post_init__", "check_dichotomic_stack", 1): lambda: qo.Dichotomic(
+        2 * qo.PAULI_Z
+    ),
+    ("qobjects.check_dichotomic_stack", "refuse_beyond", 1): lambda: qo.Dichotomic(
+        [[0.0, 1.0], [0.0, 0.0]]
+    ),
+    ("qobjects.check_dichotomic_stack", "refuse_beyond", 2): lambda: qo.Dichotomic(2 * qo.PAULI_Z),
+    ("qobjects.check_state_stack", "refuse_beyond", 1): lambda: qo.QState(
+        [[0.5, 1.0], [0.0, 0.5]], (2,)
+    ),
+    ("qobjects.check_state_stack", "refuse_beyond", 2): lambda: qo.QState(
+        np.diag([1.5, -0.5]), (2,)
+    ),
+    ("qobjects.check_state_stack", "refuse_beyond", 3): lambda: qo.QState(
+        np.diag([0.7, 0.7]), (2,)
+    ),
+    ("qobjects.kets_from_elements", "refuse_beyond", 1): lambda: qo.kets_from_elements(
+        qo.Povm([np.eye(2)])
+    ),
+    ("tomography.rank_one_kets", "refuse_beyond", 1): lambda: tg.rank_one_kets(NAN_KETS),
+    ("tomography.offdiag_set", "rank_one_kets", 1): lambda: tg.offdiag_set(BARE),
+    ("tomography.check_dilation", "refuse_beyond", 1): lambda: tg.build_dilated_povm(
+        TETRA, [0, 2, 0, 0]
+    ),
+    ("tomography.check_dilation", "refuse_beyond", 2): lambda: tg.build_dilated_povm(
+        TETRA, [1, 0, 0, 0]
+    ),
+    ("tomography.build_dilated_povm", "rank_one_kets", 1): lambda: tg.build_dilated_povm(
+        BARE, np.zeros(4)
+    ),
+    ("tomography.build_dilated_povm", "check_dilation", 1): lambda: tg.build_dilated_povm(
+        TETRA, [1, 0, 0, 0]
+    ),
+    ("adversary.joint_amplitudes", "rank_one_kets", 1): lambda: adv.joint_amplitudes(
+        BARE, TETRA, PSI
+    ),
+    ("adversary.joint_amplitudes", "rank_one_kets", 2): lambda: adv.joint_amplitudes(
+        TETRA, BARE, PSI
+    ),
+    ("adversary.attack_rows", "check_dilation", 1): lambda: adv.attack_rows(
+        np.array([0.7]), PSI[None], SCALED.kets[None], TETRA.kets[None]
+    ),
+    ("adversary.build_attack", "rank_one_kets", 1): lambda: adv.build_attack(BARE, TETRA, 0.7),
+    ("adversary.min_entropy", "refuse_beyond", 1): lambda: adv.min_entropy([[0.5, 0.6]]),
+    ("adversary.min_entropy", "refuse_beyond", 2): lambda: adv.min_entropy([[1.5, -0.5]]),
+    ("adversary.qubit_reduction_check", "rank_one_kets", 1): lambda: adv.qubit_reduction_check(
+        BARE, MERCEDES, 0.7
+    ),
+    ("adversary.qubit_reduction_check", "check_dilation", 1): lambda: adv.qubit_reduction_check(
+        SCALED, MERCEDES, 0.7
+    ),
+    ("adversary.qubit_reduction_check", "check_dilation", 2): lambda: adv.qubit_reduction_check(
+        TETRA, SCALED, 0.7
+    ),
+}
+EXEMPT = {
+    ("cli._sweep_rows", "refuse_beyond", 1): "a report gate on sweep's own kernels' output",
+}
+
+
+def _gate_sites() -> dict:
+    """(module.function, gate, ordinal) -> (path, first line, last line) of every gate call."""
+    sites = {}
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path, f"{scope}.{child.name}")
+                continue
+            func = getattr(child, "func", None)
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if isinstance(child, ast.Call) and name in GATES:
+                ordinal = 1 + sum(key[:2] == (scope, name) for key in sites)
+                sites[scope, name, ordinal] = (path, child.lineno, child.end_lineno)
+            visit(child, path, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text("utf-8")), str(path), path.stem)
+    return sites
+
+
+SITES = _gate_sites()
+
+
+def test_every_gate_call_is_listed():
+    assert sorted(SITES) == sorted([*FIRING_CALLS, *EXEMPT])
+
+
+@pytest.mark.parametrize("site", sorted(FIRING_CALLS), ids=lambda k: f"{k[0]}:{k[1]}#{k[2]}")
+def test_every_gate_call_can_fire(site):
+    # the ValueError must pass through the listed call, not another gate on the way
+    path, first, last = SITES[site]
+    with pytest.raises(ValueError) as refusal:
+        FIRING_CALLS[site]()
+    frames = [(f.f_code.co_filename, n) for f, n in traceback.walk_tb(refusal.value.__traceback__)]
+    assert any(file == path and first <= line <= last for file, line in frames), frames
