@@ -20,7 +20,6 @@ Eve's kets and blocks are built in closed form and take no gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from . import matkernel as mk
 from . import qobjects as qo
 from . import tomography as tg
-from .qobjects import Povm, QState
+from .qobjects import Povm
 
 
 class DegenerateAttackError(RuntimeError):
@@ -38,14 +37,12 @@ class DegenerateAttackError(RuntimeError):
 # Eve's ancilla pair chi_+- = (|00> +- |11>)/sqrt(2) on the two ancilla qubits
 # (A' = B' = Z): _CHI_KETS holds each as a one-ket stack (1, 2, 2) on (A', B'),
 # chi_+ first, the ancilla format of `qo.with_ancilla`, for the oracle
-# brute_force_joint, and CHI the states validated once; their equal mixture is
-# the state of `qo.ANCILLA_MIXED`.
+# brute_force_joint; their equal mixture is the state of `qo.ANCILLA_MIXED`.
 # Every state of Eve's lives on span{|00>, |11>}, the +1 eigenspace of A' x B',
 # and is read as its 2x2 block there; _CHI_BLOCKS holds chi_+-'s, exactly
-# (1/2)[[1, +-1], [+-1, 1]] (CHI's squares give 0.4999999999999999).
+# (1/2)[[1, +-1], [+-1, 1]] (the kets' squares give 0.4999999999999999).
 _CHI_KETS = np.array([[[[1.0, 0.0], [0.0, s]]] for s in (1.0, -1.0)]) / math.sqrt(2.0)
 _CHI_KETS.setflags(write=False)
-CHI: tuple[QState, QState] = tuple(qo.qstate_from_kets(k) for k in _CHI_KETS)
 _CHI_BLOCKS = np.array([[[1.0, s], [s, 1.0]] for s in (1.0, -1.0)]) / 2
 
 
@@ -87,9 +84,8 @@ def closed_form_joint(alice: Povm, bob: Povm, lam, mu, theta: float, sign: int) 
     return _tables(amp, lam, mu, _CHI_BLOCKS[i : i + 1])[1][0]
 
 
-@dataclass(frozen=True)
-class AttackModel:
-    """Everything Eve needs besides her state pair `CHI`: coefficients and dilated POVMs.
+class AttackModel(NamedTuple):
+    """Everything Eve needs besides her state pair chi_+-: coefficients and dilated POVMs.
 
     `psi` is the theta-ket (4,) that the attack's tables read.
     """
@@ -219,8 +215,7 @@ def build_attack(alice: Povm, bob: Povm, theta: float) -> AttackModel:
     return AttackModel(theta, alice, bob, lam, mu, r_povm, s_povm, target, psi)
 
 
-@dataclass(frozen=True)
-class ConditionalJoint:
+class ConditionalJoint(NamedTuple):
     """Eve-conditioned joint tables, or stacks of them, plus the derived guessing figures."""
 
     p_plus: np.ndarray
@@ -275,8 +270,7 @@ CAP_BITS = -math.log2(0.5 * (1.0 / 15.0 + 1.0 / 16.0))
 _DECOMPOSITIONS = 10  # Eve decompositions sampled by qubit_reduction_check
 
 
-@dataclass(frozen=True)
-class QubitReductionReport:
+class QubitReductionReport(NamedTuple):
     theta: float
     n_decompositions: int
     max_deviation: float

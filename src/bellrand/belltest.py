@@ -58,8 +58,7 @@ class BellScenario:
                 raise ValueError(f"Bob operator {o.label!r} has wrong dimension")
 
 
-@dataclass(frozen=True)
-class BellValues:
+class BellValues(NamedTuple):
     theta: float
     beta: float
     i_value: float
@@ -165,8 +164,7 @@ def theta_of_beta(beta):
     return float(theta) if theta.ndim == 0 else theta
 
 
-@dataclass(frozen=True)
-class SpectralSelftest:
+class SpectralSelftest(NamedTuple):
     beta: float
     theta: float
     eigenvalues: tuple[float, float, float, float]
@@ -202,8 +200,7 @@ def spectral_selftest(beta: float) -> SpectralSelftest:
     )
 
 
-@dataclass(frozen=True)
-class B7Report:
+class B7Report(NamedTuple):
     correlation: float
     bound: float
     saturates: bool

@@ -338,15 +338,13 @@ def report_rows(columns: dict, **constants) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PovmValidity:
+class PovmValidity(NamedTuple):
     is_valid: bool
     max_psd_violation: float
     completeness_residual: float
 
 
-@dataclass(frozen=True)
-class PovmExtremality:
+class PovmExtremality(NamedTuple):
     all_rank_one: bool
     linearly_independent: bool
     is_extremal_candidate: bool

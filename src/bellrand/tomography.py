@@ -10,7 +10,7 @@ whose diagonal blocks are a reference POVM and its complex conjugate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ def eta_inverse(theta: float) -> np.ndarray:
     return inv
 
 
-@dataclass(frozen=True)
-class CorrelationTable:
+class CorrelationTable(NamedTuple):
     """Per-outcome correlations <E_a x sigma_nu>, columns ordered (I, X, Y, Z)."""
 
     theta: float
@@ -86,8 +85,7 @@ def reconstruct_povm(c: CorrelationTable) -> Povm:
     return Povm(np.einsum("am,mij->aij", r, PAULIS))
 
 
-@dataclass(frozen=True)
-class OffdiagSet:
+class OffdiagSet(NamedTuple):
     """Ket-pair operators |k_a><k_a*| and an orthonormal basis of {c : sum_a c_a T_a = 0}."""
 
     operators: np.ndarray  # (m, d, d)

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -7,11 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellrand import adversary as adv
+from bellrand import cli
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
 from bellrand import tomography as tg
 
 ZERO, ONE = np.eye(2)  # the ancilla's Z eigenbasis |0>, |1>
+# Eve's ancilla pair chi_+- as validated states, chi_+ first
+CHI = tuple(qo.qstate_from_kets(k) for k in adv._CHI_KETS)
 
 
 def random_admissible_coeffs(p, rng):
@@ -43,7 +47,7 @@ def old_eve_decompositions(n_samples, rng):
     Haar unitaries and Ginibre matrices one matrix at a time.
     """
     support = np.stack([np.kron(ZERO, ZERO), np.kron(ONE, ONE)], axis=1)  # columns |00>, |11>
-    yield [(0.5, chi.rho) for chi in adv.CHI]
+    yield [(0.5, chi.rho) for chi in CHI]
     for k in range(1, n_samples):
         if k % 2 == 1:
             q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
@@ -86,17 +90,17 @@ def reduction_oracle(alice, bob, theta, n_decompositions, seed):
 
 class TestChiStates:
     def test_orthogonal(self):
-        chi_p, chi_m = adv.CHI
+        chi_p, chi_m = CHI
         assert abs(np.trace(chi_p.rho @ chi_m.rho)) <= 1e-14
 
     def test_marginal_is_maximally_mixed(self):
-        chi_p, _ = adv.CHI
+        chi_p, _ = CHI
         marg = mk.partial_trace(chi_p.rho, (2, 2), keep=(0,))
         assert np.max(np.abs(marg - np.eye(2) / 2)) <= 1e-14
 
     def test_perfect_plus_minus_correlation(self):
         corr = mk.kron(qo.PAULI_Z, qo.PAULI_Z)
-        for chi in adv.CHI:
+        for chi in CHI:
             assert abs(mk.expval(corr, chi.rho) - 1.0) <= 1e-12
 
 
@@ -237,7 +241,7 @@ class TestAttackTablesFromAncillaOperators:
         for k, (sign, table) in enumerate(zip((+1, -1), (cj.p_plus, cj.p_minus))):
             # evaluate_attack wires chi_+ to P+ and chi_- to P-
             np.testing.assert_array_equal(table, adv.brute_force_joint(attack, attack.theta, sign))
-            rho = qo.compose_with_ancilla(qo.psi_theta(attack.theta), adv.CHI[k]).rho
+            rho = qo.compose_with_ancilla(qo.psi_theta(attack.theta), CHI[k]).rho
             expected = mk.joint_table(attack.r_povm.elements, attack.s_povm.elements, rho)
             assert table.shape == expected.shape
             assert np.max(np.abs(table - expected)) <= 1e-14
@@ -433,6 +437,31 @@ class TestSignedMinorCoefficients:
             adv._admissible_coeffs(p.kets)
         with pytest.raises(ValueError, match=named):
             adv.qubit_reduction_check(p, p, 0.7)
+
+
+# log-uniform angles with the ends, and pi/2 where all four coefficient magnitudes tie
+CLI_ANGLES = np.concatenate(
+    [
+        np.geomspace(qo.THETA_MIN, math.pi / 2, 450),
+        [qo.THETA_MIN, 1e-9, math.pi / 2 - 1e-8, math.pi / 2],
+    ]
+)
+
+
+class TestCliAttackPair:
+    """The pair `cli attack` measures, adjusted-tetrahedral on both sides, in closed form."""
+
+    def test_coefficients_in_closed_form(self):
+        # (1, -1/(1 + 2c), -1/(1 + 2c), -1/(1 + 2c)) with c = cos(theta): the +Z ket is the pivot
+        expected = np.ones((len(CLI_ANGLES), 4))
+        expected[:, 1:] = (-1.0 / (1.0 + 2.0 * np.cos(CLI_ANGLES)))[:, None]
+        coeffs = adv._admissible_coeffs(qo.adjusted_tetrahedral_kets(CLI_ANGLES))
+        assert np.max(np.abs(coeffs - expected)) <= 2e-15
+
+    def test_target_pair_is_the_z_pair(self, capsys):
+        assert cli.main(["attack", "--theta", ",".join(map(repr, CLI_ANGLES.tolist()))]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["target_pair"] for r in reports] == [[0, 0]] * len(CLI_ANGLES)
 
 
 class TestGuessing:
@@ -728,7 +757,7 @@ class TestQubitReduction:
         mixture = qo.qstate_from_kets(qo.ANCILLA_MIXED).rho
         assert not mixture[1:3].any() and not mixture[:, 1:3].any()
         # the attack hides in (chi_+ + chi_-)/2 being the mixed ancilla
-        assert np.max(np.abs((adv.CHI[0].rho + adv.CHI[1].rho) / 2 - mixture)) <= mk.ZERO_TOL
+        assert np.max(np.abs((CHI[0].rho + CHI[1].rho) / 2 - mixture)) <= mk.ZERO_TOL
         weights, blocks = adv._eve_decompositions(n, np.random.default_rng(seed))
         # every block is a state: the QState contract of the embedded 4 x 4 state
         qo.check_state_stack(blocks)

@@ -352,8 +352,8 @@ def test_nan_povm_refused_or_reported_failing(report):
             report(p)
         return
     rep = report(p)
-    flags = [v for v in vars(rep).values() if isinstance(v, bool)]
-    margins = [v for v in vars(rep).values() if isinstance(v, float)]
+    flags = [v for v in rep._asdict().values() if isinstance(v, bool)]
+    margins = [v for v in rep._asdict().values() if isinstance(v, float)]
     assert flags and not any(flags)
     assert margins and all(math.isnan(v) for v in margins)
 

@@ -11,6 +11,7 @@ import pytest
 
 import bellrand
 from bellrand import adversary as adv
+from bellrand import belltest as bt
 from bellrand import matkernel as mk
 from bellrand import qobjects as qo
 from bellrand import tomography as tg
@@ -140,6 +141,9 @@ GATES = (
     "check_dilation",
     "rank_one_kets",
 )
+# Constructions that run a gate: `QState` and `Dichotomic` validate in
+# __post_init__, and `qstate_from_kets` builds a `QState`.
+CONSTRUCTORS = ("QState", "Dichotomic", "qstate_from_kets")
 
 TETRA = qo.adjusted_tetrahedral(0.7)
 BARE = qo.Povm(TETRA.elements)  # no kets
@@ -148,6 +152,7 @@ SCALED = qo.povm_from_kets(TETRA.kets * 1e5)
 MERCEDES = qo.modified_mercedes(0.7)
 NAN_KETS = qo.Povm(TETRA.elements, np.full((4, 2), math.nan))
 PSI = qo.theta_ket(0.7)[1]
+TWICE_PURE = 2 * qo.ANCILLA_PURE  # an ancilla ket of norm 2: a state of trace 4
 
 FIRING_CALLS = {
     ("matkernel.eigh", "refuse_beyond", 1): lambda: mk.eigh([[0.0, 1.0], [0.0, 0.0]]),
@@ -208,14 +213,37 @@ FIRING_CALLS = {
     ("adversary.qubit_reduction_check", "check_dilation", 2): lambda: adv.qubit_reduction_check(
         TETRA, SCALED, 0.7
     ),
+    ("qobjects.qstate_from_kets", "QState", 1): lambda: qo.qstate_from_kets(TWICE_PURE),
+    ("belltest.ideal_scenario", "qstate_from_kets", 1): lambda: bt.ideal_scenario(0.7, TWICE_PURE),
+    (
+        "belltest.projective_joint_distribution",
+        "qstate_from_kets",
+        1,
+    ): lambda: bt.projective_joint_distribution(0.7, TWICE_PURE),
 }
 EXEMPT = {
     ("cli._sweep_rows", "refuse_beyond", 1): "a report gate on sweep's own kernels' output",
 }
+# Constructions that no input can make fail, because they validate values the
+# library built in closed form; each is a per-angle oracle that leaves src/ with
+# the numpy oracle layer.
+ORACLE_SITES = {
+    ("qobjects.psi_theta", "qstate_from_kets", 1): "the theta-ket, a unit ket in closed form",
+    ("qobjects.phi_theta", "qstate_from_kets", 1): "its spectral partner, a unit ket too",
+    ("qobjects.compose_with_ancilla", "QState", 1): "the product of two validated states",
+    **{
+        ("qobjects.ideal_measurements", "Dichotomic", k): "Pauli products, and sums of two"
+        " anticommuting ones with weights whose squares sum to 1"
+        for k in range(1, 10)
+    },
+}
 
 
 def _gate_sites() -> dict:
-    """(module.function, gate, ordinal) -> (path, first line, last line) of every gate call."""
+    """(module.function, gate, ordinal) -> (path, first line, last line) of every gate call.
+
+    A call to one of the `CONSTRUCTORS` counts as a gate call.
+    """
     sites = {}
 
     def visit(node, path, scope):
@@ -225,7 +253,7 @@ def _gate_sites() -> dict:
                 continue
             func = getattr(child, "func", None)
             name = getattr(func, "attr", getattr(func, "id", None))
-            if isinstance(child, ast.Call) and name in GATES:
+            if isinstance(child, ast.Call) and name in GATES + CONSTRUCTORS:
                 ordinal = 1 + sum(key[:2] == (scope, name) for key in sites)
                 sites[scope, name, ordinal] = (path, child.lineno, child.end_lineno)
             visit(child, path, scope)
@@ -239,7 +267,7 @@ SITES = _gate_sites()
 
 
 def test_every_gate_call_is_listed():
-    assert sorted(SITES) == sorted([*FIRING_CALLS, *EXEMPT])
+    assert sorted(SITES) == sorted([*FIRING_CALLS, *EXEMPT, *ORACLE_SITES])
 
 
 @pytest.mark.parametrize("site", sorted(FIRING_CALLS), ids=lambda k: f"{k[0]}:{k[1]}#{k[2]}")
@@ -250,3 +278,51 @@ def test_every_gate_call_can_fire(site):
         FIRING_CALLS[site]()
     frames = [(f.f_code.co_filename, n) for f, n in traceback.walk_tb(refusal.value.__traceback__)]
     assert any(file == path and first <= line <= last for file, line in frames), frames
+
+
+def _import_time_calls(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every call a module makes on import: every call outside a function body.
+
+    Class bodies, decorators and default values run on import; function and
+    lambda bodies do not.
+    """
+    calls, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            todo += [*node.args.defaults, *filter(None, node.args.kw_defaults)]
+            todo += getattr(node, "decorator_list", [])
+            continue
+        if isinstance(node, ast.Call):
+            calls.append((getattr(node.func, "attr", getattr(node.func, "id", None)), node.lineno))
+        todo += ast.iter_child_nodes(node)
+    return calls
+
+
+def test_no_gate_runs_at_import():
+    # a gate on constants has nothing to refuse, and it costs every process an
+    # eigendecomposition; `eigh` covers `mk.eigh`, whose gate is its Hermiticity check
+    gates = {*GATES, *CONSTRUCTORS, "eigh"}
+    found = [
+        f"{path.stem}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _import_time_calls(ast.parse(path.read_text("utf-8")))
+        if name in gates
+    ]
+    assert found == []
+
+
+def test_only_validating_records_are_dataclasses():
+    # One record idiom: a record is a NamedTuple, and @dataclass is kept for the
+    # classes whose construction validates, in their own __post_init__.
+    has_post_init = {
+        f"{path.stem}.{node.name}": any(
+            isinstance(s, ast.FunctionDef) and s.name == "__post_init__" for s in node.body
+        )
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in _references(d) for d in node.decorator_list)
+    }
+    validating = ("belltest.BellScenario", "qobjects.Dichotomic", "qobjects.Povm", "qobjects.QState")
+    assert has_post_init == dict.fromkeys(validating, True)
