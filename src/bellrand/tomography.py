@@ -1,10 +1,10 @@
 """Tomographic reconstruction of extremal qubit POVMs.
 
 Forward correlations of a POVM against the Pauli-type settings on the
-partially entangled state, linear-inversion reconstruction through the
-state's Pauli correlation matrix, the off-diagonal ket-pair operators with
-their SVD null space (an oracle), and the explicit ancilla dilation
-whose diagonal blocks are a reference POVM and its complex conjugate.
+partially entangled state, their closed-form inversion through the state's
+2x2 amplitude matrix Psi = diag(cos t/2, sin t/2), the off-diagonal ket-pair
+operators with their SVD null space (an oracle), and the explicit ancilla
+dilation whose diagonal blocks are a reference POVM and its complex conjugate.
 """
 
 from __future__ import annotations
@@ -18,43 +18,16 @@ from . import matkernel as mk
 from . import qobjects as qo
 from .qobjects import PAULIS, Povm
 
+
 def eta_matrix(theta: float) -> np.ndarray:
-    """Pauli correlation matrix <sigma_mu x sigma_nu> of the theta-state.
+    """Pauli correlation matrix <sigma_mu x sigma_nu> of the theta-state, as a Born table.
 
     Index order (I, X, Y, Z).  Nonzero pattern: eta_II = eta_ZZ = 1,
     eta_IZ = eta_ZI = cos t, eta_XX = sin t, eta_YY = -sin t; the
     determinant is -sin(t)^4.
     """
-    theta = qo.check_theta(theta)
-    c, s = math.cos(theta), math.sin(theta)
-    m = np.zeros((4, 4))
-    m[0, 0] = 1.0
-    m[3, 3] = 1.0
-    m[0, 3] = m[3, 0] = c
-    m[1, 1] = s
-    m[2, 2] = -s
-    return m
-
-
-def eta_inverse(theta: float) -> np.ndarray:
-    """Explicit block inverse of the correlation matrix.
-
-    The {I, Z} block [[1, c], [c, 1]] inverts to [[1, -c], [-c, 1]]/s^2 and
-    the X and Y blocks are scalars; conditioning is transparent.  Raises
-    with the condition number when sin(t) is numerically zero.
-    """
-    theta = qo.check_theta(theta)
-    c, s = math.cos(theta), math.sin(theta)
-    if s**2 < 1e-14:
-        # (1 + cos t)/(1 - cos t) without the cancellation in 1 - cos t
-        kappa = 1.0 / math.tan(theta / 2) ** 2
-        raise ValueError(f"correlation matrix numerically singular, cond = {kappa:.3e}")
-    inv = np.zeros((4, 4))
-    inv[0, 0] = inv[3, 3] = 1.0 / s**2
-    inv[0, 3] = inv[3, 0] = -c / s**2
-    inv[1, 1] = 1.0 / s
-    inv[2, 2] = -1.0 / s
-    return inv
+    psi = qo.theta_ket(theta)[1].reshape(1, 1, 2, 2)
+    return mk.joint_table_kets(PAULIS, PAULIS, psi)[0]
 
 
 class CorrelationTable(NamedTuple):
@@ -74,15 +47,24 @@ def correlations_from_povm(p: Povm, theta: float) -> CorrelationTable:
 
 
 def reconstruct_povm(c: CorrelationTable) -> Povm:
-    """Linear inversion: elements from correlations through the dual operators.
+    """Closed-form inversion through the amplitude matrix Psi = diag(cos t/2, sin t/2).
 
-    Writing E_a = r_a^mu sigma_mu, the correlations are eta^T r_a, so
-    r_a = eta^{-1} E_a row by row.  Exact round trip with
-    :func:`correlations_from_povm`; corrupted rows simply produce element
-    sets that fail `povm_validity`.
+    C_a,nu = Tr[Psi E_a Psi sigma_nu^T] and the sigma_nu^T / sqrt 2 are orthonormal, so
+    E_a = D ((1/2) sum_nu C_a,nu sigma_nu^T) D with D = Psi^-1: an exact round trip with
+    :func:`correlations_from_povm`.  Corrupted rows give element sets that fail
+    `povm_validity`; values not (m, 4), or sin(t) numerically zero, are refused.
     """
-    r = c.values @ eta_inverse(c.theta).T
-    return Povm(np.einsum("am,mij->aij", r, PAULIS))
+    values = np.asarray(c.values)
+    if values.ndim != 2 or values.shape[1] != 4:
+        raise ValueError(f"correlation values must have shape (m, 4), got {values.shape}")
+    theta = qo.check_theta(c.theta)
+    if math.sin(theta) ** 2 < 1e-14:
+        # cot(t/2)^2 = cond(eta) = cond(Psi)^2, without the cancellation in 1 - cos t
+        kappa = 1.0 / math.tan(theta / 2) ** 2
+        raise ValueError(f"correlation matrix numerically singular, cond = {kappa:.3e}")
+    d = 1.0 / np.array([math.cos(theta / 2), math.sin(theta / 2)])
+    m = 0.5 * np.einsum("an,nji->aij", values, PAULIS)  # Psi E_a Psi = sum_nu C_a,nu sigma_nu^T / 2
+    return Povm(d[:, None] * m * d)
 
 
 class OffdiagSet(NamedTuple):

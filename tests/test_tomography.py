@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,16 +45,16 @@ class TestEtaMatrix:
             )
             assert np.max(np.abs(direct - tg.eta_matrix(theta))) <= 1e-12
 
-    def test_block_inverse(self):
+    def test_reconstruction_inverts_eta(self):
+        # eta^-1 eta = I: the Paulis' own correlations reconstruct the Paulis
         for theta in (0.1, 0.8, np.pi / 2):
-            eta = tg.eta_matrix(theta)
-            inv = tg.eta_inverse(theta)
-            assert np.max(np.abs(eta @ inv - np.eye(4))) <= 1e-10
+            r = tg.reconstruct_povm(tg.CorrelationTable(theta, tg.eta_matrix(theta)))
+            assert np.max(np.abs(r.elements - qo.PAULIS)) <= 1e-10
 
     def test_singular_inverse_reports_condition(self):
         # cond = cot(t/2)^2 = 4e16 at t = 1e-8, where 1 - cos(t) rounds to 0
         with pytest.raises(ValueError, match=r"cond = 4\.000e\+16"):
-            tg.eta_inverse(1e-8)
+            tg.reconstruct_povm(tg.CorrelationTable(1e-8, tg.eta_matrix(1e-8)))
 
 
 class TestCorrelations:
@@ -117,6 +118,11 @@ class TestReconstruction:
         r = tg.reconstruct_povm(tg.correlations_from_povm(p, theta))
         err = max(float(np.max(np.abs(a - b))) for a, b in zip(p.elements, r.elements))
         assert err <= 1e-14 * np.linalg.cond(tg.eta_matrix(theta))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (4, 5), (2, 4, 4), ()])
+    def test_malformed_values_refused(self, shape):
+        with pytest.raises(ValueError, match=rf"shape \(m, 4\), got {re.escape(str(shape))}"):
+            tg.reconstruct_povm(tg.CorrelationTable(0.7, np.zeros(shape)))
 
     def test_corrupted_correlations_detected(self):
         theta = 0.8
